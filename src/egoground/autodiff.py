@@ -39,6 +39,12 @@ def make_rng(*seed_words: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(w) for w in seed_words])))
 
 
+def _sigmoid(x: Array) -> Array:
+    """The package's one numpy logistic; exp only sees -|x|, so neither tail overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -216,9 +222,7 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        s = 1.0 / (1.0 + np.exp(-np.abs(self.data)))
-        s = np.where(self.data >= 0.0, s, 1.0 - s)
-        out = Tensor(s, (self,))
+        out = Tensor(_sigmoid(self.data), (self,))
 
         def backward():
             self.grad += out.grad * out.data * (1.0 - out.data)
@@ -231,9 +235,7 @@ class Tensor:
         out = Tensor(np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data))), (self,))
 
         def backward():
-            s = 1.0 / (1.0 + np.exp(-np.abs(self.data)))
-            s = np.where(self.data >= 0.0, s, 1.0 - s)
-            self.grad += out.grad * s
+            self.grad += out.grad * _sigmoid(self.data)
 
         out._backward = backward
         return out
@@ -503,18 +505,16 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.rando
                     zero_weight=zero_last and last, bias=last_bias if last else 0.0)
 
 
-def mlp_apply(x: Tensor, store: ParamStore, prefix: str, sizes: Sequence[int],
-              activation: str = "relu") -> Tensor:
-    """Apply the MLP under ``prefix``; activation between layers, none after the last."""
+def mlp_apply(x: Tensor, store: ParamStore, prefix: str, sizes: Sequence[int]) -> Tensor:
+    """Apply the MLP under ``prefix``; ReLU between layers, none after the last."""
     if x.shape[-1] != sizes[0]:
         raise ValueError(f"mlp {prefix!r} layer 0: input width {x.shape[-1]} != {sizes[0]}")
-    act = {"relu": Tensor.relu, "tanh": Tensor.tanh, "sigmoid": Tensor.sigmoid}[activation]
     h = x
     n = len(sizes) - 1
     for i in range(n):
         h = linear(h, store, f"{prefix}.{i}")
         if i < n - 1:
-            h = act(h)
+            h = h.relu()
     return h
 
 

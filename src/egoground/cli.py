@@ -17,9 +17,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
-from .autodiff import GradCheckReport, grad_check, make_optimizer, make_rng
+from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng
 from .evaluate import bucket_report, evaluate_detection, format_report, save_report
 from .losses import LossWeights
 from .network import ModelConfig, init_model_params, load_model, save_model
@@ -212,6 +210,8 @@ def _log_line(entry: dict) -> str:
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     scene_files = _load_scene_files(args.scenes)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)  # fail before training, not after
     batches = _prepare_batches(cfg, scene_files)
     model_cfg = cfg.model_config()
     store = init_model_params(model_cfg, cfg.seed)
@@ -220,7 +220,6 @@ def cmd_train(args) -> int:
                     steps=cfg.steps, use_rag=not cfg.disable_rag,
                     use_qim=not cfg.disable_qim,
                     log=lambda e: print(_log_line(e)))
-    out = Path(args.out)
     save_model(store, model_cfg, out,
                extra={"run_config": cfg.to_dict(), "steps_trained": cfg.steps})
     cfg.save(out.with_name(out.stem + ".config.json"))
@@ -343,6 +342,9 @@ def cmd_heatmap(args) -> int:
     store, model_cfg, extra = load_model(args.checkpoint)
     run_cfg = RunConfig.from_dict(extra["run_config"]) if "run_config" in extra \
         else RunConfig()
+    if run_cfg.disable_rag:
+        raise ValueError(f"{args.checkpoint} was trained with --disable-rag, "
+                         "so it has no trained relevance head to draw")
     scene, instructions = load_scene(args.scene)
     if not instructions:
         raise ValueError(f"{args.scene} carries no instructions")
@@ -351,9 +353,9 @@ def cmd_heatmap(args) -> int:
                          f"(scene has {len(scene.cameras)} cameras)")
     batch = prepare_scene(scene, instructions, StubEmbeddings(), run_cfg.voxel_size,
                           num_classes=len(CLASS_NAMES))
-    out, _ = forward_grounding(batch, store, model_cfg, 0, use_rag=True,
+    out, _ = forward_grounding(batch, store, model_cfg, 0,
                                use_qim=not run_cfg.disable_qim)
-    scores = 1.0 / (1.0 + np.exp(-out.relevance.data))
+    scores = _sigmoid(out.relevance.data)
     cam, pose = scene.cameras[args.view]
     ppm, csv_path = export_heatmap(batch.voxels.coords, scores, cam, pose, args.out)
     print(f"wrote {ppm} and {csv_path} ({len(batch.voxels)} voxels)")

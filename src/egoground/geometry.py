@@ -14,8 +14,9 @@ The fusion path mirrors a two-backbone pipeline at desk scale: pooled voxel
 occupancy runs through one learned linear layer (standing in for a sparse
 3D conv backbone, so its input includes a sinusoidal encoding of the voxel
 center), per-view 2D features are bilinearly sampled at the projected voxel
-centers and averaged over the views that see the voxel, and the concatenated
-[3D | 2D] vector is projected to the model width by a second learned linear.
+centers and averaged over the views that see the voxel (once per scene, in
+``sample_views``), and the concatenated [3D | 2D] vector is projected to the
+model width by a second learned linear (every step, in ``fuse_features``).
 """
 
 from __future__ import annotations
@@ -277,15 +278,14 @@ def sample_views(coords: Array, views: list[ViewFeatureMap]):
     return total, seen
 
 
-def fuse_features(voxels: VoxelFeatureSet, views: list[ViewFeatureMap],
+def fuse_features(voxels: VoxelFeatureSet, sampled: Array,
                   store: ParamStore) -> VoxelFeatureSet:
     """Concatenate [encoded 3D | mean sampled 2D] and project to the model width.
 
-    ``voxels.features`` must already be the encoded (N, C) tensor.  The
-    sampled 2D part is a constant on the tape; gradients flow through the
-    fusion projection and the 3D branch.
+    ``voxels.features`` must already be the encoded (N, C) tensor and
+    ``sampled`` the (N, C') ``sample_views`` output for the same voxels, a
+    constant on the tape; gradients flow through the projection and 3D branch.
     """
-    sampled, _ = sample_views(voxels.coords, views)
     stacked = concat([voxels.features, constant(sampled)], axis=1)
     fused = linear(stacked, store, "fuse")
     return VoxelFeatureSet(coords=voxels.coords, features=fused, voxel_size=voxels.voxel_size)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import Tensor, constant, gather_rows
+from .autodiff import Tensor, _sigmoid, constant, gather_rows
 from .boxes import Box9DoF, wrap_angle
 
 Array = np.ndarray
@@ -171,14 +171,12 @@ def matching_cost(output, targets, weights: LossWeights) -> Array:
     if isinstance(targets, DetectionTargets):
         gt_boxes = targets.boxes
         logits = output.det_logits.data
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        cls_cost = -probs[:, np.asarray(targets.classes, dtype=np.intp)]
+        cls_cost = -_sigmoid(logits)[:, np.asarray(targets.classes, dtype=np.intp)]
         cls_weight = weights.lambda_cls
     elif isinstance(targets, GroundingTargets):
         gt_boxes = [targets.box]
         logits = output.grd_logits.data.reshape(-1)
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        cls_cost = -probs[:, None]
+        cls_cost = -_sigmoid(logits)[:, None]
         cls_weight = weights.lambda_ground
     else:
         raise TypeError(f"unsupported target type {type(targets).__name__}")

@@ -110,7 +110,6 @@ class DecoderOutput:
     sin_angles: Tensor          # (K, 3) normalized
     cos_angles: Tensor          # (K, 3) normalized
     positions: Array            # (K, 3) query voxel centers
-    attention_map: Array | None = None  # (K, N) last-layer visual attention
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +297,6 @@ def decoder_forward(features: VoxelFeatureSet, text: TextEmbedding | None,
         raise ValueError("grounding requires text")
 
     q = queries.embeddings
-    attn_map = None
     for i in range(cfg.layers):
         h = layer_norm(q, store, f"dec{i}.ln1")
         q = q + attention(h, h, h, store, f"dec{i}.self", heads=cfg.heads)
@@ -307,11 +305,8 @@ def decoder_forward(features: VoxelFeatureSet, text: TextEmbedding | None,
             q = q + attention(h, text.tokens, text.tokens, store, f"dec{i}.text",
                               heads=cfg.heads)
         h = layer_norm(q, store, f"dec{i}.ln3")
-        vis, w = attention(h, features.features, features.features, store,
-                           f"dec{i}.vis", heads=cfg.heads, return_weights=True)
-        q = q + vis
-        if i == cfg.layers - 1:
-            attn_map = w.mean(axis=0)
+        q = q + attention(h, features.features, features.features, store,
+                          f"dec{i}.vis", heads=cfg.heads)
         h = layer_norm(q, store, f"dec{i}.ln4")
         q = q + linear(linear(h, store, f"dec{i}.ffn1").relu(), store, f"dec{i}.ffn2")
 
@@ -325,7 +320,7 @@ def decoder_forward(features: VoxelFeatureSet, text: TextEmbedding | None,
     return DecoderOutput(boxes=boxes, det_logits=det_logits, grd_logits=grd_logits,
                          relevance=None, centers=centers, log_extents=log_extents,
                          sin_angles=sin_n, cos_angles=cos_n,
-                         positions=queries.positions, attention_map=attn_map)
+                         positions=queries.positions)
 
 
 def decoder_parameter_names(cfg: ModelConfig) -> set[str]:

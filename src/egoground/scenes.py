@@ -218,11 +218,6 @@ def render_depth_and_classes(scene: Scene, view_idx: int) -> tuple[DepthMap, Arr
     return DepthMap(values=values, valid=valid.reshape(cam.height, cam.width)), classes
 
 
-def render_depth(scene: Scene, view_idx: int) -> DepthMap:
-    depth, _ = render_depth_and_classes(scene, view_idx)
-    return depth
-
-
 def _camera_frame_x(scene: Scene, center: Array) -> float:
     cam, pose = scene.cameras[0]
     return float(pose.world_to_camera(center)[0, 0])

@@ -1,15 +1,15 @@
 """Scene preparation, task forward passes and the training loop.
 
 A scene is prepared once: every view is rendered, lifted to a point cloud
-with its per-pixel stub features, and pooled into voxels.  Per-voxel labels
-are derived from box containment of the voxel center (class id for the
-detection scoring head, inside-the-target for the grounding scoring head
-and the spatial relevance objective).
+with its per-pixel stub features and pooled into voxels, and the 2D feature
+maps are sampled at the voxel centers.  Per-voxel labels come from box
+containment of the voxel center (class id for the detection scoring head,
+inside-the-target for the grounding scoring head and relevance objective).
 
-Each training step runs both tasks on one scene and takes a single
-optimizer step on the summed objective: detection loss + grounding loss +
-the two scoring-head auxiliaries.  Query selection itself is not
-differentiable, so the auxiliaries are what teach the scoring heads.
+Each training step builds the fused voxel trunk once, runs both task bodies
+on it and takes a single optimizer step on the summed objective: detection
+loss + grounding loss + the two scoring-head auxiliaries.  Query selection
+is not differentiable, so the auxiliaries are what teach the scoring heads.
 A non-finite loss aborts with the step number.
 """
 
@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore
+from .autodiff import ParamStore, _sigmoid
 from .boxes import contains_points
 from .evaluate import DetectionResult, GroundingResult, ScoredBox
 from .geometry import (
-    ViewFeatureMap,
     VoxelFeatureSet,
     backproject_depth,
     encode_voxels,
     fuse_features,
+    sample_views,
     voxelize,
 )
 from .losses import (
@@ -62,8 +62,8 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class SceneBatch:
     scene: Scene
-    voxels: VoxelFeatureSet          # pooled per-voxel 2D features (constant)
-    views: list[ViewFeatureMap]
+    voxels: VoxelFeatureSet          # 2D features pooled over each voxel's pixels (constant)
+    image_features: Array            # (N, C') view grids sampled at voxel centers (constant)
     det_targets: DetectionTargets
     voxel_classes: Array             # (N,) int, -1 for background
     instructions: list[Instruction]
@@ -73,7 +73,7 @@ class SceneBatch:
 
 def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbeddings,
                   voxel_size: float, num_classes: int) -> SceneBatch:
-    """Render, lift and voxelize one scene; derive all training labels."""
+    """Render, lift, voxelize and sample one scene; derive all training labels."""
     pts_list = []
     feat_list = []
     views = []
@@ -89,6 +89,7 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
     if not pts_list:
         raise ValueError("no view returned any depth; scene is empty from every camera")
     voxels = voxelize(np.vstack(pts_list), np.vstack(feat_list), voxel_size)
+    image_features, _ = sample_views(voxels.coords, views)
 
     voxel_classes = np.full(len(voxels), -1, dtype=np.int64)
     for obj in scene.objects:
@@ -102,18 +103,18 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
         box = scene.objects[ins.target].box
         inside = contains_points(box, voxels.coords).astype(np.float64)
         grd_targets.append(GroundingTargets(box=box, relevance_labels=inside))
-    return SceneBatch(scene=scene, voxels=voxels, views=views, det_targets=det_targets,
-                      voxel_classes=voxel_classes, instructions=instructions,
-                      token_vectors=token_vectors, grd_targets=grd_targets)
+    return SceneBatch(scene=scene, voxels=voxels, image_features=image_features,
+                      det_targets=det_targets, voxel_classes=voxel_classes,
+                      instructions=instructions, token_vectors=token_vectors,
+                      grd_targets=grd_targets)
 
 
 def fuse_scene(batch: SceneBatch, store: ParamStore) -> VoxelFeatureSet:
-    return fuse_features(encode_voxels(batch.voxels, store), batch.views, store)
+    """The shared trunk: encoded voxels fused with the sampled 2D features."""
+    return fuse_features(encode_voxels(batch.voxels, store), batch.image_features, store)
 
 
-def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
-    """Returns (DecoderOutput, per-voxel scoring logits)."""
-    fused = fuse_scene(batch, store)
+def _detection_body(fused: VoxelFeatureSet, store: ParamStore, cfg: ModelConfig):
     logits = scoring_logits(fused, store, cfg, "detection")
     k = min(cfg.k_det, len(fused))
     qs = select_queries(fused, k, "detection", store, cfg, logits=logits)
@@ -121,14 +122,12 @@ def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
     return out, logits
 
 
-def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
-                      instruction_idx: int = 0, use_rag: bool = True,
-                      use_qim: bool = True):
-    """Returns (DecoderOutput with relevance, per-voxel scoring logits)."""
+def _grounding_body(fused: VoxelFeatureSet, batch: SceneBatch, store: ParamStore,
+                    cfg: ModelConfig, instruction_idx: int, use_rag: bool,
+                    use_qim: bool):
     if not 0 <= instruction_idx < len(batch.instructions):
         raise IndexError(f"instruction {instruction_idx} out of range "
                          f"({len(batch.instructions)} available)")
-    fused = fuse_scene(batch, store)
     text = embed_text(batch.token_vectors[instruction_idx], store)
     logits = scoring_logits(fused, store, cfg, "grounding")
     k = min(cfg.k_grd, len(fused))
@@ -146,14 +145,28 @@ def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
     return out, logits
 
 
+def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
+    """Returns (DecoderOutput, per-voxel scoring logits)."""
+    return _detection_body(fuse_scene(batch, store), store, cfg)
+
+
+def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
+                      instruction_idx: int = 0, use_rag: bool = True,
+                      use_qim: bool = True):
+    """Returns (DecoderOutput with relevance, per-voxel scoring logits)."""
+    return _grounding_body(fuse_scene(batch, store), batch, store, cfg,
+                           instruction_idx, use_rag, use_qim)
+
+
 def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                     weights: LossWeights, instruction_idx: int = 0,
                     use_rag: bool = True, use_qim: bool = True):
-    """Summed objective plus a float breakdown for logging."""
-    det_out, det_score_logits = forward_detection(batch, store, cfg)
+    """Summed objective plus a float breakdown for logging; one trunk for both tasks."""
+    fused = fuse_scene(batch, store)
+    det_out, det_score_logits = _detection_body(fused, store, cfg)
     det_total, det_parts = total_loss(det_out, batch.det_targets, weights)
-    grd_out, grd_score_logits = forward_grounding(batch, store, cfg, instruction_idx,
-                                                  use_rag=use_rag, use_qim=use_qim)
+    grd_out, grd_score_logits = _grounding_body(fused, batch, store, cfg, instruction_idx,
+                                                use_rag, use_qim)
     grd_targets = batch.grd_targets[instruction_idx]
     grd_total, grd_parts = total_loss(grd_out, grd_targets, weights)
 
@@ -214,11 +227,6 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # Evaluation-ready predictions
 # ---------------------------------------------------------------------------
-
-
-def _sigmoid(x: Array) -> Array:
-    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,

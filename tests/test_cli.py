@@ -162,6 +162,25 @@ def test_train_disable_qim_step0_loss_identical(workspace, tmp_path, capsys):
     assert step0_line([], "qim_on") == step0_line(["--disable-qim"], "qim_off")
 
 
+def test_train_creates_missing_checkpoint_dir(workspace, tmp_path):
+    ckpt = tmp_path / "run" / "nested" / "ckpt.json"
+    assert main(["train", "--config", str(workspace["cfg"]), "--scenes",
+                 str(workspace["scenes"]), "--out", str(ckpt), "--steps", "1"]) == 0
+    assert ckpt.is_file()
+    assert ckpt.with_name("ckpt.config.json").is_file()
+
+
+def test_train_unusable_checkpoint_dir_fails_before_training(workspace, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    rc = main(["train", "--config", str(workspace["cfg"]), "--scenes",
+               str(workspace["scenes"]), "--out", str(blocker / "ckpt.json")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "step" not in captured.out
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_train_missing_scenes_dir(tmp_path, capsys):
     rc = main(["train", "--scenes", str(tmp_path / "nowhere"), "--out",
                str(tmp_path / "c.json")])
@@ -235,6 +254,22 @@ def test_heatmap_view_out_of_range(workspace, tmp_path, capsys):
                str(tmp_path / "h")])
     assert rc == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_heatmap_refuses_disable_rag_checkpoint(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "norag.json"
+    assert main(["train", "--config", str(workspace["cfg"]), "--scenes",
+                 str(workspace["scenes"]), "--out", str(ckpt), "--steps", "1",
+                 "--disable-rag"]) == 0
+    capsys.readouterr()
+    scene_file = sorted(workspace["scenes"].glob("*.json"))[0]
+    prefix = tmp_path / "heat"
+    rc = main(["heatmap", "--scene", str(scene_file), "--checkpoint", str(ckpt),
+               "--view", "0", "--out", str(prefix)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "disable-rag" in err and err.count("\n") == 1
+    assert not prefix.with_suffix(".ppm").exists()
 
 
 def test_unknown_command_rejected():

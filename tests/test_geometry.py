@@ -231,7 +231,7 @@ def test_fuse_concat_width_and_output_dim():
     vox = voxelize(np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]]), None, 0.25)
     encoded = encode_voxels(vox, store)
     assert encoded.features.shape == (len(vox), c)
-    fused = fuse_features(encoded, [view], store)
+    fused = fuse_features(encoded, sample_views(vox.coords, [view])[0], store)
     assert fused.features.shape == (len(vox), c)
     np.testing.assert_array_equal(fused.coords, vox.coords)
 
@@ -242,9 +242,10 @@ def test_fusion_gradients_flow_to_both_linears():
     init_fusion_params(store, pooled_dim=1, feat2d_dim=4, model_dim=6, rng=rng)
     view = make_center_view(c2d=4)
     vox = voxelize(rng.uniform(-0.6, 0.6, size=(12, 3)), None, 0.3)
+    sampled, _ = sample_views(vox.coords, [view])
 
     def fn(s):
-        fused = fuse_features(encode_voxels(vox, s), [view], s)
+        fused = fuse_features(encode_voxels(vox, s), sampled, s)
         return (fused.features * fused.features).mean()
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -242,6 +243,21 @@ def test_matching_cost_prefers_better_class_and_box():
     assert cost.shape == (4, 1)
     # prediction 2 has a zero box term against its own box
     assert np.argmin(cost[:, 0]) == 2
+
+
+def test_matching_cost_stable_at_extreme_logits():
+    out = make_fake_output(make_rng(343))
+    out.grd_logits = Tensor(np.array([[-1000.0], [1000.0], [0.0], [-1.0]]))
+    out.det_logits = Tensor(np.full((4, 3), -1000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grd = matching_cost(out, GroundingTargets(box=out.boxes[0], relevance_labels=None),
+                            LossWeights(lambda_box=0.0))
+        det = matching_cost(out, DetectionTargets(boxes=[out.boxes[0]], classes=[1],
+                                                  num_classes=3), LossWeights(lambda_box=0.0))
+    assert grd[:, 0].tolist() == pytest.approx([0.0, -1.0, -0.5, -1.0 / (1.0 + math.e)],
+                                               abs=1e-15)
+    assert np.all(det == 0.0)
 
 
 def test_detection_total_loss_breakdown_consistent():

@@ -289,7 +289,6 @@ def test_zero_layers_feeds_heads_directly():
     assert np.allclose(out.log_extents.data, raw.data[:, 3:6], atol=1e-15)
     logits = mlp_apply(qs.embeddings, store, "head_det", [cfg.dim, cfg.dim, cfg.num_classes])
     assert np.allclose(out.det_logits.data, logits.data, atol=1e-15)
-    assert out.attention_map is None
 
 
 def test_decoder_output_shapes_and_positive_extents():
@@ -303,7 +302,6 @@ def test_decoder_output_shapes_and_positive_extents():
     assert len(out.boxes) == 3
     assert out.grd_logits.shape == (3, 1)
     assert out.det_logits is None
-    assert out.attention_map.shape == (3, len(fused))
     for box in out.boxes:
         assert (box.extents > 0.0).all()
     norm = out.sin_angles.data ** 2 + out.cos_angles.data ** 2

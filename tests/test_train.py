@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import egoground.geometry
+import egoground.train
 from egoground.autodiff import Adam, make_rng
 from egoground.boxes import contains_points
-from egoground.losses import LossWeights
+from egoground.losses import LossWeights, total_loss
 from egoground.network import ModelConfig, init_model_params
 from egoground.scenes import (
     CLASS_NAMES,
@@ -74,7 +76,7 @@ def test_prepare_scene_labels_match_containment():
 def test_prepare_scene_feature_shapes():
     batch = BATCH
     assert batch.voxels.features.shape == (len(batch.voxels), CFG.feat2d_dim)
-    assert len(batch.views) == len(batch.scene.cameras)
+    assert batch.image_features.shape == (len(batch.voxels), CFG.feat2d_dim)
     assert batch.token_vectors[0].shape == (len(batch.instructions[0].tokens),
                                             CFG.text_dim)
     assert len(batch.det_targets.boxes) == len(batch.scene.objects)
@@ -96,8 +98,53 @@ def test_forward_shapes_and_k_clamp():
     assert gout.grd_logits.shape == (min(CFG.k_grd, n), 1)
     assert gout.relevance.shape == (n,)
     assert glogits.shape == (n, 1)
-    with pytest.raises(IndexError):
-        forward_grounding(BATCH, store, CFG, instruction_idx=5)
+    for bad in (5, -1):
+        with pytest.raises(IndexError):
+            forward_grounding(BATCH, store, CFG, instruction_idx=bad)
+        with pytest.raises(IndexError):
+            training_losses(BATCH, store, CFG, WEIGHTS, instruction_idx=bad)
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_prepare_scene_samples_views_once(monkeypatch):
+    calls = _count_calls(monkeypatch, egoground.train, ["sample_views"])
+    small_batch()
+    assert calls == {"sample_views": 1}
+    assert "views" not in SceneBatch.__dataclass_fields__
+
+
+def test_training_step_builds_one_trunk(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("2D views sampled during a training step")
+
+    monkeypatch.setattr(egoground.geometry, "sample_views", no_sampling)
+    monkeypatch.setattr(egoground.train, "sample_views", no_sampling)
+    calls = _count_calls(monkeypatch, egoground.train, ["encode_voxels", "fuse_features"])
+    store = init_model_params(CFG, seed=2)
+    training_losses(BATCH, store, CFG, WEIGHTS)
+    assert calls == {"encode_voxels": 1, "fuse_features": 1}
+
+
+def test_training_losses_run_the_task_forwards():
+    # the shared trunk changes nothing in the forward values
+    store = init_model_params(CFG, seed=2)
+    _, parts = training_losses(BATCH, store, CFG, WEIGHTS)
+    det_out, _ = forward_detection(BATCH, store, CFG)
+    grd_out, _ = forward_grounding(BATCH, store, CFG)
+    assert parts["det_total"] == total_loss(det_out, BATCH.det_targets, WEIGHTS)[1].total
+    assert parts["grd_total"] == total_loss(grd_out, BATCH.grd_targets[0], WEIGHTS)[1].total
 
 
 def test_training_losses_breakdown_sums():
