@@ -1,10 +1,20 @@
 """Dense float64 tensors with reverse-mode differentiation on a recorded tape.
 
 Every operation allocates a new node holding its value, its parent nodes and
-a closure that pushes the output gradient back to those parents.  Calling
-``Tensor.backward`` on a scalar replays the closures in reverse topological
-order.  Everything is double precision so analytic gradients can be compared
-against central finite differences at tight tolerances (``grad_check``).
+a closure ``backward(g)`` that takes the gradient ``g`` of the node's output
+and adds its contribution to each parent's ``grad``.  Calling
+``Tensor.backward`` on a scalar allocates the gradient slots, then calls
+``node._backward(node.grad)`` for every node in reverse topological order.
+
+A closure never captures its own output tensor: it reads the output gradient
+from ``g`` and, where it needs the output value (``exp``, ``sigmoid``,
+``tanh``, ``sqrt``, ``softmax``), captures that array.  Capturing ``out``
+would make an ``out -> closure -> out`` reference cycle per node, so a
+step's graph could only be freed by the cyclic garbage collector instead of
+by reference counting when the loss is dropped.
+
+Everything is double precision so analytic gradients can be compared against
+central finite differences at tight tolerances (``grad_check``).
 
 Module layout:
 
@@ -39,6 +49,10 @@ def make_rng(*seed_words: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(w) for w in seed_words])))
 
 
+class NonFiniteError(ValueError):
+    """A NaN or infinity reached a tensor, a loss, a box or a cost matrix."""
+
+
 def _sigmoid(x: Array) -> Array:
     """The package's one numpy logistic; exp only sees -|x|, so neither tail overflows."""
     e = np.exp(-np.abs(x))
@@ -62,17 +76,17 @@ class Tensor:
     """A float64 array plus the tape bookkeeping needed for backward().
 
     ``data`` is always a C-contiguous float64 ndarray with finite entries;
-    non-finite values are rejected at construction so divergence surfaces at
-    the op that produced it.  ``grad`` is lazily allocated (parameters get a
+    non-finite values are rejected at construction (``NonFiniteError``) so
+    divergence surfaces at the op that produced it.  ``grad`` is lazily allocated (parameters get a
     zero slot up front via ``ParamStore``).
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, parents: tuple = (), backward: Callable[[], None] | None = None):
+    def __init__(self, data, parents: tuple = (), backward: Callable[[Array], None] | None = None):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite values in tensor")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("non-finite values in tensor")
         self.data = arr
         self.grad: Array | None = None
         self._parents = parents
@@ -106,9 +120,9 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data + other.data, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad += _unbroadcast(out.grad, other.data.shape)
+        def backward(g):
+            self.grad += _unbroadcast(g, self.data.shape)
+            other.grad += _unbroadcast(g, other.data.shape)
 
         out._backward = backward
         return out
@@ -119,8 +133,8 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.data, (self,))
 
-        def backward():
-            self.grad -= out.grad
+        def backward(g):
+            self.grad -= g
 
         out._backward = backward
         return out
@@ -129,9 +143,9 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data - other.data, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad -= _unbroadcast(out.grad, other.data.shape)
+        def backward(g):
+            self.grad += _unbroadcast(g, self.data.shape)
+            other.grad -= _unbroadcast(g, other.data.shape)
 
         out._backward = backward
         return out
@@ -143,9 +157,9 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data * other.data, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
-            other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
+        def backward(g):
+            self.grad += _unbroadcast(g * other.data, self.data.shape)
+            other.grad += _unbroadcast(g * self.data, other.data.shape)
 
         out._backward = backward
         return out
@@ -157,9 +171,9 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data / other.data, (self, other))
 
-        def backward():
-            self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
-            other.grad += _unbroadcast(-out.grad * self.data / (other.data * other.data), other.data.shape)
+        def backward(g):
+            self.grad += _unbroadcast(g / other.data, self.data.shape)
+            other.grad += _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
 
         out._backward = backward
         return out
@@ -170,11 +184,11 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         p = float(exponent)
         if p == 0.0:
-            return Tensor(np.ones_like(self.data), (self,), lambda: None)
+            return Tensor(np.ones_like(self.data), (self,), lambda g: None)
         out = Tensor(self.data ** p, (self,))
 
-        def backward():
-            self.grad += out.grad * p * self.data ** (p - 1.0)
+        def backward(g):
+            self.grad += g * p * self.data ** (p - 1.0)
 
         out._backward = backward
         return out
@@ -185,9 +199,9 @@ class Tensor:
             raise ValueError(f"matmul expects 2-d operands, got {self.shape} @ {other.shape}")
         out = Tensor(self.data @ other.data, (self, other))
 
-        def backward():
-            self.grad += out.grad @ other.data.T
-            other.grad += self.data.T @ out.grad
+        def backward(g):
+            self.grad += g @ other.data.T
+            other.grad += self.data.T @ g
 
         out._backward = backward
         return out
@@ -197,17 +211,18 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = Tensor(np.maximum(self.data, 0.0), (self,))
 
-        def backward():
-            self.grad += out.grad * (self.data > 0.0)
+        def backward(g):
+            self.grad += g * (self.data > 0.0)
 
         out._backward = backward
         return out
 
     def exp(self) -> "Tensor":
-        out = Tensor(np.exp(self.data), (self,))
+        y = np.exp(self.data)
+        out = Tensor(y, (self,))
 
-        def backward():
-            self.grad += out.grad * out.data
+        def backward(g):
+            self.grad += g * y
 
         out._backward = backward
         return out
@@ -215,17 +230,18 @@ class Tensor:
     def log(self) -> "Tensor":
         out = Tensor(np.log(self.data), (self,))
 
-        def backward():
-            self.grad += out.grad / self.data
+        def backward(g):
+            self.grad += g / self.data
 
         out._backward = backward
         return out
 
     def sigmoid(self) -> "Tensor":
-        out = Tensor(_sigmoid(self.data), (self,))
+        y = _sigmoid(self.data)
+        out = Tensor(y, (self,))
 
-        def backward():
-            self.grad += out.grad * out.data * (1.0 - out.data)
+        def backward(g):
+            self.grad += g * y * (1.0 - y)
 
         out._backward = backward
         return out
@@ -234,17 +250,18 @@ class Tensor:
         # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), stable on both tails
         out = Tensor(np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data))), (self,))
 
-        def backward():
-            self.grad += out.grad * _sigmoid(self.data)
+        def backward(g):
+            self.grad += g * _sigmoid(self.data)
 
         out._backward = backward
         return out
 
     def tanh(self) -> "Tensor":
-        out = Tensor(np.tanh(self.data), (self,))
+        y = np.tanh(self.data)
+        out = Tensor(y, (self,))
 
-        def backward():
-            self.grad += out.grad * (1.0 - out.data * out.data)
+        def backward(g):
+            self.grad += g * (1.0 - y * y)
 
         out._backward = backward
         return out
@@ -252,8 +269,8 @@ class Tensor:
     def abs(self) -> "Tensor":
         out = Tensor(np.abs(self.data), (self,))
 
-        def backward():
-            self.grad += out.grad * np.sign(self.data)
+        def backward(g):
+            self.grad += g * np.sign(self.data)
 
         out._backward = backward
         return out
@@ -261,8 +278,8 @@ class Tensor:
     def sin(self) -> "Tensor":
         out = Tensor(np.sin(self.data), (self,))
 
-        def backward():
-            self.grad += out.grad * np.cos(self.data)
+        def backward(g):
+            self.grad += g * np.cos(self.data)
 
         out._backward = backward
         return out
@@ -270,17 +287,18 @@ class Tensor:
     def cos(self) -> "Tensor":
         out = Tensor(np.cos(self.data), (self,))
 
-        def backward():
-            self.grad -= out.grad * np.sin(self.data)
+        def backward(g):
+            self.grad -= g * np.sin(self.data)
 
         out._backward = backward
         return out
 
     def sqrt(self) -> "Tensor":
-        out = Tensor(np.sqrt(self.data), (self,))
+        y = np.sqrt(self.data)
+        out = Tensor(y, (self,))
 
-        def backward():
-            self.grad += out.grad * 0.5 / out.data
+        def backward(g):
+            self.grad += g * 0.5 / y
 
         out._backward = backward
         return out
@@ -290,8 +308,7 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self.grad += np.broadcast_to(g, self.data.shape)
@@ -315,8 +332,8 @@ class Tensor:
             shape = tuple(shape[0])
         out = Tensor(self.data.reshape(shape), (self,))
 
-        def backward():
-            self.grad += out.grad.reshape(self.data.shape)
+        def backward(g):
+            self.grad += g.reshape(self.data.shape)
 
         out._backward = backward
         return out
@@ -324,12 +341,12 @@ class Tensor:
     def transpose(self, axes=None) -> "Tensor":
         out = Tensor(self.data.transpose(axes), (self,))
 
-        def backward():
+        def backward(g):
             if axes is None:
-                self.grad += out.grad.transpose()
+                self.grad += g.transpose()
             else:
                 inverse = np.argsort(axes)
-                self.grad += out.grad.transpose(inverse)
+                self.grad += g.transpose(inverse)
 
         out._backward = backward
         return out
@@ -344,11 +361,11 @@ class Tensor:
             isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key)
         )
 
-        def backward():
+        def backward(g):
             if fancy:
-                np.add.at(self.grad, key, out.grad)
+                np.add.at(self.grad, key, g)
             else:
-                self.grad[key] += out.grad
+                self.grad[key] += g
 
         out._backward = backward
         return out
@@ -361,9 +378,9 @@ class Tensor:
         y = e / e.sum(axis=axis, keepdims=True)
         out = Tensor(y, (self,))
 
-        def backward():
-            inner = (out.grad * y).sum(axis=axis, keepdims=True)
-            self.grad += (out.grad - inner) * y
+        def backward(g):
+            inner = (g * y).sum(axis=axis, keepdims=True)
+            self.grad += (g - inner) * y
 
         out._backward = backward
         return out
@@ -390,11 +407,11 @@ class Tensor:
                     stack.append((parent, False))
         for node in topo:
             if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+                node.grad = np.zeros(node.data.shape)
         self.grad = self.grad + np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def as_tensor(value) -> Tensor:
@@ -412,11 +429,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * out.grad.ndim
+            index = [slice(None)] * g.ndim
             index[axis] = slice(lo, hi)
-            t.grad += out.grad[tuple(index)]
+            t.grad += g[tuple(index)]
 
     out._backward = backward
     return out
@@ -616,8 +633,11 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in store.items():
-            m = self._m.setdefault(name, np.zeros_like(p.data))
-            v = self._v.setdefault(name, np.zeros_like(p.data))
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p.data)
+                self._v[name] = np.zeros_like(p.data)
+            m = self._m[name]
+            v = self._v[name]
             m *= b1
             m += (1.0 - b1) * p.grad
             v *= b2
@@ -686,7 +706,7 @@ def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
     if loss.data.size != 1:
         raise ValueError("grad_check requires a scalar-valued fn")
     if not np.isfinite(loss.data).all():
-        raise ValueError("non-finite loss")
+        raise NonFiniteError("non-finite loss")
     loss.backward()
     analytic = {name: p.grad.copy() for name, p in store.items()}
 
@@ -752,16 +772,37 @@ def save_checkpoint(store: ParamStore, path: str | Path, extra: dict | None = No
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The manifest entries must tile the payload exactly, in order: each
+    tensor starts where the previous one ended and the last one ends at the
+    end of the payload.  Any other layout is a ``ValueError`` naming the
+    checkpoint and the tensor.
+    """
     path = Path(path)
     manifest = json.loads(path.read_text())
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
     payload = (path.parent / manifest["payload"]).read_bytes()
     store = ParamStore()
+    end = 0
     for entry in manifest["params"]:
+        name = entry["name"]
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise ValueError(f"checkpoint {path}: tensor {name!r} has invalid shape {list(shape)}")
+        count = int(np.prod(shape)) if shape else 1
+        if start != end:
+            raise ValueError(f"checkpoint {path}: tensor {name!r} starts at byte {start}, "
+                             f"expected {end} (entries must tile the payload)")
+        end = start + 8 * count
+        if end > len(payload):
+            raise ValueError(f"checkpoint {path}: tensor {name!r} needs bytes [{start}, {end}) "
+                             f"but the payload holds {len(payload)}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
-        store.create(entry["name"], arr.astype(np.float64))
+        store.create(name, arr.astype(np.float64))
+    if end != len(payload):
+        after = f" after tensor {name!r}" if len(store) else ""
+        raise ValueError(f"checkpoint {path}: {len(payload) - end} trailing payload bytes{after}")
     return store, manifest.get("extra", {})

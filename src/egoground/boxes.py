@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import make_rng
+from .autodiff import NonFiniteError, make_rng
 
 Array = np.ndarray
 
@@ -83,7 +83,7 @@ class Box9DoF:
             raise ValueError("box extents must be positive")
         vals = [self.x, self.y, self.z, self.l, self.w, self.h, self.alpha, self.beta, self.gamma]
         if not np.isfinite(vals).all():
-            raise ValueError("box parameters must be finite")
+            raise NonFiniteError("box parameters must be finite")
         self.alpha = wrap_angle(self.alpha)
         self.beta = wrap_angle(self.beta)
         self.gamma = wrap_angle(self.gamma)

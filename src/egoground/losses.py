@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import Tensor, _sigmoid, constant, gather_rows
+from .autodiff import NonFiniteError, Tensor, _sigmoid, constant, gather_rows
 from .boxes import Box9DoF, wrap_angle
 
 Array = np.ndarray
@@ -123,7 +123,7 @@ def hungarian(cost) -> Assignment:
     if cost.size == 0:
         return Assignment(pairs=[], total_cost=0.0)
     if not np.isfinite(cost).all():
-        raise ValueError("cost matrix entries must be finite")
+        raise NonFiniteError("cost matrix entries must be finite")
     rows, cols = linear_sum_assignment(cost)
     target = float(cost[rows, cols].sum())
     pairs = _lex_smallest_pairs(cost, target)

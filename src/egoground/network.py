@@ -169,6 +169,17 @@ def load_model(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     if "model_config" not in extra:
         raise ValueError(f"checkpoint {path} has no model_config entry")
     cfg = ModelConfig(**extra.pop("model_config"))
+    expected = {name: p.shape for name, p in init_model_params(cfg, 0).items()}
+    for name, p in store.items():
+        if name not in expected:
+            raise ValueError(f"checkpoint {path}: unexpected tensor {name!r} for its model_config")
+        if p.shape != expected[name]:
+            raise ValueError(f"checkpoint {path}: tensor {name!r} has shape {p.shape}, "
+                             f"its model_config needs {expected[name]}")
+    missing = [name for name in expected if name not in store]
+    if missing:
+        raise ValueError(f"checkpoint {path}: tensor {missing[0]!r} is missing "
+                         f"({len(missing)} of {len(expected)} absent)")
     return store, cfg, extra
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, _sigmoid
+from .autodiff import NonFiniteError, ParamStore, _sigmoid
 from .boxes import contains_points
 from .evaluate import DetectionResult, GroundingResult, ScoredBox
 from .geometry import (
@@ -209,10 +209,8 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
         try:
             loss, parts = training_losses(batch, store, cfg, weights, ins_idx,
                                           use_rag=use_rag, use_qim=use_qim)
-        except ValueError as exc:
-            if "finite" in str(exc):
-                raise TrainingDiverged(step, str(exc)) from exc
-            raise
+        except NonFiniteError as exc:
+            raise TrainingDiverged(step, str(exc)) from exc
         if not np.isfinite(parts["total"]):
             raise TrainingDiverged(step, f"loss = {parts['total']}")
         loss.backward()

@@ -5,6 +5,7 @@ import pytest
 
 from egoground.autodiff import (
     Adam,
+    NonFiniteError,
     ParamStore,
     SGD,
     Tensor,
@@ -32,6 +33,12 @@ def test_tensor_rejects_non_finite():
         Tensor([1.0, np.inf])
     with pytest.raises(ValueError):
         Tensor(np.nan)
+
+
+def test_non_finite_tensor_raises_typed_error():
+    with pytest.raises(NonFiniteError) as err:
+        Tensor([np.inf])
+    assert isinstance(err.value, ValueError)
 
 
 def test_tensor_is_float64_row_major():
@@ -245,8 +252,8 @@ def test_grad_check_flags_broken_backward():
     def bad_square(t):
         out = Tensor(t.data * t.data, (t,))
 
-        def backward():
-            t.grad += out.grad * 3.0  # wrong: should be 2 * t.data
+        def backward(g):
+            t.grad += g * 3.0  # wrong: should be 2 * t.data
 
         out._backward = backward
         return out
@@ -353,6 +360,45 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "something-else", "params": []}))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def _saved_pair(tmp_path):
+    store = ParamStore()
+    store.create("enc3d.w", np.arange(6.0).reshape(2, 3))
+    store.create("enc3d.b", np.ones(3))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(store, path)
+    return path, tmp_path / "ckpt.bin"
+
+
+def test_checkpoint_rejects_truncated_payload(tmp_path):
+    path, payload = _saved_pair(tmp_path)
+    payload.write_bytes(payload.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=r"ckpt\.json.*'enc3d\.b'.*payload holds 64"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_entries_that_do_not_tile(tmp_path):
+    path, payload = _saved_pair(tmp_path)
+    good = path.read_text()
+    manifest = json.loads(good)
+    manifest["params"][1]["offset"] = 40  # overlaps enc3d.w
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"ckpt\.json.*'enc3d\.b' starts at byte 40, expected 48"):
+        load_checkpoint(path)
+    manifest["params"][1]["offset"] = 48
+    manifest["params"][0]["shape"] = [1, 1]  # loads 8 of enc3d.w's 48 bytes
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"'enc3d\.b' starts at byte 48, expected 8"):
+        load_checkpoint(path)
+    manifest["params"][0]["shape"] = [-1, 6]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"'enc3d\.w' has invalid shape \[-1, 6\]"):
+        load_checkpoint(path)
+    path.write_text(good)
+    payload.write_bytes(payload.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match=r"8 trailing payload bytes after tensor 'enc3d\.b'"):
         load_checkpoint(path)
 
 

@@ -5,6 +5,8 @@ equivariance under query permutation, and the whole grounding pipeline gets
 a finite-difference gradient check on a tiny scene.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,39 @@ def test_save_load_round_trip(tmp_path):
     assert extra["step"] == 12
     for name in store.names():
         assert np.array_equal(store[name].data, loaded[name].data)
+
+
+def test_load_model_rejects_shape_not_matching_config(tmp_path):
+    # a transposed shape keeps the byte count, so the payload still tiles
+    store = init_model_params(TINY, seed=1)
+    path = tmp_path / "model.json"
+    save_model(store, TINY, path)
+    manifest = json.loads(path.read_text())
+    entry = next(e for e in manifest["params"] if e["name"] == "enc3d.w")
+    entry["shape"] = entry["shape"][::-1]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"model\.json.*'enc3d\.w' has shape"):
+        load_model(path)
+
+
+def test_load_model_rejects_unknown_and_missing_tensors(tmp_path):
+    full = init_model_params(TINY, seed=1)
+    extra = ParamStore()
+    for name, p in full.items():
+        extra.create(name, p.data)
+    extra.create("stray.w", np.zeros(2))
+    path = tmp_path / "extra.json"
+    save_model(extra, TINY, path)
+    with pytest.raises(ValueError, match=r"extra\.json.*unexpected tensor 'stray\.w'"):
+        load_model(path)
+    partial = ParamStore()
+    for name, p in list(full.items())[1:]:
+        partial.create(name, p.data)
+    path = tmp_path / "partial.json"
+    save_model(partial, TINY, path)
+    first = full.names()[0]
+    with pytest.raises(ValueError, match=rf"partial\.json.*'{first}' is missing"):
+        load_model(path)
 
 
 def test_load_requires_config(tmp_path):

@@ -1,5 +1,7 @@
 """Scene preparation, joint objective, training loop and prediction wrappers."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,27 @@ def test_divergence_aborts_with_step():
         train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=3)
     assert err.value.step == 0
     assert "step 0" in str(err.value)
+
+
+def test_step_and_forward_leave_no_cyclic_garbage():
+    # No tape node is in a reference cycle, so dropping the loss (or the
+    # forward output) frees the whole graph and the cyclic collector finds
+    # nothing to collect.
+    store = init_model_params(CFG, seed=9)
+    optimizer = Adam(lr=1e-3)
+    gc.collect()
+    gc.disable()
+    try:
+        loss, _ = training_losses(BATCH, store, CFG, WEIGHTS, 0)
+        loss.backward()
+        optimizer.step(store)
+        del loss
+        assert gc.collect() == 0
+        out = forward_grounding(BATCH, store, CFG, 0)
+        del out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_train_logs_each_step():
