@@ -18,7 +18,7 @@ central finite differences at tight tolerances (``grad_check``).
 
 Module layout:
 
-* ``Tensor`` and free functions (``concat``, ``softmax``, ...): the op set.
+* ``Tensor`` and the free function ``concat``: the op set.
 * ``ParamStore``: named leaf tensors with gradient slots, plus init helpers
   for linear / MLP / layer-norm / attention parameter groups.
 * ``SGD`` / ``Adam``: in-place optimizers over a ``ParamStore``.
@@ -418,11 +418,6 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def constant(value) -> Tensor:
-    """Leaf tensor that takes part in the graph but is never updated."""
-    return Tensor(value)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
@@ -437,15 +432,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     out._backward = backward
     return out
-
-
-def gather_rows(t: Tensor, indices: Array) -> Tensor:
-    """Select rows by integer index; gradients scatter-add back."""
-    return t[np.asarray(indices, dtype=np.intp)]
-
-
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    return t.softmax(axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +508,20 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.rando
                     zero_weight=zero_last and last, bias=last_bias if last else 0.0)
 
 
-def mlp_apply(x: Tensor, store: ParamStore, prefix: str, sizes: Sequence[int]) -> Tensor:
-    """Apply the MLP under ``prefix``; ReLU between layers, none after the last."""
-    if x.shape[-1] != sizes[0]:
-        raise ValueError(f"mlp {prefix!r} layer 0: input width {x.shape[-1]} != {sizes[0]}")
-    h = x
-    n = len(sizes) - 1
-    for i in range(n):
-        h = linear(h, store, f"{prefix}.{i}")
-        if i < n - 1:
-            h = h.relu()
+def mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    """Apply the MLP under ``prefix``; ReLU between layers, none after the last.
+
+    The depth and the widths are read from the store: layers ``prefix.0``,
+    ``prefix.1``, ... run until ``prefix.{i}.w`` is absent, and ``linear``
+    checks each layer's input width.
+    """
+    if f"{prefix}.0.w" not in store:
+        raise ValueError(f"mlp {prefix!r} has no layers in the store")
+    h = linear(x, store, f"{prefix}.0")
+    i = 1
+    while f"{prefix}.{i}.w" in store:
+        h = linear(h.relu(), store, f"{prefix}.{i}")
+        i += 1
     return h
 
 

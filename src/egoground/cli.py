@@ -20,7 +20,7 @@ from pathlib import Path
 from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng
 from .evaluate import bucket_report, evaluate_detection, format_report, save_report
 from .losses import LossWeights
-from .network import ModelConfig, init_model_params, load_model, save_model
+from .network import MODULES, ModelConfig, init_model_params, load_model, module_of, save_model
 from .scenes import (
     CLASS_NAMES,
     InstructionError,
@@ -68,18 +68,18 @@ class RunConfig:
     scene: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if min(self.dim, self.heads, self.k_det, self.k_grd, self.n_scenes) < 1:
-            raise ValueError("dim, heads, k_det, k_grd and n_scenes must be >= 1")
-        if self.layers < 0 or self.steps < 0 or self.seed < 0:
-            raise ValueError("layers, steps and seed must be >= 0")
+        if self.n_scenes < 1:
+            raise ValueError("n_scenes must be >= 1")
+        if self.steps < 0 or self.seed < 0:
+            raise ValueError("steps and seed must be >= 0")
         if self.voxel_size <= 0.0 or self.lr <= 0.0:
             raise ValueError("voxel_size and lr must be positive")
-        if min(self.lambda_cls, self.lambda_box, self.lambda_ground,
-               self.lambda_spatial) < 0.0:
-            raise ValueError("loss weights must be non-negative")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        SceneConfig(**self.scene)  # validate overrides early
+        # the model, loss and scene rules live in the objects built from them
+        self.model_config()
+        self.weights()
+        self.scene_config()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -266,24 +266,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_MODULE_GROUPS = (
-    ("fusion", ("enc3d", "fuse")),
-    ("text", ("text_proj",)),
-    ("scoring", ("score_det", "score_grd")),
-    ("qim", ("qim_beta", "qim_gamma")),
-    ("rag", ("rag_att", "relevance")),
-    ("decoder", ("dec",)),
-    ("heads", ("head_box", "head_det", "head_grd")),
-)
-
-
-def _module_of(param_name: str) -> str:
-    for module, prefixes in _MODULE_GROUPS:
-        if any(param_name.startswith(p) for p in prefixes):
-            return module
-    return "other"
-
-
 def gradcheck_model(seed: int, tol: float, eps: float) -> tuple[GradCheckReport, dict]:
     """Finite-difference check of both task objectives on a tiny scene.
 
@@ -307,7 +289,7 @@ def gradcheck_model(seed: int, tol: float, eps: float) -> tuple[GradCheckReport,
     report = grad_check(fn, store, eps=eps, tol=tol)
     modules: dict[str, tuple[int, float]] = {}
     for name, err in report.per_param.items():
-        module = _module_of(name)
+        module = module_of(name)
         count, worst = modules.get(module, (0, 0.0))
         modules[module] = (count + 1, max(worst, err))
     return report, modules
@@ -319,10 +301,10 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
     start = time.time()
     report, modules = gradcheck_model(seed, tol, eps)
-    width = max(len(m) for m, _ in _MODULE_GROUPS)
+    width = max(len(m) for m, _ in MODULES)
     print(f"{'module':<{width}}  {'params':>6}  {'max_rel_err':>12}  status")
     failed = False
-    for module, _ in _MODULE_GROUPS:
+    for module, _ in MODULES:
         if module not in modules:
             continue
         count, worst = modules[module]

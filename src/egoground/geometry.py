@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, concat, constant, init_linear, linear
+from .autodiff import ParamStore, Tensor, concat, init_linear, linear
 
 Array = np.ndarray
 
@@ -161,7 +161,7 @@ def voxelize(points: Array, point_features: Array | None, voxel_size: float) -> 
         np.add.at(sums, inverse, point_features)
         feats = sums / counts[:, None]
     centers = (uniq + 0.5) * voxel_size
-    return VoxelFeatureSet(coords=centers, features=constant(feats), voxel_size=voxel_size)
+    return VoxelFeatureSet(coords=centers, features=Tensor(feats), voxel_size=voxel_size)
 
 
 def project_points(points: Array, cam: CameraIntrinsics, pose: CameraPose):
@@ -250,7 +250,7 @@ def encode_voxels(voxels: VoxelFeatureSet, store: ParamStore) -> VoxelFeatureSet
     pooled = voxels.features
     pe_dim = store["enc3d.w"].shape[0] - pooled.shape[1]
     pe = positional_encoding(voxels.coords, pe_dim)
-    stacked = concat([pooled, constant(pe)], axis=1)
+    stacked = concat([pooled, Tensor(pe)], axis=1)
     encoded = linear(stacked, store, "enc3d")
     return VoxelFeatureSet(coords=voxels.coords, features=encoded, voxel_size=voxels.voxel_size)
 
@@ -286,6 +286,6 @@ def fuse_features(voxels: VoxelFeatureSet, sampled: Array,
     ``sampled`` the (N, C') ``sample_views`` output for the same voxels, a
     constant on the tape; gradients flow through the projection and 3D branch.
     """
-    stacked = concat([voxels.features, constant(sampled)], axis=1)
+    stacked = concat([voxels.features, Tensor(sampled)], axis=1)
     fused = linear(stacked, store, "fuse")
     return VoxelFeatureSet(coords=voxels.coords, features=fused, voxel_size=voxels.voxel_size)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .autodiff import NonFiniteError, Tensor, _sigmoid, constant, gather_rows
+from .autodiff import NonFiniteError, Tensor, _sigmoid
 from .boxes import Box9DoF, wrap_angle
 
 Array = np.ndarray
@@ -150,15 +150,15 @@ def box_regression_loss(centers: Tensor, log_extents: Tensor, sin_t: Tensor, cos
     predicted angles.
     """
     if len(gt_boxes) == 0:
-        return constant(0.0)
+        return Tensor(0.0)
     rows = np.asarray(pred_rows, dtype=np.intp)
     gt_center = np.array([b.center for b in gt_boxes])
     gt_logext = np.log(np.array([b.extents for b in gt_boxes]))
     gt_ang = np.array([[b.alpha, b.beta, b.gamma] for b in gt_boxes])
-    c_term = (gather_rows(centers, rows) - gt_center).abs().sum()
-    e_term = (gather_rows(log_extents, rows) - gt_logext).abs().sum()
-    s_term = (gather_rows(sin_t, rows) - np.sin(gt_ang)).abs().sum()
-    k_term = (gather_rows(cos_t, rows) - np.cos(gt_ang)).abs().sum()
+    c_term = (centers[rows] - gt_center).abs().sum()
+    e_term = (log_extents[rows] - gt_logext).abs().sum()
+    s_term = (sin_t[rows] - np.sin(gt_ang)).abs().sum()
+    k_term = (cos_t[rows] - np.cos(gt_ang)).abs().sum()
     return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
 
 
@@ -263,7 +263,7 @@ def grounding_loss(output, targets: GroundingTargets, weights: LossWeights):
         spatial_term = spatial_relevance_loss(output.relevance, targets.relevance_labels)
         spatial_value = spatial_term.item()
     else:
-        spatial_term = constant(0.0)
+        spatial_term = Tensor(0.0)
         spatial_value = 0.0
     total = (weights.lambda_ground * ground_term + weights.lambda_box * box_term
              + weights.lambda_spatial * spatial_term)

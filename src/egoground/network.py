@@ -24,6 +24,11 @@ center, log extents, and sine/cosine pairs per angle; angles are recovered
 with atan2, extents with exp, so decoded extents are always positive.
 Query selection is not differentiated through; the scoring heads learn from
 an auxiliary objective instead (see train).
+
+The parameter store built by ``init_model_params`` is the one description of
+the model.  ``MODULES`` is the one map from parameter-name prefix to module
+(gradcheck groups its table by it), and every MLP's depth and widths are
+read from the store by ``mlp_apply``, never restated at a call site.
 """
 
 from __future__ import annotations
@@ -37,9 +42,6 @@ from .autodiff import (
     ParamStore,
     Tensor,
     attention,
-    concat,
-    constant,
-    gather_rows,
     init_attention,
     init_layer_norm,
     init_linear,
@@ -72,6 +74,8 @@ class ModelConfig:
     ffn_mult: int = 2
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.dim < 1 or self.dim % self.heads != 0:
             raise ValueError("dim must be positive and divisible by heads")
         if self.layers < 0:
@@ -115,6 +119,26 @@ class DecoderOutput:
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
+
+
+# Parameter-name prefix -> module; init_model_params chooses the prefixes.
+MODULES = (
+    ("fusion", ("enc3d", "fuse")),
+    ("text", ("text_proj",)),
+    ("scoring", ("score_det", "score_grd")),
+    ("qim", ("qim_beta", "qim_gamma")),
+    ("rag", ("rag_att", "relevance")),
+    ("decoder", ("dec",)),
+    ("heads", ("head_box", "head_det", "head_grd")),
+)
+
+
+def module_of(param_name: str) -> str:
+    """The ``MODULES`` entry that owns ``param_name``, or ``"other"``."""
+    for module, prefixes in MODULES:
+        if param_name.startswith(prefixes):
+            return module
+    return "other"
 
 
 def _mlp_sizes(cfg: ModelConfig, out: int) -> list[int]:
@@ -200,7 +224,7 @@ def embed_text(token_vectors: Array, store: ParamStore) -> TextEmbedding:
     raw = np.asarray(token_vectors, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise ValueError(f"token vectors must be (T, text_dim) with T >= 1, got {raw.shape}")
-    tokens = linear(constant(raw), store, "text_proj")
+    tokens = linear(Tensor(raw), store, "text_proj")
     return TextEmbedding(tokens=tokens, sentence=sentence_embed(tokens))
 
 
@@ -209,14 +233,12 @@ def embed_text(token_vectors: Array, store: ParamStore) -> TextEmbedding:
 # ---------------------------------------------------------------------------
 
 
-def scoring_logits(fused: VoxelFeatureSet, store: ParamStore, cfg: ModelConfig,
-                   task: str) -> Tensor:
+def scoring_logits(fused: VoxelFeatureSet, store: ParamStore, task: str) -> Tensor:
     """Per-voxel confidence logits: (N, num_classes) for detection, (N, 1) for grounding."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     name = "score_det" if task == "detection" else "score_grd"
-    out = cfg.num_classes if task == "detection" else 1
-    return mlp_apply(fused.features, store, name, _mlp_sizes(cfg, out))
+    return mlp_apply(fused.features, store, name)
 
 
 def select_queries(fused: VoxelFeatureSet, k: int, task: str, store: ParamStore,
@@ -231,10 +253,10 @@ def select_queries(fused: VoxelFeatureSet, k: int, task: str, store: ParamStore,
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} voxels")
     if logits is None:
-        logits = scoring_logits(fused, store, cfg, task)
+        logits = scoring_logits(fused, store, task)
     scores = logits.data.max(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
-    embeddings = gather_rows(fused.features, order) + constant(
+    embeddings = fused.features[order] + Tensor(
         positional_encoding(fused.coords[order], cfg.dim))
     return QuerySet(embeddings=embeddings, positions=fused.coords[order],
                     scores=scores[order], indices=order)
@@ -245,14 +267,13 @@ def select_queries(fused: VoxelFeatureSet, k: int, task: str, store: ParamStore,
 # ---------------------------------------------------------------------------
 
 
-def qim_modulate(queries: Tensor, sentence: Tensor, store: ParamStore,
-                 cfg: ModelConfig) -> Tensor:
+def qim_modulate(queries: Tensor, sentence: Tensor, store: ParamStore) -> Tensor:
     """Channel-wise affine on queries, parameters predicted from the sentence."""
     if queries.shape[-1] != sentence.shape[-1]:
         raise ValueError(f"query width {queries.shape[-1]} != sentence width "
                          f"{sentence.shape[-1]}")
-    beta = mlp_apply(sentence, store, "qim_beta", [cfg.dim] * 3)
-    gamma = mlp_apply(sentence, store, "qim_gamma", [cfg.dim] * 3)
+    beta = mlp_apply(sentence, store, "qim_beta")
+    gamma = mlp_apply(sentence, store, "qim_gamma")
     return beta * queries + gamma * sentence
 
 
@@ -262,7 +283,7 @@ def rag_apply(fused: VoxelFeatureSet, text: TextEmbedding, store: ParamStore,
     region = attention(fused.features, text.tokens, text.tokens, store, "rag_att",
                        heads=cfg.heads)
     refined = fused.features + region
-    logits = mlp_apply(refined, store, "relevance", _mlp_sizes(cfg, 1))
+    logits = mlp_apply(refined, store, "relevance")
     out = VoxelFeatureSet(coords=fused.coords, features=refined,
                           voxel_size=fused.voxel_size)
     return out, logits.reshape((len(fused),))
@@ -275,7 +296,7 @@ def rag_apply(fused: VoxelFeatureSet, text: TextEmbedding, store: ParamStore,
 
 def _decode_boxes(raw: Tensor, positions: Array):
     offsets = raw[:, 0:3]
-    centers = constant(positions) + offsets
+    centers = Tensor(positions) + offsets
     log_extents = raw[:, 3:6]
     sin_raw = raw[:, 6:9]
     cos_raw = raw[:, 9:12]
@@ -321,29 +342,15 @@ def decoder_forward(features: VoxelFeatureSet, text: TextEmbedding | None,
         h = layer_norm(q, store, f"dec{i}.ln4")
         q = q + linear(linear(h, store, f"dec{i}.ffn1").relu(), store, f"dec{i}.ffn2")
 
-    raw = mlp_apply(q, store, "head_box", _mlp_sizes(cfg, 12))
+    raw = mlp_apply(q, store, "head_box")
     boxes, centers, log_extents, sin_n, cos_n = _decode_boxes(raw, queries.positions)
     det_logits = grd_logits = None
     if task == "detection":
-        det_logits = mlp_apply(q, store, "head_det", _mlp_sizes(cfg, cfg.num_classes))
+        det_logits = mlp_apply(q, store, "head_det")
     else:
-        grd_logits = mlp_apply(q, store, "head_grd", _mlp_sizes(cfg, 1))
+        grd_logits = mlp_apply(q, store, "head_grd")
     return DecoderOutput(boxes=boxes, det_logits=det_logits, grd_logits=grd_logits,
                          relevance=None, centers=centers, log_extents=log_extents,
                          sin_angles=sin_n, cos_angles=cos_n,
                          positions=queries.positions)
 
-
-def decoder_parameter_names(cfg: ModelConfig) -> set[str]:
-    """Names of the parameters both tasks must share (decoder + box head)."""
-    names = set()
-    for i in range(cfg.layers):
-        for ln in ("ln1", "ln2", "ln3", "ln4"):
-            names.update({f"dec{i}.{ln}.g", f"dec{i}.{ln}.b"})
-        for sub in ("self", "text", "vis"):
-            for part in ("q", "k", "v", "o"):
-                names.update({f"dec{i}.{sub}.{part}.w", f"dec{i}.{sub}.{part}.b"})
-        names.update({f"dec{i}.ffn1.w", f"dec{i}.ffn1.b", f"dec{i}.ffn2.w", f"dec{i}.ffn2.b"})
-    for j in (0, 1):
-        names.update({f"head_box.{j}.w", f"head_box.{j}.b"})
-    return names

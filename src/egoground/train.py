@@ -115,7 +115,7 @@ def fuse_scene(batch: SceneBatch, store: ParamStore) -> VoxelFeatureSet:
 
 
 def _detection_body(fused: VoxelFeatureSet, store: ParamStore, cfg: ModelConfig):
-    logits = scoring_logits(fused, store, cfg, "detection")
+    logits = scoring_logits(fused, store, "detection")
     k = min(cfg.k_det, len(fused))
     qs = select_queries(fused, k, "detection", store, cfg, logits=logits)
     out = decoder_forward(fused, None, qs, store, cfg, "detection")
@@ -129,14 +129,14 @@ def _grounding_body(fused: VoxelFeatureSet, batch: SceneBatch, store: ParamStore
         raise IndexError(f"instruction {instruction_idx} out of range "
                          f"({len(batch.instructions)} available)")
     text = embed_text(batch.token_vectors[instruction_idx], store)
-    logits = scoring_logits(fused, store, cfg, "grounding")
+    logits = scoring_logits(fused, store, "grounding")
     k = min(cfg.k_grd, len(fused))
     qs = select_queries(fused, k, "grounding", store, cfg, logits=logits)
     features = fused
     relevance = None
     if use_rag:
         features, relevance = rag_apply(fused, text, store, cfg)
-    emb = qim_modulate(qs.embeddings, text.sentence, store, cfg) if use_qim \
+    emb = qim_modulate(qs.embeddings, text.sentence, store) if use_qim \
         else qs.embeddings
     modded = QuerySet(embeddings=emb, positions=qs.positions, scores=qs.scores,
                       indices=qs.indices)

@@ -11,7 +11,6 @@ from egoground.autodiff import (
     Tensor,
     attention,
     concat,
-    gather_rows,
     grad_check,
     init_attention,
     init_layer_norm,
@@ -24,7 +23,6 @@ from egoground.autodiff import (
     make_rng,
     mlp_apply,
     save_checkpoint,
-    softmax,
 )
 
 
@@ -97,11 +95,11 @@ def test_broadcast_add_mul_gradients():
     assert report.passed
 
 
-def test_gather_rows_accumulates_repeats():
+def test_getitem_fancy_index_accumulates_repeats():
     store = ParamStore()
     store.create("m", np.arange(6.0).reshape(3, 2))
-    idx = np.array([0, 0, 2])
-    out = gather_rows(store["m"], idx).sum()
+    idx = np.array([0, 0, 2], dtype=np.intp)
+    out = store["m"][idx].sum()
     out.backward()
     np.testing.assert_allclose(store["m"].grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -162,12 +160,38 @@ def test_mlp_gradcheck_and_shape_error():
     x = Tensor(rng.normal(size=(3, 4)) + 0.1)
 
     def fn(s):
-        out = mlp_apply(x, s, "mlp", [4, 6, 2])
+        out = mlp_apply(x, s, "mlp")
         return (out * out).sum()
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
     with pytest.raises(ValueError, match="mlp"):
-        mlp_apply(Tensor(np.zeros((3, 5))), store, "mlp", [4, 6, 2])
+        mlp_apply(Tensor(np.zeros((3, 5))), store, "mlp")
+
+
+def test_mlp_applies_every_layer_the_store_holds():
+    rng = make_rng(24)
+    store = ParamStore()
+    init_mlp(store, "deep", [4, 5, 6, 3], rng)
+    x = Tensor(rng.normal(size=(2, 4)) + 0.1)
+    out = mlp_apply(x, store, "deep")
+    assert out.shape == (2, 3)
+    h = np.maximum(x.data @ store["deep.0.w"].data + store["deep.0.b"].data, 0.0)
+    h = np.maximum(h @ store["deep.1.w"].data + store["deep.1.b"].data, 0.0)
+    expect = h @ store["deep.2.w"].data + store["deep.2.b"].data
+    np.testing.assert_allclose(out.data, expect, rtol=1e-12, atol=1e-12)
+
+    def fn(s):
+        y = mlp_apply(x, s, "deep")
+        return (y * y).sum()
+
+    assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
+
+
+def test_mlp_without_layers_names_prefix():
+    store = ParamStore()
+    init_mlp(store, "mlp", [4, 6, 2], make_rng(25))
+    with pytest.raises(ValueError, match="'absent'"):
+        mlp_apply(Tensor(np.zeros((3, 4))), store, "absent")
 
 
 def test_layer_norm_normalizes_and_gradchecks():
@@ -420,7 +444,7 @@ def test_softmax_gradcheck():
     target = rng.normal(size=(3, 5))
 
     def fn(s):
-        y = softmax(s["x"], axis=-1)
+        y = s["x"].softmax(axis=-1)
         return ((y - target) * (y - target)).sum()
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-5).passed

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egoground.cli import RunConfig, _module_of, _thresholds, main
+from egoground.cli import RunConfig, _thresholds, main
 from egoground.network import init_model_params, load_model
 from egoground.scenes import load_scene
 
@@ -58,6 +58,13 @@ def test_run_config_validation():
         RunConfig(scene={"n_cameras": 0})
 
 
+def test_run_config_rejects_model_it_cannot_build():
+    with pytest.raises(ValueError, match="divisible by heads"):
+        RunConfig(dim=6, heads=4)
+    with pytest.raises(ValueError, match="heads"):
+        RunConfig(heads=0)
+
+
 def test_run_config_round_trip(tmp_path):
     cfg = RunConfig(dim=16, steps=7, lambda_spatial=0.05,
                     scene={"n_objects_min": 2, "n_objects_max": 3})
@@ -75,13 +82,6 @@ def test_thresholds():
     assert _thresholds(None) == [0.25, 0.50]
     assert _thresholds(0.25) == [0.25, 0.50]
     assert _thresholds(0.4) == [0.25, 0.50, 0.4]
-
-
-def test_module_grouping_covers_all_params():
-    store = init_model_params(RunConfig(dim=8, heads=2, layers=1).model_config(), 0)
-    groups = {_module_of(name) for name in store.names()}
-    assert "other" not in groups
-    assert groups == {"fusion", "text", "scoring", "qim", "rag", "decoder", "heads"}
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,19 @@ def test_train_unusable_checkpoint_dir_fails_before_training(workspace, tmp_path
     captured = capsys.readouterr()
     assert "step" not in captured.out
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_train_bad_model_config_fails_before_any_work(workspace, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"dim": 6, "heads": 4}))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg_path), "--scenes",
+               str(workspace["scenes"]), "--out", str(out / "ckpt.json")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_missing_scenes_dir(tmp_path, capsys):

@@ -12,8 +12,8 @@ import pytest
 
 from egoground.autodiff import (
     ParamStore,
+    Tensor,
     attention,
-    constant,
     grad_check,
     init_mlp,
     make_rng,
@@ -23,15 +23,16 @@ from egoground.boxes import Box9DoF
 from egoground.geometry import VoxelFeatureSet, encode_voxels, positional_encoding
 from egoground.losses import GroundingTargets, LossWeights, total_loss
 from egoground.network import (
+    MODULES,
     DecoderOutput,
     ModelConfig,
     QuerySet,
     TextEmbedding,
     decoder_forward,
-    decoder_parameter_names,
     embed_text,
     init_model_params,
     load_model,
+    module_of,
     qim_modulate,
     rag_apply,
     save_model,
@@ -48,18 +49,18 @@ def tiny_fused(cfg=TINY, n=6, seed=3):
     rng = make_rng(seed)
     coords = np.arange(n * 3, dtype=np.float64).reshape(n, 3) * 0.25
     feats = rng.normal(size=(n, cfg.dim))
-    return VoxelFeatureSet(coords=coords, features=constant(feats), voxel_size=0.5)
+    return VoxelFeatureSet(coords=coords, features=Tensor(feats), voxel_size=0.5)
 
 
 def tiny_queries(fused, cfg=TINY, k=3):
-    emb = constant(fused.features.data[:k] + 0.1)
+    emb = Tensor(fused.features.data[:k] + 0.1)
     return QuerySet(embeddings=emb, positions=fused.coords[:k],
                     scores=np.zeros(k), indices=np.arange(k))
 
 
 def tiny_text(cfg=TINY, t=2, seed=5):
     rng = make_rng(seed)
-    tok = constant(rng.normal(size=(t, cfg.dim)))
+    tok = Tensor(rng.normal(size=(t, cfg.dim)))
     return TextEmbedding(tokens=tok, sentence=sentence_embed(tok))
 
 
@@ -77,6 +78,13 @@ def test_config_validation():
         ModelConfig(k_det=0)
 
 
+def test_config_rejects_heads_below_one():
+    with pytest.raises(ValueError, match="heads"):
+        ModelConfig(heads=0)
+    with pytest.raises(ValueError, match="heads"):
+        ModelConfig(dim=32, heads=-2)
+
+
 def test_init_deterministic_and_complete():
     a = init_model_params(TINY, seed=7)
     b = init_model_params(TINY, seed=7)
@@ -85,7 +93,15 @@ def test_init_deterministic_and_complete():
         assert np.array_equal(a[name].data, b[name].data)
     c = init_model_params(TINY, seed=8)
     assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
-    assert decoder_parameter_names(TINY) <= set(a.names())
+    assert any(module_of(n) == "decoder" for n in a.names())
+
+
+def test_module_grouping_covers_all_params():
+    for cfg in (TINY, ModelConfig()):
+        names = init_model_params(cfg, 0).names()
+        groups = [module_of(name) for name in names]
+        assert "other" not in groups
+        assert set(groups) == {module for module, _ in MODULES}
 
 
 def test_save_load_round_trip(tmp_path):
@@ -147,17 +163,17 @@ def test_load_requires_config(tmp_path):
 
 
 def test_sentence_embed_examples():
-    one = constant([[1.0, -2.0, 3.0]])
+    one = Tensor([[1.0, -2.0, 3.0]])
     assert np.array_equal(sentence_embed(one).data, one.data)
-    two = constant([[1.0], [3.0]])
+    two = Tensor([[1.0], [3.0]])
     assert sentence_embed(two).data.item() == 2.0
     rng = make_rng(4)
     toks = rng.normal(size=(5, 4))
-    a = sentence_embed(constant(toks)).data
-    b = sentence_embed(constant(toks[::-1].copy())).data
+    a = sentence_embed(Tensor(toks)).data
+    b = sentence_embed(Tensor(toks[::-1].copy())).data
     assert np.allclose(a, b, atol=1e-15)
     with pytest.raises(ValueError):
-        sentence_embed(constant(np.zeros((0, 4))))
+        sentence_embed(Tensor(np.zeros((0, 4))))
 
 
 def test_embed_text_projects_and_pools():
@@ -179,7 +195,7 @@ def test_embed_text_projects_and_pools():
 def test_select_queries_ranking_and_embedding():
     store = init_model_params(TINY, seed=9)
     fused = tiny_fused()
-    logits = scoring_logits(fused, store, TINY, "detection")
+    logits = scoring_logits(fused, store, "detection")
     qs = select_queries(fused, 4, "detection", store, TINY)
     # oracle: stable sort of max class logit, descending
     scores = logits.data.max(axis=1)
@@ -197,11 +213,11 @@ def test_select_queries_all_and_onehot_and_ties():
     qs = select_queries(fused, len(fused), "grounding", store, TINY)
     assert sorted(qs.indices.tolist()) == list(range(len(fused)))
 
-    onehot = constant(np.array([[0.0], [0.0], [5.0], [0.0], [0.0], [0.0]]))
+    onehot = Tensor(np.array([[0.0], [0.0], [5.0], [0.0], [0.0], [0.0]]))
     qs = select_queries(fused, 1, "grounding", store, TINY, logits=onehot)
     assert qs.indices.tolist() == [2]
 
-    tied = constant(np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [0.0]]))
+    tied = Tensor(np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [0.0]]))
     qs = select_queries(fused, 3, "grounding", store, TINY, logits=tied)
     assert qs.indices.tolist() == [1, 3, 0]
 
@@ -214,7 +230,7 @@ def test_select_queries_k_out_of_range():
     with pytest.raises(ValueError):
         select_queries(fused, 0, "detection", store, TINY)
     with pytest.raises(ValueError):
-        scoring_logits(fused, store, TINY, "segmentation")
+        scoring_logits(fused, store, "segmentation")
 
 
 # ---------------------------------------------------------------------------
@@ -225,40 +241,38 @@ def test_select_queries_k_out_of_range():
 def test_qim_identity_at_init():
     store = init_model_params(TINY, seed=11)
     rng = make_rng(12)
-    q = constant(rng.normal(size=(4, TINY.dim)))
-    s = constant(rng.normal(size=(1, TINY.dim)))
-    out = qim_modulate(q, s, store, TINY)
+    q = Tensor(rng.normal(size=(4, TINY.dim)))
+    s = Tensor(rng.normal(size=(1, TINY.dim)))
+    out = qim_modulate(q, s, store)
     assert np.array_equal(out.data, q.data)  # bit exact
 
 
 def test_qim_hand_values():
-    cfg = ModelConfig(dim=2, heads=1, num_classes=2, text_dim=2, feat2d_dim=2)
     store = ParamStore()
     rng = make_rng(0)
     init_mlp(store, "qim_beta", [2, 2, 2], rng, zero_last=True,
              last_bias=np.array([2.0, 0.5]))
     init_mlp(store, "qim_gamma", [2, 2, 2], rng, zero_last=True,
              last_bias=np.array([1.0, 1.0]))
-    out = qim_modulate(constant([[1.0, 2.0]]), constant([[3.0, 4.0]]), store, cfg)
+    out = qim_modulate(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]]), store)
     assert np.allclose(out.data, [[5.0, 5.0]], atol=1e-15)
     # beta=0, gamma=1: every query row equals the sentence
     store2 = ParamStore()
     init_mlp(store2, "qim_beta", [2, 2, 2], rng, zero_last=True, last_bias=0.0)
     init_mlp(store2, "qim_gamma", [2, 2, 2], rng, zero_last=True, last_bias=1.0)
-    q = constant([[1.0, 2.0], [7.0, -3.0]])
-    out2 = qim_modulate(q, constant([[3.0, 4.0]]), store2, cfg)
+    q = Tensor([[1.0, 2.0], [7.0, -3.0]])
+    out2 = qim_modulate(q, Tensor([[3.0, 4.0]]), store2)
     assert np.allclose(out2.data, [[3.0, 4.0], [3.0, 4.0]], atol=1e-15)
 
 
 def test_qim_width_mismatch():
     store = init_model_params(TINY, seed=11)
     with pytest.raises(ValueError):
-        qim_modulate(constant(np.zeros((2, TINY.dim))),
-                     constant(np.zeros((1, TINY.dim + 1))), store, TINY)
+        qim_modulate(Tensor(np.zeros((2, TINY.dim))),
+                     Tensor(np.zeros((1, TINY.dim + 1))), store)
 
 
 def test_qim_gradcheck():
-    cfg = ModelConfig(dim=4, layers=0, heads=1, num_classes=2, text_dim=3, feat2d_dim=3)
     store = ParamStore()
     rng = make_rng(13)
     init_mlp(store, "qim_beta", [4, 4, 4], rng, zero_last=True, last_bias=1.0)
@@ -267,7 +281,7 @@ def test_qim_gradcheck():
     s = make_rng(15).normal(size=(1, 4))
 
     def fn(store):
-        out = qim_modulate(constant(q), constant(s), store, cfg)
+        out = qim_modulate(Tensor(q), Tensor(s), store)
         return (out * out).mean()
 
     report = grad_check(fn, store)
@@ -319,10 +333,10 @@ def test_zero_layers_feeds_heads_directly():
     fused = tiny_fused(cfg)
     qs = tiny_queries(fused, cfg)
     out = decoder_forward(fused, None, qs, store, cfg, "detection")
-    raw = mlp_apply(qs.embeddings, store, "head_box", [cfg.dim, cfg.dim, 12])
+    raw = mlp_apply(qs.embeddings, store, "head_box")
     assert np.allclose(out.centers.data, qs.positions + raw.data[:, 0:3], atol=1e-15)
     assert np.allclose(out.log_extents.data, raw.data[:, 3:6], atol=1e-15)
-    logits = mlp_apply(qs.embeddings, store, "head_det", [cfg.dim, cfg.dim, cfg.num_classes])
+    logits = mlp_apply(qs.embeddings, store, "head_det")
     assert np.allclose(out.det_logits.data, logits.data, atol=1e-15)
 
 
@@ -365,7 +379,7 @@ def test_decoder_set_equivariance():
     text = tiny_text()
     qs = tiny_queries(fused, k=3)
     perm = np.array([2, 0, 1])
-    qs_p = QuerySet(embeddings=constant(qs.embeddings.data[perm]),
+    qs_p = QuerySet(embeddings=Tensor(qs.embeddings.data[perm]),
                     positions=qs.positions[perm], scores=qs.scores[perm],
                     indices=qs.indices[perm])
     a = decoder_forward(fused, text, qs, store, TINY, "grounding")
@@ -381,11 +395,11 @@ def test_decoder_shape_mismatch_errors():
     fused = tiny_fused()
     qs = tiny_queries(fused)
     bad = VoxelFeatureSet(coords=fused.coords,
-                          features=constant(np.zeros((len(fused), TINY.dim + 2))),
+                          features=Tensor(np.zeros((len(fused), TINY.dim + 2))),
                           voxel_size=0.5)
     with pytest.raises(ValueError):
         decoder_forward(bad, None, qs, store, TINY, "detection")
-    bad_q = QuerySet(embeddings=constant(np.zeros((2, TINY.dim + 1))),
+    bad_q = QuerySet(embeddings=Tensor(np.zeros((2, TINY.dim + 1))),
                      positions=np.zeros((2, 3)), scores=np.zeros(2), indices=np.arange(2))
     with pytest.raises(ValueError):
         decoder_forward(fused, None, bad_q, store, TINY, "detection")
@@ -408,8 +422,7 @@ def test_box_head_shared_between_tasks():
     grd_touched = {n for n, p in store.items() if np.any(p.grad != 0.0)}
     store.zero_grad()
 
-    shared = decoder_parameter_names(TINY) - {"head_box.0.w", "head_box.0.b",
-                                              "head_box.1.w", "head_box.1.b"}
+    shared = {n for n in store.names() if module_of(n) == "decoder"}
     text_names = {n for n in shared if ".text." in n or ".ln2." in n}
     assert text_names <= grd_touched
     assert not (text_names & det_touched)
@@ -437,13 +450,13 @@ def test_grounding_pipeline_gradcheck():
     gt = Box9DoF(*coords[0], 0.6, 0.5, 0.4, 0.3, 0.0, 0.0)
 
     def fn(store):
-        fused = encode_voxels(VoxelFeatureSet(coords=coords, features=constant(pooled),
+        fused = encode_voxels(VoxelFeatureSet(coords=coords, features=Tensor(pooled),
                                               voxel_size=0.5), store)
-        logits = scoring_logits(fused, store, cfg, "grounding")
+        logits = scoring_logits(fused, store, "grounding")
         qs = select_queries(fused, cfg.k_grd, "grounding", store, cfg, logits=logits)
         text = embed_text(tok_raw, store)
         region, relevance = rag_apply(fused, text, store, cfg)
-        modded = QuerySet(embeddings=qim_modulate(qs.embeddings, text.sentence, store, cfg),
+        modded = QuerySet(embeddings=qim_modulate(qs.embeddings, text.sentence, store),
                           positions=qs.positions, scores=qs.scores, indices=qs.indices)
         out = decoder_forward(region, text, modded, store, cfg, "grounding")
         out.relevance = relevance
