@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -86,9 +87,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in data.items():
+            want = hints[name]
+            accepted = (int, float) if want is float else want
+            if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+                raise ValueError(f"config field {name!r} must be {want.__name__}, got {value!r}")
         return cls(**data)
 
     def save(self, path: str | Path) -> None:

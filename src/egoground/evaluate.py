@@ -6,10 +6,12 @@ threshold (ties on IoU go to the lowest ground-truth index).  AP uses
 all-point interpolation: precision is replaced by its running maximum from
 the right before integrating over recall.
 
-Grounding is scored per instruction against the single referred box, then
-pooled: the overall AP ranks every prediction from every instruction in one
-list with the instruction count as the ground-truth total.  Buckets (easy /
-hard, view-dependent / view-independent) are pooled the same way over their
+Grounding is scored per instruction against the single referred box: each
+prediction's IoU with that box is computed once and serves both the greedy
+match and the diagnostics.  The instructions are then pooled: the overall
+AP ranks every prediction from every instruction in one list with the
+instruction count as the ground-truth total.  Buckets (easy / hard,
+view-dependent / view-independent) are pooled the same way over their
 subset; a bucket with no instructions is omitted from the report rather
 than reported as zero.
 """
@@ -70,30 +72,40 @@ def _check_thresh(iou_thresh: float) -> None:
         raise ValueError(f"IoU threshold must be in (0, 1], got {iou_thresh}")
 
 
-def match_predictions(preds: list[ScoredBox], gts: list[Box9DoF],
-                      iou_thresh: float) -> tuple[list[bool], list[int]]:
-    """Greedy TP/FP flags per prediction (input order) plus claimed GT index or -1."""
-    _check_thresh(iou_thresh)
-    scores = np.array([p.score for p in preds], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    claimed = [False] * len(gts)
-    flags = [False] * len(preds)
-    claims = [-1] * len(preds)
+def _greedy_match(scores: list[float], num_gt: int, iou,
+                  iou_thresh: float) -> tuple[list[bool], list[int]]:
+    """Greedy TP/FP flags per prediction (input order) plus claimed GT index or -1.
+
+    ``iou(i, j)`` is the IoU of prediction i and ground-truth box j; it is
+    asked only for ground truth not yet claimed.
+    """
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    claimed = [False] * num_gt
+    flags = [False] * len(scores)
+    claims = [-1] * len(scores)
     for idx in order:
         best_iou = 0.0
         best_j = -1
-        for j, gt in enumerate(gts):
+        for j in range(num_gt):
             if claimed[j]:
                 continue
-            iou = box_iou_exact(preds[idx].box, gt)
-            if iou >= iou_thresh and iou > best_iou:
-                best_iou = iou
+            value = iou(idx, j)
+            if value >= iou_thresh and value > best_iou:
+                best_iou = value
                 best_j = j
         if best_j >= 0:
             claimed[best_j] = True
             flags[idx] = True
             claims[idx] = best_j
     return flags, claims
+
+
+def match_predictions(preds: list[ScoredBox], gts: list[Box9DoF],
+                      iou_thresh: float) -> tuple[list[bool], list[int]]:
+    """Greedy TP/FP flags per prediction (input order) plus claimed GT index or -1."""
+    _check_thresh(iou_thresh)
+    return _greedy_match([p.score for p in preds], len(gts),
+                         lambda i, j: box_iou_exact(preds[i].box, gts[j]), iou_thresh)
 
 
 def average_precision(flags, scores, num_gt: int) -> float:
@@ -143,10 +155,10 @@ def bucket_report(results: list[GroundingResult], iou_thresh: float) -> EvalRepo
     for res in results:
         if res.difficulty not in ("easy", "hard"):
             raise ValueError(f"unknown difficulty {res.difficulty!r}")
-        flags, _ = match_predictions(res.predictions, [res.gt_box], iou_thresh)
         scores = [p.score for p in res.predictions]
-        per_result.append((flags, scores))
         ious = [box_iou_exact(p.box, res.gt_box) for p in res.predictions]
+        flags, _ = _greedy_match(scores, 1, lambda i, _: ious[i], iou_thresh)
+        per_result.append((flags, scores))
         order = np.argsort(-np.asarray(scores), kind="stable")
         ranked_flags = [flags[i] for i in order]
         first_hit = next((r + 1 for r, f in enumerate(ranked_flags) if f), None)

@@ -33,7 +33,7 @@ read from the store by ``mlp_apply``, never restated at a call site.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +74,10 @@ class ModelConfig:
     ffn_mult: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.dim < 1 or self.dim % self.heads != 0:
@@ -192,7 +196,16 @@ def load_model(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     store, extra = load_checkpoint(path)
     if "model_config" not in extra:
         raise ValueError(f"checkpoint {path} has no model_config entry")
-    cfg = ModelConfig(**extra.pop("model_config"))
+    raw = extra.pop("model_config")
+    if not isinstance(raw, dict):
+        raise ValueError(f"checkpoint {path}: model_config must be an object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise ValueError(f"checkpoint {path}: unknown model_config fields {sorted(unknown)}")
+    try:
+        cfg = ModelConfig(**raw)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: bad model_config: {exc}") from exc
     expected = {name: p.shape for name, p in init_model_params(cfg, 0).items()}
     for name, p in store.items():
         if name not in expected:

@@ -139,6 +139,7 @@ def generate_scene(cfg: SceneConfig, seed_words: tuple[int, ...]) -> Scene:
     room_hi = np.array([half, half, cfg.room_height])
     n = int(rng.integers(cfg.n_objects_min, cfg.n_objects_max + 1))
     objects: list[SceneObject] = []
+    grown_boxes: list[Box9DoF] = []  # each placed box with its clearance
     for i in range(n):
         if cfg.force_distractors and i == 1:
             class_id = objects[0].class_id
@@ -158,9 +159,10 @@ def generate_scene(cfg: SceneConfig, seed_words: tuple[int, ...]) -> Scene:
                 continue
             # keep a small clearance so voxel labels never straddle objects
             grown = _inflate(box, 0.1)
-            if any(box_iou_exact(grown, _inflate(o.box, 0.1)) > 0.0 for o in objects):
+            if any(box_iou_exact(grown, other) > 0.0 for other in grown_boxes):
                 continue
             objects.append(SceneObject(box=box, class_id=class_id))
+            grown_boxes.append(grown)
             placed = True
             break
         if not placed:

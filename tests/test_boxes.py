@@ -206,3 +206,98 @@ def test_degenerate_clip_falls_back_to_mc(monkeypatch):
     with pytest.warns(DegenerateClipWarning):
         iou = boxes_mod.box_iou_exact(a, b)
     assert abs(iou - 1.0 / 3.0) < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# separating-axis exit
+# ---------------------------------------------------------------------------
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _face_to_face(gap: float, yaw: float):
+    """Two boxes in one yawed frame whose facing sides are `gap` apart."""
+    a = Box9DoF(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, yaw, 0.0, 0.0)
+    d = 0.5 + 0.3 + gap
+    b = Box9DoF(d * np.cos(yaw), d * np.sin(yaw), 0.2, 0.6, 0.8, 0.6, yaw, 0.0, 0.0)
+    return a, b
+
+
+def _edge_to_edge(gap: float):
+    """a's top edge runs along x, b's bottom edge along y, `gap` apart in z.
+
+    Only the axis z = x cross y separates them; no face normal does, and
+    their bounding spheres overlap.
+    """
+    a = Box9DoF(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, np.pi / 4)
+    b = Box9DoF(0.0, 0.0, np.sqrt(2.0) + gap, 1.0, 1.0, 1.0, 0.0, np.pi / 4, 0.0)
+    return a, b
+
+
+def _face_axis_gaps(a, b):
+    """Gap along each of the six face normals (positive means separated)."""
+    t = b.center - a.center
+    gaps = []
+    for axis in np.hstack([a.rotation(), b.rotation()]).T:
+        radii = sum(np.abs(box.rotation().T @ axis) @ (box.extents / 2.0) for box in (a, b))
+        gaps.append(abs(t @ axis) - radii)
+    return np.array(gaps)
+
+
+def _sat_pairs():
+    rng = make_rng(241)
+    pairs = []
+    for _ in range(300):
+        a = random_box(rng)
+        b = random_box(rng, center_scale=1.6)
+        pairs.append((a, b))
+    for gap in (0.0, 1e-13, 1e-10, 1e-6):
+        for yaw in (0.0, 0.7):
+            pairs.append(_face_to_face(gap, yaw))
+    pairs.append(_edge_to_edge(0.05))
+    pairs.append(_edge_to_edge(1e-13))
+    # parallel edges: same orientation, offset diagonally; disjoint, then overlapping
+    pairs.append((unit_cube(alpha=0.4, beta=0.2), unit_cube(x=1.2, y=0.3, alpha=0.4, beta=0.2)))
+    pairs.append((unit_cube(alpha=0.4), unit_cube(x=0.6, y=0.3, alpha=0.4)))
+    return pairs
+
+
+def test_separating_axis_exit_is_bit_identical_to_clip(monkeypatch):
+    pairs = _sat_pairs()
+    fast = [(intersection_volume(a, b), box_iou_exact(a, b)) for a, b in pairs]
+    exits = sum(boxes_mod._separated(a, b) for a, b in pairs)
+    monkeypatch.setattr(boxes_mod, "_separated", lambda a, b: False)
+    clipped = [(intersection_volume(a, b), box_iou_exact(a, b)) for a, b in pairs]
+    for i, (f, c) in enumerate(zip(fast, clipped)):
+        assert _bits(f[0]) == _bits(c[0]) and _bits(f[1]) == _bits(c[1]), (i, f, c)
+    assert 50 <= exits < len(pairs)
+    assert any(c[0] > 0.0 for c in clipped)
+
+
+def test_separating_axis_exit_keeps_near_contact_on_the_clip():
+    for yaw in (0.0, 0.7):
+        for gap in (0.0, 1e-13, 1e-10):
+            assert not boxes_mod._separated(*_face_to_face(gap, yaw))
+        assert boxes_mod._separated(*_face_to_face(1e-6, yaw))
+    assert not boxes_mod._separated(*_edge_to_edge(1e-13))
+
+
+def test_edge_cross_axis_alone_separates():
+    a, b = _edge_to_edge(0.05)
+    assert (_face_axis_gaps(a, b) < 0.0).all()
+    assert np.linalg.norm(b.center - a.center) < (np.linalg.norm(a.extents)
+                                                  + np.linalg.norm(b.extents)) / 2.0
+    assert boxes_mod._separated(a, b)
+    assert box_iou_exact(a, b) == 0.0
+
+
+def test_disjoint_pair_skips_the_clip(monkeypatch):
+    def boom(*args):
+        raise AssertionError("clip reached for a disjoint pair")
+
+    monkeypatch.setattr(boxes_mod, "_clip_faces", boom)
+    for a, b in [(unit_cube(), unit_cube(x=5.0)), _edge_to_edge(0.05), _face_to_face(1e-6, 0.7)]:
+        assert box_iou_exact(a, b) == 0.0
+        assert intersection_volume(b, a) == 0.0

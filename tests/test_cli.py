@@ -65,6 +65,17 @@ def test_run_config_rejects_model_it_cannot_build():
         RunConfig(heads=0)
 
 
+def test_run_config_from_dict_checks_field_types():
+    for data, field in [({"steps": "10"}, "steps"), ({"steps": True}, "steps"),
+                        ({"lr": "0.1"}, "lr"), ({"disable_rag": 1}, "disable_rag"),
+                        ({"optimizer": 3}, "optimizer"), ({"scene": []}, "scene")]:
+        with pytest.raises(ValueError, match=f"config field '{field}' must be"):
+            RunConfig.from_dict(data)
+    assert RunConfig.from_dict({"lr": 1, "voxel_size": 1}).lr == 1  # an int is a float
+    with pytest.raises(ValueError, match="JSON object"):
+        RunConfig.from_dict([["steps", 10]])
+
+
 def test_run_config_round_trip(tmp_path):
     cfg = RunConfig(dim=16, steps=7, lambda_spatial=0.05,
                     scene={"n_objects_min": 2, "n_objects_max": 3})

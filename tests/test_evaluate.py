@@ -242,6 +242,71 @@ def test_bucket_report_diagnostics():
     assert report.diagnostics[0]["first_hit_rank"] is None
 
 
+def _grounding_fixture():
+    far = cube(x=4.0)
+    rows = [
+        ([(0.8, 0.2), (0.1, 0.9), (0.6, 0.5)], "hard", True),
+        ([(0.3, 0.7), (0.9, 0.7), (0.0, 0.95)], "easy", False),
+        ([(0.05, 0.4)], "easy", True),
+        ([(0.45, 0.1), (0.55, 0.3), (0.0, 0.2), (0.26, 0.8)], "hard", False),
+    ]
+    results = []
+    for preds, difficulty, view_dep in rows:
+        boxes = [ScoredBox(far if iou == 0.0 else cube_at_iou(iou), score)
+                 for iou, score in preds]
+        results.append(GroundingResult(predictions=boxes, gt_box=cube(),
+                                       difficulty=difficulty, view_dep=view_dep))
+    return results
+
+
+def _reference_bucket_report(results, thresh):
+    """Brute force: match_predictions for the flags, one more IoU per prediction."""
+    per_result, diagnostics = [], []
+    for res in results:
+        flags, _ = match_predictions(res.predictions, [res.gt_box], thresh)
+        scores = [p.score for p in res.predictions]
+        ious = [box_iou_exact(p.box, res.gt_box) for p in res.predictions]
+        ranked = np.argsort(-np.asarray(scores), kind="stable")
+        hits = [r + 1 for r, i in enumerate(ranked) if flags[i]]
+        per_result.append((res, flags, scores))
+        diagnostics.append({"best_iou": max(ious), "top1_iou": ious[ranked[0]],
+                            "first_hit_rank": hits[0] if hits else None,
+                            "difficulty": res.difficulty, "view_dep": res.view_dep})
+    bucket_ap, bucket_counts = {}, {}
+    buckets = [("overall", lambda r: True),
+               ("easy", lambda r: r.difficulty == "easy"),
+               ("hard", lambda r: r.difficulty == "hard"),
+               ("view_dep", lambda r: r.view_dep),
+               ("view_indep", lambda r: not r.view_dep)]
+    for name, keep in buckets:
+        chosen = [(f, s) for r, f, s in per_result if keep(r)]
+        flags = [x for f, _ in chosen for x in f]
+        scores = [x for _, s in chosen for x in s]
+        bucket_ap[name] = average_precision(flags, scores, num_gt=len(chosen))
+        bucket_counts[name] = len(chosen)
+    return bucket_ap, bucket_counts, diagnostics
+
+
+def test_bucket_report_one_iou_per_prediction_matches_reference(monkeypatch):
+    import egoground.evaluate as evaluate_mod
+    results = _grounding_fixture()
+    n_preds = sum(len(r.predictions) for r in results)
+    for thresh in (0.25, 0.5):
+        want = _reference_bucket_report(results, thresh)
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return box_iou_exact(a, b)
+
+        monkeypatch.setattr(evaluate_mod, "box_iou_exact", counting)
+        report = bucket_report(results, thresh)
+        monkeypatch.undo()
+        assert len(calls) == n_preds
+        assert (report.bucket_ap, report.bucket_counts, report.diagnostics) == want
+        assert 0.0 < report.bucket_ap["overall"] < 1.0
+
+
 def test_bucket_report_validation():
     with pytest.raises(ValueError):
         bucket_report([], 0.25)

@@ -85,6 +85,28 @@ def test_config_rejects_heads_below_one():
         ModelConfig(dim=32, heads=-2)
 
 
+def test_config_rejects_non_int_sizes():
+    with pytest.raises(ValueError, match="heads must be an int"):
+        ModelConfig(heads="2")
+    with pytest.raises(ValueError, match="k_det must be an int"):
+        ModelConfig(k_det=4.5)
+    with pytest.raises(ValueError, match="layers must be an int"):
+        ModelConfig(layers=True)
+
+
+def test_load_model_names_checkpoint_on_bad_model_config(tmp_path):
+    store = init_model_params(TINY, seed=1)
+    for i, (change, field) in enumerate([({"typo": 1}, "typo"), ({"heads": "2"}, "heads"),
+                                         ({"k_det": 4.5}, "k_det")]):
+        path = tmp_path / f"bad{i}.json"
+        save_model(store, TINY, path)
+        manifest = json.loads(path.read_text())
+        manifest["extra"]["model_config"].update(change)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"bad{i}\.json.*{field}"):
+            load_model(path)
+
+
 def test_init_deterministic_and_complete():
     a = init_model_params(TINY, seed=7)
     b = init_model_params(TINY, seed=7)

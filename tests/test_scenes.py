@@ -67,6 +67,20 @@ def test_generate_scene_objects_in_room_and_disjoint():
             assert box_iou_exact(scene.objects[i].box, scene.objects[j].box) == 0.0
 
 
+def test_generate_scene_tests_overlap_through_module_iou(monkeypatch):
+    # the benchmark tracer counts scene-generation IoUs at this attribute
+    import egoground.scenes as scenes_mod
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return box_iou_exact(a, b)
+
+    monkeypatch.setattr(scenes_mod, "box_iou_exact", counting)
+    scene = generate_scene(SceneConfig(n_objects_min=3, n_objects_max=3), (11, 0))
+    assert len(calls) >= len(scene.objects) * (len(scene.objects) - 1) // 2
+
+
 def test_generate_scene_deterministic():
     cfg = SceneConfig()
     a = generate_scene(cfg, (42, 7))
