@@ -13,12 +13,20 @@ would make an ``out -> closure -> out`` reference cycle per node, so a
 step's graph could only be freed by the cyclic garbage collector instead of
 by reference counting when the loss is dropped.
 
+Inside ``with no_grad():`` ops record nothing: each output keeps no parents
+and no closure, so an intermediate is freed as soon as nothing reads it.
+Values are computed by the same arithmetic as on the tape.  Inference
+(``detection_predictions``, ``grounding_predictions``, the heatmap) and the
+finite-difference forwards of ``grad_check`` run this way; a forward kept
+alive as a tape holds thousands of collector-tracked objects until it
+ends, enough to set off a full collection every few dozen forwards.
+
 Everything is double precision so analytic gradients can be compared against
 central finite differences at tight tolerances (``grad_check``).
 
 Module layout:
 
-* ``Tensor`` and the free function ``concat``: the op set.
+* ``Tensor``, the free function ``concat`` and ``no_grad``: the op set.
 * ``ParamStore``: named leaf tensors with gradient slots, plus init helpers
   for linear / MLP / layer-norm / attention parameter groups.
 * ``SGD`` / ``Adam``: in-place optimizers over a ``ParamStore``.
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -72,6 +81,20 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording them on the tape (see the module docstring)."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 class Tensor:
     """A float64 array plus the tape bookkeeping needed for backward().
 
@@ -91,6 +114,14 @@ class Tensor:
         self.grad: Array | None = None
         self._parents = parents
         self._backward = backward
+
+    def _taped(self, backward: Callable[[Array], None]) -> "Tensor":
+        """Attach an op's backward closure, or drop its parents under no_grad()."""
+        if _recording:
+            self._backward = backward
+        else:
+            self._parents = ()
+        return self
 
     # ---- introspection ----
 
@@ -124,8 +155,7 @@ class Tensor:
             self.grad += _unbroadcast(g, self.data.shape)
             other.grad += _unbroadcast(g, other.data.shape)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def __radd__(self, other) -> "Tensor":
         return as_tensor(other).__add__(self)
@@ -136,8 +166,7 @@ class Tensor:
         def backward(g):
             self.grad -= g
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -147,8 +176,7 @@ class Tensor:
             self.grad += _unbroadcast(g, self.data.shape)
             other.grad -= _unbroadcast(g, other.data.shape)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -161,8 +189,7 @@ class Tensor:
             self.grad += _unbroadcast(g * other.data, self.data.shape)
             other.grad += _unbroadcast(g * self.data, other.data.shape)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def __rmul__(self, other) -> "Tensor":
         return as_tensor(other).__mul__(self)
@@ -175,8 +202,7 @@ class Tensor:
             self.grad += _unbroadcast(g / other.data, self.data.shape)
             other.grad += _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
@@ -190,8 +216,7 @@ class Tensor:
         def backward(g):
             self.grad += g * p * self.data ** (p - 1.0)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -203,8 +228,7 @@ class Tensor:
             self.grad += g @ other.data.T
             other.grad += self.data.T @ g
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     # ---- elementwise nonlinearities ----
 
@@ -214,8 +238,7 @@ class Tensor:
         def backward(g):
             self.grad += g * (self.data > 0.0)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def exp(self) -> "Tensor":
         y = np.exp(self.data)
@@ -224,8 +247,7 @@ class Tensor:
         def backward(g):
             self.grad += g * y
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def log(self) -> "Tensor":
         out = Tensor(np.log(self.data), (self,))
@@ -233,8 +255,7 @@ class Tensor:
         def backward(g):
             self.grad += g / self.data
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def sigmoid(self) -> "Tensor":
         y = _sigmoid(self.data)
@@ -243,8 +264,7 @@ class Tensor:
         def backward(g):
             self.grad += g * y * (1.0 - y)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def softplus(self) -> "Tensor":
         # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), stable on both tails
@@ -253,8 +273,7 @@ class Tensor:
         def backward(g):
             self.grad += g * _sigmoid(self.data)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def tanh(self) -> "Tensor":
         y = np.tanh(self.data)
@@ -263,8 +282,7 @@ class Tensor:
         def backward(g):
             self.grad += g * (1.0 - y * y)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def abs(self) -> "Tensor":
         out = Tensor(np.abs(self.data), (self,))
@@ -272,8 +290,7 @@ class Tensor:
         def backward(g):
             self.grad += g * np.sign(self.data)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def sin(self) -> "Tensor":
         out = Tensor(np.sin(self.data), (self,))
@@ -281,8 +298,7 @@ class Tensor:
         def backward(g):
             self.grad += g * np.cos(self.data)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def cos(self) -> "Tensor":
         out = Tensor(np.cos(self.data), (self,))
@@ -290,8 +306,7 @@ class Tensor:
         def backward(g):
             self.grad -= g * np.sin(self.data)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
@@ -300,8 +315,7 @@ class Tensor:
         def backward(g):
             self.grad += g * 0.5 / y
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     # ---- reductions ----
 
@@ -313,8 +327,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self.grad += np.broadcast_to(g, self.data.shape)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -335,8 +348,7 @@ class Tensor:
         def backward(g):
             self.grad += g.reshape(self.data.shape)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def transpose(self, axes=None) -> "Tensor":
         out = Tensor(self.data.transpose(axes), (self,))
@@ -348,8 +360,7 @@ class Tensor:
                 inverse = np.argsort(axes)
                 self.grad += g.transpose(inverse)
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     @property
     def T(self) -> "Tensor":
@@ -367,8 +378,7 @@ class Tensor:
             else:
                 self.grad[key] += g
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         if self.data.shape[axis] == 0:
@@ -382,8 +392,7 @@ class Tensor:
             inner = (g * y).sum(axis=axis, keepdims=True)
             self.grad += (g - inner) * y
 
-        out._backward = backward
-        return out
+        return out._taped(backward)
 
     # ---- backward pass ----
 
@@ -430,8 +439,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             index[axis] = slice(lo, hi)
             t.grad += g[tuple(index)]
 
-    out._backward = backward
-    return out
+    return out._taped(backward)
 
 
 # ---------------------------------------------------------------------------
@@ -701,22 +709,23 @@ def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
     analytic = {name: p.grad.copy() for name, p in store.items()}
 
     per_param: dict[str, float] = {}
-    for name, p in store.items():
-        flat = p.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            f_plus = float(fn(store).data.reshape(()))
-            flat[i] = saved - eps
-            f_minus = float(fn(store).data.reshape(()))
-            flat[i] = saved
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), denom_floor)
-            if rel > worst:
-                worst = rel
-        per_param[name] = worst
+    with no_grad():
+        for name, p in store.items():
+            flat = p.data.reshape(-1)
+            a_flat = analytic[name].reshape(-1)
+            worst = 0.0
+            for i in range(flat.size):
+                saved = flat[i]
+                flat[i] = saved + eps
+                f_plus = float(fn(store).data.reshape(()))
+                flat[i] = saved - eps
+                f_minus = float(fn(store).data.reshape(()))
+                flat[i] = saved
+                fd = (f_plus - f_minus) / (2.0 * eps)
+                rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), denom_floor)
+                if rel > worst:
+                    worst = rel
+            per_param[name] = worst
     store.zero_grad()
     return GradCheckReport(per_param, eps=eps, tol=tol)
 

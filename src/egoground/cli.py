@@ -18,7 +18,7 @@ import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng
+from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng, no_grad
 from .evaluate import bucket_report, evaluate_detection, format_report, save_report
 from .losses import LossWeights
 from .network import MODULES, ModelConfig, init_model_params, load_model, module_of, save_model
@@ -344,8 +344,9 @@ def cmd_heatmap(args) -> int:
                          f"(scene has {len(scene.cameras)} cameras)")
     batch = prepare_scene(scene, instructions, StubEmbeddings(), run_cfg.voxel_size,
                           num_classes=len(CLASS_NAMES))
-    out, _ = forward_grounding(batch, store, model_cfg, 0,
-                               use_qim=not run_cfg.disable_qim)
+    with no_grad():
+        out, _ = forward_grounding(batch, store, model_cfg, 0,
+                                   use_qim=not run_cfg.disable_qim)
     scores = _sigmoid(out.relevance.data)
     cam, pose = scene.cameras[args.view]
     ppm, csv_path = export_heatmap(batch.voxels.coords, scores, cam, pose, args.out)

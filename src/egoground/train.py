@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ParamStore, _sigmoid
+from .autodiff import NonFiniteError, ParamStore, _sigmoid, no_grad
 from .boxes import contains_points
 from .evaluate import DetectionResult, GroundingResult, ScoredBox
 from .geometry import (
@@ -230,8 +230,9 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
 def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                           instruction_idx: int = 0, use_rag: bool = True,
                           use_qim: bool = True) -> GroundingResult:
-    out, _ = forward_grounding(batch, store, cfg, instruction_idx,
-                               use_rag=use_rag, use_qim=use_qim)
+    with no_grad():
+        out, _ = forward_grounding(batch, store, cfg, instruction_idx,
+                                   use_rag=use_rag, use_qim=use_qim)
     scores = _sigmoid(out.grd_logits.data[:, 0])
     preds = [ScoredBox(box, float(s)) for box, s in zip(out.boxes, scores)]
     ins = batch.instructions[instruction_idx]
@@ -242,7 +243,8 @@ def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig
 
 def detection_predictions(batch: SceneBatch, store: ParamStore,
                           cfg: ModelConfig) -> DetectionResult:
-    out, _ = forward_detection(batch, store, cfg)
+    with no_grad():
+        out, _ = forward_detection(batch, store, cfg)
     logits = out.det_logits.data
     classes = logits.argmax(axis=1)
     scores = _sigmoid(logits.max(axis=1))

@@ -22,6 +22,7 @@ from egoground.autodiff import (
     make_optimizer,
     make_rng,
     mlp_apply,
+    no_grad,
     save_checkpoint,
 )
 
@@ -448,3 +449,39 @@ def test_softmax_gradcheck():
         return ((y - target) * (y - target)).sum()
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-5).passed
+
+
+def _attention_block(store, x):
+    h = layer_norm(attention(x, x, x, store, "att", heads=2), store, "ln")
+    y = concat([h.softmax(axis=-1), (h * 0.5).tanh().exp()], axis=1)
+    return mlp_apply(y, store, "mlp")
+
+
+def test_no_grad_records_nothing_and_computes_the_same_values():
+    rng = make_rng(71)
+    store = ParamStore()
+    init_attention(store, "att", 4, rng)
+    init_layer_norm(store, "ln", 4)
+    init_mlp(store, "mlp", [8, 6, 3], rng)
+    x = Tensor(rng.normal(size=(5, 4)))
+    taped = _attention_block(store, x)
+    with no_grad():
+        bare = _attention_block(store, x)
+    assert bare.data.tobytes() == taped.data.tobytes()
+    assert taped._parents and taped._backward is not None
+    assert bare._parents == () and bare._backward is None
+    # recording resumes after the block, also when the block raised
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    again = x.tanh()
+    assert again._parents == (x,) and again._backward is not None
+
+
+def test_no_grad_nests():
+    x = Tensor([1.0, 2.0])
+    with no_grad():
+        with no_grad():
+            pass
+        inner = x + x
+    assert inner._parents == () and inner._backward is None

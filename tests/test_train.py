@@ -267,3 +267,33 @@ def test_prediction_wrappers():
     assert len(d.pred_classes) == len(d.pred_boxes)
     assert all(0 <= c < CFG.num_classes for c in d.pred_classes)
     assert d.gt_classes == [o.class_id for o in BATCH.scene.objects]
+
+
+def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
+    # The wrappers' forwards record no tape, and their boxes and scores are
+    # bit-identical to those read off a recorded forward.
+    store = init_model_params(CFG, seed=8)
+    det_out, _ = forward_detection(BATCH, store, CFG)
+    grd_out, _ = forward_grounding(BATCH, store, CFG, 0)
+    seen = []
+
+    def spy(forward):
+        def run(*args, **kwargs):
+            out, logits = forward(*args, **kwargs)
+            seen.append((out, logits))
+            return out, logits
+        return run
+
+    monkeypatch.setattr(egoground.train, "forward_detection", spy(forward_detection))
+    monkeypatch.setattr(egoground.train, "forward_grounding", spy(forward_grounding))
+    d = detection_predictions(BATCH, store, CFG)
+    g = grounding_predictions(BATCH, store, CFG)
+    assert len(seen) == 2
+    for out, logits in seen:
+        assert out.centers._parents == () and logits._parents == ()
+    for preds, out in ((d.pred_boxes, det_out), (g.predictions, grd_out)):
+        assert [p.box.as_params().tobytes() for p in preds] == \
+            [b.as_params().tobytes() for b in out.boxes]
+    assert d.pred_classes == [int(c) for c in det_out.det_logits.data.argmax(axis=1)]
+    assert [p.score for p in g.predictions] == \
+        [float(s) for s in egoground.train._sigmoid(grd_out.grd_logits.data[:, 0])]
