@@ -7,11 +7,11 @@ and adds its contribution to each parent's ``grad``.  Calling
 ``node._backward(node.grad)`` for every node in reverse topological order.
 
 A closure never captures its own output tensor: it reads the output gradient
-from ``g`` and, where it needs the output value (``exp``, ``sigmoid``,
-``tanh``, ``sqrt``, ``softmax``), captures that array.  Capturing ``out``
-would make an ``out -> closure -> out`` reference cycle per node, so a
-step's graph could only be freed by the cyclic garbage collector instead of
-by reference counting when the loss is dropped.
+from ``g`` and, where it needs the output value (``sigmoid``, ``sqrt``,
+``softmax``), captures that array.  Capturing ``out`` would make an
+``out -> closure -> out`` reference cycle per node, so a step's graph could
+only be freed by the cyclic garbage collector instead of by reference
+counting when the loss is dropped.
 
 Inside ``with no_grad():`` ops record nothing: each output keeps no parents
 and no closure, so an intermediate is freed as soon as nothing reads it.
@@ -240,23 +240,6 @@ class Tensor:
 
         return out._taped(backward)
 
-    def exp(self) -> "Tensor":
-        y = np.exp(self.data)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            self.grad += g * y
-
-        return out._taped(backward)
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), (self,))
-
-        def backward(g):
-            self.grad += g / self.data
-
-        return out._taped(backward)
-
     def sigmoid(self) -> "Tensor":
         y = _sigmoid(self.data)
         out = Tensor(y, (self,))
@@ -275,36 +258,11 @@ class Tensor:
 
         return out._taped(backward)
 
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            self.grad += g * (1.0 - y * y)
-
-        return out._taped(backward)
-
     def abs(self) -> "Tensor":
         out = Tensor(np.abs(self.data), (self,))
 
         def backward(g):
             self.grad += g * np.sign(self.data)
-
-        return out._taped(backward)
-
-    def sin(self) -> "Tensor":
-        out = Tensor(np.sin(self.data), (self,))
-
-        def backward(g):
-            self.grad += g * np.cos(self.data)
-
-        return out._taped(backward)
-
-    def cos(self) -> "Tensor":
-        out = Tensor(np.cos(self.data), (self,))
-
-        def backward(g):
-            self.grad -= g * np.sin(self.data)
 
         return out._taped(backward)
 
@@ -538,12 +496,12 @@ def init_layer_norm(store: ParamStore, name: str, dim: int) -> None:
     store.create(name + ".b", np.zeros(dim))
 
 
-def layer_norm(x: Tensor, store: ParamStore, name: str, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:
+    """Normalize the last axis by its mean and sqrt(variance + 1e-5), then scale and shift."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    y = centered / (var + eps).sqrt()
+    y = centered / (var + 1e-5).sqrt()
     return y * store[name + ".g"] + store[name + ".b"]
 
 
@@ -595,41 +553,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
 
 
 class SGD:
-    """Plain gradient descent, optional decoupled weight decay."""
+    """Plain gradient descent."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0):
+    def __init__(self, lr: float):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.weight_decay = weight_decay
 
     def step(self, store: ParamStore) -> None:
         for _, p in store.items():
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= self.lr * p.grad
             p.grad[...] = 0.0
 
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay."""
+    """Adam with bias correction (beta1 0.9, beta2 0.999, eps 1e-8)."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, lr: float):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m: dict[str, Array] = {}
         self._v: dict[str, Array] = {}
 
     def step(self, store: ParamStore) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for name, p in store.items():
             if name not in self._m:
                 self._m[name] = np.zeros_like(p.data)
@@ -642,17 +592,15 @@ class Adam:
             v += (1.0 - b2) * p.grad * p.grad
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
             p.grad[...] = 0.0
 
 
-def make_optimizer(kind: str, lr: float, **hyper):
+def make_optimizer(kind: str, lr: float):
     kinds = {"sgd": SGD, "adam": Adam}
     if kind.lower() not in kinds:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    return kinds[kind.lower()](lr, **hyper)
+    return kinds[kind.lower()](lr)
 
 
 # ---------------------------------------------------------------------------
@@ -680,23 +628,15 @@ class GradCheckReport:
         name = max(self.per_param, key=self.per_param.get)
         return name, self.per_param[name]
 
-    def lines(self) -> list[str]:
-        width = max((len(n) for n in self.per_param), default=4)
-        rows = []
-        for name, err in self.per_param.items():
-            status = "ok" if err <= self.tol else "FAIL"
-            rows.append(f"{name:<{width}}  {err:12.3e}  {status}")
-        return rows
-
 
 def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
-               eps: float = 1e-5, tol: float = 1e-4, denom_floor: float = 1e-3) -> GradCheckReport:
+               eps: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients of ``fn(store)`` against central differences.
 
     ``fn`` must be a deterministic map from the parameters to a scalar
     Tensor.  For every parameter coordinate w the check perturbs w by +/-eps,
     evaluates the loss, and forms (f+ - f-) / (2 eps).  The relative error is
-    |analytic - fd| / max(|analytic|, |fd|, denom_floor); the floor keeps
+    |analytic - fd| / max(|analytic|, |fd|, 1e-3); the floor keeps
     near-zero gradients from amplifying finite-difference roundoff.
     """
     store.zero_grad()
@@ -722,7 +662,7 @@ def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
                 f_minus = float(fn(store).data.reshape(()))
                 flat[i] = saved
                 fd = (f_plus - f_minus) / (2.0 * eps)
-                rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), denom_floor)
+                rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), 1e-3)
                 if rel > worst:
                     worst = rel
             per_param[name] = worst

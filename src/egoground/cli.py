@@ -46,19 +46,33 @@ from .train import (
 _GEN_ATTEMPTS = 40
 
 
+def _check_fields(cls, data: dict, prefix: str = "") -> None:
+    """Reject keys that are not fields of dataclass ``cls`` and values of the wrong type."""
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(prefix + u for u in unknown)}")
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        want = hints[name]
+        accepted = (int, float) if want is float else want
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+            raise ValueError(f"config field '{prefix}{name}' must be {want.__name__}, "
+                             f"got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; defaults give the desk-scale model."""
-    dim: int = 32
-    layers: int = 2
-    heads: int = 2
-    k_det: int = 32
-    k_grd: int = 16
+    dim: int = ModelConfig.dim
+    layers: int = ModelConfig.layers
+    heads: int = ModelConfig.heads
+    k_det: int = ModelConfig.k_det
+    k_grd: int = ModelConfig.k_grd
     voxel_size: float = 0.25
-    lambda_cls: float = 1.0
-    lambda_box: float = 1.0
-    lambda_ground: float = 1.0
-    lambda_spatial: float = 0.01
+    lambda_cls: float = LossWeights.lambda_cls
+    lambda_box: float = LossWeights.lambda_box
+    lambda_ground: float = LossWeights.lambda_ground
+    lambda_spatial: float = LossWeights.lambda_spatial
     optimizer: str = "adam"
     lr: float = 3e-3
     steps: int = 500
@@ -80,6 +94,7 @@ class RunConfig:
         # the model, loss and scene rules live in the objects built from them
         self.model_config()
         self.weights()
+        _check_fields(SceneConfig, self.scene, "scene.")
         self.scene_config()
 
     def to_dict(self) -> dict:
@@ -89,15 +104,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        for name, value in data.items():
-            want = hints[name]
-            accepted = (int, float) if want is float else want
-            if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
-                raise ValueError(f"config field {name!r} must be {want.__name__}, got {value!r}")
+        _check_fields(cls, data)
         return cls(**data)
 
     def save(self, path: str | Path) -> None:

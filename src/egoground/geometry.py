@@ -212,12 +212,12 @@ def bilinear_sample(fm: ViewFeatureMap, u: float, v: float):
     return out[0], bool(valid[0])
 
 
-def positional_encoding(coords: Array, dim: int,
-                        min_wavelength: float = 0.5, max_wavelength: float = 20.0) -> Array:
+def positional_encoding(coords: Array, dim: int) -> Array:
     """Sinusoidal encoding of 3D positions into ``dim`` channels.
 
     Each axis gets dim // 6 geometric frequencies as (sin, cos) pairs;
-    leftover channels are zero.  Wavelengths span roughly desk-room scales.
+    leftover channels are zero.  Wavelengths run from 0.5 to 20 (desk-room
+    scales).
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     n_freq = dim // 6
@@ -225,9 +225,9 @@ def positional_encoding(coords: Array, dim: int,
     if n_freq == 0:
         return out
     if n_freq == 1:
-        wavelengths = np.array([min_wavelength])
+        wavelengths = np.array([0.5])
     else:
-        wavelengths = min_wavelength * (max_wavelength / min_wavelength) ** (np.arange(n_freq) / (n_freq - 1))
+        wavelengths = 0.5 * (20.0 / 0.5) ** (np.arange(n_freq) / (n_freq - 1))
     omega = 2.0 * np.pi / wavelengths
     col = 0
     for axis in range(3):

@@ -1,13 +1,17 @@
 """Set matching and the detection / grounding training objectives.
 
-Matching is min-cost bipartite assignment over a (K preds, G truths) cost
-matrix; ties between equal-cost assignments resolve to the lexicographically
-smallest pair list so runs are reproducible.  The classification term is a
-sigmoid focal loss normalized by the number of matched predictions, with
-unmatched predictions supervised toward all-negative (background / not the
-target).  Box regression is L1 on centers, on log-extent ratios and on the
-(sin, cos) of each angle, which makes 0 and 2 pi identical.  Grounding adds
-a mean binary cross-entropy over per-voxel relevance logits against
+Both tasks train through one DETR-style set loss (``total_loss``).  Grounding
+is one-object detection: its ground truth is the target box with class 0 of
+the grounding logits, and lambda_ground weights its class term where
+detection uses lambda_cls.  Matching is min-cost bipartite assignment over a
+(K preds, G truths) cost matrix; ties between equal-cost assignments resolve
+to the lexicographically smallest pair list so runs are reproducible.  The
+classification term is a sigmoid focal loss normalized by the number of
+matched predictions, with unmatched predictions supervised toward
+all-negative (background / not the target).  Box regression is L1 on
+centers, on log-extent ratios and on the (sin, cos) of each angle, which
+makes 0 and 2 pi identical.  ``total_loss`` adds, for grounding, a mean
+binary cross-entropy over per-voxel relevance logits against
 inside-the-target-box labels.
 """
 
@@ -162,30 +166,27 @@ def box_regression_loss(centers: Tensor, log_extents: Tensor, sin_t: Tensor, cos
     return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
 
 
-def matching_cost(output, targets, weights: LossWeights) -> Array:
-    """(K, G) matrix: lambda_cls * (-p_k(class_g)) + lambda_box * box_loss.
+def _set_task(output, targets, weights: LossWeights):
+    """(task, logits, gt boxes, gt logit columns, class weight) of the set loss.
 
-    For grounding the class term is the negated sigmoid of the query's
-    grounding logit, weighted by lambda_ground.
+    Grounding is one-object detection: class 0 of the grounding logits.
     """
     if isinstance(targets, DetectionTargets):
-        gt_boxes = targets.boxes
-        logits = output.det_logits.data
-        cls_cost = -_sigmoid(logits)[:, np.asarray(targets.classes, dtype=np.intp)]
-        cls_weight = weights.lambda_cls
-    elif isinstance(targets, GroundingTargets):
-        gt_boxes = [targets.box]
-        logits = output.grd_logits.data.reshape(-1)
-        cls_cost = -_sigmoid(logits)[:, None]
-        cls_weight = weights.lambda_ground
-    else:
-        raise TypeError(f"unsupported target type {type(targets).__name__}")
-    k = len(output.boxes)
-    g = len(gt_boxes)
-    box_cost = np.zeros((k, g))
-    for kk in range(k):
-        for gg in range(g):
-            box_cost[kk, gg] = box_loss(output.boxes[kk], gt_boxes[gg])
+        return ("detection", output.det_logits, targets.boxes, targets.classes,
+                weights.lambda_cls)
+    if isinstance(targets, GroundingTargets):
+        return "grounding", output.grd_logits, [targets.box], [0], weights.lambda_ground
+    raise TypeError(f"unsupported target type {type(targets).__name__}")
+
+
+def matching_cost(output, targets, weights: LossWeights) -> Array:
+    """(K, G) matrix: cls_weight * (-p_k(class_g)) + lambda_box * box_loss."""
+    _, logits, gt_boxes, classes, cls_weight = _set_task(output, targets, weights)
+    cls_cost = -_sigmoid(logits.data)[:, np.asarray(classes, dtype=np.intp)]
+    box_cost = np.zeros((len(output.boxes), len(gt_boxes)))
+    for kk, pred in enumerate(output.boxes):
+        for gg, gt in enumerate(gt_boxes):
+            box_cost[kk, gg] = box_loss(pred, gt)
     return cls_weight * cls_cost + weights.lambda_box * box_cost
 
 
@@ -222,68 +223,29 @@ def spatial_relevance_loss(logits: Tensor, labels: Array) -> Tensor:
     return (flat.softplus() - flat * labels).mean()
 
 
-def detection_loss(output, targets: DetectionTargets, weights: LossWeights):
-    """Hungarian-matched focal + box regression; returns (total, breakdown)."""
-    k, num_classes = output.det_logits.shape
-    if targets.boxes:
-        assignment = hungarian(matching_cost(output, targets, weights))
-    else:
-        assignment = Assignment(pairs=[], total_cost=0.0)
-    onehot = np.zeros((k, num_classes))
-    rows = [i for i, _ in assignment.pairs]
-    matched_gt = [j for _, j in assignment.pairs]
-    for i, j in assignment.pairs:
-        onehot[i, targets.classes[j]] = 1.0
-    cls_term = focal_loss(output.det_logits, onehot, normalizer=max(1, len(rows)))
-    box_term = box_regression_loss(output.centers, output.log_extents, output.sin_angles,
-                                   output.cos_angles, rows, [targets.boxes[j] for j in matched_gt])
-    total = weights.lambda_cls * cls_term + weights.lambda_box * box_term
-    breakdown = LossBreakdown(
-        task="detection",
-        cls=cls_term.item(),
-        box=box_term.item(),
-        spatial=0.0,
-        total=weights.lambda_cls * cls_term.item() + weights.lambda_box * box_term.item(),
-        weights=weights,
-    )
-    return total, breakdown
-
-
-def grounding_loss(output, targets: GroundingTargets, weights: LossWeights):
-    """Matched grounding focal + box regression + optional relevance BCE."""
-    assignment = hungarian(matching_cost(output, targets, weights))
-    (row, _), = assignment.pairs
-    k = output.grd_logits.shape[0]
-    onehot = np.zeros((k, 1))
-    onehot[row, 0] = 1.0
-    ground_term = focal_loss(output.grd_logits, onehot, normalizer=1.0)
-    box_term = box_regression_loss(output.centers, output.log_extents, output.sin_angles,
-                                   output.cos_angles, [row], [targets.box])
-    if output.relevance is not None and targets.relevance_labels is not None:
-        spatial_term = spatial_relevance_loss(output.relevance, targets.relevance_labels)
-        spatial_value = spatial_term.item()
-    else:
-        spatial_term = Tensor(0.0)
-        spatial_value = 0.0
-    total = (weights.lambda_ground * ground_term + weights.lambda_box * box_term
-             + weights.lambda_spatial * spatial_term)
-    breakdown = LossBreakdown(
-        task="grounding",
-        cls=ground_term.item(),
-        box=box_term.item(),
-        spatial=spatial_value,
-        total=(weights.lambda_ground * ground_term.item()
-               + weights.lambda_box * box_term.item()
-               + weights.lambda_spatial * spatial_value),
-        weights=weights,
-    )
-    return total, breakdown
-
-
 def total_loss(output, targets, weights: LossWeights):
-    """Dispatch on target type; returns (scalar Tensor, LossBreakdown)."""
-    if isinstance(targets, DetectionTargets):
-        return detection_loss(output, targets, weights)
-    if isinstance(targets, GroundingTargets):
-        return grounding_loss(output, targets, weights)
-    raise TypeError(f"unsupported target type {type(targets).__name__}")
+    """The set loss of either task plus, for grounding, the relevance BCE.
+
+    The set loss is the Hungarian-matched focal loss plus box regression.
+    Returns (scalar Tensor, LossBreakdown).
+    """
+    task, logits, gt_boxes, classes, cls_weight = _set_task(output, targets, weights)
+    pairs = hungarian(matching_cost(output, targets, weights)).pairs
+    rows = [i for i, _ in pairs]
+    onehot = np.zeros(logits.shape)
+    for i, j in pairs:
+        onehot[i, classes[j]] = 1.0
+    cls_term = focal_loss(logits, onehot, normalizer=max(1, len(rows)))
+    box_term = box_regression_loss(output.centers, output.log_extents, output.sin_angles,
+                                   output.cos_angles, rows, [gt_boxes[j] for _, j in pairs])
+    total = cls_weight * cls_term + weights.lambda_box * box_term
+    spatial = 0.0
+    labels = getattr(targets, "relevance_labels", None)
+    if output.relevance is not None and labels is not None:
+        spatial_term = spatial_relevance_loss(output.relevance, labels)
+        total = total + weights.lambda_spatial * spatial_term
+        spatial = spatial_term.item()
+    cls, box = cls_term.item(), box_term.item()
+    return total, LossBreakdown(
+        task=task, cls=cls, box=box, spatial=spatial, weights=weights,
+        total=cls_weight * cls + weights.lambda_box * box + weights.lambda_spatial * spatial)

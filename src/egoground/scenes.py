@@ -21,6 +21,7 @@ latter shifted along a fixed direction by normalized depth.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -358,10 +359,43 @@ def save_scene(scene: Scene, instructions: list[Instruction], path: str | Path) 
     Path(path).write_text(json.dumps(scene_to_dict(scene, instructions), indent=2) + "\n")
 
 
-def _require(mapping: dict, key: str, where: str):
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_vector(v) -> bool:
+    return isinstance(v, list) and len(v) == 3 and all(map(_is_number, v))
+
+
+# what each kind of scene-file field must be, by its description in errors
+_KINDS = {
+    "an integer": _is_int,
+    "a finite number": _is_number,
+    "a boolean": lambda v: isinstance(v, bool),
+    "easy or hard": lambda v: v in ("easy", "hard"),
+    "3 finite numbers": _is_vector,
+    "3 rows of 3 finite numbers": lambda v: isinstance(v, list) and len(v) == 3
+    and all(map(_is_vector, v)),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+}
+
+
+def _checked(value, where: str, kind: str):
+    if not _KINDS[kind](value):
+        raise SceneFormatError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _field(mapping: dict, key: str, where: str, kind: str):
     if key not in mapping:
         raise SceneFormatError(f"missing field {where}.{key}")
-    return mapping[key]
+    return _checked(mapping[key], f"{where}.{key}", kind)
 
 
 def _check_unknown(mapping: dict, known: set[str], where: str) -> None:
@@ -371,62 +405,70 @@ def _check_unknown(mapping: dict, known: set[str], where: str) -> None:
 
 
 def scene_from_dict(data: dict) -> tuple[Scene, list[Instruction]]:
+    """Build a scene from its file form; a malformed field is a ``SceneFormatError`` naming it."""
+    if not isinstance(data, dict):
+        raise SceneFormatError(f"a scene file holds a JSON object, not {type(data).__name__}")
     if data.get("format") != SCENE_FORMAT:
         raise SceneFormatError(f"unrecognized scene format {data.get('format')!r}")
     _check_unknown(data, {"format", "seed_words", "room", "objects", "cameras", "instructions"},
                    "scene")
-    room = _require(data, "room", "scene")
-    lo = np.asarray(_require(room, "lo", "scene.room"), dtype=np.float64)
-    hi = np.asarray(_require(room, "hi", "scene.room"), dtype=np.float64)
+    room = _field(data, "room", "scene", "an object")
+    lo = np.array(_field(room, "lo", "scene.room", "3 finite numbers"), dtype=np.float64)
+    hi = np.array(_field(room, "hi", "scene.room", "3 finite numbers"), dtype=np.float64)
 
     objects = []
-    for i, entry in enumerate(_require(data, "objects", "scene")):
+    for i, entry in enumerate(_field(data, "objects", "scene", "a list of objects")):
         where = f"scene.objects[{i}]"
         _check_unknown(entry, {"class", "center", "extents", "angles"}, where)
-        class_id = int(_require(entry, "class", where))
+        class_id = _field(entry, "class", where, "an integer")
         if not 0 <= class_id < len(CLASS_NAMES):
             raise SceneFormatError(f"{where}.class out of range")
-        center = _require(entry, "center", where)
-        extents = _require(entry, "extents", where)
-        angles = _require(entry, "angles", where)
-        objects.append(SceneObject(box=Box9DoF(*center, *extents, *angles), class_id=class_id))
+        params = [v for key in ("center", "extents", "angles")
+                  for v in _field(entry, key, where, "3 finite numbers")]
+        try:
+            box = Box9DoF(*params)
+        except ValueError as exc:
+            raise SceneFormatError(f"{where}: {exc}") from exc
+        objects.append(SceneObject(box=box, class_id=class_id))
     if not objects:
         raise SceneFormatError("scene.objects must not be empty")
 
     cameras = []
-    for i, entry in enumerate(_require(data, "cameras", "scene")):
+    for i, entry in enumerate(_field(data, "cameras", "scene", "a list of objects")):
         where = f"scene.cameras[{i}]"
         _check_unknown(entry, {"fx", "fy", "cx", "cy", "width", "height", "rotation", "translation"},
                        where)
-        cam = CameraIntrinsics(
-            fx=float(_require(entry, "fx", where)), fy=float(_require(entry, "fy", where)),
-            cx=float(_require(entry, "cx", where)), cy=float(_require(entry, "cy", where)),
-            width=int(_require(entry, "width", where)), height=int(_require(entry, "height", where)),
-        )
-        pose = CameraPose(rotation=np.asarray(_require(entry, "rotation", where), dtype=np.float64),
-                          translation=np.asarray(_require(entry, "translation", where), dtype=np.float64))
-        cameras.append((cam, pose))
+        intrinsics = {k: float(_field(entry, k, where, "a finite number"))
+                      for k in ("fx", "fy", "cx", "cy")}
+        intrinsics.update((k, _field(entry, k, where, "an integer")) for k in ("width", "height"))
+        rotation = np.array(_field(entry, "rotation", where, "3 rows of 3 finite numbers"))
+        translation = np.array(_field(entry, "translation", where, "3 finite numbers"))
+        try:
+            cameras.append((CameraIntrinsics(**intrinsics), CameraPose(rotation, translation)))
+        except ValueError as exc:
+            raise SceneFormatError(f"{where}: {exc}") from exc
     if not cameras:
         raise SceneFormatError("scene.cameras must not be empty")
 
     instructions = []
-    for i, entry in enumerate(data.get("instructions", [])):
+    entries = _checked(data.get("instructions", []), "scene.instructions", "a list of objects")
+    for i, entry in enumerate(entries):
         where = f"scene.instructions[{i}]"
         _check_unknown(entry, {"tokens", "target", "difficulty", "view_dep"}, where)
-        tokens = [int(t) for t in _require(entry, "tokens", where)]
+        tokens = _field(entry, "tokens", where, "a list of integers")
         if any(not 0 <= t < len(VOCABULARY) for t in tokens):
             raise SceneFormatError(f"{where}.tokens out of vocabulary")
-        target = int(_require(entry, "target", where))
+        target = _field(entry, "target", where, "an integer")
         if not 0 <= target < len(objects):
             raise SceneFormatError(f"{where}.target out of range")
-        difficulty = _require(entry, "difficulty", where)
-        if difficulty not in ("easy", "hard"):
-            raise SceneFormatError(f"{where}.difficulty must be easy or hard")
-        instructions.append(Instruction(tokens=tokens, target=target, difficulty=difficulty,
-                                        view_dep=bool(_require(entry, "view_dep", where))))
+        instructions.append(Instruction(
+            tokens=list(tokens), target=target,
+            difficulty=_field(entry, "difficulty", where, "easy or hard"),
+            view_dep=_field(entry, "view_dep", where, "a boolean")))
 
+    seed_words = _checked(data.get("seed_words", []), "scene.seed_words", "a list of integers")
     scene = Scene(objects=objects, cameras=cameras, room_lo=lo, room_hi=hi,
-                  seed_words=tuple(int(s) for s in data.get("seed_words", [])))
+                  seed_words=tuple(seed_words))
     return scene, instructions
 
 

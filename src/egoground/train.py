@@ -227,16 +227,19 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 
 
+def _scored_boxes(boxes, logits: Array) -> list[ScoredBox]:
+    """Score each query by the sigmoid of its max logit (a (K, 1) max is the logit)."""
+    return [ScoredBox(box, float(s)) for box, s in zip(boxes, _sigmoid(logits.max(axis=1)))]
+
+
 def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                           instruction_idx: int = 0, use_rag: bool = True,
                           use_qim: bool = True) -> GroundingResult:
     with no_grad():
         out, _ = forward_grounding(batch, store, cfg, instruction_idx,
                                    use_rag=use_rag, use_qim=use_qim)
-    scores = _sigmoid(out.grd_logits.data[:, 0])
-    preds = [ScoredBox(box, float(s)) for box, s in zip(out.boxes, scores)]
     ins = batch.instructions[instruction_idx]
-    return GroundingResult(predictions=preds,
+    return GroundingResult(predictions=_scored_boxes(out.boxes, out.grd_logits.data),
                            gt_box=batch.scene.objects[ins.target].box,
                            difficulty=ins.difficulty, view_dep=ins.view_dep)
 
@@ -246,9 +249,7 @@ def detection_predictions(batch: SceneBatch, store: ParamStore,
     with no_grad():
         out, _ = forward_detection(batch, store, cfg)
     logits = out.det_logits.data
-    classes = logits.argmax(axis=1)
-    scores = _sigmoid(logits.max(axis=1))
-    preds = [ScoredBox(box, float(s)) for box, s in zip(out.boxes, scores)]
-    return DetectionResult(pred_boxes=preds, pred_classes=[int(c) for c in classes],
+    return DetectionResult(pred_boxes=_scored_boxes(out.boxes, logits),
+                           pred_classes=[int(c) for c in logits.argmax(axis=1)],
                            gt_boxes=batch.det_targets.boxes,
                            gt_classes=list(batch.det_targets.classes))

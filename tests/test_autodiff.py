@@ -125,7 +125,7 @@ def test_core_op_gradients_against_fd():
 
     def fn(s):
         x = s["x"]
-        y = x.exp().log() + x.sigmoid() + x.softplus() + x.tanh() + x.sin() * x.cos()
+        y = x.sigmoid() + x.softplus() + x.relu() * (-x).sigmoid() + x / (x + 1.0)
         z = y.sqrt() + x.abs() + x ** 1.5
         return (z * z).mean()
 
@@ -453,7 +453,7 @@ def test_softmax_gradcheck():
 
 def _attention_block(store, x):
     h = layer_norm(attention(x, x, x, store, "att", heads=2), store, "ln")
-    y = concat([h.softmax(axis=-1), (h * 0.5).tanh().exp()], axis=1)
+    y = concat([h.softmax(axis=-1), (h * 0.5).sigmoid().softplus()], axis=1)
     return mlp_apply(y, store, "mlp")
 
 
@@ -474,7 +474,7 @@ def test_no_grad_records_nothing_and_computes_the_same_values():
     with pytest.raises(RuntimeError):
         with no_grad():
             raise RuntimeError("inside")
-    again = x.tanh()
+    again = x.sigmoid()
     assert again._parents == (x,) and again._backward is not None
 
 

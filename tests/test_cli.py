@@ -76,6 +76,35 @@ def test_run_config_from_dict_checks_field_types():
         RunConfig.from_dict([["steps", 10]])
 
 
+def test_run_config_checks_scene_fields():
+    for scene, field in [({"image_width": "32"}, "scene.image_width"),
+                         ({"n_cameras": 2.5}, "scene.n_cameras"),
+                         ({"force_distractors": 1}, "scene.force_distractors"),
+                         ({"focal": True}, "scene.focal")]:
+        with pytest.raises(ValueError, match=f"config field '{field}' must be"):
+            RunConfig.from_dict({"scene": scene})
+    with pytest.raises(ValueError, match=r"unknown config fields: \['scene.typo'\]"):
+        RunConfig.from_dict({"scene": {"typo": 1}})
+    assert RunConfig(scene={"focal": 20}).scene_config().focal == 20  # an int is a float
+
+
+def test_bad_scene_config_fails_before_any_work(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    for scene, field in [({"image_width": "32"}, "scene.image_width"),
+                         ({"n_cameras": 2.5}, "scene.n_cameras"), ({"typo": 1}, "scene.typo")]:
+        cfg_path.write_text(json.dumps({"scene": scene}))
+        for argv in (["gen", "--out", str(out)],
+                     ["train", "--scenes", str(tmp_path / "nowhere"),
+                      "--out", str(out / "ckpt.json")]):
+            assert main(argv + ["--config", str(cfg_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert field in captured.err
+            assert not out.exists()
+
+
 def test_run_config_round_trip(tmp_path):
     cfg = RunConfig(dim=16, steps=7, lambda_spatial=0.05,
                     scene={"n_objects_min": 2, "n_objects_max": 3})

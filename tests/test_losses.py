@@ -310,3 +310,24 @@ def test_detection_loss_empty_gt():
     assert breakdown.box == 0.0
     assert breakdown.cls > 0.0
     assert np.isfinite(total.item())
+
+
+def test_total_loss_golden():
+    # bit-exact values recorded while detection and grounding still had separate
+    # loss functions; a change to the loss arithmetic or its op order breaks them
+    out = make_fake_output(make_rng(347))
+    other = make_fake_output(make_rng(348))
+    labels = (make_rng(349).random(6) > 0.5).astype(float)
+    weights = LossWeights(lambda_spatial=0.05)
+    want = {
+        "detection": ("0x1.98a2521b0e400p-3", "0x1.c75795c39f931p+2", "0x0.0p+0",
+                      "0x1.d41ca85478051p+2"),
+        "grounding": ("0x1.7eddd239620b1p-1", "0x1.04e75809e064ep+3", "0x1.76c65fc505c8dp-1",
+                      "0x1.1e010713adbd6p+3"),
+    }
+    for gt in (DetectionTargets(boxes=other.boxes[:3], classes=[0, 2, 1], num_classes=3),
+               GroundingTargets(box=other.boxes[1], relevance_labels=labels)):
+        total, b = total_loss(out, gt, weights)
+        got = tuple(v.hex() for v in (b.cls, b.box, b.spatial, b.total))
+        assert got == want[b.task], b.task
+        assert total.item().hex() == want[b.task][3]

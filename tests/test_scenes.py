@@ -6,7 +6,9 @@ Instruction templates are checked by re-deriving, from the emitted tokens
 alone, the set of objects that satisfy the expression.
 """
 
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from egoground.scenes import (
     make_instruction,
     render_depth_and_classes,
     save_scene,
+    scene_from_dict,
     scene_to_dict,
 )
 
@@ -439,6 +442,85 @@ def test_load_validates_ranges(tmp_path):
         load_scene(p)
 
 
+_VECTOR_KEYS = {"lo", "hi", "center", "extents", "angles", "translation"}
+_MUTATIONS = {  # each turns a valid value of the kind into a malformed one
+    "vector": (lambda v: v[:2], lambda v: v + [0.0], lambda v: "1 2 3",
+               lambda v: [v[0], str(v[1]), v[2]], lambda v: [True, v[1], v[2]]),
+    "rows": (lambda v: v[:2], lambda v: "identity"),
+    "int": (lambda v: v + 0.7, lambda v: float(v), lambda v: True, lambda v: str(v)),
+    "number": (lambda v: str(v), lambda v: True, lambda v: None),
+    "bool": (lambda v: "no", lambda v: int(v)),
+    "difficulty": (lambda v: 1, lambda v: v.upper()),
+}
+
+
+def _typed_fields(node, path=()):
+    """(path, kind) of every typed field in a scene dict."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        here, parent = path + (key,), path[-1] if path else None
+        if key in _VECTOR_KEYS or parent == "rotation":
+            yield here, "vector"
+        elif key == "rotation":
+            yield here, "rows"
+        elif key in ("class", "target", "width", "height") or parent in ("tokens", "seed_words"):
+            yield here, "int"
+        elif key in ("fx", "fy", "cx", "cy"):
+            yield here, "number"
+        elif key == "view_dep":
+            yield here, "bool"
+        elif key == "difficulty":
+            yield here, "difficulty"
+        if isinstance(value, (dict, list)):
+            yield from _typed_fields(value, here)
+
+
+def _field_name(path):
+    """Dotted name of the file field that owns ``path`` (list items belong to their list)."""
+    while isinstance(path[-1], int):
+        path = path[:-1]
+    return "scene" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _fuzz_base():
+    scene, _ = _scene_with_instruction()
+    instructions = [Instruction(tokens=[0, 1], target=0, difficulty="easy", view_dep=False),
+                    Instruction(tokens=[0, 2, 9, 10, 0, 3], target=1, difficulty="hard",
+                                view_dep=True)]
+    return scene_to_dict(scene, instructions)
+
+
+def test_load_fuzzed_fields_raise_scene_format_error():
+    base = _fuzz_base()
+    fields = list(_typed_fields(base))
+    assert {kind for _, kind in fields} == set(_MUTATIONS)
+    rng = make_rng(421)
+    for _ in range(300):
+        path, kind = fields[rng.integers(len(fields))]
+        mutate = _MUTATIONS[kind][rng.integers(len(_MUTATIONS[kind]))]
+        data = copy.deepcopy(base)
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = mutate(owner[path[-1]])
+        with pytest.raises(SceneFormatError, match=re.escape(_field_name(path))):
+            scene_from_dict(data)
+
+
+def test_load_rejects_reported_malformed_fields():
+    for mutate, name in [
+        (lambda d: d["objects"][0].update(center=[0.0, 0.0], extents=[1.0, 0.5, 0.5, 0.5]),
+         "scene.objects[0].center"),
+        (lambda d: d["objects"][0].update({"class": 2.7}), "scene.objects[0].class"),
+        (lambda d: d["cameras"][0].update(width=32.9), "scene.cameras[0].width"),
+        (lambda d: d["instructions"][0].update(view_dep="no"), "scene.instructions[0].view_dep"),
+        (lambda d: d["objects"][0].update(extents=[1.0, 0.0, 0.5]), "scene.objects[0]"),
+    ]:
+        data = _fuzz_base()
+        mutate(data)
+        with pytest.raises(SceneFormatError, match=re.escape(name)):
+            scene_from_dict(data)
+
+
 def test_load_rejects_wrong_format(tmp_path):
     p = tmp_path / "w.json"
     p.write_text(json.dumps({"format": "something-else"}))
@@ -446,4 +528,7 @@ def test_load_rejects_wrong_format(tmp_path):
         load_scene(p)
     p.write_text("not json {")
     with pytest.raises(SceneFormatError, match="JSON"):
+        load_scene(p)
+    p.write_text("[1, 2]")
+    with pytest.raises(SceneFormatError, match="JSON object"):
         load_scene(p)

@@ -149,6 +149,38 @@ def test_training_losses_run_the_task_forwards():
     assert parts["grd_total"] == total_loss(grd_out, BATCH.grd_targets[0], WEIGHTS)[1].total
 
 
+def _tape_nodes(loss):
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_training_losses_golden():
+    # bit-exact values recorded while detection and grounding still had separate
+    # loss functions; a change to the loss arithmetic or its op order breaks them
+    det = {"det_total": "0x1.927d52fa8635ep+3", "det_cls": "0x1.5beec6f4cea02p+1",
+           "det_box": "0x1.3b81a13d528ddp+3", "grd_cls": "0x1.17dce694171a2p-1",
+           "grd_box": "0x1.2663969369fcfp+3", "aux_det": "0x1.210fa7a53642bp+1",
+           "aux_grd": "0x1.2a061e7bd6e8bp-1"}
+    want = {
+        True: {**det, "total": "0x1.92b9d4160d79fp+4", "grd_total": "0x1.3812096089bedp+3",
+               "grd_spatial": "0x1.3003702d75b74p-1"},
+        False: {**det, "total": "0x1.92a181e41e51dp+4", "grd_total": "0x1.37e164fcab6e9p+3",
+                "grd_spatial": "0x0.0p+0"},
+    }
+    for use_rag in (True, False):
+        store = init_model_params(CFG, seed=2)
+        loss, parts = training_losses(BATCH, store, CFG, WEIGHTS, use_rag=use_rag)
+        assert {k: v.hex() for k, v in parts.items()} == want[use_rag]
+        if use_rag:
+            assert _tape_nodes(loss) == 607
+
+
 def test_training_losses_breakdown_sums():
     store = init_model_params(CFG, seed=2)
     loss, parts = training_losses(BATCH, store, CFG, WEIGHTS)
