@@ -21,15 +21,37 @@ finite-difference forwards of ``grad_check`` run this way; a forward kept
 alive as a tape holds thousands of collector-tracked objects until it
 ends, enough to set off a full collection every few dozen forwards.
 
+A tape's cost is Python overhead per node, so the model's three building
+blocks are each one node with a hand-written backward:
+
+* ``linear``: ``x @ w + b`` over ``(x, w, b)``.
+* ``layer_norm``: one node over ``(x, gamma, beta)`` whose backward is the
+  closed form of Ba et al. (2016), not the chain through mean, variance,
+  square root and division.
+* the attention core: ``softmax(q k^T / sqrt(d)) v`` for every head at once
+  on (H, N, d) stacks (Vaswani et al., 2017), so ``attention`` is five
+  nodes (four linears and the core) for any head count.
+
+Their forward values are bit-identical to the elementwise compositions they
+replace (the tests keep those compositions as references); their gradients
+agree to rounding, since the closed forms sum in a different order.
+
+Parameters live in one flat arena per ``ParamStore``: every parameter's
+``data`` and ``grad`` are views into the store's ``data`` and ``grad``
+buffers, in creation order.  Nothing rebinds a parameter's ``data`` or
+``grad``; optimizers, ``zero_grad`` and ``grad_check`` update them in place,
+so an optimizer step is a few whole-buffer operations and a checkpoint
+payload is the ``data`` buffer.
+
 Everything is double precision so analytic gradients can be compared against
 central finite differences at tight tolerances (``grad_check``).
 
 Module layout:
 
 * ``Tensor``, the free function ``concat`` and ``no_grad``: the op set.
-* ``ParamStore``: named leaf tensors with gradient slots, plus init helpers
-  for linear / MLP / layer-norm / attention parameter groups.
-* ``SGD`` / ``Adam``: in-place optimizers over a ``ParamStore``.
+* ``ParamStore``: named leaf tensors on a flat arena, plus init helpers and
+  the fused ops for linear / MLP / layer-norm / attention parameter groups.
+* ``SGD`` / ``Adam``: in-place optimizers over a store's arena.
 * ``grad_check``: central finite-difference verification of the tape.
 * ``save_checkpoint`` / ``load_checkpoint``: structured-text manifest plus a
   raw little-endian float64 sidecar.
@@ -42,11 +64,11 @@ platform.
 from __future__ import annotations
 
 import json
-import warnings
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -375,7 +397,7 @@ class Tensor:
         for node in topo:
             if node.grad is None:
                 node.grad = np.zeros(node.data.shape)
-        self.grad = self.grad + np.ones_like(self.data)
+        self.grad += 1.0
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -406,18 +428,79 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 class ParamStore:
-    """Ordered map of parameter name -> leaf Tensor with a gradient slot."""
+    """Ordered map of parameter name -> leaf Tensor, backed by one flat arena.
+
+    Every parameter's ``data`` and ``grad`` are views into the store's two
+    float64 buffers (``store.data``, ``store.grad``), laid out in creation
+    order, which is also the checkpoint order.  Optimizers and ``zero_grad``
+    update the buffers in place; nothing rebinds a parameter's ``data`` or
+    ``grad``.  ``create`` grows the buffers geometrically and re-points the
+    existing views when they move, so hold the Tensor, not its array, while
+    a store is still being built.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._data = np.zeros(0)  # capacity; the live prefix is [:_size]
+        self._grad = np.zeros(0)
+        self._size = 0
+
+    @classmethod
+    def from_buffer(cls, layout: Sequence[tuple[str, tuple[int, ...]]], data: Array) -> "ParamStore":
+        """A store owning ``data`` (flat float64), cut into ``layout``'s (name, shape) in order."""
+        store = cls()
+        store._data = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
+        store._grad = np.zeros_like(store._data)
+        offset = 0
+        for name, shape in layout:
+            if name in store._params:
+                raise ValueError(f"duplicate parameter {name!r}")
+            t = Tensor(np.zeros(shape))
+            offset = store._bind(t, offset)
+            store._params[name] = t
+        if offset != store._data.size:
+            raise ValueError(f"layout covers {offset} values, buffer holds {store._data.size}")
+        if not np.isfinite(store._data).all():
+            raise NonFiniteError("non-finite values in tensor")
+        store._size = offset
+        return store
+
+    def _bind(self, t: Tensor, offset: int) -> int:
+        """Point ``t.data``/``t.grad`` at the arena from ``offset``; return its end."""
+        end = offset + t.data.size
+        t.data = self._data[offset:end].reshape(t.data.shape)
+        t.grad = self._grad[offset:end].reshape(t.data.shape)
+        return end
 
     def create(self, name: str, value) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
         t = Tensor(value)
-        t.grad = np.zeros_like(t.data)
+        start, end = self._size, self._size + t.data.size
+        if end > self._data.size:
+            capacity = max(end, 2 * self._data.size)
+            data, grad = np.zeros(capacity), np.zeros(capacity)
+            data[:start] = self._data[:start]
+            grad[:start] = self._grad[:start]
+            self._data, self._grad = data, grad
+            offset = 0
+            for p in self._params.values():
+                offset = self._bind(p, offset)
+        self._data[start:end] = t.data.reshape(-1)
+        self._bind(t, start)
+        self._size = end
         self._params[name] = t
         return t
+
+    @property
+    def data(self) -> Array:
+        """Every parameter's values, flat, in creation order (a view)."""
+        return self._data[:self._size]
+
+    @property
+    def grad(self) -> Array:
+        """Every parameter's gradient, flat, in creation order (a view)."""
+        return self._grad[:self._size]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -435,11 +518,10 @@ class ParamStore:
         return self._params.items()
 
     def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.grad.fill(0.0)
 
     def total_parameters(self) -> int:
-        return sum(p.data.size for p in self._params.values())
+        return self._size
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
@@ -458,10 +540,19 @@ def init_linear(store: ParamStore, name: str, fan_in: int, fan_out: int,
 
 
 def linear(x: Tensor, store: ParamStore, name: str) -> Tensor:
+    """``x @ w + b`` for a (N, fan_in) ``x``, as one tape node."""
     w = store[name + ".w"]
-    if x.shape[-1] != w.shape[0]:
-        raise ValueError(f"linear {name!r}: input width {x.shape[-1]} != weight fan-in {w.shape[0]}")
-    return x @ w + store[name + ".b"]
+    b = store[name + ".b"]
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear {name!r}: input shape {x.shape} does not fit weight fan-in {w.shape[0]}")
+    out = Tensor(x.data @ w.data + b.data, (x, w, b))
+
+    def backward(g):
+        x.grad += g @ w.data.T
+        w.grad += x.data.T @ g
+        b.grad += g.sum(axis=0)
+
+    return out._taped(backward)
 
 
 def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.random.Generator,
@@ -497,12 +588,30 @@ def init_layer_norm(store: ParamStore, name: str, dim: int) -> None:
 
 
 def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:
-    """Normalize the last axis by its mean and sqrt(variance + 1e-5), then scale and shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    y = centered / (var + 1e-5).sqrt()
-    return y * store[name + ".g"] + store[name + ".b"]
+    """Normalize the last axis by its mean and sqrt(variance + 1e-5), then scale and shift.
+
+    One tape node.  With xhat the normalized input and s = sqrt(var + 1e-5),
+    the backward is the closed form dx = (gy - mean(gy) - xhat mean(gy xhat)) / s
+    for gy = g * gamma (Ba et al., 2016).
+    """
+    gamma = store[name + ".g"]
+    beta = store[name + ".b"]
+    inv_c = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_c
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_c + 1e-5)
+    xhat = centered / std
+    out = Tensor(xhat * gamma.data + beta.data, (x, gamma, beta))
+
+    def backward(g):
+        gy = g * gamma.data
+        mean_gy = gy.sum(axis=-1, keepdims=True) * inv_c
+        mean_gy_xhat = (gy * xhat).sum(axis=-1, keepdims=True) * inv_c
+        x.grad += (gy - mean_gy - xhat * mean_gy_xhat) / std
+        rows = g.reshape(-1, g.shape[-1])
+        gamma.grad += (rows * xhat.reshape(rows.shape)).sum(axis=0)
+        beta.grad += rows.sum(axis=0)
+
+    return out._taped(backward)
 
 
 def init_attention(store: ParamStore, prefix: str, dim: int, rng: np.random.Generator,
@@ -512,13 +621,46 @@ def init_attention(store: ParamStore, prefix: str, dim: int, rng: np.random.Gene
     init_linear(store, f"{prefix}.o", dim, dim, rng, zero_weight=zero_out)
 
 
+def _attention_core(qp: Tensor, kp: Tensor, vp: Tensor, heads: int) -> tuple[Tensor, Array]:
+    """softmax(q k^T / sqrt(d)) v for every head at once, as one tape node.
+
+    The projected (N, C) queries and (T, C) keys and values are viewed as
+    (H, N, d) and (H, T, d) stacks, d = C / H; the per-head outputs come back
+    side by side as (N, C).  Returns the output and the (H, N, T) weights.
+    """
+    (n, dim), t = qp.shape, kp.shape[0]
+    d = dim // heads
+    scale = 1.0 / np.sqrt(d)
+    # contiguous per-head blocks: BLAS then sees the operand layouts of a
+    # per-head slice, and the products round exactly as they would per head
+    qh = np.ascontiguousarray(qp.data.reshape(n, heads, d).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(kp.data.reshape(t, heads, d).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(vp.data.reshape(t, heads, d).transpose(1, 0, 2))
+    logits = qh @ kt * scale
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor((w @ vh).transpose(1, 0, 2).reshape(n, dim), (qp, kp, vp))
+
+    def backward(g):
+        gh = g.reshape(n, heads, d).transpose(1, 0, 2)
+        gw = gh @ vh.transpose(0, 2, 1)
+        gl = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w * scale
+        qp.grad += (gl @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, dim)
+        kp.grad += (gl.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(t, dim)
+        vp.grad += (w.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(t, dim)
+
+    return out._taped(backward), w
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
               heads: int = 1, return_weights: bool = False):
     """Scaled dot-product attention with learned projections.
 
     q is (N, C), k and v are (T, C).  Heads split the projected width; the
     per-head outputs are concatenated and passed through the output
-    projection.  Scale is 1/sqrt(C/heads).
+    projection.  Scale is 1/sqrt(C/heads).  Five tape nodes for any head
+    count: the q, k, v and output linears and the head-batched core.
+    ``return_weights`` also returns the (H, N, T) attention weights.
     """
     if k.shape[0] == 0:
         raise ValueError("attention with an empty key set")
@@ -530,20 +672,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
     qp = linear(q, store, f"{prefix}.q")
     kp = linear(k, store, f"{prefix}.k")
     vp = linear(v, store, f"{prefix}.v")
-    d = dim // heads
-    scale = 1.0 / np.sqrt(d)
-    outs = []
-    weights = []
-    for h in range(heads):
-        cols = slice(h * d, (h + 1) * d)
-        logits = qp[:, cols] @ kp[:, cols].T * scale
-        w = logits.softmax(axis=-1)
-        outs.append(w @ vp[:, cols])
-        weights.append(w.data)
-    merged = outs[0] if heads == 1 else concat(outs, axis=1)
+    merged, weights = _attention_core(qp, kp, vp, heads)
     out = linear(merged, store, f"{prefix}.o")
     if return_weights:
-        return out, np.stack(weights)
+        return out, weights
     return out
 
 
@@ -553,7 +685,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
 
 
 class SGD:
-    """Plain gradient descent."""
+    """Plain gradient descent over a store's flat arena."""
 
     def __init__(self, lr: float):
         if lr <= 0.0:
@@ -561,39 +693,45 @@ class SGD:
         self.lr = lr
 
     def step(self, store: ParamStore) -> None:
-        for _, p in store.items():
-            p.data -= self.lr * p.grad
-            p.grad[...] = 0.0
+        data = store.data
+        data -= self.lr * store.grad
+        store.zero_grad()
 
 
 class Adam:
-    """Adam with bias correction (beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """Adam with bias correction (beta1 0.9, beta2 0.999, eps 1e-8).
+
+    The moments are two flat arrays aligned with the store's arena, so a
+    step is a few whole-buffer operations; every element sees the same
+    arithmetic as a per-tensor loop would give it.
+    """
 
     def __init__(self, lr: float):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
         self.t = 0
-        self._m: dict[str, Array] = {}
-        self._v: dict[str, Array] = {}
+        self._m: Array | None = None
+        self._v: Array | None = None
 
     def step(self, store: ParamStore) -> None:
+        data, grad = store.data, store.grad
+        if self._m is None:
+            self._m = np.zeros_like(data)
+            self._v = np.zeros_like(data)
+        elif self._m.shape != data.shape:
+            raise ValueError(f"Adam moments cover {self._m.size} parameters, the store holds {data.size}")
         self.t += 1
         b1, b2 = 0.9, 0.999
-        for name, p in store.items():
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p.data)
-                self._v[name] = np.zeros_like(p.data)
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * p.grad
-            v *= b2
-            v += (1.0 - b2) * p.grad * p.grad
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-            p.grad[...] = 0.0
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1 ** self.t)
+        v_hat = v / (1.0 - b2 ** self.t)
+        data -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        store.zero_grad()
 
 
 def make_optimizer(kind: str, lr: float):
@@ -681,24 +819,21 @@ def save_checkpoint(store: ParamStore, path: str | Path, extra: dict | None = No
     """Write a JSON manifest at ``path`` and raw float64 payload beside it.
 
     The manifest records name, shape, dtype and byte offset for every
-    parameter in insertion order; the sidecar ``.bin`` holds the
-    little-endian float64 payload at those offsets.
+    parameter in creation order; the sidecar ``.bin`` is the store's arena,
+    little-endian float64, so each tensor sits at its offset.
     """
     path = Path(path)
     payload_path = path.with_suffix(".bin")
     entries = []
     offset = 0
-    chunks = []
     for name, p in store.items():
-        raw = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
         entries.append({
             "name": name,
             "shape": list(p.data.shape),
             "dtype": "float64",
             "offset": offset,
         })
-        chunks.append(raw)
-        offset += len(raw)
+        offset += 8 * p.data.size
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "byte_order": "little",
@@ -707,41 +842,88 @@ def save_checkpoint(store: ParamStore, path: str | Path, extra: dict | None = No
         "params": entries,
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n")
-    payload_path.write_bytes(b"".join(chunks))
+    payload_path.write_bytes(np.ascontiguousarray(store.data, dtype="<f8").tobytes())
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    The manifest entries must tile the payload exactly, in order: each
-    tensor starts where the previous one ended and the last one ends at the
-    end of the payload.  Any other layout is a ``ValueError`` naming the
-    checkpoint and the tensor.
+    The manifest must be a JSON object in this module's format with
+    little-endian float64 entries, each a distinct ``name``, a ``shape`` of
+    non-negative ints and an int ``offset``.  The entries must tile the
+    payload exactly, in order: each tensor starts where the previous one
+    ended and the last one ends at the end of the payload.  Anything else is
+    a ``ValueError`` naming the checkpoint and the field or tensor.  The
+    payload becomes the store's arena in one copy.
     """
     path = Path(path)
-    manifest = json.loads(path.read_text())
+
+    def bad(message: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {message}")
+
+    try:
+        manifest = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise bad(f"manifest is not JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise bad(f"manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
-    payload = (path.parent / manifest["payload"]).read_bytes()
-    store = ParamStore()
+        raise bad(f"unrecognized checkpoint format {manifest.get('format')!r}")
+    if manifest.get("byte_order") != "little":
+        raise bad(f"byte_order must be 'little', got {manifest.get('byte_order')!r}")
+    payload_name = manifest.get("payload")
+    if not isinstance(payload_name, str) or payload_name in ("", ".", "..") \
+            or Path(payload_name).name != payload_name:
+        raise bad(f"payload must be a file name beside the manifest, got {payload_name!r}")
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise bad(f"extra must be an object, got {extra!r}")
+    entries = manifest.get("params")
+    if not isinstance(entries, list):
+        raise bad(f"params must be a list, got {entries!r}")
+    payload = (path.parent / payload_name).read_bytes()
+
+    layout: list[tuple[str, tuple[int, ...]]] = []
+    seen: set[str] = set()
     end = 0
-    for entry in manifest["params"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        start = entry["offset"]
-        if not all(isinstance(d, int) and d >= 0 for d in shape):
-            raise ValueError(f"checkpoint {path}: tensor {name!r} has invalid shape {list(shape)}")
-        count = int(np.prod(shape)) if shape else 1
+    for i, entry in enumerate(entries):
+        field_ = f"params[{i}]"
+        if not isinstance(entry, dict):
+            raise bad(f"{field_} must be an object, got {entry!r}")
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise bad(f"{field_}.name must be a string, got {name!r}")
+        if name in seen:
+            raise bad(f"{field_}.name: duplicate tensor {name!r}")
+        seen.add(name)
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+            raise bad(f"tensor {name!r} has invalid shape {shape!r} ({field_}.shape)")
+        if entry.get("dtype") != "float64":
+            raise bad(f"tensor {name!r} has dtype {entry.get('dtype')!r}, "
+                      f"expected 'float64' ({field_}.dtype)")
+        start = entry.get("offset")
+        if not _is_int(start):
+            raise bad(f"tensor {name!r} has offset {start!r}, expected an int ({field_}.offset)")
         if start != end:
-            raise ValueError(f"checkpoint {path}: tensor {name!r} starts at byte {start}, "
-                             f"expected {end} (entries must tile the payload)")
-        end = start + 8 * count
+            raise bad(f"tensor {name!r} starts at byte {start}, expected {end} "
+                      f"({field_}.offset; entries must tile the payload)")
+        end = start + 8 * math.prod(shape)
         if end > len(payload):
-            raise ValueError(f"checkpoint {path}: tensor {name!r} needs bytes [{start}, {end}) "
-                             f"but the payload holds {len(payload)}")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
-        store.create(name, arr.astype(np.float64))
+            raise bad(f"tensor {name!r} needs bytes [{start}, {end}) "
+                      f"but the payload holds {len(payload)}")
+        layout.append((name, tuple(shape)))
     if end != len(payload):
-        after = f" after tensor {name!r}" if len(store) else ""
-        raise ValueError(f"checkpoint {path}: {len(payload) - end} trailing payload bytes{after}")
-    return store, manifest.get("extra", {})
+        after = f" after tensor {layout[-1][0]!r}" if layout else ""
+        raise bad(f"{len(payload) - end} trailing payload bytes{after}")
+    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = int(np.argmin(finite)) * 8
+        name = next(e["name"] for e in reversed(entries) if e["offset"] <= first)
+        raise NonFiniteError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
+    return ParamStore.from_buffer(layout, data), extra

@@ -72,6 +72,12 @@ class SceneConfig:
             raise ValueError("object count range must satisfy 1 <= min <= max")
         if self.n_cameras < 1:
             raise ValueError("at least one camera required")
+        # generate_scene's fixed margins: centers keep 0.7 from each wall, and a
+        # 0.8-high box needs 0.02 below it and 0.8 above it
+        if not self.room_size > 1.4:
+            raise ValueError(f"room_size must be > 1.4, got {self.room_size}")
+        if not self.room_height >= 1.62:
+            raise ValueError(f"room_height must be >= 1.62, got {self.room_height}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -485,3 +486,385 @@ def test_no_grad_nests():
             pass
         inner = x + x
     assert inner._parents == () and inner._backward is None
+
+
+# ---------------------------------------------------------------------------
+# Fused ops against their unfused compositions
+# ---------------------------------------------------------------------------
+
+
+def _linear_ref(x, store, name):
+    return x @ store[name + ".w"] + store[name + ".b"]
+
+
+def _layer_norm_ref(x, store, name):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    y = centered / (var + 1e-5).sqrt()
+    return y * store[name + ".g"] + store[name + ".b"]
+
+
+def _attention_ref(q, k, v, store, prefix, heads):
+    qp = _linear_ref(q, store, f"{prefix}.q")
+    kp = _linear_ref(k, store, f"{prefix}.k")
+    vp = _linear_ref(v, store, f"{prefix}.v")
+    d = q.shape[-1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * d, (h + 1) * d)
+        w = (qp[:, cols] @ kp[:, cols].T * (1.0 / np.sqrt(d))).softmax(axis=-1)
+        outs.append(w @ vp[:, cols])
+    merged = outs[0] if heads == 1 else concat(outs, axis=1)
+    return _linear_ref(merged, store, f"{prefix}.o")
+
+
+def _op_nodes(out):
+    """Recorded ops (nodes with a backward closure) reachable from ``out``."""
+    seen, stack, count = {id(out)}, [out], 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
+def _grads(fn, store, weights):
+    store.zero_grad()
+    out = fn(store)
+    (out * Tensor(weights)).sum().backward()
+    grads = {name: p.grad.copy() for name, p in store.items()}
+    store.zero_grad()
+    return out, grads
+
+
+def _assert_fused_matches(fused, reference, store, rng, fd=True):
+    out = fused(store)
+    weights = rng.normal(size=out.shape)
+    out_f, grads_f = _grads(fused, store, weights)
+    out_r, grads_r = _grads(reference, store, weights)
+    assert out_f.data.tobytes() == out_r.data.tobytes()
+    for name in store.names():
+        scale = max(np.abs(grads_r[name]).max(), 1e-300)
+        assert np.abs(grads_f[name] - grads_r[name]).max() / scale <= 1e-12, name
+
+    if fd:
+        def loss(s):
+            return (fused(s) * Tensor(weights)).sum()
+
+        assert grad_check(loss, store, eps=1e-5, tol=1e-5).passed
+
+
+def test_fused_linear_matches_composition():
+    rng = make_rng(101)
+    store = ParamStore()
+    store.create("x", rng.normal(size=(5, 4)))
+    init_linear(store, "lin", 4, 3, rng, bias=rng.normal(size=3))
+    assert _op_nodes(linear(store["x"], store, "lin")) == 1
+    _assert_fused_matches(lambda s: linear(s["x"], s, "lin"),
+                          lambda s: _linear_ref(s["x"], s, "lin"), store, rng)
+
+
+def test_fused_linear_rejects_non_matrix_input():
+    store = ParamStore()
+    init_linear(store, "lin", 4, 3, make_rng(102))
+    with pytest.raises(ValueError, match="'lin'"):
+        linear(Tensor(np.zeros(4)), store, "lin")
+
+
+def test_fused_layer_norm_matches_composition():
+    rng = make_rng(103)
+    store = ParamStore()
+    store.create("x", rng.normal(size=(6, 8)) * 3.0 + 1.0)
+    store.create("ln.g", rng.normal(size=8))
+    store.create("ln.b", rng.normal(size=8))
+    assert _op_nodes(layer_norm(store["x"], store, "ln")) == 1
+    _assert_fused_matches(lambda s: layer_norm(s["x"], s, "ln"),
+                          lambda s: _layer_norm_ref(s["x"], s, "ln"), store, rng)
+
+
+# (N, T, C): a small case for the finite-difference check, and the decoder's
+# visual cross-attention size, where a transposed-view key operand would
+# make BLAS round the logits differently from the per-head composition
+@pytest.mark.parametrize("n,t,dim", [(3, 5, 8), (32, 154, 32)])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_fused_attention_matches_composition(heads, n, t, dim):
+    rng = make_rng(107, heads, t)
+    store = ParamStore()
+    store.create("q", rng.normal(size=(n, dim)))
+    store.create("kv", rng.normal(size=(t, dim)))
+    init_attention(store, "att", dim, rng)
+    out, w = attention(store["q"], store["kv"], store["kv"], store, "att", heads=heads,
+                       return_weights=True)
+    assert _op_nodes(out) == 5
+    assert w.shape == (heads, n, t)
+    _assert_fused_matches(
+        lambda s: attention(s["q"], s["kv"], s["kv"], s, "att", heads=heads),
+        lambda s: _attention_ref(s["q"], s["kv"], s["kv"], s, "att", heads), store, rng,
+        fd=n * t < 100)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_fused_self_attention_matches_composition(heads):
+    rng = make_rng(109, heads)
+    store = ParamStore()
+    store.create("h", rng.normal(size=(6, 8)))
+    init_attention(store, "att", 8, rng)
+    assert _op_nodes(attention(store["h"], store["h"], store["h"], store, "att",
+                               heads=heads)) == 5
+    _assert_fused_matches(
+        lambda s: attention(s["h"], s["h"], s["h"], s, "att", heads=heads),
+        lambda s: _attention_ref(s["h"], s["h"], s["h"], s, "att", heads), store, rng)
+
+
+def test_attention_weights_match_per_head_softmax():
+    rng = make_rng(113)
+    store = ParamStore()
+    init_attention(store, "att", 8, rng)
+    q = Tensor(rng.normal(size=(3, 8)))
+    kv = Tensor(rng.normal(size=(5, 8)))
+    _, w = attention(q, kv, kv, store, "att", heads=4, return_weights=True)
+    qp, kp = _linear_ref(q, store, "att.q"), _linear_ref(kv, store, "att.k")
+    for h in range(4):
+        cols = slice(2 * h, 2 * h + 2)
+        ref = (qp[:, cols] @ kp[:, cols].T * (1.0 / np.sqrt(2))).softmax(axis=-1)
+        assert w[h].tobytes() == ref.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The flat parameter arena
+# ---------------------------------------------------------------------------
+
+
+def _arena_store(rng):
+    store = ParamStore()
+    for i, shape in enumerate([(3, 4), (4,), (), (2, 2, 3), (0,), (7,), (5, 6)]):
+        store.create(f"p{i}", rng.normal(size=shape))
+    return store
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_arena_params_are_views_in_creation_order():
+    store = _arena_store(make_rng(127))
+    data, grad = store.data, store.grad
+    assert data.size == grad.size == store.total_parameters() == 12 + 4 + 1 + 12 + 0 + 7 + 30
+    offset = 0
+    for name, p in store.items():
+        if p.data.size:
+            assert np.shares_memory(p.data, data) and np.shares_memory(p.grad, grad)
+            assert _address(p.data) - _address(data) == 8 * offset
+            assert _address(p.grad) - _address(grad) == 8 * offset
+        assert np.array_equal(data[offset:offset + p.data.size], p.data.reshape(-1))
+        offset += p.data.size
+    store["p0"].grad[...] = 1.0
+    store["p6"].grad[...] = 2.0
+    assert grad.sum() == 12 * 1.0 + 30 * 2.0
+    store.zero_grad()
+    assert not store.grad.any() and not store["p0"].grad.any()
+
+
+def test_arena_growth_keeps_values_and_grads():
+    rng = make_rng(131)
+    store = ParamStore()
+    values = {}
+    for i in range(40):
+        values[f"t{i}"] = rng.normal(size=(i % 5 + 1, 3))
+        p = store.create(f"t{i}", values[f"t{i}"])
+        p.grad[...] = i
+    for i, (name, p) in enumerate(store.items()):
+        assert p.data.tobytes() == values[name].tobytes()
+        assert np.all(p.grad == i)
+        assert np.shares_memory(p.data, store.data)
+    assert store.data.tobytes() == np.concatenate([v.reshape(-1) for v in values.values()]).tobytes()
+
+
+def test_arena_adam_matches_per_tensor_adam_bytes():
+    rng = make_rng(137)
+    store = _arena_store(rng)
+    reference = {name: p.data.copy() for name, p in store.items()}
+    moments = {name: (np.zeros_like(w), np.zeros_like(w)) for name, w in reference.items()}
+    lr, b1, b2 = 3e-3, 0.9, 0.999
+    opt = Adam(lr=lr)
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=w.shape) for name, w in reference.items()}
+        for name, g in grads.items():
+            store[name].grad[...] = g
+            m, v = moments[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            reference[name] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        opt.step(store)
+        for name, p in store.items():
+            assert p.data.tobytes() == reference[name].tobytes(), (t, name)
+            assert not p.grad.any()
+
+
+def test_sgd_updates_the_whole_arena():
+    rng = make_rng(139)
+    store = _arena_store(rng)
+    before = store.data.copy()
+    step = rng.normal(size=before.shape)
+    store.grad[...] = step
+    SGD(lr=0.5).step(store)
+    assert store.data.tobytes() == (before - 0.5 * step).tobytes()
+    assert not store.grad.any()
+
+
+def test_adam_rejects_a_store_of_another_size():
+    rng = make_rng(149)
+    opt = Adam(lr=0.1)
+    opt.step(_arena_store(rng))
+    other = ParamStore()
+    other.create("w", np.ones(3))
+    with pytest.raises(ValueError, match="3"):
+        opt.step(other)
+
+
+def test_checkpoint_loads_into_an_arena(tmp_path):
+    store = _arena_store(make_rng(151))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(store, path)
+    assert (tmp_path / "ckpt.bin").read_bytes() == store.data.astype("<f8").tobytes()
+    loaded, _ = load_checkpoint(path)
+    assert loaded.names() == store.names()
+    assert loaded.data.tobytes() == store.data.tobytes()
+    for name, p in loaded.items():
+        assert p.shape == store[name].shape
+        assert p.data.size == 0 or np.shares_memory(p.data, loaded.data)
+    loaded.data[...] += 1.0  # writable, and the params see it
+    assert loaded["p0"].data.tobytes() == (store["p0"].data + 1.0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint manifests: every malformed field is a ValueError naming it
+# ---------------------------------------------------------------------------
+
+
+def _load_error(path):
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    message = str(err.value)
+    assert message.startswith(f"checkpoint {path}: "), message
+    return message
+
+
+def test_checkpoint_reported_manifests_raise_named_errors(tmp_path):
+    path, payload = _saved_pair(tmp_path)
+    good = json.loads(path.read_text())
+    cases = [
+        (lambda m: m["params"][0].update(dtype="float32"), r"params\[0\]\.dtype"),
+        (lambda m: m.update(byte_order="big"), "byte_order"),
+        (lambda m: m.pop("params"), "params"),
+        (lambda m: m["params"][1].pop("name"), r"params\[1\]\.name"),
+        (lambda m: m["params"][0].update(shape=3), r"params\[0\]\.shape"),
+        (lambda m: m["params"][1].update(name="enc3d.w"), r"params\[1\]\.name: duplicate"),
+        (lambda m: m["params"][0].update(offset="0"), r"params\[0\]\.offset"),
+        (lambda m: m.update(payload="../ckpt.bin"), "payload"),
+        (lambda m: m.update(extra=[1]), "extra"),
+    ]
+    for mutate, pattern in cases:
+        manifest = json.loads(json.dumps(good))
+        mutate(manifest)
+        path.write_text(json.dumps(manifest))
+        assert re.search(pattern, _load_error(path)), pattern
+    path.write_text("{not json")
+    assert "not JSON" in _load_error(path)
+    path.write_text("[]")
+    assert "JSON object" in _load_error(path)
+
+
+def test_checkpoint_non_finite_payload_names_tensor(tmp_path):
+    path, payload = _saved_pair(tmp_path)
+    raw = bytearray(payload.read_bytes())
+    raw[48:56] = np.array([np.nan], dtype="<f8").tobytes()
+    payload.write_bytes(bytes(raw))
+    with pytest.raises(NonFiniteError, match=r"ckpt\.json: tensor 'enc3d\.b'"):
+        load_checkpoint(path)
+
+
+_MISSING = object()
+_BAD_TOP = {  # malformed values for each top-level manifest field
+    "format": [_MISSING, "x", 1.5, None],
+    "byte_order": [_MISSING, "big", 1, None],
+    "payload": [_MISSING, "", "..", "sub/fuzz.bin", 3, None],
+    "params": [_MISSING, "x", 3, None, {}],
+    "extra": [[1], "x", 3],
+}
+_BAD_ENTRY = {  # malformed values for each field of a params entry
+    "name": [_MISSING, 3, 1.5, None, ["a"]],
+    "shape": [_MISSING, 3, "2", [1.5], [True], [-1], None],
+    "dtype": [_MISSING, "float32", "<f8", 8, None],
+    "offset": [_MISSING, "0", 0.0, True, None],
+}
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _set(owner, key, value):
+    if value is _MISSING:
+        owner.pop(key)
+    else:
+        owner[key] = value
+
+
+def _mutated_manifest(manifest, rng):
+    """One random mutation: returns (mutated manifest, regex the error must match)."""
+    m = json.loads(json.dumps(manifest))
+    n = len(m["params"])
+    i = int(rng.integers(n))
+    entry = m["params"][i]
+    kind = rng.integers(5)
+    if kind == 0:  # a top-level field removed or given a wrong value
+        key = _pick(rng, list(_BAD_TOP))
+        _set(m, key, _pick(rng, _BAD_TOP[key]))
+        return m, key
+    if kind == 1:  # an entry field removed or given a wrong value
+        key = _pick(rng, list(_BAD_ENTRY))
+        _set(entry, key, _pick(rng, _BAD_ENTRY[key]))
+        return m, rf"params\[{i}\]\.{key}"
+    if kind == 2:  # a duplicate name
+        j = (i + 1 + int(rng.integers(n - 1))) % n
+        entry["name"] = m["params"][j]["name"]
+        return m, rf"params\[{max(i, j)}\]\.name: duplicate"
+    if kind == 3:  # an offset that breaks the tiling
+        entry["offset"] += 8 * int(rng.choice([-2, -1, 1, 3]))
+        return m, rf"starts at byte .*params\[{i}\]\.offset"
+    # a shape that needs more bytes than the entry had
+    entry["shape"] = [int(np.prod(entry["shape"])) + 1]
+    return m, "needs bytes|starts at byte"
+
+
+def test_checkpoint_fuzzed_manifests_and_payloads_raise_named_errors(tmp_path):
+    rng = make_rng(211)
+    store = _arena_store(rng)
+    path = tmp_path / "fuzz.json"
+    save_checkpoint(store, path, extra={"steps": 3})
+    good_text = path.read_text()
+    good_payload = (tmp_path / "fuzz.bin").read_bytes()
+    manifest = json.loads(good_text)
+    assert load_checkpoint(path)[0].data.tobytes() == store.data.tobytes()
+    for trial in range(300):
+        if trial % 5 == 4:  # payload: cut or grow by a few bytes
+            delta = int(rng.choice([-16, -8, -3, -1, 1, 5, 8, 24]))
+            changed = good_payload[:delta] if delta < 0 else good_payload + bytes(delta)
+            (tmp_path / "fuzz.bin").write_bytes(changed)
+            path.write_text(good_text)
+            pattern = "payload holds|trailing payload bytes"
+        else:
+            (tmp_path / "fuzz.bin").write_bytes(good_payload)
+            mutated, pattern = _mutated_manifest(manifest, rng)
+            path.write_text(json.dumps(mutated))
+        message = _load_error(path)
+        assert re.search(pattern, message), (trial, pattern, message)

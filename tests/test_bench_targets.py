@@ -1,10 +1,23 @@
-"""Every function the benchmark tracer wraps must exist where it looks it up."""
+"""The benchmark's calls into the package must keep resolving and keep their meaning.
+
+The tracer wraps names at their module or class attributes, and the
+workloads read parameter stores, walk the tape and round-trip checkpoints
+through the package's public functions.
+"""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+import pytest
+
+from egoground import autodiff as A
+from egoground import network as N
+from egoground import train as T
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmark"
+SPANS = BENCH / "spans.py"
 
 
 def _targets():
@@ -24,3 +37,70 @@ def test_traced_names_resolve():
         if owner is None or leaf not in vars(owner):
             missing.append(f"{module_name}:{attr}")
     assert not missing, f"benchmark traces names that do not exist: {missing}"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def _trained_store(wl, ctx, steps):
+    (batch,) = wl.scene_set(ctx, 0, wl.STREAM_TRAIN, 1)
+    store = N.init_model_params(wl.MODEL, 0)
+    optimizer = A.make_optimizer(wl.CONFIG.optimizer, wl.CONFIG.lr)
+    for _ in range(steps):
+        loss, _ = T.training_losses(batch, store, wl.MODEL, wl.WEIGHTS)
+        loss.backward()
+        optimizer.step(store)
+    return store, loss
+
+
+def test_trained_arena_store_survives_benchmark_round_trip(workloads, tmp_path):
+    ctx = workloads.Context(seed=0, work=tmp_path)
+    store, _ = _trained_store(workloads, ctx, 2)
+    loaded, ok = workloads.roundtrip(ctx, store, 2)
+    assert ok
+    assert loaded.names() == store.names()
+    assert [p.shape for _, p in loaded.items()] == [p.shape for _, p in store.items()]
+    assert loaded.data.tobytes() == store.data.tobytes()
+    for (name, a), (_, b) in zip(store.items(), loaded.items()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_tape_nodes_walks_parents_of_fused_ops(workloads, tmp_path):
+    ctx = workloads.Context(seed=0, work=tmp_path)
+    _, loss = _trained_store(workloads, ctx, 1)
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert workloads.tape_nodes(loss) == len(seen) > 100
+    store = A.ParamStore()
+    A.init_linear(store, "lin", 2, 3, A.make_rng(0))
+    x = A.Tensor([[1.0, 2.0]])
+    out = A.linear(x, store, "lin")
+    assert out._parents == (x, store["lin.w"], store["lin.b"])
+    assert workloads.tape_nodes(out) == 4
+
+
+def test_adam_step_resolves_on_the_class(monkeypatch):
+    calls = []
+    original = A.Adam.step
+
+    def traced(self, store):
+        calls.append(store)
+        return original(self, store)
+
+    monkeypatch.setattr(A.Adam, "step", traced)  # what the tracer does
+    store = A.ParamStore()
+    store.create("w", [1.0, 2.0])
+    optimizer = A.make_optimizer("adam", 0.1)
+    assert "step" not in vars(optimizer)
+    optimizer.step(store)
+    assert calls == [store]

@@ -92,7 +92,10 @@ def test_bad_scene_config_fails_before_any_work(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     out = tmp_path / "out"
     for scene, field in [({"image_width": "32"}, "scene.image_width"),
-                         ({"n_cameras": 2.5}, "scene.n_cameras"), ({"typo": 1}, "scene.typo")]:
+                         ({"n_cameras": 2.5}, "scene.n_cameras"), ({"typo": 1}, "scene.typo"),
+                         ({"room_size": 1.0}, "room_size"), ({"room_size": 1.4}, "room_size"),
+                         ({"room_height": 0.5}, "room_height"),
+                         ({"room_height": 1.6}, "room_height")]:
         cfg_path.write_text(json.dumps({"scene": scene}))
         for argv in (["gen", "--out", str(out)],
                      ["train", "--scenes", str(tmp_path / "nowhere"),

@@ -126,6 +126,17 @@ def test_config_validation():
         SceneConfig(n_cameras=0)
 
 
+def test_scene_config_rejects_rooms_the_generator_cannot_fill():
+    for kw in ({"room_size": 1.0}, {"room_size": 1.4}, {"room_size": float("nan")},
+               {"room_height": 0.5}, {"room_height": 1.6}):
+        (field,) = kw
+        with pytest.raises(ValueError, match=field):
+            SceneConfig(**kw)
+    # the smallest room the margins allow still places an object
+    cfg = SceneConfig(n_objects_min=1, n_objects_max=1, room_size=1.41, room_height=1.62)
+    assert len(generate_scene(cfg, (3, 1)).objects) == 1
+
+
 def test_look_at_degenerate():
     with pytest.raises(ValueError):
         look_at(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
@@ -369,15 +380,16 @@ def test_stub_view_feature_map_background_rows():
 
 
 def _scene_with_instruction():
-    scene = generate_scene(SceneConfig(force_distractors=True), (8, 8))
-    rng = make_rng(1)
-    for _ in range(10):
-        try:
-            ins = make_instruction(scene, choose_target(scene, rng), (2, 2))
-            return scene, [ins]
-        except InstructionError:
-            continue
-    return scene, []
+    """The first scene (8, s) with a target that some template singles out."""
+    cfg = SceneConfig(force_distractors=True)
+    for s in range(8, 40):
+        scene = generate_scene(cfg, (8, s))
+        for target in range(len(scene.objects)):
+            try:
+                return scene, [make_instruction(scene, target, (2, 2))]
+            except InstructionError:
+                continue
+    raise AssertionError("no scene seed in (8, 8..39) yields an instruction")
 
 
 def test_save_load_round_trip_bytes(tmp_path):
@@ -396,6 +408,10 @@ def test_save_load_round_trip_bytes(tmp_path):
         assert np.array_equal(pa.rotation, pb.rotation)
         assert np.array_equal(pa.translation, pb.translation)
         assert (ca.fx, ca.fy, ca.cx, ca.cy) == (cb.fx, cb.fy, cb.cx, cb.cy)
+    assert len(instructions) == len(loaded_ins) == 1
+    for a, b in zip(instructions, loaded_ins):
+        assert (a.tokens, a.target, a.difficulty, a.view_dep) == \
+            (b.tokens, b.target, b.difficulty, b.view_dep)
 
 
 def test_load_missing_field_names_path(tmp_path):

@@ -178,7 +178,7 @@ def test_training_losses_golden():
         loss, parts = training_losses(BATCH, store, CFG, WEIGHTS, use_rag=use_rag)
         assert {k: v.hex() for k, v in parts.items()} == want[use_rag]
         if use_rag:
-            assert _tape_nodes(loss) == 607
+            assert _tape_nodes(loss) == 359
 
 
 def test_training_losses_breakdown_sums():
