@@ -84,6 +84,11 @@ class NonFiniteError(ValueError):
     """A NaN or infinity reached a tensor, a loss, a box or a cost matrix."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, as the package's file and config checks want it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _sigmoid(x: Array) -> Array:
     """The package's one numpy logistic; exp only sees -|x|, so neither tail overflows."""
     e = np.exp(-np.abs(x))
@@ -444,26 +449,6 @@ class ParamStore:
         self._data = np.zeros(0)  # capacity; the live prefix is [:_size]
         self._grad = np.zeros(0)
         self._size = 0
-
-    @classmethod
-    def from_buffer(cls, layout: Sequence[tuple[str, tuple[int, ...]]], data: Array) -> "ParamStore":
-        """A store owning ``data`` (flat float64), cut into ``layout``'s (name, shape) in order."""
-        store = cls()
-        store._data = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
-        store._grad = np.zeros_like(store._data)
-        offset = 0
-        for name, shape in layout:
-            if name in store._params:
-                raise ValueError(f"duplicate parameter {name!r}")
-            t = Tensor(np.zeros(shape))
-            offset = store._bind(t, offset)
-            store._params[name] = t
-        if offset != store._data.size:
-            raise ValueError(f"layout covers {offset} values, buffer holds {store._data.size}")
-        if not np.isfinite(store._data).all():
-            raise NonFiniteError("non-finite values in tensor")
-        store._size = offset
-        return store
 
     def _bind(self, t: Tensor, offset: int) -> int:
         """Point ``t.data``/``t.grad`` at the arena from ``offset``; return its end."""
@@ -845,10 +830,6 @@ def save_checkpoint(store: ParamStore, path: str | Path, extra: dict | None = No
     payload_path.write_bytes(np.ascontiguousarray(store.data, dtype="<f8").tobytes())
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
     """Read a checkpoint written by ``save_checkpoint``.
 
@@ -857,8 +838,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
     non-negative ints and an int ``offset``.  The entries must tile the
     payload exactly, in order: each tensor starts where the previous one
     ended and the last one ends at the end of the payload.  Anything else is
-    a ``ValueError`` naming the checkpoint and the field or tensor.  The
-    payload becomes the store's arena in one copy.
+    a ``ValueError`` naming the checkpoint and the field or tensor.
     """
     path = Path(path)
 
@@ -926,4 +906,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
         first = int(np.argmin(finite)) * 8
         name = next(e["name"] for e in reversed(entries) if e["offset"] <= first)
         raise NonFiniteError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
-    return ParamStore.from_buffer(layout, data), extra
+    store = ParamStore()
+    offset = 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        store.create(name, data[offset:offset + size].reshape(shape))
+        offset += size
+    return store, extra

@@ -41,6 +41,7 @@ import numpy as np
 from .autodiff import (
     ParamStore,
     Tensor,
+    _is_int,
     attention,
     init_attention,
     init_layer_norm,
@@ -76,7 +77,7 @@ class ModelConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")

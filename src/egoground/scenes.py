@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import make_rng
+from .autodiff import _is_int, make_rng
 from .boxes import Box9DoF, box_corners, box_iou_exact
 from .geometry import CameraIntrinsics, CameraPose, DepthMap, ViewFeatureMap
 
@@ -363,10 +363,6 @@ def scene_to_dict(scene: Scene, instructions: list[Instruction]) -> dict:
 
 def save_scene(scene: Scene, instructions: list[Instruction], path: str | Path) -> None:
     Path(path).write_text(json.dumps(scene_to_dict(scene, instructions), indent=2) + "\n")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:

@@ -56,31 +56,17 @@ def _trained_store(wl, ctx, steps):
         loss, _ = T.training_losses(batch, store, wl.MODEL, wl.WEIGHTS)
         loss.backward()
         optimizer.step(store)
-    return store, loss
+    return store
 
 
 def test_trained_arena_store_survives_benchmark_round_trip(workloads, tmp_path):
     ctx = workloads.Context(seed=0, work=tmp_path)
-    store, _ = _trained_store(workloads, ctx, 2)
-    loaded, ok = workloads.roundtrip(ctx, store, 2)
-    assert ok
-    assert loaded.names() == store.names()
-    assert [p.shape for _, p in loaded.items()] == [p.shape for _, p in store.items()]
-    assert loaded.data.tobytes() == store.data.tobytes()
-    for (name, a), (_, b) in zip(store.items(), loaded.items()):
-        assert a.data.tobytes() == b.data.tobytes(), name
+    store = _trained_store(workloads, ctx, 2)
+    _, ok = workloads.roundtrip(ctx, store, 2)
+    assert ok  # workloads.same_store: names, order, shapes and bytes
 
 
-def test_tape_nodes_walks_parents_of_fused_ops(workloads, tmp_path):
-    ctx = workloads.Context(seed=0, work=tmp_path)
-    _, loss = _trained_store(workloads, ctx, 1)
-    seen, stack = {id(loss)}, [loss]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    assert workloads.tape_nodes(loss) == len(seen) > 100
+def test_tape_nodes_walks_parents_of_fused_ops(workloads):
     store = A.ParamStore()
     A.init_linear(store, "lin", 2, 3, A.make_rng(0))
     x = A.Tensor([[1.0, 2.0]])
