@@ -15,11 +15,13 @@ counting when the loss is dropped.
 
 Inside ``with no_grad():`` ops record nothing: each output keeps no parents
 and no closure, so an intermediate is freed as soon as nothing reads it.
-Values are computed by the same arithmetic as on the tape.  Inference
-(``detection_predictions``, ``grounding_predictions``, the heatmap) and the
-finite-difference forwards of ``grad_check`` run this way; a forward kept
-alive as a tape holds thousands of collector-tracked objects until it
-ends, enough to set off a full collection every few dozen forwards.
+Values are computed by the same arithmetic as on the tape.  The model's
+inference forwards (``train.forward_detection`` and
+``train.forward_grounding``, so every prediction and heatmap) enter it
+themselves, and the finite-difference forwards of ``grad_check`` run this
+way too; only ``train.training_losses`` records.  A forward kept alive as a
+tape holds thousands of collector-tracked objects until it ends, enough to
+set off a full collection every few dozen forwards.
 
 A tape's cost is Python overhead per node, so the model's three building
 blocks are each one node with a hand-written backward:
@@ -638,14 +640,13 @@ def _attention_core(qp: Tensor, kp: Tensor, vp: Tensor, heads: int) -> tuple[Ten
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
-              heads: int = 1, return_weights: bool = False):
+              heads: int = 1) -> Tensor:
     """Scaled dot-product attention with learned projections.
 
     q is (N, C), k and v are (T, C).  Heads split the projected width; the
     per-head outputs are concatenated and passed through the output
     projection.  Scale is 1/sqrt(C/heads).  Five tape nodes for any head
     count: the q, k, v and output linears and the head-batched core.
-    ``return_weights`` also returns the (H, N, T) attention weights.
     """
     if k.shape[0] == 0:
         raise ValueError("attention with an empty key set")
@@ -657,11 +658,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
     qp = linear(q, store, f"{prefix}.q")
     kp = linear(k, store, f"{prefix}.k")
     vp = linear(v, store, f"{prefix}.v")
-    merged, weights = _attention_core(qp, kp, vp, heads)
-    out = linear(merged, store, f"{prefix}.o")
-    if return_weights:
-        return out, weights
-    return out
+    merged, _ = _attention_core(qp, kp, vp, heads)
+    return linear(merged, store, f"{prefix}.o")
 
 
 # ---------------------------------------------------------------------------

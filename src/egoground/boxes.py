@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,10 +133,6 @@ def contains_points(box: Box9DoF, points: Array) -> Array:
     """Boundary-inclusive containment test for an (M, 3) array."""
     local = (np.atleast_2d(points) - box.center) @ box.rotation()
     return (np.abs(local) <= box.extents / 2.0).all(axis=1)
-
-
-def contains_point(box: Box9DoF, point: Array) -> bool:
-    return bool(contains_points(box, np.asarray(point, dtype=np.float64))[0])
 
 
 def _halfspaces(box: Box9DoF):

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng, no_grad
+from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng
 from .evaluate import bucket_report, evaluate_detection, format_report, save_report
 from .losses import LossWeights
 from .network import MODULES, ModelConfig, init_model_params, load_model, module_of, save_model
@@ -47,7 +48,7 @@ _GEN_ATTEMPTS = 40
 
 
 def _check_fields(cls, data: dict, prefix: str = "") -> None:
-    """Reject keys that are not fields of dataclass ``cls`` and values of the wrong type."""
+    """Reject unknown keys and wrong types of dataclass ``cls``; config floats are finite."""
     unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(prefix + u for u in unknown)}")
@@ -58,6 +59,8 @@ def _check_fields(cls, data: dict, prefix: str = "") -> None:
         if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
             raise ValueError(f"config field '{prefix}{name}' must be {want.__name__}, "
                              f"got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config field '{prefix}{name}' must be finite, got {value!r}")
 
 
 @dataclass
@@ -87,8 +90,8 @@ class RunConfig:
             raise ValueError("n_scenes must be >= 1")
         if self.steps < 0 or self.seed < 0:
             raise ValueError("steps and seed must be >= 0")
-        if self.voxel_size <= 0.0 or self.lr <= 0.0:
-            raise ValueError("voxel_size and lr must be positive")
+        if not (self.voxel_size > 0.0 and self.lr > 0.0):
+            raise ValueError(f"voxel_size and lr must be positive, got {self.voxel_size}, {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         # the model, loss and scene rules live in the objects built from them
@@ -148,7 +151,8 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
         overrides["disable_rag"] = True
     if getattr(args, "disable_qim", False):
         overrides["disable_qim"] = True
-    return replace(cfg, **overrides) if overrides else cfg
+    # flags pass the same field checks as a config file
+    return RunConfig.from_dict({**cfg.to_dict(), **overrides}) if overrides else cfg
 
 
 def _generate_with_instruction(cfg: RunConfig, scene_idx: int):
@@ -351,9 +355,7 @@ def cmd_heatmap(args) -> int:
                          f"(scene has {len(scene.cameras)} cameras)")
     batch = prepare_scene(scene, instructions, StubEmbeddings(), run_cfg.voxel_size,
                           num_classes=len(CLASS_NAMES))
-    with no_grad():
-        out, _ = forward_grounding(batch, store, model_cfg, 0,
-                                   use_qim=not run_cfg.disable_qim)
+    out, _ = forward_grounding(batch, store, model_cfg, 0, use_qim=not run_cfg.disable_qim)
     scores = _sigmoid(out.relevance.data)
     cam, pose = scene.cameras[args.view]
     ppm, csv_path = export_heatmap(batch.voxels.coords, scores, cam, pose, args.out)

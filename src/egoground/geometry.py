@@ -17,6 +17,11 @@ center), per-view 2D features are bilinearly sampled at the projected voxel
 centers and averaged over the views that see the voxel (once per scene, in
 ``sample_views``), and the concatenated [3D | 2D] vector is projected to the
 model width by a second learned linear (every step, in ``fuse_features``).
+
+``voxelize`` returns the scene's one ``VoxelFeatureSet``: the voxel centers
+and their pooled features.  Everything downstream of it is a plain (N, C)
+``Tensor`` whose row i belongs to voxel i; the centers stay with the voxel
+set and are read from there.
 """
 
 from __future__ import annotations
@@ -91,11 +96,10 @@ class DepthMap:
 
 @dataclass
 class VoxelFeatureSet:
-    """Sparse voxels: centers (N, 3), features (N, C) on the tape, edge length."""
+    """Sparse voxels from ``voxelize``: centers (N, 3) and pooled features (N, C')."""
 
     coords: Array
     features: Tensor
-    voxel_size: float
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
@@ -161,7 +165,7 @@ def voxelize(points: Array, point_features: Array | None, voxel_size: float) -> 
         np.add.at(sums, inverse, point_features)
         feats = sums / counts[:, None]
     centers = (uniq + 0.5) * voxel_size
-    return VoxelFeatureSet(coords=centers, features=Tensor(feats), voxel_size=voxel_size)
+    return VoxelFeatureSet(coords=centers, features=Tensor(feats))
 
 
 def project_points(points: Array, cam: CameraIntrinsics, pose: CameraPose):
@@ -206,12 +210,6 @@ def bilinear_sample_many(grid: Array, uv: Array):
     return out, valid
 
 
-def bilinear_sample(fm: ViewFeatureMap, u: float, v: float):
-    """Single-point variant; returns (vector, valid)."""
-    out, valid = bilinear_sample_many(fm.grid, np.array([[u, v]], dtype=np.float64))
-    return out[0], bool(valid[0])
-
-
 def positional_encoding(coords: Array, dim: int) -> Array:
     """Sinusoidal encoding of 3D positions into ``dim`` channels.
 
@@ -245,14 +243,12 @@ def init_fusion_params(store: ParamStore, pooled_dim: int, feat2d_dim: int, mode
     init_linear(store, "fuse", model_dim + feat2d_dim, model_dim, rng)
 
 
-def encode_voxels(voxels: VoxelFeatureSet, store: ParamStore) -> VoxelFeatureSet:
-    """Voxel encoder stub: [pooled features | positional encoding] -> C."""
+def encode_voxels(voxels: VoxelFeatureSet, store: ParamStore) -> Tensor:
+    """Voxel encoder stub: [pooled features | positional encoding] -> (N, C)."""
     pooled = voxels.features
     pe_dim = store["enc3d.w"].shape[0] - pooled.shape[1]
     pe = positional_encoding(voxels.coords, pe_dim)
-    stacked = concat([pooled, Tensor(pe)], axis=1)
-    encoded = linear(stacked, store, "enc3d")
-    return VoxelFeatureSet(coords=voxels.coords, features=encoded, voxel_size=voxels.voxel_size)
+    return linear(concat([pooled, Tensor(pe)], axis=1), store, "enc3d")
 
 
 def sample_views(coords: Array, views: list[ViewFeatureMap]):
@@ -278,14 +274,11 @@ def sample_views(coords: Array, views: list[ViewFeatureMap]):
     return total, seen
 
 
-def fuse_features(voxels: VoxelFeatureSet, sampled: Array,
-                  store: ParamStore) -> VoxelFeatureSet:
+def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
     """Concatenate [encoded 3D | mean sampled 2D] and project to the model width.
 
-    ``voxels.features`` must already be the encoded (N, C) tensor and
-    ``sampled`` the (N, C') ``sample_views`` output for the same voxels, a
-    constant on the tape; gradients flow through the projection and 3D branch.
+    ``encoded`` is the (N, C) ``encode_voxels`` output and ``sampled`` the
+    (N, C') ``sample_views`` output for the same voxels, a constant on the
+    tape; gradients flow through the projection and the 3D branch.
     """
-    stacked = concat([voxels.features, Tensor(sampled)], axis=1)
-    fused = linear(stacked, store, "fuse")
-    return VoxelFeatureSet(coords=voxels.coords, features=fused, voxel_size=voxels.voxel_size)
+    return linear(concat([encoded, Tensor(sampled)], axis=1), store, "fuse")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .autodiff import NonFiniteError, Tensor, _sigmoid
-from .boxes import Box9DoF, wrap_angle
+from .boxes import Box9DoF
 
 Array = np.ndarray
 
@@ -37,8 +37,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_cls", "lambda_box", "lambda_ground", "lambda_spatial"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -166,23 +166,22 @@ def box_regression_loss(centers: Tensor, log_extents: Tensor, sin_t: Tensor, cos
     return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
 
 
-def _set_task(output, targets, weights: LossWeights):
-    """(task, logits, gt boxes, gt logit columns, class weight) of the set loss.
+def _set_task(targets, weights: LossWeights):
+    """(task, gt boxes, gt logit columns, class weight) of the set loss.
 
     Grounding is one-object detection: class 0 of the grounding logits.
     """
     if isinstance(targets, DetectionTargets):
-        return ("detection", output.det_logits, targets.boxes, targets.classes,
-                weights.lambda_cls)
+        return "detection", targets.boxes, targets.classes, weights.lambda_cls
     if isinstance(targets, GroundingTargets):
-        return "grounding", output.grd_logits, [targets.box], [0], weights.lambda_ground
+        return "grounding", [targets.box], [0], weights.lambda_ground
     raise TypeError(f"unsupported target type {type(targets).__name__}")
 
 
 def matching_cost(output, targets, weights: LossWeights) -> Array:
     """(K, G) matrix: cls_weight * (-p_k(class_g)) + lambda_box * box_loss."""
-    _, logits, gt_boxes, classes, cls_weight = _set_task(output, targets, weights)
-    cls_cost = -_sigmoid(logits.data)[:, np.asarray(classes, dtype=np.intp)]
+    _, gt_boxes, classes, cls_weight = _set_task(targets, weights)
+    cls_cost = -_sigmoid(output.logits.data)[:, np.asarray(classes, dtype=np.intp)]
     box_cost = np.zeros((len(output.boxes), len(gt_boxes)))
     for kk, pred in enumerate(output.boxes):
         for gg, gt in enumerate(gt_boxes):
@@ -190,26 +189,22 @@ def matching_cost(output, targets, weights: LossWeights) -> Array:
     return cls_weight * cls_cost + weights.lambda_box * box_cost
 
 
-def focal_loss(logits: Tensor, targets: Array, alpha: float = 0.25, gamma: float = 2.0,
-               normalizer: float | None = None) -> Tensor:
-    """Sigmoid focal loss summed over entries, divided by ``normalizer``.
+def focal_loss(logits: Tensor, targets: Array, normalizer: float) -> Tensor:
+    """Sigmoid focal loss (alpha 0.25, gamma 2) summed over entries, divided by ``normalizer``.
 
-    Positive entries contribute alpha * (1-p)^gamma * -log p, negatives
-    (1-alpha) * p^gamma * -log(1-p).  The default normalizer is the positive
-    count clamped to at least one.
+    Positive entries contribute 0.25 * (1-p)^2 * -log p, negatives
+    0.75 * p^2 * -log(1-p).
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise ValueError(f"targets shape {targets.shape} != logits shape {logits.shape}")
-    if normalizer is None:
-        normalizer = max(1.0, float(targets.sum()))
     if normalizer <= 0.0:
         raise ValueError("normalizer must be positive")
     p = logits.sigmoid()
     one_minus_p = (-logits).sigmoid()
     # -log p = softplus(-x), -log(1-p) = softplus(x): stable on both tails
-    pos = (one_minus_p ** gamma) * (-logits).softplus() * alpha
-    neg = (p ** gamma) * logits.softplus() * (1.0 - alpha)
+    pos = (one_minus_p ** 2.0) * (-logits).softplus() * 0.25
+    neg = (p ** 2.0) * logits.softplus() * 0.75
     per_entry = pos * targets + neg * (1.0 - targets)
     return per_entry.sum() * (1.0 / normalizer)
 
@@ -229,13 +224,13 @@ def total_loss(output, targets, weights: LossWeights):
     The set loss is the Hungarian-matched focal loss plus box regression.
     Returns (scalar Tensor, LossBreakdown).
     """
-    task, logits, gt_boxes, classes, cls_weight = _set_task(output, targets, weights)
+    task, gt_boxes, classes, cls_weight = _set_task(targets, weights)
     pairs = hungarian(matching_cost(output, targets, weights)).pairs
     rows = [i for i, _ in pairs]
-    onehot = np.zeros(logits.shape)
+    onehot = np.zeros(output.logits.shape)
     for i, j in pairs:
         onehot[i, classes[j]] = 1.0
-    cls_term = focal_loss(logits, onehot, normalizer=max(1, len(rows)))
+    cls_term = focal_loss(output.logits, onehot, normalizer=max(1, len(rows)))
     box_term = box_regression_loss(output.centers, output.log_extents, output.sin_angles,
                                    output.cos_angles, rows, [gt_boxes[j] for _, j in pairs])
     total = cls_weight * cls_term + weights.lambda_box * box_term

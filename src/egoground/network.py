@@ -25,6 +25,12 @@ with atan2, extents with exp, so decoded extents are always positive.
 Query selection is not differentiated through; the scoring heads learn from
 an auxiliary objective instead (see train).
 
+Every stage passes plain tensors: the fused trunk, the region-refined
+features and the relevance logits are (N, C) / (N,) ``Tensor`` rows in voxel
+order, and the voxel centers are passed alongside where a stage needs them
+(query selection).  Both tasks' decoder outputs carry one ``logits`` field,
+(K, num_classes) for detection and (K, 1) for grounding.
+
 The parameter store built by ``init_model_params`` is the one description of
 the model.  ``MODULES`` is the one map from parameter-name prefix to module
 (gradcheck groups its table by it), and every MLP's depth and widths are
@@ -33,7 +39,7 @@ read from the store by ``mlp_apply``, never restated at a call site.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +61,7 @@ from .autodiff import (
     save_checkpoint,
 )
 from .boxes import Box9DoF
-from .geometry import VoxelFeatureSet, init_fusion_params, positional_encoding
+from .geometry import init_fusion_params, positional_encoding
 
 Array = np.ndarray
 
@@ -85,9 +91,9 @@ class ModelConfig:
             raise ValueError("dim must be positive and divisible by heads")
         if self.layers < 0:
             raise ValueError("layers must be >= 0")
-        if min(self.k_det, self.k_grd, self.num_classes, self.text_dim,
-               self.feat2d_dim, self.ffn_mult) < 1:
-            raise ValueError("all size fields must be >= 1")
+        for name in ("k_det", "k_grd", "num_classes", "text_dim", "feat2d_dim", "ffn_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def ffn_dim(self) -> int:
@@ -111,14 +117,12 @@ class QuerySet:
 @dataclass
 class DecoderOutput:
     boxes: list[Box9DoF]
-    det_logits: Tensor | None   # (K, num_classes), detection only
-    grd_logits: Tensor | None   # (K, 1), grounding only
+    logits: Tensor              # (K, num_classes) for detection, (K, 1) for grounding
     relevance: Tensor | None    # (N,) spatial relevance logits, grounding only
     centers: Tensor             # (K, 3)
     log_extents: Tensor         # (K, 3)
     sin_angles: Tensor          # (K, 3) normalized
     cos_angles: Tensor          # (K, 3) normalized
-    positions: Array            # (K, 3) query voxel centers
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +251,29 @@ def embed_text(token_vectors: Array, store: ParamStore) -> TextEmbedding:
 # ---------------------------------------------------------------------------
 
 
-def scoring_logits(fused: VoxelFeatureSet, store: ParamStore, task: str) -> Tensor:
+def scoring_logits(features: Tensor, store: ParamStore, task: str) -> Tensor:
     """Per-voxel confidence logits: (N, num_classes) for detection, (N, 1) for grounding."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     name = "score_det" if task == "detection" else "score_grd"
-    return mlp_apply(fused.features, store, name)
+    return mlp_apply(features, store, name)
 
 
-def select_queries(fused: VoxelFeatureSet, k: int, task: str, store: ParamStore,
-                   cfg: ModelConfig, logits: Tensor | None = None) -> QuerySet:
-    """Top-k voxels by score; ties keep ascending voxel index.
+def select_queries(features: Tensor, coords: Array, k: int, logits: Tensor,
+                   cfg: ModelConfig) -> QuerySet:
+    """Top-k voxels by max ``scoring_logits`` row; ties keep ascending voxel index.
 
     Selection indices are treated as constants; gradients flow into the
     selected voxel features and into the scoring head only through the
     logits tensor (pass it to the auxiliary objective).
     """
-    n = len(fused)
+    n = features.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} voxels")
-    if logits is None:
-        logits = scoring_logits(fused, store, task)
     scores = logits.data.max(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
-    embeddings = fused.features[order] + Tensor(
-        positional_encoding(fused.coords[order], cfg.dim))
-    return QuerySet(embeddings=embeddings, positions=fused.coords[order],
+    embeddings = features[order] + Tensor(positional_encoding(coords[order], cfg.dim))
+    return QuerySet(embeddings=embeddings, positions=coords[order],
                     scores=scores[order], indices=order)
 
 
@@ -291,16 +292,13 @@ def qim_modulate(queries: Tensor, sentence: Tensor, store: ParamStore) -> Tensor
     return beta * queries + gamma * sentence
 
 
-def rag_apply(fused: VoxelFeatureSet, text: TextEmbedding, store: ParamStore,
-              cfg: ModelConfig) -> tuple[VoxelFeatureSet, Tensor]:
-    """Text-conditioned residual refinement plus per-voxel relevance logits."""
-    region = attention(fused.features, text.tokens, text.tokens, store, "rag_att",
-                       heads=cfg.heads)
-    refined = fused.features + region
+def rag_apply(features: Tensor, text: TextEmbedding, store: ParamStore,
+              cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Text-conditioned residual refinement plus (N,) per-voxel relevance logits."""
+    refined = features + attention(features, text.tokens, text.tokens, store, "rag_att",
+                                   heads=cfg.heads)
     logits = mlp_apply(refined, store, "relevance")
-    out = VoxelFeatureSet(coords=fused.coords, features=refined,
-                          voxel_size=fused.voxel_size)
-    return out, logits.reshape((len(fused),))
+    return refined, logits.reshape((features.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +322,7 @@ def _decode_boxes(raw: Tensor, positions: Array):
     return boxes, centers, log_extents, sin_n, cos_n
 
 
-def decoder_forward(features: VoxelFeatureSet, text: TextEmbedding | None,
+def decoder_forward(features: Tensor, text: TextEmbedding | None,
                     queries: QuerySet, store: ParamStore, cfg: ModelConfig,
                     task: str) -> DecoderOutput:
     """Run the shared decoder and the task heads.
@@ -337,8 +335,8 @@ def decoder_forward(features: VoxelFeatureSet, text: TextEmbedding | None,
         raise ValueError(f"unknown task {task!r}")
     if queries.embeddings.shape[-1] != cfg.dim:
         raise ValueError(f"query width {queries.embeddings.shape[-1]} != model dim {cfg.dim}")
-    if features.features.shape[-1] != cfg.dim:
-        raise ValueError(f"feature width {features.features.shape[-1]} != model dim {cfg.dim}")
+    if features.shape[-1] != cfg.dim:
+        raise ValueError(f"feature width {features.shape[-1]} != model dim {cfg.dim}")
     if task == "grounding" and text is None:
         raise ValueError("grounding requires text")
 
@@ -351,20 +349,13 @@ def decoder_forward(features: VoxelFeatureSet, text: TextEmbedding | None,
             q = q + attention(h, text.tokens, text.tokens, store, f"dec{i}.text",
                               heads=cfg.heads)
         h = layer_norm(q, store, f"dec{i}.ln3")
-        q = q + attention(h, features.features, features.features, store,
-                          f"dec{i}.vis", heads=cfg.heads)
+        q = q + attention(h, features, features, store, f"dec{i}.vis", heads=cfg.heads)
         h = layer_norm(q, store, f"dec{i}.ln4")
         q = q + linear(linear(h, store, f"dec{i}.ffn1").relu(), store, f"dec{i}.ffn2")
 
     raw = mlp_apply(q, store, "head_box")
     boxes, centers, log_extents, sin_n, cos_n = _decode_boxes(raw, queries.positions)
-    det_logits = grd_logits = None
-    if task == "detection":
-        det_logits = mlp_apply(q, store, "head_det")
-    else:
-        grd_logits = mlp_apply(q, store, "head_grd")
-    return DecoderOutput(boxes=boxes, det_logits=det_logits, grd_logits=grd_logits,
-                         relevance=None, centers=centers, log_extents=log_extents,
-                         sin_angles=sin_n, cos_angles=cos_n,
-                         positions=queries.positions)
+    logits = mlp_apply(q, store, "head_det" if task == "detection" else "head_grd")
+    return DecoderOutput(boxes=boxes, logits=logits, relevance=None, centers=centers,
+                         log_extents=log_extents, sin_angles=sin_n, cos_angles=cos_n)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from .autodiff import _is_int, make_rng
 from .boxes import Box9DoF, box_corners, box_iou_exact
 from .geometry import CameraIntrinsics, CameraPose, DepthMap, ViewFeatureMap
+from .network import ModelConfig
 
 Array = np.ndarray
 
@@ -69,9 +70,13 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.n_objects_min < 1 or self.n_objects_max < self.n_objects_min:
-            raise ValueError("object count range must satisfy 1 <= min <= max")
-        if self.n_cameras < 1:
-            raise ValueError("at least one camera required")
+            raise ValueError("n_objects_min and n_objects_max must satisfy 1 <= min <= max, "
+                             f"got {self.n_objects_min} and {self.n_objects_max}")
+        for name in ("n_cameras", "image_width", "image_height", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.focal > 0.0:
+            raise ValueError(f"focal must be positive, got {self.focal}")
         # generate_scene's fixed margins: centers keep 0.7 from each wall, and a
         # 0.8-high box needs 0.02 below it and 0.8 above it
         if not self.room_size > 1.4:
@@ -295,10 +300,9 @@ def make_instruction(scene: Scene, target_idx: int, seed_words: tuple[int, ...])
 class StubEmbeddings:
     """Fixed seeded tables standing in for pretrained text / image backbones."""
 
-    def __init__(self, seed: int = DEFAULT_STUB_SEED, text_dim: int = 16, feat2d_dim: int = 16):
+    def __init__(self, seed: int = DEFAULT_STUB_SEED):
         rng = make_rng(seed, 1)
-        self.text_dim = text_dim
-        self.feat2d_dim = feat2d_dim
+        text_dim, feat2d_dim = ModelConfig.text_dim, ModelConfig.feat2d_dim
         self.word_table = rng.normal(size=(len(VOCABULARY), text_dim)) / np.sqrt(text_dim)
         # row 0 is the background (no surface hit)
         self.class_table = rng.normal(size=(len(CLASS_NAMES) + 1, feat2d_dim)) / np.sqrt(feat2d_dim)

@@ -6,20 +6,25 @@ maps are sampled at the voxel centers.  Per-voxel labels come from box
 containment of the voxel center (class id for the detection scoring head,
 inside-the-target for the grounding scoring head and relevance objective).
 
-Each training step builds the fused voxel trunk once, runs both task bodies
-on it and takes a single optimizer step on the summed objective: detection
-loss + grounding loss + the two scoring-head auxiliaries.  Query selection
-is not differentiable, so the auxiliaries are what teach the scoring heads.
-A non-finite loss aborts with the step number.
+Each training step builds the fused voxel trunk once, an (N, C) ``Tensor``
+in the row order of ``batch.voxels``, runs both task bodies on it and takes
+a single optimizer step on the summed objective: detection loss + grounding
+loss + the two scoring-head auxiliaries.  Query selection is not
+differentiable, so the auxiliaries are what teach the scoring heads.  A
+non-finite loss aborts with the step number.
+
+``training_losses`` is the one forward that records a tape.  The inference
+forwards (``forward_detection``, ``forward_grounding`` and the prediction
+wrappers built on them) run their body under ``no_grad`` themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ParamStore, _sigmoid, no_grad
+from .autodiff import NonFiniteError, ParamStore, Tensor, _sigmoid, no_grad
 from .boxes import contains_points
 from .evaluate import DetectionResult, GroundingResult, ScoredBox
 from .geometry import (
@@ -40,7 +45,6 @@ from .losses import (
 )
 from .network import (
     ModelConfig,
-    QuerySet,
     decoder_forward,
     embed_text,
     qim_modulate,
@@ -109,20 +113,20 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
                       grd_targets=grd_targets)
 
 
-def fuse_scene(batch: SceneBatch, store: ParamStore) -> VoxelFeatureSet:
-    """The shared trunk: encoded voxels fused with the sampled 2D features."""
+def fuse_scene(batch: SceneBatch, store: ParamStore) -> Tensor:
+    """The shared (N, C) trunk: encoded voxels fused with the sampled 2D features."""
     return fuse_features(encode_voxels(batch.voxels, store), batch.image_features, store)
 
 
-def _detection_body(fused: VoxelFeatureSet, store: ParamStore, cfg: ModelConfig):
+def _detection_body(fused: Tensor, batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
     logits = scoring_logits(fused, store, "detection")
-    k = min(cfg.k_det, len(fused))
-    qs = select_queries(fused, k, "detection", store, cfg, logits=logits)
+    k = min(cfg.k_det, len(batch.voxels))
+    qs = select_queries(fused, batch.voxels.coords, k, logits, cfg)
     out = decoder_forward(fused, None, qs, store, cfg, "detection")
     return out, logits
 
 
-def _grounding_body(fused: VoxelFeatureSet, batch: SceneBatch, store: ParamStore,
+def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
                     cfg: ModelConfig, instruction_idx: int, use_rag: bool,
                     use_qim: bool):
     if not 0 <= instruction_idx < len(batch.instructions):
@@ -130,32 +134,29 @@ def _grounding_body(fused: VoxelFeatureSet, batch: SceneBatch, store: ParamStore
                          f"({len(batch.instructions)} available)")
     text = embed_text(batch.token_vectors[instruction_idx], store)
     logits = scoring_logits(fused, store, "grounding")
-    k = min(cfg.k_grd, len(fused))
-    qs = select_queries(fused, k, "grounding", store, cfg, logits=logits)
-    features = fused
-    relevance = None
-    if use_rag:
-        features, relevance = rag_apply(fused, text, store, cfg)
-    emb = qim_modulate(qs.embeddings, text.sentence, store) if use_qim \
-        else qs.embeddings
-    modded = QuerySet(embeddings=emb, positions=qs.positions, scores=qs.scores,
-                      indices=qs.indices)
-    out = decoder_forward(features, text, modded, store, cfg, "grounding")
+    k = min(cfg.k_grd, len(batch.voxels))
+    qs = select_queries(fused, batch.voxels.coords, k, logits, cfg)
+    features, relevance = rag_apply(fused, text, store, cfg) if use_rag else (fused, None)
+    if use_qim:
+        qs = replace(qs, embeddings=qim_modulate(qs.embeddings, text.sentence, store))
+    out = decoder_forward(features, text, qs, store, cfg, "grounding")
     out.relevance = relevance
     return out, logits
 
 
 def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
-    """Returns (DecoderOutput, per-voxel scoring logits)."""
-    return _detection_body(fuse_scene(batch, store), store, cfg)
+    """Untaped; returns (DecoderOutput, per-voxel scoring logits)."""
+    with no_grad():
+        return _detection_body(fuse_scene(batch, store), batch, store, cfg)
 
 
 def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                       instruction_idx: int = 0, use_rag: bool = True,
                       use_qim: bool = True):
-    """Returns (DecoderOutput with relevance, per-voxel scoring logits)."""
-    return _grounding_body(fuse_scene(batch, store), batch, store, cfg,
-                           instruction_idx, use_rag, use_qim)
+    """Untaped; returns (DecoderOutput with relevance, per-voxel scoring logits)."""
+    with no_grad():
+        return _grounding_body(fuse_scene(batch, store), batch, store, cfg,
+                               instruction_idx, use_rag, use_qim)
 
 
 def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
@@ -163,7 +164,7 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                     use_rag: bool = True, use_qim: bool = True):
     """Summed objective plus a float breakdown for logging; one trunk for both tasks."""
     fused = fuse_scene(batch, store)
-    det_out, det_score_logits = _detection_body(fused, store, cfg)
+    det_out, det_score_logits = _detection_body(fused, batch, store, cfg)
     det_total, det_parts = total_loss(det_out, batch.det_targets, weights)
     grd_out, grd_score_logits = _grounding_body(fused, batch, store, cfg, instruction_idx,
                                                 use_rag, use_qim)
@@ -235,20 +236,18 @@ def _scored_boxes(boxes, logits: Array) -> list[ScoredBox]:
 def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                           instruction_idx: int = 0, use_rag: bool = True,
                           use_qim: bool = True) -> GroundingResult:
-    with no_grad():
-        out, _ = forward_grounding(batch, store, cfg, instruction_idx,
-                                   use_rag=use_rag, use_qim=use_qim)
+    out, _ = forward_grounding(batch, store, cfg, instruction_idx,
+                               use_rag=use_rag, use_qim=use_qim)
     ins = batch.instructions[instruction_idx]
-    return GroundingResult(predictions=_scored_boxes(out.boxes, out.grd_logits.data),
+    return GroundingResult(predictions=_scored_boxes(out.boxes, out.logits.data),
                            gt_box=batch.scene.objects[ins.target].box,
                            difficulty=ins.difficulty, view_dep=ins.view_dep)
 
 
 def detection_predictions(batch: SceneBatch, store: ParamStore,
                           cfg: ModelConfig) -> DetectionResult:
-    with no_grad():
-        out, _ = forward_detection(batch, store, cfg)
-    logits = out.det_logits.data
+    out, _ = forward_detection(batch, store, cfg)
+    logits = out.logits.data
     return DetectionResult(pred_boxes=_scored_boxes(out.boxes, logits),
                            pred_classes=[int(c) for c in logits.argmax(axis=1)],
                            gt_boxes=batch.det_targets.boxes,

@@ -151,21 +151,21 @@ def test_criterion_4_init_identity():
     fused = fuse_scene(batch, store)
     text = embed_text(batch.token_vectors[0], store)
     refined, rel_logits = rag_apply(fused, text, store, cfg)
-    rag_identity = np.array_equal(refined.features.data, fused.features.data)
+    rag_identity = np.array_equal(refined.data, fused.data)
 
     on, logits_on = forward_grounding(batch, store, cfg, 0, use_rag=True,
                                       use_qim=True)
     off, logits_off = forward_grounding(batch, store, cfg, 0, use_rag=False,
                                         use_qim=False)
     same = (np.array_equal(logits_on.data, logits_off.data)
-            and np.array_equal(on.grd_logits.data, off.grd_logits.data)
+            and np.array_equal(on.logits.data, off.logits.data)
             and np.array_equal(on.centers.data, off.centers.data)
             and np.array_equal(on.log_extents.data, off.log_extents.data)
             and np.array_equal(on.sin_angles.data, off.sin_angles.data)
             and np.array_equal(on.cos_angles.data, off.cos_angles.data)
             and on.boxes == off.boxes)
     has_relevance = on.relevance is not None and off.relevance is None \
-        and rel_logits.data.shape == (len(fused),)
+        and rel_logits.data.shape == (len(batch.voxels),)
     ok = rag_identity and same and has_relevance
     _report(4, ok, "QIM and RAG are bit-exact identities at initialization")
 

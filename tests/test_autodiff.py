@@ -10,6 +10,7 @@ from egoground.autodiff import (
     ParamStore,
     SGD,
     Tensor,
+    _attention_core,
     attention,
     concat,
     grad_check,
@@ -259,13 +260,20 @@ def test_attention_gradcheck_single_and_multi_head():
         assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
 
+def _attention_weights(q, kv, store, prefix, heads):
+    """The (H, N, T) softmax weights of ``attention(q, kv, kv, ...)``."""
+    _, w = _attention_core(linear(q, store, f"{prefix}.q"), linear(kv, store, f"{prefix}.k"),
+                           linear(kv, store, f"{prefix}.v"), heads)
+    return w
+
+
 def test_attention_weights_rows_sum_to_one():
     rng = make_rng(43)
     store = ParamStore()
     init_attention(store, "att", 4, rng)
     q = Tensor(rng.normal(size=(3, 4)))
     kv = Tensor(rng.normal(size=(5, 4)))
-    _, w = attention(q, kv, kv, store, "att", heads=2, return_weights=True)
+    w = _attention_weights(q, kv, store, "att", heads=2)
     assert w.shape == (2, 3, 5)
     np.testing.assert_allclose(w.sum(axis=-1), np.ones((2, 3)), atol=1e-12)
 
@@ -597,8 +605,8 @@ def test_fused_attention_matches_composition(heads, n, t, dim):
     store.create("q", rng.normal(size=(n, dim)))
     store.create("kv", rng.normal(size=(t, dim)))
     init_attention(store, "att", dim, rng)
-    out, w = attention(store["q"], store["kv"], store["kv"], store, "att", heads=heads,
-                       return_weights=True)
+    out = attention(store["q"], store["kv"], store["kv"], store, "att", heads=heads)
+    w = _attention_weights(store["q"], store["kv"], store, "att", heads)
     assert _op_nodes(out) == 5
     assert w.shape == (heads, n, t)
     _assert_fused_matches(
@@ -626,7 +634,7 @@ def test_attention_weights_match_per_head_softmax():
     init_attention(store, "att", 8, rng)
     q = Tensor(rng.normal(size=(3, 8)))
     kv = Tensor(rng.normal(size=(5, 8)))
-    _, w = attention(q, kv, kv, store, "att", heads=4, return_weights=True)
+    w = _attention_weights(q, kv, store, "att", heads=4)
     qp, kp = _linear_ref(q, store, "att.q"), _linear_ref(kv, store, "att.k")
     for h in range(4):
         cols = slice(2 * h, 2 * h + 2)

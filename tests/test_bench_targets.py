@@ -90,3 +90,26 @@ def test_adam_step_resolves_on_the_class(monkeypatch):
     assert "step" not in vars(optimizer)
     optimizer.step(store)
     assert calls == [store]
+
+
+def test_workloads_run_one_scene_each_without_errors(workloads, tmp_path):
+    # Two passes of each timed loop, the first traced: every traced function
+    # is called through the tracer's wrapper with the benchmark's arguments.
+    spans = importlib.import_module("spans")
+    ctx = workloads.Context(seed=0, work=tmp_path)
+    (train_batch,) = workloads.scene_set(ctx, 0, workloads.STREAM_TRAIN, 1)
+    (heldout,) = workloads.scene_set(ctx, 0, workloads.STREAM_HELDOUT, 1)
+    state = workloads.EvalState(store=N.init_model_params(workloads.MODEL, 0),
+                                heldout=[heldout], train_final_loss=0.0)
+    tracers = []
+    try:
+        for run_workload, arg in ((workloads.run_eval, state),
+                                  (workloads.run_train, [train_batch])):
+            tracers.append(spans.Tracer())
+            run = workloads.Run(0.0, tracers[-1])
+            run_workload(ctx, arg, run)
+            assert run.errors == []
+            assert run.pass_idx == 1 and run.ids(traced=True) and run.ids(traced=False)
+    finally:
+        for tracer in tracers:
+            tracer.uninstall()

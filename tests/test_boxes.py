@@ -9,7 +9,6 @@ from egoground.boxes import (
     box_corners,
     box_iou_exact,
     box_iou_mc,
-    contains_point,
     contains_points,
     intersection_volume,
     rotation_matrix,
@@ -84,12 +83,12 @@ def test_corners_land_inside_and_center_contained():
         outside = box.center + (corners - box.center) * 1.000001
         assert contains_points(box, inside).all()
         assert not contains_points(box, outside).any()
-        assert contains_point(box, box.center)
+        assert contains_points(box, box.center).all()
 
 
 def test_contains_boundary_inclusive():
-    assert contains_point(unit_cube(), [0.5, 0.0, 0.0])
-    assert not contains_point(unit_cube(), [0.5 + 1e-9, 0.0, 0.0])
+    assert contains_points(unit_cube(), [[0.5, 0.0, 0.0], [0.5 + 1e-9, 0.0, 0.0]]).tolist() \
+        == [True, False]
 
 
 def test_iou_identical_boxes_is_one():

@@ -1,14 +1,16 @@
 """CLI behavior: config round trips, command plumbing, determinism, errors."""
 
 import json
-from pathlib import Path
+import math
+import typing
 
 import numpy as np
 import pytest
 
+from egoground.autodiff import make_rng
 from egoground.cli import RunConfig, _thresholds, main
 from egoground.network import init_model_params, load_model
-from egoground.scenes import load_scene
+from egoground.scenes import SceneConfig, load_scene
 
 SMOKE = {
     "n_scenes": 2,
@@ -56,6 +58,10 @@ def test_run_config_validation():
         RunConfig(optimizer="lbfgs")
     with pytest.raises(ValueError):
         RunConfig(scene={"n_cameras": 0})
+    for name in ("lr", "voxel_size", "lambda_cls", "lambda_box", "lambda_ground",
+                 "lambda_spatial"):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: math.nan})  # the range checks refuse NaN
 
 
 def test_run_config_rejects_model_it_cannot_build():
@@ -91,21 +97,71 @@ def test_run_config_checks_scene_fields():
 def test_bad_scene_config_fails_before_any_work(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     out = tmp_path / "out"
-    for scene, field in [({"image_width": "32"}, "scene.image_width"),
-                         ({"n_cameras": 2.5}, "scene.n_cameras"), ({"typo": 1}, "scene.typo"),
-                         ({"room_size": 1.0}, "room_size"), ({"room_size": 1.4}, "room_size"),
-                         ({"room_height": 0.5}, "room_height"),
-                         ({"room_height": 1.6}, "room_height")]:
-        cfg_path.write_text(json.dumps({"scene": scene}))
-        for argv in (["gen", "--out", str(out)],
-                     ["train", "--scenes", str(tmp_path / "nowhere"),
-                      "--out", str(out / "ckpt.json")]):
+    cases = [({"scene": scene}, field) for scene, field in [
+        ({"image_width": "32"}, "scene.image_width"), ({"n_cameras": 2.5}, "scene.n_cameras"),
+        ({"typo": 1}, "scene.typo"), ({"room_size": 1.0}, "room_size"),
+        ({"room_size": 1.4}, "room_size"), ({"room_height": 0.5}, "room_height"),
+        ({"room_height": 1.6}, "room_height"), ({"focal": math.nan}, "scene.focal"),
+        ({"focal": -1.0}, "focal"), ({"image_width": 0}, "image_width"),
+        ({"max_attempts": 0}, "max_attempts")]]
+    cases += [({"lr": math.nan}, "'lr' must be finite"),
+              ({"voxel_size": math.nan}, "'voxel_size' must be finite")]
+    train = ["train", "--scenes", str(tmp_path / "nowhere"), "--out", str(out / "ckpt.json")]
+    commands = [["gen", "--out", str(out)], train]
+    cases = [(config, field, commands) for config, field in cases]
+    # flags pass the same checks as a config file
+    cases += [({}, "'lr' must be finite", [train + ["--lr", "inf"]]),
+              ({}, "'lambda_spatial' must be finite", [train + ["--lambda-spatial", "nan"]])]
+    for config, field, argvs in cases:
+        cfg_path.write_text(json.dumps(config))
+        for argv in argvs:
             assert main(argv + ["--config", str(cfg_path)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1
             assert field in captured.err
             assert not out.exists()
+
+
+# Values each field's own range check must refuse; every field also gets the
+# wrong-type (and, for floats, non-finite) values of _BAD_BY_TYPE.
+_OUT_OF_RANGE = {
+    "dim": [0, -8], "layers": [-1], "heads": [0], "k_det": [0], "k_grd": [-2],
+    "voxel_size": [0.0, -0.25], "lambda_cls": [-1.0], "lambda_box": [-0.5],
+    "lambda_ground": [-2.0], "lambda_spatial": [-0.01], "optimizer": ["lbfgs"],
+    "lr": [0.0, -3e-3], "steps": [-1], "seed": [-3], "n_scenes": [0],
+    "scene.n_objects_min": [0], "scene.n_objects_max": [2], "scene.room_size": [1.4],
+    "scene.room_height": [1.0], "scene.n_cameras": [0], "scene.image_width": [0],
+    "scene.image_height": [-1], "scene.focal": [0.0, -1.0], "scene.max_attempts": [0],
+}
+_BAD_BY_TYPE = {
+    float: [math.nan, math.inf, -math.inf, "0.5", True, None],
+    int: [1.5, "3", True, math.nan, None],
+    bool: [1, "yes", None],
+    str: [3, None],
+    dict: [[], "x"],
+}
+
+
+def test_gen_fuzzed_config_fields_fail_naming_the_field(tmp_path, capsys):
+    fields = list(typing.get_type_hints(RunConfig).items())
+    fields += [(f"scene.{name}", hint)
+               for name, hint in typing.get_type_hints(SceneConfig).items()]
+    assert set(_OUT_OF_RANGE) <= {name for name, _ in fields}
+    cfg_path = tmp_path / "fuzz.json"
+    out = tmp_path / "out"
+    rng = make_rng(431)
+    for _ in range(150):
+        name, hint = fields[rng.integers(len(fields))]
+        values = _BAD_BY_TYPE[hint] + _OUT_OF_RANGE.get(name, [])
+        value = values[rng.integers(len(values))]
+        section, _, leaf = name.rpartition(".")
+        cfg_path.write_text(json.dumps({"scene": {leaf: value}} if section else {leaf: value}))
+        assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 1, (name, value)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1 and leaf in captured.err, (name, value)
+        assert not out.exists()
 
 
 def test_run_config_round_trip(tmp_path):

@@ -9,7 +9,6 @@ from egoground.geometry import (
     ViewFeatureMap,
     VoxelFeatureSet,
     backproject_depth,
-    bilinear_sample,
     bilinear_sample_many,
     encode_voxels,
     fuse_features,
@@ -156,11 +155,9 @@ def test_bilinear_exact_at_grid_points_and_midpoint():
     grid[0, 1, 0] = 2.0
     grid[1, 0, 0] = 3.0
     grid[1, 1, 0] = 4.0
-    fm = ViewFeatureMap(grid=grid, cam=simple_cam(2, 2, 1.0), pose=identity_pose())
-    vec, valid = bilinear_sample(fm, 0.0, 1.0)
-    assert valid and vec[0] == 3.0
-    vec, valid = bilinear_sample(fm, 0.5, 0.5)
-    assert valid and vec[0] == pytest.approx(2.5, abs=1e-12)
+    out, valid = bilinear_sample_many(grid, np.array([[0.0, 1.0], [0.5, 0.5]]))
+    assert valid.all() and out[0, 0] == 3.0
+    assert out[1, 0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_bilinear_reproduces_linear_functions():
@@ -230,10 +227,9 @@ def test_fuse_concat_width_and_output_dim():
     view = make_center_view(c2d=c2d)
     vox = voxelize(np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]]), None, 0.25)
     encoded = encode_voxels(vox, store)
-    assert encoded.features.shape == (len(vox), c)
+    assert encoded.shape == (len(vox), c)
     fused = fuse_features(encoded, sample_views(vox.coords, [view])[0], store)
-    assert fused.features.shape == (len(vox), c)
-    np.testing.assert_array_equal(fused.coords, vox.coords)
+    assert fused.shape == (len(vox), c)
 
 
 def test_fusion_gradients_flow_to_both_linears():
@@ -246,13 +242,13 @@ def test_fusion_gradients_flow_to_both_linears():
 
     def fn(s):
         fused = fuse_features(encode_voxels(vox, s), sampled, s)
-        return (fused.features * fused.features).mean()
+        return (fused * fused).mean()
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
 
 def test_voxel_feature_set_validation():
     with pytest.raises(ValueError):
-        VoxelFeatureSet(coords=np.zeros((0, 3)), features=Tensor(np.zeros((0, 2))), voxel_size=0.1)
+        VoxelFeatureSet(coords=np.zeros((0, 3)), features=Tensor(np.zeros((0, 2))))
     with pytest.raises(ValueError):
-        VoxelFeatureSet(coords=np.zeros((2, 3)), features=Tensor(np.zeros((3, 2))), voxel_size=0.1)
+        VoxelFeatureSet(coords=np.zeros((2, 3)), features=Tensor(np.zeros((3, 2))))

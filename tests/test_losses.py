@@ -101,17 +101,13 @@ def test_hungarian_rejects_bad_input():
 
 
 def test_focal_loss_reference_points():
-    # gamma=0, alpha=1 reduces to plain cross-entropy: p=0.5 gives ln 2
-    logits = Tensor(np.array([[0.0]]))
-    value = focal_loss(logits, np.array([[1.0]]), alpha=1.0, gamma=0.0).item()
-    assert value == pytest.approx(math.log(2.0), abs=1e-12)
     # confident correct positive: near-zero loss
-    assert focal_loss(Tensor(np.array([[20.0]])), np.array([[1.0]])).item() < 1e-6
+    assert focal_loss(Tensor(np.array([[20.0]])), np.array([[1.0]]), 1.0).item() < 1e-6
     # alpha=0.25, gamma=2, p=0.9 positive
     p = 0.9
     logit = math.log(p / (1.0 - p))
     want = 0.25 * (1.0 - p) ** 2 * (-math.log(p))
-    got = focal_loss(Tensor(np.array([[logit]])), np.array([[1.0]]), alpha=0.25, gamma=2.0).item()
+    got = focal_loss(Tensor(np.array([[logit]])), np.array([[1.0]]), 1.0).item()
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -119,18 +115,21 @@ def test_focal_loss_negative_entries_and_normalizer():
     p = 0.2
     logit = math.log(p / (1.0 - p))
     want = 0.75 * p ** 2 * (-math.log(1.0 - p))
-    got = focal_loss(Tensor(np.array([[logit]])), np.array([[0.0]]), alpha=0.25, gamma=2.0).item()
+    got = focal_loss(Tensor(np.array([[logit]])), np.array([[0.0]]), 1.0).item()
     assert got == pytest.approx(want, rel=1e-9)
-    # two positives, normalizer defaults to the positive count
+    # two positives at p=0.5, summed and divided by the normalizer
     logits = Tensor(np.zeros((2, 1)))
     targets = np.ones((2, 1))
-    assert focal_loss(logits, targets, alpha=1.0, gamma=0.0).item() == pytest.approx(math.log(2.0))
+    want = 2 * 0.25 * 0.5 ** 2 * math.log(2.0)
+    assert focal_loss(logits, targets, 2.0).item() == pytest.approx(want / 2.0, rel=1e-12)
+    with pytest.raises(ValueError, match="normalizer"):
+        focal_loss(logits, targets, 0.0)
 
 
 def test_focal_loss_stable_at_extreme_logits():
     logits = Tensor(np.array([[60.0, -60.0]]))
     targets = np.array([[0.0, 1.0]])
-    value = focal_loss(logits, targets).item()
+    value = focal_loss(logits, targets, 1.0).item()
     assert np.isfinite(value) and value > 10.0
 
 
@@ -141,7 +140,7 @@ def test_focal_loss_gradcheck():
     targets = (rng.random((4, 3)) > 0.7).astype(float)
 
     def fn(s):
-        return focal_loss(s["logits"], targets)
+        return focal_loss(s["logits"], targets, 1.0)
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
@@ -205,8 +204,7 @@ def test_loss_weights_validation():
 @dataclass
 class FakeOutput:
     boxes: list
-    det_logits: Tensor
-    grd_logits: Tensor
+    logits: Tensor
     centers: Tensor
     log_extents: Tensor
     sin_angles: Tensor
@@ -214,7 +212,8 @@ class FakeOutput:
     relevance: Tensor | None
 
 
-def make_fake_output(rng, k=4, num_classes=3, n_vox=6):
+def make_fake_output(rng, task="detection", k=4, num_classes=3, n_vox=6):
+    """A decoder output of ``task``; both tasks' logits are drawn, in the same order."""
     centers = rng.normal(size=(k, 3))
     logext = rng.uniform(-0.3, 0.3, size=(k, 3))
     raw_s = rng.normal(size=(k, 3))
@@ -223,10 +222,11 @@ def make_fake_output(rng, k=4, num_classes=3, n_vox=6):
     sin_n, cos_n = raw_s / norm, raw_c / norm
     boxes = [Box9DoF(*centers[i], *np.exp(logext[i]), *np.arctan2(sin_n[i], cos_n[i]))
              for i in range(k)]
+    det_logits = rng.normal(size=(k, num_classes))
+    grd_logits = rng.normal(size=(k, 1))
     return FakeOutput(
         boxes=boxes,
-        det_logits=Tensor(rng.normal(size=(k, num_classes))),
-        grd_logits=Tensor(rng.normal(size=(k, 1))),
+        logits=Tensor(det_logits if task == "detection" else grd_logits),
         centers=Tensor(centers),
         log_extents=Tensor(logext),
         sin_angles=Tensor(sin_n),
@@ -247,12 +247,12 @@ def test_matching_cost_prefers_better_class_and_box():
 
 def test_matching_cost_stable_at_extreme_logits():
     out = make_fake_output(make_rng(343))
-    out.grd_logits = Tensor(np.array([[-1000.0], [1000.0], [0.0], [-1.0]]))
-    out.det_logits = Tensor(np.full((4, 3), -1000.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        out.logits = Tensor(np.array([[-1000.0], [1000.0], [0.0], [-1.0]]))
         grd = matching_cost(out, GroundingTargets(box=out.boxes[0], relevance_labels=None),
                             LossWeights(lambda_box=0.0))
+        out.logits = Tensor(np.full((4, 3), -1000.0))
         det = matching_cost(out, DetectionTargets(boxes=[out.boxes[0]], classes=[1],
                                                   num_classes=3), LossWeights(lambda_box=0.0))
     assert grd[:, 0].tolist() == pytest.approx([0.0, -1.0, -0.5, -1.0 / (1.0 + math.e)],
@@ -275,7 +275,7 @@ def test_detection_total_loss_breakdown_consistent():
 
 def test_grounding_total_loss_breakdown_consistent():
     rng = make_rng(349)
-    out = make_fake_output(rng)
+    out = make_fake_output(rng, "grounding")
     labels = (rng.random(6) > 0.5).astype(float)
     gt = GroundingTargets(box=out.boxes[1], relevance_labels=labels)
     weights = LossWeights(lambda_spatial=0.01)
@@ -293,7 +293,7 @@ def test_grounding_total_loss_breakdown_consistent():
 
 def test_grounding_matches_closest_query():
     rng = make_rng(353)
-    out = make_fake_output(rng)
+    out = make_fake_output(rng, "grounding")
     gt = GroundingTargets(box=out.boxes[3], relevance_labels=None)
     cost = matching_cost(out, gt, LossWeights())
     assert cost.shape == (4, 1)
@@ -315,7 +315,6 @@ def test_detection_loss_empty_gt():
 def test_total_loss_golden():
     # bit-exact values recorded while detection and grounding still had separate
     # loss functions; a change to the loss arithmetic or its op order breaks them
-    out = make_fake_output(make_rng(347))
     other = make_fake_output(make_rng(348))
     labels = (make_rng(349).random(6) > 0.5).astype(float)
     weights = LossWeights(lambda_spatial=0.05)
@@ -325,9 +324,11 @@ def test_total_loss_golden():
         "grounding": ("0x1.7eddd239620b1p-1", "0x1.04e75809e064ep+3", "0x1.76c65fc505c8dp-1",
                       "0x1.1e010713adbd6p+3"),
     }
-    for gt in (DetectionTargets(boxes=other.boxes[:3], classes=[0, 2, 1], num_classes=3),
-               GroundingTargets(box=other.boxes[1], relevance_labels=labels)):
-        total, b = total_loss(out, gt, weights)
+    for task, gt in (
+            ("detection", DetectionTargets(boxes=other.boxes[:3], classes=[0, 2, 1],
+                                           num_classes=3)),
+            ("grounding", GroundingTargets(box=other.boxes[1], relevance_labels=labels))):
+        total, b = total_loss(make_fake_output(make_rng(347), task), gt, weights)
         got = tuple(v.hex() for v in (b.cls, b.box, b.spatial, b.total))
         assert got == want[b.task], b.task
         assert total.item().hex() == want[b.task][3]

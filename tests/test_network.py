@@ -6,6 +6,7 @@ a finite-difference gradient check on a tiny scene.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ import pytest
 from egoground.autodiff import (
     ParamStore,
     Tensor,
-    attention,
+    _attention_core,
     grad_check,
     init_mlp,
+    linear,
     make_rng,
     mlp_apply,
 )
@@ -24,7 +26,6 @@ from egoground.geometry import VoxelFeatureSet, encode_voxels, positional_encodi
 from egoground.losses import GroundingTargets, LossWeights, total_loss
 from egoground.network import (
     MODULES,
-    DecoderOutput,
     ModelConfig,
     QuerySet,
     TextEmbedding,
@@ -45,16 +46,17 @@ TINY = ModelConfig(dim=8, layers=1, heads=2, num_classes=3, k_det=4, k_grd=3,
                    text_dim=5, feat2d_dim=4)
 
 
+def tiny_coords(n=6):
+    return np.arange(n * 3, dtype=np.float64).reshape(n, 3) * 0.25
+
+
 def tiny_fused(cfg=TINY, n=6, seed=3):
-    rng = make_rng(seed)
-    coords = np.arange(n * 3, dtype=np.float64).reshape(n, 3) * 0.25
-    feats = rng.normal(size=(n, cfg.dim))
-    return VoxelFeatureSet(coords=coords, features=Tensor(feats), voxel_size=0.5)
+    return Tensor(make_rng(seed).normal(size=(n, cfg.dim)))
 
 
 def tiny_queries(fused, cfg=TINY, k=3):
-    emb = Tensor(fused.features.data[:k] + 0.1)
-    return QuerySet(embeddings=emb, positions=fused.coords[:k],
+    emb = Tensor(fused.data[:k] + 0.1)
+    return QuerySet(embeddings=emb, positions=tiny_coords()[:k],
                     scores=np.zeros(k), indices=np.arange(k))
 
 
@@ -216,41 +218,43 @@ def test_embed_text_projects_and_pools():
 
 def test_select_queries_ranking_and_embedding():
     store = init_model_params(TINY, seed=9)
-    fused = tiny_fused()
+    fused, coords = tiny_fused(), tiny_coords()
     logits = scoring_logits(fused, store, "detection")
-    qs = select_queries(fused, 4, "detection", store, TINY)
+    qs = select_queries(fused, coords, 4, logits, TINY)
     # oracle: stable sort of max class logit, descending
     scores = logits.data.max(axis=1)
     expect = np.argsort(-scores, kind="stable")[:4]
     assert np.array_equal(qs.indices, expect)
     assert (np.diff(qs.scores) <= 1e-15).all()
-    assert np.array_equal(qs.positions, fused.coords[qs.indices])
-    pe = positional_encoding(fused.coords[qs.indices], TINY.dim)
-    assert np.allclose(qs.embeddings.data, fused.features.data[qs.indices] + pe)
+    assert np.array_equal(qs.positions, coords[qs.indices])
+    pe = positional_encoding(coords[qs.indices], TINY.dim)
+    assert np.allclose(qs.embeddings.data, fused.data[qs.indices] + pe)
 
 
 def test_select_queries_all_and_onehot_and_ties():
     store = init_model_params(TINY, seed=9)
-    fused = tiny_fused()
-    qs = select_queries(fused, len(fused), "grounding", store, TINY)
-    assert sorted(qs.indices.tolist()) == list(range(len(fused)))
+    fused, coords = tiny_fused(), tiny_coords()
+    logits = scoring_logits(fused, store, "grounding")
+    qs = select_queries(fused, coords, 6, logits, TINY)
+    assert sorted(qs.indices.tolist()) == list(range(6))
 
     onehot = Tensor(np.array([[0.0], [0.0], [5.0], [0.0], [0.0], [0.0]]))
-    qs = select_queries(fused, 1, "grounding", store, TINY, logits=onehot)
+    qs = select_queries(fused, coords, 1, onehot, TINY)
     assert qs.indices.tolist() == [2]
 
     tied = Tensor(np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [0.0]]))
-    qs = select_queries(fused, 3, "grounding", store, TINY, logits=tied)
+    qs = select_queries(fused, coords, 3, tied, TINY)
     assert qs.indices.tolist() == [1, 3, 0]
 
 
 def test_select_queries_k_out_of_range():
     store = init_model_params(TINY, seed=9)
-    fused = tiny_fused()
+    fused, coords = tiny_fused(), tiny_coords()
+    logits = scoring_logits(fused, store, "detection")
     with pytest.raises(ValueError):
-        select_queries(fused, len(fused) + 1, "detection", store, TINY)
+        select_queries(fused, coords, 7, logits, TINY)
     with pytest.raises(ValueError):
-        select_queries(fused, 0, "detection", store, TINY)
+        select_queries(fused, coords, 0, logits, TINY)
     with pytest.raises(ValueError):
         scoring_logits(fused, store, "segmentation")
 
@@ -320,8 +324,8 @@ def test_rag_identity_at_init():
     fused = tiny_fused()
     text = tiny_text()
     region, logits = rag_apply(fused, text, store, TINY)
-    assert np.array_equal(region.features.data, fused.features.data)  # bit exact
-    assert logits.shape == (len(fused),)
+    assert np.array_equal(region.data, fused.data)  # bit exact
+    assert logits.shape == (6,)
     sig = 1.0 / (1.0 + np.exp(-logits.data))
     assert ((sig > 0.0) & (sig < 1.0)).all()
 
@@ -330,9 +334,10 @@ def test_rag_attention_rows_sum_to_one():
     store = init_model_params(TINY, seed=21)
     fused = tiny_fused()
     text = tiny_text(t=3)
-    _, weights = attention(fused.features, text.tokens, text.tokens, store,
-                           "rag_att", heads=TINY.heads, return_weights=True)
-    assert weights.shape == (TINY.heads, len(fused), 3)
+    _, weights = _attention_core(linear(fused, store, "rag_att.q"),
+                                 linear(text.tokens, store, "rag_att.k"),
+                                 linear(text.tokens, store, "rag_att.v"), TINY.heads)
+    assert weights.shape == (TINY.heads, 6, 3)
     assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -341,7 +346,7 @@ def test_rag_departs_from_identity_once_trained():
     store["rag_att.o.w"].data[:] = make_rng(1).normal(size=store["rag_att.o.w"].shape) * 0.1
     fused = tiny_fused()
     region, _ = rag_apply(fused, tiny_text(), store, TINY)
-    assert not np.allclose(region.features.data, fused.features.data)
+    assert not np.allclose(region.data, fused.data)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def test_zero_layers_feeds_heads_directly():
     assert np.allclose(out.centers.data, qs.positions + raw.data[:, 0:3], atol=1e-15)
     assert np.allclose(out.log_extents.data, raw.data[:, 3:6], atol=1e-15)
     logits = mlp_apply(qs.embeddings, store, "head_det")
-    assert np.allclose(out.det_logits.data, logits.data, atol=1e-15)
+    assert np.allclose(out.logits.data, logits.data, atol=1e-15)
 
 
 def test_decoder_output_shapes_and_positive_extents():
@@ -371,8 +376,7 @@ def test_decoder_output_shapes_and_positive_extents():
     qs = tiny_queries(fused)
     out = decoder_forward(fused, text, qs, store, TINY, "grounding")
     assert len(out.boxes) == 3
-    assert out.grd_logits.shape == (3, 1)
-    assert out.det_logits is None
+    assert out.logits.shape == (3, 1)
     for box in out.boxes:
         assert (box.extents > 0.0).all()
     norm = out.sin_angles.data ** 2 + out.cos_angles.data ** 2
@@ -389,7 +393,7 @@ def test_detection_ignores_text_entirely():
     qs = tiny_queries(fused)
     out_none = decoder_forward(fused, None, qs, store, TINY, "detection")
     out_text = decoder_forward(fused, tiny_text(), qs, store, TINY, "detection")
-    assert np.array_equal(out_none.det_logits.data, out_text.det_logits.data)
+    assert np.array_equal(out_none.logits.data, out_text.logits.data)
     assert np.array_equal(out_none.centers.data, out_text.centers.data)
     with pytest.raises(ValueError):
         decoder_forward(fused, None, qs, store, TINY, "grounding")
@@ -406,7 +410,7 @@ def test_decoder_set_equivariance():
                     indices=qs.indices[perm])
     a = decoder_forward(fused, text, qs, store, TINY, "grounding")
     b = decoder_forward(fused, text, qs_p, store, TINY, "grounding")
-    assert np.allclose(a.grd_logits.data[perm], b.grd_logits.data, atol=1e-12)
+    assert np.allclose(a.logits.data[perm], b.logits.data, atol=1e-12)
     assert np.allclose(a.centers.data[perm], b.centers.data, atol=1e-12)
     for i, j in enumerate(perm):
         assert np.allclose(a.boxes[j].as_params(), b.boxes[i].as_params(), atol=1e-12)
@@ -416,9 +420,7 @@ def test_decoder_shape_mismatch_errors():
     store = init_model_params(TINY, seed=35)
     fused = tiny_fused()
     qs = tiny_queries(fused)
-    bad = VoxelFeatureSet(coords=fused.coords,
-                          features=Tensor(np.zeros((len(fused), TINY.dim + 2))),
-                          voxel_size=0.5)
+    bad = Tensor(np.zeros((6, TINY.dim + 2)))
     with pytest.raises(ValueError):
         decoder_forward(bad, None, qs, store, TINY, "detection")
     bad_q = QuerySet(embeddings=Tensor(np.zeros((2, TINY.dim + 1))),
@@ -436,11 +438,11 @@ def test_box_head_shared_between_tasks():
     qs = tiny_queries(fused)
 
     out = decoder_forward(fused, None, qs, store, TINY, "detection")
-    out.det_logits.sum().backward()
+    out.logits.sum().backward()
     det_touched = {n for n, p in store.items() if np.any(p.grad != 0.0)}
     store.zero_grad()
     out = decoder_forward(fused, text, qs, store, TINY, "grounding")
-    out.grd_logits.sum().backward()
+    out.logits.sum().backward()
     grd_touched = {n for n, p in store.items() if np.any(p.grad != 0.0)}
     store.zero_grad()
 
@@ -472,14 +474,12 @@ def test_grounding_pipeline_gradcheck():
     gt = Box9DoF(*coords[0], 0.6, 0.5, 0.4, 0.3, 0.0, 0.0)
 
     def fn(store):
-        fused = encode_voxels(VoxelFeatureSet(coords=coords, features=Tensor(pooled),
-                                              voxel_size=0.5), store)
+        fused = encode_voxels(VoxelFeatureSet(coords=coords, features=Tensor(pooled)), store)
         logits = scoring_logits(fused, store, "grounding")
-        qs = select_queries(fused, cfg.k_grd, "grounding", store, cfg, logits=logits)
+        qs = select_queries(fused, coords, cfg.k_grd, logits, cfg)
         text = embed_text(tok_raw, store)
         region, relevance = rag_apply(fused, text, store, cfg)
-        modded = QuerySet(embeddings=qim_modulate(qs.embeddings, text.sentence, store),
-                          positions=qs.positions, scores=qs.scores, indices=qs.indices)
+        modded = replace(qs, embeddings=qim_modulate(qs.embeddings, text.sentence, store))
         out = decoder_forward(region, text, modded, store, cfg, "grounding")
         out.relevance = relevance
         loss, _ = total_loss(out, GroundingTargets(box=gt, relevance_labels=labels),

@@ -16,6 +16,7 @@ import pytest
 from egoground.autodiff import make_rng
 from egoground.boxes import Box9DoF, box_iou_exact
 from egoground.geometry import CameraIntrinsics
+from egoground.network import ModelConfig
 from egoground.scenes import (
     CLASS_NAMES,
     VOCABULARY,
@@ -352,7 +353,7 @@ def test_stub_token_vectors():
     stub = StubEmbeddings()
     ins_tokens = [WORD_IDS["the"], WORD_IDS["chair"]]
     vecs = stub.token_vectors(ins_tokens)
-    assert vecs.shape == (2, stub.text_dim)
+    assert vecs.shape == (2, ModelConfig.text_dim)
     assert np.array_equal(vecs[0], stub.word_table[WORD_IDS["the"]])
     with pytest.raises(ValueError):
         stub.token_vectors([])
@@ -363,7 +364,8 @@ def test_stub_view_feature_map_background_rows():
     stub = StubEmbeddings()
     depth, classes = render_depth_and_classes(scene, 0)
     fm = stub.view_feature_map(scene, 0, depth, classes)
-    assert fm.grid.shape == (depth.values.shape[0], depth.values.shape[1], stub.feat2d_dim)
+    assert fm.grid.shape == (depth.values.shape[0], depth.values.shape[1],
+                             ModelConfig.feat2d_dim)
     bg = ~depth.valid
     assert bg.any() and depth.valid.any()
     assert np.allclose(fm.grid[bg], stub.class_table[0])

@@ -9,6 +9,7 @@ import egoground.geometry
 import egoground.train
 from egoground.autodiff import Adam, make_rng
 from egoground.boxes import contains_points
+from egoground.geometry import VoxelFeatureSet
 from egoground.losses import LossWeights, total_loss
 from egoground.network import ModelConfig, init_model_params
 from egoground.scenes import (
@@ -22,9 +23,12 @@ from egoground.scenes import (
 from egoground.train import (
     SceneBatch,
     TrainingDiverged,
+    _detection_body,
+    _grounding_body,
     detection_predictions,
     forward_detection,
     forward_grounding,
+    fuse_scene,
     grounding_predictions,
     prepare_scene,
     train,
@@ -89,7 +93,7 @@ def test_forward_shapes_and_k_clamp():
     out, logits = forward_detection(BATCH, store, CFG)
     n = len(BATCH.voxels)
     assert logits.shape == (n, CFG.num_classes)
-    assert out.det_logits.shape == (min(CFG.k_det, n), CFG.num_classes)
+    assert out.logits.shape == (min(CFG.k_det, n), CFG.num_classes)
 
     big = ModelConfig(dim=16, layers=1, heads=2, num_classes=CFG.num_classes,
                       k_det=10 ** 6, k_grd=10 ** 6, text_dim=16, feat2d_dim=16)
@@ -97,7 +101,7 @@ def test_forward_shapes_and_k_clamp():
     assert len(out.boxes) == n  # clamped to the voxel count
 
     gout, glogits = forward_grounding(BATCH, store, CFG)
-    assert gout.grd_logits.shape == (min(CFG.k_grd, n), 1)
+    assert gout.logits.shape == (min(CFG.k_grd, n), 1)
     assert gout.relevance.shape == (n,)
     assert glogits.shape == (n, 1)
     for bad in (5, -1):
@@ -134,9 +138,12 @@ def test_training_step_builds_one_trunk(monkeypatch):
     monkeypatch.setattr(egoground.geometry, "sample_views", no_sampling)
     monkeypatch.setattr(egoground.train, "sample_views", no_sampling)
     calls = _count_calls(monkeypatch, egoground.train, ["encode_voxels", "fuse_features"])
+    built = []
+    monkeypatch.setattr(VoxelFeatureSet, "__post_init__", built.append)
     store = init_model_params(CFG, seed=2)
     training_losses(BATCH, store, CFG, WEIGHTS)
     assert calls == {"encode_voxels": 1, "fuse_features": 1}
+    assert built == []  # the trunk is a plain tensor; only voxelize builds a voxel set
 
 
 def test_training_losses_run_the_task_forwards():
@@ -202,7 +209,7 @@ def test_disable_rag_at_init_differs_only_by_spatial():
     out_on, _ = forward_grounding(BATCH, store, CFG, use_rag=True)
     out_off, _ = forward_grounding(BATCH, store, CFG, use_rag=False)
     # decoder path identical at init (zeroed residual branch)
-    assert np.array_equal(out_on.grd_logits.data, out_off.grd_logits.data)
+    assert np.array_equal(out_on.logits.data, out_off.logits.data)
     assert out_off.relevance is None
 
     loss_on, parts_on = training_losses(BATCH, store, CFG, WEIGHTS, use_rag=True)
@@ -302,11 +309,13 @@ def test_prediction_wrappers():
 
 
 def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
-    # The wrappers' forwards record no tape, and their boxes and scores are
-    # bit-identical to those read off a recorded forward.
+    # The inference forwards record no tape, and the wrappers' boxes and
+    # scores are bit-identical to those read off a recorded forward.
     store = init_model_params(CFG, seed=8)
-    det_out, _ = forward_detection(BATCH, store, CFG)
-    grd_out, _ = forward_grounding(BATCH, store, CFG, 0)
+    fused = fuse_scene(BATCH, store)
+    det_out, _ = _detection_body(fused, BATCH, store, CFG)
+    grd_out, _ = _grounding_body(fused, BATCH, store, CFG, 0, True, True)
+    assert det_out.centers._parents and grd_out.centers._parents
     seen = []
 
     def spy(forward):
@@ -326,6 +335,6 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
     for preds, out in ((d.pred_boxes, det_out), (g.predictions, grd_out)):
         assert [p.box.as_params().tobytes() for p in preds] == \
             [b.as_params().tobytes() for b in out.boxes]
-    assert d.pred_classes == [int(c) for c in det_out.det_logits.data.argmax(axis=1)]
+    assert d.pred_classes == [int(c) for c in det_out.logits.data.argmax(axis=1)]
     assert [p.score for p in g.predictions] == \
-        [float(s) for s in egoground.train._sigmoid(grd_out.grd_logits.data[:, 0])]
+        [float(s) for s in egoground.train._sigmoid(grd_out.logits.data[:, 0])]
