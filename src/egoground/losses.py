@@ -5,8 +5,21 @@ is one-object detection: its ground truth is the target box with class 0 of
 the grounding logits, and lambda_ground weights its class term where
 detection uses lambda_cls.  Matching is min-cost bipartite assignment over a
 (K preds, G truths) cost matrix; ties between equal-cost assignments resolve
-to the lexicographically smallest pair list so runs are reproducible.  The
-classification term is a sigmoid focal loss normalized by the number of
+to the lexicographically smallest pair list so runs are reproducible.
+
+The assignment is solved once, by shortest augmenting paths from each vertex
+of the smaller side (Jonker & Volgenant, 1987, "A shortest augmenting path
+algorithm for dense and sparse linear assignment problems"; the rectangular
+form of Crouse, 2016, "On implementing 2D rectangular assignment
+algorithms"), which also yields dual potentials u, v.  By complementary
+slackness the min-cost assignments are exactly the matchings on the tight
+edges (reduced cost c - u - v <= tol) that cover the smaller side and every
+larger-side vertex with dual < -tol, where tol = 1e-9 * max(1, |optimum|).
+The tie-break walks (prediction, truth) pairs in lexicographic order and
+keeps a tight pair when augmenting-path searches on the tight graph can
+still complete it; no second solve is needed.
+
+The classification term is a sigmoid focal loss normalized by the number of
 matched predictions, with unmatched predictions supervised toward
 all-negative (background / not the target).  Box regression is L1 on
 centers, on log-extent ratios and on the (sin, cos) of each angle, which
@@ -17,10 +30,10 @@ inside-the-target-box labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .autodiff import NonFiniteError, Tensor, _sigmoid
 from .boxes import Box9DoF
@@ -72,46 +85,118 @@ class GroundingTargets:
     relevance_labels: Array | None  # per-voxel 0/1, or None when relevance is off
 
 
-def _lsa_total(cost: Array) -> float:
-    if cost.shape[0] == 0 or cost.shape[1] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+def linear_sum_assignment(cost: Array):
+    """Min-cost assignment of every vertex of the smaller side, with its duals.
+
+    Shortest augmenting paths, one vertex of the smaller side at a time
+    (Jonker & Volgenant, 1987), in the rectangular form of Crouse (2016);
+    a (K, G) cost with K > G is solved transposed.  Returns (rows, cols, u,
+    v): the assigned pairs with rows ascending, and row and column duals
+    with ``cost - u[:, None] - v[None, :] >= 0`` up to rounding, zero on the
+    assigned pairs.  The larger side's duals start at 0 and only fall, so
+    they are <= 0 and exactly 0 where that side is unassigned.
+
+    The loops run on Python lists: for the few hundred entries of a
+    training step's matrices that is faster than numpy calls.
+    """
+    transpose = cost.shape[0] > cost.shape[1]
+    c = cost.T if transpose else cost
+    nr, nc = c.shape
+    c = c.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        # Dijkstra on reduced costs from row ``cur`` to the nearest free column
+        dist = [math.inf] * nc
+        todo = list(range(nc))
+        rows, cols = [], []
+        min_val, i = 0.0, cur
+        while True:
+            rows.append(i)
+            ci, ui = c[i], u[i]
+            best, best_at = math.inf, -1
+            for at, j in enumerate(todo):
+                r = min_val + ci[j] - ui - v[j]
+                if r < dist[j]:
+                    dist[j], path[j] = r, i
+                if dist[j] < best:
+                    best, best_at = dist[j], at
+            min_val = best
+            j = todo.pop(best_at)
+            cols.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - dist[j]
+        while True:  # augment along the path back from the sink column j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return np.asarray(col4row, dtype=np.intp)[order], order, np.array(v), np.array(u)
+    return np.arange(nr), np.asarray(col4row, dtype=np.intp), np.array(u), np.array(v)
 
 
-def _lex_smallest_pairs(cost: Array, target: float) -> list[tuple[int, int]]:
-    """Among all min-cost assignments, pick the lexicographically smallest
-    pair list (pairs sorted by prediction index).  Each position greedily
-    takes the smallest (row, col) whose completion still reaches the optimum.
+def _augment(a: int, adj: list, open_: list, match: list, seen: set) -> bool:
+    """Kuhn's step: find ``a`` a partner among the open vertices of the other side."""
+    for b in adj[a]:
+        if open_[b] and b not in seen:
+            seen.add(b)
+            if match[b] < 0 or _augment(match[b], adj, open_, match, seen):
+                match[b] = a
+                return True
+    return False
+
+
+def _covers(need, adj: list, open_: list) -> bool:
+    """Whether some matching into the open vertices covers every vertex in ``need``."""
+    match = [-1] * len(open_)
+    return all(_augment(a, adj, open_, match, set()) for a in need)
+
+
+def _tight_lex_pairs(cost: Array, u: Array, v: Array, tol: float) -> list[tuple[int, int]]:
+    """The lexicographically smallest min-cost pair list (pairs sorted by row).
+
+    By complementary slackness the min-cost assignments are the matchings of
+    the tight edges (reduced cost <= tol) that cover the smaller side and
+    every vertex of the larger side whose dual is below -tol.  Rows are
+    visited in order, and each takes its smallest tight column whose
+    completion by later rows and the unused columns can still cover both
+    sets; by Mendelsohn-Dulmage it can iff each set alone can be covered.
     """
     k, g = cost.shape
-    m = min(k, g)
-    tol = 1e-9 * max(1.0, abs(target))
+    row_adj: list[list[int]] = [[] for _ in range(k)]
+    col_adj: list[list[int]] = [[] for _ in range(g)]
+    tight_rows, tight_cols = np.nonzero(cost - u[:, None] - v[None, :] <= tol)
+    for i, j in zip(tight_rows.tolist(), tight_cols.tolist()):  # row-major: both ascending
+        row_adj[i].append(j)
+        col_adj[j].append(i)
+    must_rows = range(k) if k <= g else np.flatnonzero(u < -tol).tolist()
+    must_cols = range(g) if g <= k else np.flatnonzero(v < -tol).tolist()
+    row_open, col_open = [True] * k, [True] * g
     pairs: list[tuple[int, int]] = []
-    cols = list(range(g))
-    row_start = 0
-    acc = 0.0
-    for pos in range(m):
-        need = m - pos - 1
-        chosen = None
-        for i in range(row_start, k):
-            if k - i - 1 < need:
+    for i in range(k):
+        if len(pairs) == min(k, g):
+            break
+        row_open[i] = False
+        for j in row_adj[i]:
+            if not col_open[j]:
+                continue
+            col_open[j] = False
+            if (_covers([r for r in must_rows if row_open[r]], row_adj, col_open)
+                    and _covers([c for c in must_cols if col_open[c]], col_adj, row_open)):
+                pairs.append((i, j))
                 break
-            for j in cols:
-                rest_rows = np.arange(i + 1, k)
-                rest_cols = np.array([c for c in cols if c != j], dtype=np.intp)
-                best_rest = _lsa_total(cost[np.ix_(rest_rows, rest_cols)]) if need else 0.0
-                if acc + cost[i, j] + best_rest <= target + tol:
-                    chosen = (i, j)
-                    break
-            if chosen:
-                break
-        if chosen is None:
-            raise RuntimeError("assignment refinement lost the optimum")
-        pairs.append(chosen)
-        acc += cost[chosen[0], chosen[1]]
-        cols.remove(chosen[1])
-        row_start = chosen[0] + 1
+            col_open[j] = True
+    if len(pairs) != min(k, g):
+        raise RuntimeError("assignment refinement lost the optimum")
     return pairs
 
 
@@ -128,9 +213,9 @@ def hungarian(cost) -> Assignment:
         return Assignment(pairs=[], total_cost=0.0)
     if not np.isfinite(cost).all():
         raise NonFiniteError("cost matrix entries must be finite")
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols, u, v = linear_sum_assignment(cost)
     target = float(cost[rows, cols].sum())
-    pairs = _lex_smallest_pairs(cost, target)
+    pairs = _tight_lex_pairs(cost, u, v, 1e-9 * max(1.0, abs(target)))
     total = float(sum(cost[i, j] for i, j in pairs))
     return Assignment(pairs=pairs, total_cost=total)
 
@@ -179,14 +264,21 @@ def _set_task(targets, weights: LossWeights):
 
 
 def matching_cost(output, targets, weights: LossWeights) -> Array:
-    """(K, G) matrix: cls_weight * (-p_k(class_g)) + lambda_box * box_loss."""
+    """(K, G) matrix: cls_weight * (-p_k(class_g)) + lambda_box * box_loss.
+
+    The box term is ``box_loss`` broadcast over all pairs, in its summation
+    order, so each entry equals the scalar call bit for bit.
+    """
     _, gt_boxes, classes, cls_weight = _set_task(targets, weights)
     cls_cost = -_sigmoid(output.logits.data)[:, np.asarray(classes, dtype=np.intp)]
-    box_cost = np.zeros((len(output.boxes), len(gt_boxes)))
-    for kk, pred in enumerate(output.boxes):
-        for gg, gt in enumerate(gt_boxes):
-            box_cost[kk, gg] = box_loss(pred, gt)
-    return cls_weight * cls_cost + weights.lambda_box * box_cost
+    pred = np.array([b.as_params() for b in output.boxes]).reshape(-1, 1, 9)
+    gt = np.array([b.as_params() for b in gt_boxes]).reshape(1, -1, 9)
+    center = np.abs(pred[..., :3] - gt[..., :3]).sum(axis=-1)
+    ext = np.abs(np.log(pred[..., 3:6] / gt[..., 3:6])).sum(axis=-1)
+    turn = (np.abs(np.sin(pred[..., 6:]) - np.sin(gt[..., 6:]))
+            + np.abs(np.cos(pred[..., 6:]) - np.cos(gt[..., 6:])))
+    ang = turn[..., 0] + turn[..., 1] + turn[..., 2]
+    return cls_weight * cls_cost + weights.lambda_box * (center + ext + ang)
 
 
 def focal_loss(logits: Tensor, targets: Array, normalizer: float) -> Tensor:

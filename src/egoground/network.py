@@ -110,8 +110,6 @@ class TextEmbedding:
 class QuerySet:
     embeddings: Tensor  # (K, C)
     positions: Array    # (K, 3) voxel centers
-    scores: Array       # (K,) selection scores, non-increasing
-    indices: Array      # (K,) source voxel indices
 
 
 @dataclass
@@ -270,11 +268,9 @@ def select_queries(features: Tensor, coords: Array, k: int, logits: Tensor,
     n = features.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} voxels")
-    scores = logits.data.max(axis=1)
-    order = np.argsort(-scores, kind="stable")[:k]
+    order = np.argsort(-logits.data.max(axis=1), kind="stable")[:k]
     embeddings = features[order] + Tensor(positional_encoding(coords[order], cfg.dim))
-    return QuerySet(embeddings=embeddings, positions=coords[order],
-                    scores=scores[order], indices=order)
+    return QuerySet(embeddings=embeddings, positions=coords[order])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,17 @@ def workspace(tmp_path_factory):
 # ---------------------------------------------------------------------------
 # RunConfig
 # ---------------------------------------------------------------------------
+
+
+def test_cli_import_loads_numpy_only():
+    # every command starts with this import; scipy.optimize would triple its time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, egoground.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_config_defaults():

@@ -6,7 +6,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from egoground.autodiff import ParamStore, Tensor, grad_check, make_rng
+from egoground import losses
+from egoground.autodiff import ParamStore, Tensor, _sigmoid, grad_check, make_rng
 from egoground.boxes import Box9DoF
 from egoground.losses import (
     Assignment,
@@ -17,6 +18,7 @@ from egoground.losses import (
     box_regression_loss,
     focal_loss,
     hungarian,
+    linear_sum_assignment,
     matching_cost,
     spatial_relevance_loss,
     total_loss,
@@ -41,6 +43,38 @@ def brute_force_assignment(cost, tol=1e-9):
             best_cost = total
             best_pairs = list(pairs)
     return Assignment(pairs=best_pairs or [], total_cost=float(best_cost or 0.0))
+
+
+def lex_smallest_by_resolving(cost):
+    """Min cost, then the lexicographically smallest pair list, by a greedy
+    that re-solves the rest of the matrix for every candidate pair.  Oracle
+    for sizes brute force cannot reach."""
+    def best(sub):
+        if sub.shape[0] == 0 or sub.shape[1] == 0:
+            return 0.0
+        rows, cols, _, _ = linear_sum_assignment(sub)
+        return float(sub[rows, cols].sum())
+
+    k, g = cost.shape
+    target = best(cost)
+    tol = 1e-9 * max(1.0, abs(target))
+    pairs, cols, row_start, acc = [], list(range(g)), 0, 0.0
+    for pos in range(min(k, g)):
+        need = min(k, g) - pos - 1
+        chosen = None
+        for i in range(row_start, k - need):
+            for j in cols:
+                rest = cost[np.ix_(np.arange(i + 1, k), [c for c in cols if c != j])]
+                if acc + cost[i, j] + best(rest) <= target + tol:
+                    chosen = (i, j)
+                    break
+            if chosen:
+                break
+        pairs.append(chosen)
+        acc += cost[chosen]
+        cols.remove(chosen[1])
+        row_start = chosen[0] + 1
+    return pairs
 
 
 def test_hungarian_two_by_two_example():
@@ -90,6 +124,77 @@ def test_hungarian_cost_never_above_any_permutation():
         got = hungarian(cost)
         want = brute_force_assignment(cost)
         assert got.total_cost <= want.total_cost + 1e-9
+
+
+def test_hungarian_matches_brute_force_on_ties():
+    rng = make_rng(367)
+    for n in range(600):
+        k, g = (int(x) for x in rng.integers(1, 7, size=2))
+        if n % 2:
+            cost = rng.integers(0, 3, size=(k, g)).astype(float)
+        else:
+            cost = np.round(rng.normal(size=(k, g)), 1)
+        got = hungarian(cost)
+        assert got.pairs == brute_force_assignment(cost).pairs, cost
+        assert got.total_cost == sum(cost[i, j] for i, j in got.pairs)
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-6])
+def test_hungarian_near_tie_tolerance(gap):
+    # a 1e-10 gap is a tie and falls to the lexicographic order; 1e-6 is not
+    tie = gap < 1e-9
+    square = np.array([[gap, 0.0], [0.0, 0.0]])
+    wide = np.array([[gap, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert hungarian(square).pairs == ([(0, 0), (1, 1)] if tie else [(0, 1), (1, 0)])
+    assert hungarian(wide).pairs == ([(0, 0), (1, 2)] if tie else [(0, 1), (1, 2)])
+    assert hungarian(wide.T).pairs == ([(0, 0), (2, 1)] if tie else [(1, 0), (2, 1)])
+    for cost in (square, wide, wide.T):
+        assert hungarian(cost).pairs == brute_force_assignment(cost).pairs
+
+
+def test_hungarian_matches_resolving_greedy_on_tall_ties():
+    # duplicated columns and quantised costs give many optimal assignments
+    rng = make_rng(373)
+    for g in range(1, 7):
+        for trial in range(10):
+            base = (rng.integers(0, 3, size=(32, g)).astype(float) if trial % 2
+                    else np.round(rng.normal(size=(32, g)), 1))
+            cost = base[:, rng.integers(0, g, size=g)]
+            assert hungarian(cost).pairs == lex_smallest_by_resolving(cost)
+            assert hungarian(cost.T).pairs == lex_smallest_by_resolving(cost.T)
+
+
+def test_linear_sum_assignment_duals_certify_the_optimum():
+    rng = make_rng(379)
+    for _ in range(100):
+        k, g = (int(x) for x in rng.integers(1, 7, size=2))
+        cost = rng.normal(size=(k, g))
+        rows, cols, u, v = linear_sum_assignment(cost)
+        assert len(rows) == min(k, g) and len(set(cols.tolist())) == len(cols)
+        assert rows.tolist() == sorted(rows.tolist())
+        reduced = cost - u[:, None] - v[None, :]
+        assert reduced.min() >= -1e-12
+        assert np.abs(reduced[rows, cols]).max() <= 1e-12
+        larger, assigned = (v, cols) if k <= g else (u, rows)
+        assert (larger <= 0.0).all()
+        assert (np.delete(larger, assigned) == 0.0).all()
+        opt = brute_force_assignment(cost).total_cost
+        assert cost[rows, cols].sum() == pytest.approx(opt, abs=1e-12)
+        assert u.sum() + v.sum() == pytest.approx(opt, abs=1e-12)
+
+
+def test_hungarian_solves_once(monkeypatch):
+    shapes = []
+    solve = losses.linear_sum_assignment
+
+    def counted(cost):
+        shapes.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(losses, "linear_sum_assignment", counted)
+    hungarian(np.zeros((4, 4)))
+    hungarian(np.round(make_rng(383).normal(size=(32, 5)), 1))
+    assert shapes == [(4, 4), (32, 5)]
 
 
 def test_hungarian_rejects_bad_input():
@@ -258,6 +363,40 @@ def test_matching_cost_stable_at_extreme_logits():
     assert grd[:, 0].tolist() == pytest.approx([0.0, -1.0, -0.5, -1.0 / (1.0 + math.e)],
                                                abs=1e-15)
     assert np.all(det == 0.0)
+
+
+def test_matching_cost_equals_box_loss_loop_bytes():
+    rng = make_rng(389)
+    weights = LossWeights(lambda_cls=0.7, lambda_box=1.3, lambda_ground=0.9)
+
+    def angles():
+        # around +-pi and beyond it, wrapped by Box9DoF, or anywhere
+        near = np.pi + rng.choice([-1.0, 1.0], size=3) * rng.uniform(0.0, 1e-3, size=3)
+        return rng.choice([-1.0, 1.0], size=3) * near if rng.random() < 0.5 \
+            else rng.uniform(-7.0, 7.0, size=3)
+
+    def boxes(n):
+        return [Box9DoF(*rng.normal(size=3), *rng.uniform(0.1, 2.0, size=3), *angles())
+                for _ in range(n)]
+
+    for trial in range(10):
+        task = "grounding" if trial % 2 else "detection"
+        out = make_fake_output(rng, task, k=8)
+        out.boxes = boxes(8)
+        if task == "grounding":
+            gt_boxes, classes = boxes(1), [0]
+            targets = GroundingTargets(box=gt_boxes[0], relevance_labels=None)
+            cls_weight = weights.lambda_ground
+        else:
+            gt_boxes, classes = boxes(6), rng.integers(0, 3, size=6).tolist()
+            targets = DetectionTargets(boxes=gt_boxes, classes=classes, num_classes=3)
+            cls_weight = weights.lambda_cls
+        box_cost = np.array([[box_loss(p, t) for t in gt_boxes] for p in out.boxes])
+        want = (cls_weight * -_sigmoid(out.logits.data)[:, classes]
+                + weights.lambda_box * box_cost)
+        got = matching_cost(out, targets, weights)
+        assert got.shape == (8, len(gt_boxes))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_detection_total_loss_breakdown_consistent():

@@ -56,8 +56,7 @@ def tiny_fused(cfg=TINY, n=6, seed=3):
 
 def tiny_queries(fused, cfg=TINY, k=3):
     emb = Tensor(fused.data[:k] + 0.1)
-    return QuerySet(embeddings=emb, positions=tiny_coords()[:k],
-                    scores=np.zeros(k), indices=np.arange(k))
+    return QuerySet(embeddings=emb, positions=tiny_coords()[:k])
 
 
 def tiny_text(cfg=TINY, t=2, seed=5):
@@ -222,13 +221,10 @@ def test_select_queries_ranking_and_embedding():
     logits = scoring_logits(fused, store, "detection")
     qs = select_queries(fused, coords, 4, logits, TINY)
     # oracle: stable sort of max class logit, descending
-    scores = logits.data.max(axis=1)
-    expect = np.argsort(-scores, kind="stable")[:4]
-    assert np.array_equal(qs.indices, expect)
-    assert (np.diff(qs.scores) <= 1e-15).all()
-    assert np.array_equal(qs.positions, coords[qs.indices])
-    pe = positional_encoding(coords[qs.indices], TINY.dim)
-    assert np.allclose(qs.embeddings.data, fused.data[qs.indices] + pe)
+    order = np.argsort(-logits.data.max(axis=1), kind="stable")[:4]
+    assert np.array_equal(qs.positions, coords[order])
+    pe = positional_encoding(coords[order], TINY.dim)
+    assert np.allclose(qs.embeddings.data, fused.data[order] + pe)
 
 
 def test_select_queries_all_and_onehot_and_ties():
@@ -236,15 +232,15 @@ def test_select_queries_all_and_onehot_and_ties():
     fused, coords = tiny_fused(), tiny_coords()
     logits = scoring_logits(fused, store, "grounding")
     qs = select_queries(fused, coords, 6, logits, TINY)
-    assert sorted(qs.indices.tolist()) == list(range(6))
+    assert sorted(map(tuple, qs.positions)) == sorted(map(tuple, coords))
 
     onehot = Tensor(np.array([[0.0], [0.0], [5.0], [0.0], [0.0], [0.0]]))
     qs = select_queries(fused, coords, 1, onehot, TINY)
-    assert qs.indices.tolist() == [2]
+    assert np.array_equal(qs.positions, coords[[2]])
 
     tied = Tensor(np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [0.0]]))
     qs = select_queries(fused, coords, 3, tied, TINY)
-    assert qs.indices.tolist() == [1, 3, 0]
+    assert np.array_equal(qs.positions, coords[[1, 3, 0]])
 
 
 def test_select_queries_k_out_of_range():
@@ -406,8 +402,7 @@ def test_decoder_set_equivariance():
     qs = tiny_queries(fused, k=3)
     perm = np.array([2, 0, 1])
     qs_p = QuerySet(embeddings=Tensor(qs.embeddings.data[perm]),
-                    positions=qs.positions[perm], scores=qs.scores[perm],
-                    indices=qs.indices[perm])
+                    positions=qs.positions[perm])
     a = decoder_forward(fused, text, qs, store, TINY, "grounding")
     b = decoder_forward(fused, text, qs_p, store, TINY, "grounding")
     assert np.allclose(a.logits.data[perm], b.logits.data, atol=1e-12)
@@ -424,7 +419,7 @@ def test_decoder_shape_mismatch_errors():
     with pytest.raises(ValueError):
         decoder_forward(bad, None, qs, store, TINY, "detection")
     bad_q = QuerySet(embeddings=Tensor(np.zeros((2, TINY.dim + 1))),
-                     positions=np.zeros((2, 3)), scores=np.zeros(2), indices=np.arange(2))
+                     positions=np.zeros((2, 3)))
     with pytest.raises(ValueError):
         decoder_forward(fused, None, bad_q, store, TINY, "detection")
     with pytest.raises(ValueError):
