@@ -63,9 +63,9 @@ class _DegenerateClip(Exception):
     pass
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return float(a - 2.0 * np.pi * np.ceil((a - np.pi) / (2.0 * np.pi)))
+def wrap_angle(a):
+    """Wrap a float or an array of them to (-pi, pi]."""
+    return a - 2.0 * np.pi * np.ceil((a - np.pi) / (2.0 * np.pi))
 
 
 def rotation_matrix(alpha: float, beta: float, gamma: float) -> Array:

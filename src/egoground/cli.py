@@ -1,7 +1,9 @@
 """Command line: scene generation, training, evaluation, gradcheck, heatmaps.
 
 Subcommands share one RunConfig.  A config file (JSON mirroring RunConfig)
-is loaded first and explicit flags override it; `train` dumps the effective
+is loaded first and explicit flags override it.  A command takes only the
+flags it reads: ``--config`` goes to `gen`, `train` and `eval`, ``--seed``
+to `gen`, `train` and `gradcheck`.  `train` dumps the effective
 config next to the checkpoint so a run can be reproduced from its artifacts
 alone.  Every command is deterministic under a fixed seed, exits 0 on
 success and prints a single-line diagnostic to stderr with exit code 1 on
@@ -368,23 +370,20 @@ def cmd_heatmap(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file mirroring RunConfig")
-    p.add_argument("--seed", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="egoground",
                                      description="desk-scale multi-view grounding")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file mirroring RunConfig")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("gen", help="generate synthetic scene files")
-    _add_common(p)
+    p = sub.add_parser("gen", parents=[config, seed], help="generate synthetic scene files")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("train", help="train on scene files")
-    _add_common(p)
+    p = sub.add_parser("train", parents=[config, seed], help="train on scene files")
     p.add_argument("--scenes", required=True, help="scene file or directory")
     p.add_argument("--out", required=True, help="checkpoint path (.json)")
     p.add_argument("--steps", type=int, default=None)
@@ -396,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disable-qim", action="store_true")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p)
+    p = sub.add_parser("eval", parents=[config], help="evaluate a checkpoint")
     p.add_argument("--scenes", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="report directory")
@@ -407,14 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disable-qim", action="store_true")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_common(p)
+    p = sub.add_parser("gradcheck", parents=[seed], help="finite-difference gradient check")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("heatmap", help="export a relevance heatmap")
-    _add_common(p)
     p.add_argument("--scene", required=True, help="scene file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--view", type=int, required=True)

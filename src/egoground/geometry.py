@@ -10,11 +10,12 @@ Conventions:
 * Voxel index = floor(p / voxel_size) per axis; a voxel's center is
   (index + 0.5) * voxel_size.
 
-The fusion path mirrors a two-backbone pipeline at desk scale: pooled voxel
-occupancy runs through one learned linear layer (standing in for a sparse
-3D conv backbone, so its input includes a sinusoidal encoding of the voxel
-center), per-view 2D features are bilinearly sampled at the projected voxel
-centers and averaged over the views that see the voxel (once per scene, in
+The fusion path mirrors a two-backbone pipeline at desk scale.  Each voxel
+carries the mean 2D stub feature of the pixels lifted into it; that runs
+through one learned linear layer (standing in for a sparse 3D conv
+backbone, so its input includes a sinusoidal encoding of the voxel center).
+Per-view 2D features are bilinearly sampled at the projected voxel centers
+and averaged over the views that see the voxel (once per scene, in
 ``sample_views``), and the concatenated [3D | 2D] vector is projected to the
 model width by a second learned linear (every step, in ``fuse_features``).
 
@@ -139,8 +140,8 @@ def backproject_depth(depth: DepthMap, cam: CameraIntrinsics, pose: CameraPose) 
     return pose.camera_to_world(pts_cam)
 
 
-def voxelize(points: Array, point_features: Array | None, voxel_size: float) -> VoxelFeatureSet:
-    """Pool points into voxels; mean feature per voxel, or an occupancy count.
+def voxelize(points: Array, point_features: Array, voxel_size: float) -> VoxelFeatureSet:
+    """Pool points into voxels: the mean feature row of each voxel's points.
 
     Voxels come out in lexicographic index order, which makes the result
     independent of the input point order.
@@ -155,15 +156,12 @@ def voxelize(points: Array, point_features: Array | None, voxel_size: float) -> 
     inverse = inverse.reshape(-1)
     n = uniq.shape[0]
     counts = np.bincount(inverse, minlength=n).astype(np.float64)
-    if point_features is None:
-        feats = counts[:, None]
-    else:
-        point_features = np.asarray(point_features, dtype=np.float64)
-        if point_features.shape[0] != points.shape[0]:
-            raise ValueError("one feature row per point required")
-        sums = np.zeros((n, point_features.shape[1]))
-        np.add.at(sums, inverse, point_features)
-        feats = sums / counts[:, None]
+    point_features = np.asarray(point_features, dtype=np.float64)
+    if point_features.shape[0] != points.shape[0]:
+        raise ValueError("one feature row per point required")
+    sums = np.zeros((n, point_features.shape[1]))
+    np.add.at(sums, inverse, point_features)
+    feats = sums / counts[:, None]
     centers = (uniq + 0.5) * voxel_size
     return VoxelFeatureSet(coords=centers, features=Tensor(feats))
 

@@ -1,11 +1,17 @@
 """Set matching and the detection / grounding training objectives.
 
-Both tasks train through one DETR-style set loss (``total_loss``).  Grounding
-is one-object detection: its ground truth is the target box with class 0 of
-the grounding logits, and lambda_ground weights its class term where
-detection uses lambda_cls.  Matching is min-cost bipartite assignment over a
-(K preds, G truths) cost matrix; ties between equal-cost assignments resolve
-to the lexicographically smallest pair list so runs are reproducible.
+Both tasks train through one DETR-style set loss (``total_loss``) against
+one target type, ``SetTargets``: a (G, 9) array of ground-truth boxes and
+the logit column of each.  Grounding is one-object detection: its ground
+truth is the target box in column 0 of the grounding logits.  The caller
+passes the class weight, lambda_cls for detection and lambda_ground for
+grounding.  Between the decoder and the loss a box is one row (x, y, z, l,
+w, h, alpha, beta, gamma) of a float array, angles wrapped to (-pi, pi];
+``box_loss`` on two ``Box9DoF`` is the scalar reference of the array code.
+
+Matching is min-cost bipartite assignment over a (K preds, G truths) cost
+matrix; ties between equal-cost assignments resolve to the
+lexicographically smallest pair list so runs are reproducible.
 
 The assignment is solved once, by shortest augmenting paths from each vertex
 of the smaller side (Jonker & Volgenant, 1987, "A shortest augmenting path
@@ -64,25 +70,24 @@ class Assignment:
 class LossBreakdown:
     """Component values (unweighted) plus their weighted total."""
 
-    task: str
     cls: float      # focal classification (detection) or grounding confidence term
     box: float
     spatial: float
     total: float
-    weights: LossWeights
 
 
 @dataclass
-class DetectionTargets:
-    boxes: list[Box9DoF]
-    classes: list[int]
-    num_classes: int
+class SetTargets:
+    """Ground truth of the set loss: (G, 9) boxes and their logit columns.
 
+    Detection lists every object with its class; grounding is the one target
+    box in column 0, with per-voxel 0/1 relevance labels (or None when
+    relevance is off).
+    """
 
-@dataclass
-class GroundingTargets:
-    box: Box9DoF
-    relevance_labels: Array | None  # per-voxel 0/1, or None when relevance is off
+    boxes: Array
+    columns: list[int]
+    relevance_labels: Array | None = None
 
 
 def linear_sum_assignment(cost: Array):
@@ -231,48 +236,33 @@ def box_loss(pred: Box9DoF, gt: Box9DoF) -> float:
 
 
 def box_regression_loss(centers: Tensor, log_extents: Tensor, sin_t: Tensor, cos_t: Tensor,
-                        pred_rows, gt_boxes: list[Box9DoF]) -> Tensor:
+                        pred_rows, gt_boxes: Array) -> Tensor:
     """Tape version of ``box_loss`` averaged over matched pairs.
 
-    ``pred_rows[i]`` is the prediction matched to ``gt_boxes[i]``; sin_t and
-    cos_t must already be normalized so they are the sine/cosine of the
-    predicted angles.
+    ``pred_rows[i]`` is the prediction matched to the box in row i of the
+    (M, 9) ``gt_boxes``; sin_t and cos_t must already be normalized so they
+    are the sine/cosine of the predicted angles.
     """
     if len(gt_boxes) == 0:
         return Tensor(0.0)
     rows = np.asarray(pred_rows, dtype=np.intp)
-    gt_center = np.array([b.center for b in gt_boxes])
-    gt_logext = np.log(np.array([b.extents for b in gt_boxes]))
-    gt_ang = np.array([[b.alpha, b.beta, b.gamma] for b in gt_boxes])
-    c_term = (centers[rows] - gt_center).abs().sum()
-    e_term = (log_extents[rows] - gt_logext).abs().sum()
-    s_term = (sin_t[rows] - np.sin(gt_ang)).abs().sum()
-    k_term = (cos_t[rows] - np.cos(gt_ang)).abs().sum()
+    c_term = (centers[rows] - gt_boxes[:, :3]).abs().sum()
+    e_term = (log_extents[rows] - np.log(gt_boxes[:, 3:6])).abs().sum()
+    s_term = (sin_t[rows] - np.sin(gt_boxes[:, 6:])).abs().sum()
+    k_term = (cos_t[rows] - np.cos(gt_boxes[:, 6:])).abs().sum()
     return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
 
 
-def _set_task(targets, weights: LossWeights):
-    """(task, gt boxes, gt logit columns, class weight) of the set loss.
-
-    Grounding is one-object detection: class 0 of the grounding logits.
-    """
-    if isinstance(targets, DetectionTargets):
-        return "detection", targets.boxes, targets.classes, weights.lambda_cls
-    if isinstance(targets, GroundingTargets):
-        return "grounding", [targets.box], [0], weights.lambda_ground
-    raise TypeError(f"unsupported target type {type(targets).__name__}")
-
-
-def matching_cost(output, targets, weights: LossWeights) -> Array:
+def matching_cost(output, targets: SetTargets, cls_weight: float,
+                  weights: LossWeights) -> Array:
     """(K, G) matrix: cls_weight * (-p_k(class_g)) + lambda_box * box_loss.
 
     The box term is ``box_loss`` broadcast over all pairs, in its summation
     order, so each entry equals the scalar call bit for bit.
     """
-    _, gt_boxes, classes, cls_weight = _set_task(targets, weights)
-    cls_cost = -_sigmoid(output.logits.data)[:, np.asarray(classes, dtype=np.intp)]
-    pred = np.array([b.as_params() for b in output.boxes]).reshape(-1, 1, 9)
-    gt = np.array([b.as_params() for b in gt_boxes]).reshape(1, -1, 9)
+    cls_cost = -_sigmoid(output.logits.data)[:, np.asarray(targets.columns, dtype=np.intp)]
+    pred = output.boxes[:, None, :]
+    gt = targets.boxes[None, :, :]
     center = np.abs(pred[..., :3] - gt[..., :3]).sum(axis=-1)
     ext = np.abs(np.log(pred[..., 3:6] / gt[..., 3:6])).sum(axis=-1)
     turn = (np.abs(np.sin(pred[..., 6:]) - np.sin(gt[..., 6:]))
@@ -310,29 +300,28 @@ def spatial_relevance_loss(logits: Tensor, labels: Array) -> Tensor:
     return (flat.softplus() - flat * labels).mean()
 
 
-def total_loss(output, targets, weights: LossWeights):
+def total_loss(output, targets: SetTargets, cls_weight: float, weights: LossWeights):
     """The set loss of either task plus, for grounding, the relevance BCE.
 
-    The set loss is the Hungarian-matched focal loss plus box regression.
-    Returns (scalar Tensor, LossBreakdown).
+    The set loss is the Hungarian-matched focal loss, weighted by
+    ``cls_weight``, plus box regression.  Returns (scalar Tensor,
+    LossBreakdown).
     """
-    task, gt_boxes, classes, cls_weight = _set_task(targets, weights)
-    pairs = hungarian(matching_cost(output, targets, weights)).pairs
+    pairs = hungarian(matching_cost(output, targets, cls_weight, weights)).pairs
     rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
     onehot = np.zeros(output.logits.shape)
-    for i, j in pairs:
-        onehot[i, classes[j]] = 1.0
+    onehot[rows, [targets.columns[j] for j in cols]] = 1.0
     cls_term = focal_loss(output.logits, onehot, normalizer=max(1, len(rows)))
     box_term = box_regression_loss(output.centers, output.log_extents, output.sin_angles,
-                                   output.cos_angles, rows, [gt_boxes[j] for _, j in pairs])
+                                   output.cos_angles, rows, targets.boxes[cols])
     total = cls_weight * cls_term + weights.lambda_box * box_term
     spatial = 0.0
-    labels = getattr(targets, "relevance_labels", None)
-    if output.relevance is not None and labels is not None:
-        spatial_term = spatial_relevance_loss(output.relevance, labels)
+    if output.relevance is not None and targets.relevance_labels is not None:
+        spatial_term = spatial_relevance_loss(output.relevance, targets.relevance_labels)
         total = total + weights.lambda_spatial * spatial_term
         spatial = spatial_term.item()
     cls, box = cls_term.item(), box_term.item()
     return total, LossBreakdown(
-        task=task, cls=cls, box=box, spatial=spatial, weights=weights,
+        cls=cls, box=box, spatial=spatial,
         total=cls_weight * cls + weights.lambda_box * box + weights.lambda_spatial * spatial)

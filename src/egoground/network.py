@@ -21,9 +21,12 @@ feeds the initial queries straight to the heads.
 
 Box regression predicts, per query, a center offset from the query's voxel
 center, log extents, and sine/cosine pairs per angle; angles are recovered
-with atan2, extents with exp, so decoded extents are always positive.
-Query selection is not differentiated through; the scoring heads learn from
-an auxiliary objective instead (see train).
+with atan2 and wrapped to (-pi, pi], extents with exp.  A decoded extent that
+underflows to zero or overflows to inf raises ``NonFiniteError``.  The
+decoded boxes are one (K, 9) array, a row per query; ``Box9DoF`` objects are
+built only where boxes leave the model (see train).  Query selection is not
+differentiated through; the scoring heads learn from an auxiliary objective
+instead (see train).
 
 Every stage passes plain tensors: the fused trunk, the region-refined
 features and the relevance logits are (N, C) / (N,) ``Tensor`` rows in voxel
@@ -45,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import (
+    NonFiniteError,
     ParamStore,
     Tensor,
     _is_int,
@@ -60,7 +64,7 @@ from .autodiff import (
     mlp_apply,
     save_checkpoint,
 )
-from .boxes import Box9DoF
+from .boxes import wrap_angle
 from .geometry import init_fusion_params, positional_encoding
 
 Array = np.ndarray
@@ -114,7 +118,7 @@ class QuerySet:
 
 @dataclass
 class DecoderOutput:
-    boxes: list[Box9DoF]
+    boxes: Array                # (K, 9) rows (x, y, z, l, w, h, alpha, beta, gamma)
     logits: Tensor              # (K, num_classes) for detection, (K, 1) for grounding
     relevance: Tensor | None    # (N,) spatial relevance logits, grounding only
     centers: Tensor             # (K, 3)
@@ -311,10 +315,13 @@ def _decode_boxes(raw: Tensor, positions: Array):
     norm = (sin_raw * sin_raw + cos_raw * cos_raw + 1e-12) ** 0.5
     sin_n = sin_raw / norm
     cos_n = cos_raw / norm
-    angles = np.arctan2(sin_raw.data, cos_raw.data)
-    extents = np.exp(log_extents.data)
-    boxes = [Box9DoF(*centers.data[i], *extents[i], *angles[i])
-             for i in range(raw.shape[0])]
+    with np.errstate(over="ignore"):
+        extents = np.exp(log_extents.data)
+    if not (np.isfinite(extents).all() and (extents > 0.0).all()):
+        raise NonFiniteError(f"decoded box extents must be finite and positive, got "
+                             f"{extents.min()} .. {extents.max()}")
+    angles = wrap_angle(np.arctan2(sin_raw.data, cos_raw.data))
+    boxes = np.hstack([centers.data, extents, angles])
     return boxes, centers, log_extents, sin_n, cos_n
 
 

@@ -313,11 +313,9 @@ class StubEmbeddings:
             raise ValueError("empty token sequence")
         return self.word_table[np.asarray(tokens, dtype=np.intp)]
 
-    def view_feature_map(self, scene: Scene, view_idx: int,
-                         depth: DepthMap | None = None, classes: Array | None = None) -> ViewFeatureMap:
-        """Per-pixel embedding of (visible class id, normalized depth)."""
-        if depth is None or classes is None:
-            depth, classes = render_depth_and_classes(scene, view_idx)
+    def view_feature_map(self, scene: Scene, view_idx: int, depth: DepthMap,
+                         classes: Array) -> ViewFeatureMap:
+        """Per-pixel embedding of (visible class id, normalized depth) of a rendered view."""
         cam, pose = scene.cameras[view_idx]
         max_depth = float(np.linalg.norm(scene.room_hi - scene.room_lo)) + 1.0
         dnorm = np.clip(depth.values / max_depth, 0.0, 1.0)

@@ -5,6 +5,9 @@ with its per-pixel stub features and pooled into voxels, and the 2D feature
 maps are sampled at the voxel centers.  Per-voxel labels come from box
 containment of the voxel center (class id for the detection scoring head,
 inside-the-target for the grounding scoring head and relevance objective).
+The set-loss targets are built here too, once per scene: every object as
+one row of a (G, 9) box array with its class, and per instruction the
+target's row with the relevance labels.
 
 Each training step builds the fused voxel trunk once, an (N, C) ``Tensor``
 in the row order of ``batch.voxels``, runs both task bodies on it and takes
@@ -15,7 +18,9 @@ non-finite loss aborts with the step number.
 
 ``training_losses`` is the one forward that records a tape.  The inference
 forwards (``forward_detection``, ``forward_grounding`` and the prediction
-wrappers built on them) run their body under ``no_grad`` themselves.
+wrappers built on them) run their body under ``no_grad`` themselves.  Boxes
+stay (K, 9) arrays up to the prediction wrappers, where ``_scored_boxes``
+turns each row into a ``Box9DoF`` for evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import NonFiniteError, ParamStore, Tensor, _sigmoid, no_grad
-from .boxes import contains_points
+from .boxes import Box9DoF, contains_points
 from .evaluate import DetectionResult, GroundingResult, ScoredBox
 from .geometry import (
     VoxelFeatureSet,
@@ -36,9 +41,8 @@ from .geometry import (
     voxelize,
 )
 from .losses import (
-    DetectionTargets,
-    GroundingTargets,
     LossWeights,
+    SetTargets,
     focal_loss,
     spatial_relevance_loss,
     total_loss,
@@ -68,16 +72,23 @@ class SceneBatch:
     scene: Scene
     voxels: VoxelFeatureSet          # 2D features pooled over each voxel's pixels (constant)
     image_features: Array            # (N, C') view grids sampled at voxel centers (constant)
-    det_targets: DetectionTargets
+    det_targets: SetTargets          # every object box and its class (constant)
     voxel_classes: Array             # (N,) int, -1 for background
     instructions: list[Instruction]
     token_vectors: list[Array]       # raw stub vectors per instruction
-    grd_targets: list[GroundingTargets]
+    grd_targets: list[SetTargets]    # per instruction: the target box, relevance labels
 
 
 def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbeddings,
                   voxel_size: float, num_classes: int) -> SceneBatch:
-    """Render, lift, voxelize and sample one scene; derive all training labels."""
+    """Render, lift, voxelize and sample one scene; derive all training labels.
+
+    Every object class must lie in ``[0, num_classes)``.
+    """
+    for i, obj in enumerate(scene.objects):
+        if not 0 <= obj.class_id < num_classes:
+            raise ValueError(f"object {i} has class {obj.class_id}, outside "
+                             f"[0, {num_classes})")
     pts_list = []
     feat_list = []
     views = []
@@ -98,15 +109,13 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
     voxel_classes = np.full(len(voxels), -1, dtype=np.int64)
     for obj in scene.objects:
         voxel_classes[contains_points(obj.box, voxels.coords)] = obj.class_id
-    det_targets = DetectionTargets(boxes=[o.box for o in scene.objects],
-                                   classes=[o.class_id for o in scene.objects],
-                                   num_classes=num_classes)
+    boxes = np.array([o.box.as_params() for o in scene.objects]).reshape(-1, 9)
+    det_targets = SetTargets(boxes, [o.class_id for o in scene.objects])
     token_vectors = [stub.token_vectors(ins.tokens) for ins in instructions]
     grd_targets = []
     for ins in instructions:
-        box = scene.objects[ins.target].box
-        inside = contains_points(box, voxels.coords).astype(np.float64)
-        grd_targets.append(GroundingTargets(box=box, relevance_labels=inside))
+        inside = contains_points(scene.objects[ins.target].box, voxels.coords)
+        grd_targets.append(SetTargets(boxes[[ins.target]], [0], inside.astype(np.float64)))
     return SceneBatch(scene=scene, voxels=voxels, image_features=image_features,
                       det_targets=det_targets, voxel_classes=voxel_classes,
                       instructions=instructions, token_vectors=token_vectors,
@@ -165,11 +174,11 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
     """Summed objective plus a float breakdown for logging; one trunk for both tasks."""
     fused = fuse_scene(batch, store)
     det_out, det_score_logits = _detection_body(fused, batch, store, cfg)
-    det_total, det_parts = total_loss(det_out, batch.det_targets, weights)
+    det_total, det_parts = total_loss(det_out, batch.det_targets, weights.lambda_cls, weights)
     grd_out, grd_score_logits = _grounding_body(fused, batch, store, cfg, instruction_idx,
                                                 use_rag, use_qim)
     grd_targets = batch.grd_targets[instruction_idx]
-    grd_total, grd_parts = total_loss(grd_out, grd_targets, weights)
+    grd_total, grd_parts = total_loss(grd_out, grd_targets, weights.lambda_ground, weights)
 
     n = len(batch.voxels)
     onehot = np.zeros((n, cfg.num_classes))
@@ -228,9 +237,10 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 
 
-def _scored_boxes(boxes, logits: Array) -> list[ScoredBox]:
-    """Score each query by the sigmoid of its max logit (a (K, 1) max is the logit)."""
-    return [ScoredBox(box, float(s)) for box, s in zip(boxes, _sigmoid(logits.max(axis=1)))]
+def _scored_boxes(boxes: Array, logits: Array) -> list[ScoredBox]:
+    """Each (K, 9) box row scored by the sigmoid of its max logit (a (K, 1) max is the logit)."""
+    return [ScoredBox(Box9DoF(*box), float(s))
+            for box, s in zip(boxes, _sigmoid(logits.max(axis=1)))]
 
 
 def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
@@ -250,5 +260,5 @@ def detection_predictions(batch: SceneBatch, store: ParamStore,
     logits = out.logits.data
     return DetectionResult(pred_boxes=_scored_boxes(out.boxes, logits),
                            pred_classes=[int(c) for c in logits.argmax(axis=1)],
-                           gt_boxes=batch.det_targets.boxes,
-                           gt_classes=list(batch.det_targets.classes))
+                           gt_boxes=[o.box for o in batch.scene.objects],
+                           gt_classes=[o.class_id for o in batch.scene.objects])

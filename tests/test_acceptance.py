@@ -163,7 +163,7 @@ def test_criterion_4_init_identity():
             and np.array_equal(on.log_extents.data, off.log_extents.data)
             and np.array_equal(on.sin_angles.data, off.sin_angles.data)
             and np.array_equal(on.cos_angles.data, off.cos_angles.data)
-            and on.boxes == off.boxes)
+            and np.array_equal(on.boxes, off.boxes))
     has_relevance = on.relevance is not None and off.relevance is None \
         and rel_logits.data.shape == (len(batch.voxels),)
     ok = rag_identity and same and has_relevance

@@ -40,6 +40,16 @@ def test_wrap_angle_range_and_boundaries():
         assert abs(np.cos(wrapped) - np.cos(a)) < 1e-12
 
 
+def test_wrap_angle_array_equals_scalar_bytes():
+    angles = np.array([np.pi, -np.pi, -0.0, 0.0, 7.0, -7.0,
+                       np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)])
+    wrapped = wrap_angle(angles)
+    assert wrapped.shape == angles.shape
+    assert wrapped.tobytes() == np.array([wrap_angle(float(a)) for a in angles]).tobytes()
+    box = Box9DoF(0, 0, 0, 1, 1, 1, *angles[[0, 2, 4]])
+    assert box.as_params()[6:].tobytes() == wrapped[[0, 2, 4]].tobytes()
+
+
 def test_rotation_matrix_quarter_turn():
     r = rotation_matrix(np.pi / 2, 0.0, 0.0)
     np.testing.assert_allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)

@@ -402,3 +402,21 @@ def test_heatmap_refuses_disable_rag_checkpoint(workspace, tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["heatmap", "--scene", "s.json", "--checkpoint", "c.json", "--view", "0", "--out", "h",
+     "--config", "cfg.json"],
+    ["heatmap", "--scene", "s.json", "--checkpoint", "c.json", "--view", "0", "--out", "h",
+     "--seed", "99"],
+    ["gradcheck", "--config", "cfg.json"],
+    ["eval", "--scenes", "s", "--checkpoint", "c.json", "--out", "r", "--seed", "1"],
+])
+def test_flags_a_command_ignores_are_rejected(argv, tmp_path, monkeypatch, capsys):
+    # each command takes --config or --seed only if it reads it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

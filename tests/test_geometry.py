@@ -106,14 +106,14 @@ def test_project_flags_behind_camera():
 
 def test_voxelize_two_points_one_voxel():
     pts = np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]])
-    vox = voxelize(pts, None, 1.0)
+    vox = voxelize(pts, np.array([[1.0], [3.0]]), 1.0)
     assert len(vox) == 1
     np.testing.assert_allclose(vox.coords, [[0.5, 0.5, 0.5]])
     np.testing.assert_allclose(vox.features.data, [[2.0]])
 
 
 def test_voxelize_negative_coordinates():
-    vox = voxelize(np.array([[-0.1, -0.1, -0.1]]), None, 1.0)
+    vox = voxelize(np.array([[-0.1, -0.1, -0.1]]), np.ones((1, 1)), 1.0)
     np.testing.assert_allclose(vox.coords, [[-0.5, -0.5, -0.5]])
 
 
@@ -137,16 +137,18 @@ def test_voxelize_mean_features_and_order_invariance():
 def test_voxelize_coords_on_lattice():
     rng = make_rng(107)
     pts = rng.uniform(-3.0, 3.0, size=(50, 3))
-    vox = voxelize(pts, None, 0.4)
+    vox = voxelize(pts, np.ones((50, 1)), 0.4)
     shifted = vox.coords / 0.4 - 0.5
     np.testing.assert_allclose(shifted, np.round(shifted), atol=1e-9)
 
 
 def test_voxelize_input_validation():
     with pytest.raises(ValueError):
-        voxelize(np.zeros((0, 3)), None, 1.0)
+        voxelize(np.zeros((0, 3)), np.zeros((0, 1)), 1.0)
     with pytest.raises(ValueError):
-        voxelize(np.zeros((2, 3)), None, 0.0)
+        voxelize(np.zeros((2, 3)), np.ones((2, 1)), 0.0)
+    with pytest.raises(ValueError, match="one feature row per point"):
+        voxelize(np.zeros((2, 3)), np.ones((3, 1)), 1.0)
 
 
 def test_bilinear_exact_at_grid_points_and_midpoint():
@@ -225,7 +227,7 @@ def test_fuse_concat_width_and_output_dim():
     assert store["enc3d.w"].shape == (1 + c, c)
     assert store["fuse.w"].shape == (c + c2d, c)
     view = make_center_view(c2d=c2d)
-    vox = voxelize(np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]]), None, 0.25)
+    vox = voxelize(np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]]), np.ones((2, 1)), 0.25)
     encoded = encode_voxels(vox, store)
     assert encoded.shape == (len(vox), c)
     fused = fuse_features(encoded, sample_views(vox.coords, [view])[0], store)
@@ -237,7 +239,7 @@ def test_fusion_gradients_flow_to_both_linears():
     store = ParamStore()
     init_fusion_params(store, pooled_dim=1, feat2d_dim=4, model_dim=6, rng=rng)
     view = make_center_view(c2d=4)
-    vox = voxelize(rng.uniform(-0.6, 0.6, size=(12, 3)), None, 0.3)
+    vox = voxelize(rng.uniform(-0.6, 0.6, size=(12, 3)), np.ones((12, 1)), 0.3)
     sampled, _ = sample_views(vox.coords, [view])
 
     def fn(s):

@@ -8,12 +8,11 @@ import pytest
 
 from egoground import losses
 from egoground.autodiff import ParamStore, Tensor, _sigmoid, grad_check, make_rng
-from egoground.boxes import Box9DoF
+from egoground.boxes import Box9DoF, wrap_angle
 from egoground.losses import (
     Assignment,
-    DetectionTargets,
-    GroundingTargets,
     LossWeights,
+    SetTargets,
     box_loss,
     box_regression_loss,
     focal_loss,
@@ -274,8 +273,8 @@ def test_box_regression_loss_matches_float_version():
     raw_cos = rng.normal(size=(k, 3))
     norm = np.sqrt(raw_sin**2 + raw_cos**2 + 1e-12)
     sin_n, cos_n = raw_sin / norm, raw_cos / norm
-    gt = [Box9DoF(*rng.normal(size=3), *rng.uniform(0.5, 2.0, size=3), *rng.uniform(-3, 3, size=3))
-          for _ in range(3)]
+    gt = np.hstack([rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, size=(3, 3)),
+                    rng.uniform(-3, 3, size=(3, 3))])
     rows = [4, 0, 2]
     tape_val = box_regression_loss(Tensor(centers), Tensor(logext), Tensor(sin_n), Tensor(cos_n),
                                    rows, gt).item()
@@ -283,7 +282,7 @@ def test_box_regression_loss_matches_float_version():
     for r, g in zip(rows, gt):
         pred = Box9DoF(*centers[r], *np.exp(logext[r]),
                        *(np.arctan2(sin_n[r], cos_n[r])))
-        ref += box_loss(pred, g)
+        ref += box_loss(pred, Box9DoF(*g))
     assert tape_val == pytest.approx(ref / len(gt), abs=1e-9)
 
 
@@ -308,7 +307,7 @@ def test_loss_weights_validation():
 
 @dataclass
 class FakeOutput:
-    boxes: list
+    boxes: np.ndarray
     logits: Tensor
     centers: Tensor
     log_extents: Tensor
@@ -325,8 +324,7 @@ def make_fake_output(rng, task="detection", k=4, num_classes=3, n_vox=6):
     raw_c = rng.normal(size=(k, 3))
     norm = np.sqrt(raw_s**2 + raw_c**2 + 1e-12)
     sin_n, cos_n = raw_s / norm, raw_c / norm
-    boxes = [Box9DoF(*centers[i], *np.exp(logext[i]), *np.arctan2(sin_n[i], cos_n[i]))
-             for i in range(k)]
+    boxes = np.hstack([centers, np.exp(logext), wrap_angle(np.arctan2(sin_n, cos_n))])
     det_logits = rng.normal(size=(k, num_classes))
     grd_logits = rng.normal(size=(k, 1))
     return FakeOutput(
@@ -343,8 +341,8 @@ def make_fake_output(rng, task="detection", k=4, num_classes=3, n_vox=6):
 def test_matching_cost_prefers_better_class_and_box():
     rng = make_rng(341)
     out = make_fake_output(rng)
-    gt = DetectionTargets(boxes=[out.boxes[2]], classes=[1], num_classes=3)
-    cost = matching_cost(out, gt, LossWeights())
+    gt = SetTargets(out.boxes[[2]], [1])
+    cost = matching_cost(out, gt, 1.0, LossWeights())
     assert cost.shape == (4, 1)
     # prediction 2 has a zero box term against its own box
     assert np.argmin(cost[:, 0]) == 2
@@ -355,11 +353,11 @@ def test_matching_cost_stable_at_extreme_logits():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out.logits = Tensor(np.array([[-1000.0], [1000.0], [0.0], [-1.0]]))
-        grd = matching_cost(out, GroundingTargets(box=out.boxes[0], relevance_labels=None),
+        grd = matching_cost(out, SetTargets(out.boxes[[0]], [0]), 1.0,
                             LossWeights(lambda_box=0.0))
         out.logits = Tensor(np.full((4, 3), -1000.0))
-        det = matching_cost(out, DetectionTargets(boxes=[out.boxes[0]], classes=[1],
-                                                  num_classes=3), LossWeights(lambda_box=0.0))
+        det = matching_cost(out, SetTargets(out.boxes[[0]], [1]), 1.0,
+                            LossWeights(lambda_box=0.0))
     assert grd[:, 0].tolist() == pytest.approx([0.0, -1.0, -0.5, -1.0 / (1.0 + math.e)],
                                                abs=1e-15)
     assert np.all(det == 0.0)
@@ -376,8 +374,14 @@ def test_matching_cost_equals_box_loss_loop_bytes():
             else rng.uniform(-7.0, 7.0, size=3)
 
     def boxes(n):
-        return [Box9DoF(*rng.normal(size=3), *rng.uniform(0.1, 2.0, size=3), *angles())
-                for _ in range(n)]
+        rows = [np.concatenate([rng.normal(size=3), rng.uniform(0.1, 2.0, size=3),
+                                wrap_angle(angles())]) for _ in range(n)]
+        return np.array(rows)
+
+    def as_boxes(rows):
+        objs = [Box9DoF(*row) for row in rows]
+        assert np.array_equal([b.as_params() for b in objs], rows)  # wrapping is idempotent
+        return objs
 
     for trial in range(10):
         task = "grounding" if trial % 2 else "detection"
@@ -385,16 +389,15 @@ def test_matching_cost_equals_box_loss_loop_bytes():
         out.boxes = boxes(8)
         if task == "grounding":
             gt_boxes, classes = boxes(1), [0]
-            targets = GroundingTargets(box=gt_boxes[0], relevance_labels=None)
             cls_weight = weights.lambda_ground
         else:
             gt_boxes, classes = boxes(6), rng.integers(0, 3, size=6).tolist()
-            targets = DetectionTargets(boxes=gt_boxes, classes=classes, num_classes=3)
             cls_weight = weights.lambda_cls
-        box_cost = np.array([[box_loss(p, t) for t in gt_boxes] for p in out.boxes])
+        box_cost = np.array([[box_loss(p, t) for t in as_boxes(gt_boxes)]
+                             for p in as_boxes(out.boxes)])
         want = (cls_weight * -_sigmoid(out.logits.data)[:, classes]
                 + weights.lambda_box * box_cost)
-        got = matching_cost(out, targets, weights)
+        got = matching_cost(out, SetTargets(gt_boxes, classes), cls_weight, weights)
         assert got.shape == (8, len(gt_boxes))
         assert got.tobytes() == want.tobytes()
 
@@ -402,10 +405,9 @@ def test_matching_cost_equals_box_loss_loop_bytes():
 def test_detection_total_loss_breakdown_consistent():
     rng = make_rng(347)
     out = make_fake_output(rng)
-    gt = DetectionTargets(boxes=[out.boxes[0], out.boxes[3]], classes=[0, 2], num_classes=3)
+    gt = SetTargets(out.boxes[[0, 3]], [0, 2])
     weights = LossWeights(lambda_cls=1.0, lambda_box=1.0)
-    total, breakdown = total_loss(out, gt, weights)
-    assert breakdown.task == "detection"
+    total, breakdown = total_loss(out, gt, weights.lambda_cls, weights)
     assert breakdown.spatial == 0.0
     want = weights.lambda_cls * breakdown.cls + weights.lambda_box * breakdown.box
     assert abs(breakdown.total - want) < 1e-12
@@ -416,25 +418,24 @@ def test_grounding_total_loss_breakdown_consistent():
     rng = make_rng(349)
     out = make_fake_output(rng, "grounding")
     labels = (rng.random(6) > 0.5).astype(float)
-    gt = GroundingTargets(box=out.boxes[1], relevance_labels=labels)
+    gt = SetTargets(out.boxes[[1]], [0], labels)
     weights = LossWeights(lambda_spatial=0.01)
-    total, breakdown = total_loss(out, gt, weights)
-    assert breakdown.task == "grounding"
+    total, breakdown = total_loss(out, gt, weights.lambda_ground, weights)
     want = (weights.lambda_ground * breakdown.cls + weights.lambda_box * breakdown.box
             + weights.lambda_spatial * breakdown.spatial)
     assert abs(breakdown.total - want) < 1e-12
     assert total.item() == pytest.approx(breakdown.total, abs=1e-12)
     # without a relevance head the spatial component drops out
     out.relevance = None
-    _, b2 = total_loss(out, gt, weights)
+    _, b2 = total_loss(out, gt, weights.lambda_ground, weights)
     assert b2.spatial == 0.0
 
 
 def test_grounding_matches_closest_query():
     rng = make_rng(353)
     out = make_fake_output(rng, "grounding")
-    gt = GroundingTargets(box=out.boxes[3], relevance_labels=None)
-    cost = matching_cost(out, gt, LossWeights())
+    gt = SetTargets(out.boxes[[3]], [0])
+    cost = matching_cost(out, gt, 1.0, LossWeights())
     assert cost.shape == (4, 1)
     assignment = hungarian(cost)
     # box 3 matches itself unless its grounding score is badly low
@@ -444,8 +445,8 @@ def test_grounding_matches_closest_query():
 def test_detection_loss_empty_gt():
     rng = make_rng(359)
     out = make_fake_output(rng)
-    gt = DetectionTargets(boxes=[], classes=[], num_classes=3)
-    total, breakdown = total_loss(out, gt, LossWeights())
+    gt = SetTargets(np.zeros((0, 9)), [])
+    total, breakdown = total_loss(out, gt, 1.0, LossWeights())
     assert breakdown.box == 0.0
     assert breakdown.cls > 0.0
     assert np.isfinite(total.item())
@@ -463,11 +464,10 @@ def test_total_loss_golden():
         "grounding": ("0x1.7eddd239620b1p-1", "0x1.04e75809e064ep+3", "0x1.76c65fc505c8dp-1",
                       "0x1.1e010713adbd6p+3"),
     }
-    for task, gt in (
-            ("detection", DetectionTargets(boxes=other.boxes[:3], classes=[0, 2, 1],
-                                           num_classes=3)),
-            ("grounding", GroundingTargets(box=other.boxes[1], relevance_labels=labels))):
-        total, b = total_loss(make_fake_output(make_rng(347), task), gt, weights)
+    for task, gt, cls_weight in (
+            ("detection", SetTargets(other.boxes[:3], [0, 2, 1]), weights.lambda_cls),
+            ("grounding", SetTargets(other.boxes[[1]], [0], labels), weights.lambda_ground)):
+        total, b = total_loss(make_fake_output(make_rng(347), task), gt, cls_weight, weights)
         got = tuple(v.hex() for v in (b.cls, b.box, b.spatial, b.total))
-        assert got == want[b.task], b.task
-        assert total.item().hex() == want[b.task][3]
+        assert got == want[task], task
+        assert total.item().hex() == want[task][3]

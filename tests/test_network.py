@@ -21,9 +21,8 @@ from egoground.autodiff import (
     make_rng,
     mlp_apply,
 )
-from egoground.boxes import Box9DoF
 from egoground.geometry import VoxelFeatureSet, encode_voxels, positional_encoding
-from egoground.losses import GroundingTargets, LossWeights, total_loss
+from egoground.losses import LossWeights, SetTargets, total_loss
 from egoground.network import (
     MODULES,
     ModelConfig,
@@ -371,16 +370,15 @@ def test_decoder_output_shapes_and_positive_extents():
     text = tiny_text()
     qs = tiny_queries(fused)
     out = decoder_forward(fused, text, qs, store, TINY, "grounding")
-    assert len(out.boxes) == 3
+    assert out.boxes.shape == (3, 9)
     assert out.logits.shape == (3, 1)
-    for box in out.boxes:
-        assert (box.extents > 0.0).all()
+    assert np.array_equal(out.boxes[:, :3], out.centers.data)
+    assert (out.boxes[:, 3:6] > 0.0).all()
     norm = out.sin_angles.data ** 2 + out.cos_angles.data ** 2
     assert np.allclose(norm, 1.0, atol=1e-9)
-    for i, box in enumerate(out.boxes):
-        assert np.allclose([box.alpha, box.beta, box.gamma],
-                           np.arctan2(out.sin_angles.data[i], out.cos_angles.data[i]),
-                           atol=1e-9)
+    assert np.allclose(out.boxes[:, 6:], np.arctan2(out.sin_angles.data, out.cos_angles.data),
+                       atol=1e-9)
+    assert ((out.boxes[:, 6:] > -np.pi) & (out.boxes[:, 6:] <= np.pi)).all()
 
 
 def test_detection_ignores_text_entirely():
@@ -407,8 +405,7 @@ def test_decoder_set_equivariance():
     b = decoder_forward(fused, text, qs_p, store, TINY, "grounding")
     assert np.allclose(a.logits.data[perm], b.logits.data, atol=1e-12)
     assert np.allclose(a.centers.data[perm], b.centers.data, atol=1e-12)
-    for i, j in enumerate(perm):
-        assert np.allclose(a.boxes[j].as_params(), b.boxes[i].as_params(), atol=1e-12)
+    assert np.allclose(a.boxes[perm], b.boxes, atol=1e-12)
 
 
 def test_decoder_shape_mismatch_errors():
@@ -466,7 +463,7 @@ def test_grounding_pipeline_gradcheck():
     pooled = rng.normal(size=(n, cfg.feat2d_dim))
     tok_raw = rng.normal(size=(2, cfg.text_dim))
     labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    gt = Box9DoF(*coords[0], 0.6, 0.5, 0.4, 0.3, 0.0, 0.0)
+    gt = SetTargets(np.array([[*coords[0], 0.6, 0.5, 0.4, 0.3, 0.0, 0.0]]), [0], labels)
 
     def fn(store):
         fused = encode_voxels(VoxelFeatureSet(coords=coords, features=Tensor(pooled)), store)
@@ -477,8 +474,7 @@ def test_grounding_pipeline_gradcheck():
         modded = replace(qs, embeddings=qim_modulate(qs.embeddings, text.sentence, store))
         out = decoder_forward(region, text, modded, store, cfg, "grounding")
         out.relevance = relevance
-        loss, _ = total_loss(out, GroundingTargets(box=gt, relevance_labels=labels),
-                             LossWeights())
+        loss, _ = total_loss(out, gt, 1.0, LossWeights())
         return loss + (logits * logits).mean() * 0.1
 
     report = grad_check(fn, store)

@@ -1,6 +1,8 @@
 """Scene preparation, joint objective, training loop and prediction wrappers."""
 
 import gc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import egoground.geometry
 import egoground.train
 from egoground.autodiff import Adam, make_rng
-from egoground.boxes import contains_points
+from egoground.boxes import Box9DoF, contains_points
 from egoground.geometry import VoxelFeatureSet
 from egoground.losses import LossWeights, total_loss
 from egoground.network import ModelConfig, init_model_params
@@ -86,6 +88,22 @@ def test_prepare_scene_feature_shapes():
     assert batch.token_vectors[0].shape == (len(batch.instructions[0].tokens),
                                             CFG.text_dim)
     assert len(batch.det_targets.boxes) == len(batch.scene.objects)
+    assert np.array_equal(batch.det_targets.boxes,
+                          [o.box.as_params() for o in batch.scene.objects])
+    assert batch.det_targets.columns == [o.class_id for o in batch.scene.objects]
+    target = batch.instructions[0].target
+    assert np.array_equal(batch.grd_targets[0].boxes, batch.det_targets.boxes[[target]])
+    assert batch.grd_targets[0].columns == [0]
+
+
+@pytest.mark.parametrize("class_id", [-1, CFG.num_classes])
+def test_prepare_scene_rejects_out_of_range_class(class_id):
+    scene = BATCH.scene
+    objects = list(scene.objects)
+    objects[1] = replace(objects[1], class_id=class_id)
+    with pytest.raises(ValueError, match=f"object 1 has class {class_id}"):
+        prepare_scene(replace(scene, objects=objects), BATCH.instructions, StubEmbeddings(),
+                      voxel_size=0.4, num_classes=CFG.num_classes)
 
 
 def test_forward_shapes_and_k_clamp():
@@ -152,8 +170,10 @@ def test_training_losses_run_the_task_forwards():
     _, parts = training_losses(BATCH, store, CFG, WEIGHTS)
     det_out, _ = forward_detection(BATCH, store, CFG)
     grd_out, _ = forward_grounding(BATCH, store, CFG)
-    assert parts["det_total"] == total_loss(det_out, BATCH.det_targets, WEIGHTS)[1].total
-    assert parts["grd_total"] == total_loss(grd_out, BATCH.grd_targets[0], WEIGHTS)[1].total
+    assert parts["det_total"] == total_loss(det_out, BATCH.det_targets, WEIGHTS.lambda_cls,
+                                            WEIGHTS)[1].total
+    assert parts["grd_total"] == total_loss(grd_out, BATCH.grd_targets[0],
+                                            WEIGHTS.lambda_ground, WEIGHTS)[1].total
 
 
 def _tape_nodes(loss):
@@ -261,6 +281,41 @@ def test_divergence_aborts_with_step():
     assert "step 0" in str(err.value)
 
 
+@pytest.mark.parametrize("bias", [-800.0, 800.0])
+def test_collapsed_or_exploded_extents_diverge(bias):
+    # exp(-800) underflows to a zero extent, exp(800) overflows to inf; both
+    # are a divergence at step 0, reported without a numpy warning
+    store = init_model_params(CFG, seed=6)
+    store["head_box.1.b"].data[3:6] = bias
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="box extents") as err:
+            train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=3)
+    assert err.value.step == 0
+
+
+def test_boxes_become_objects_only_where_they_leave_the_model(monkeypatch):
+    built = []
+    post_init = Box9DoF.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Box9DoF, "__post_init__", counted)
+    cfg = ModelConfig(num_classes=len(CLASS_NAMES))  # k_det 32, k_grd 16
+    assert len(BATCH.voxels) >= cfg.k_det
+    store = init_model_params(cfg, seed=10)
+    loss, _ = training_losses(BATCH, store, cfg, WEIGHTS)
+    loss.backward()
+    assert len(built) == 0
+    forward_grounding(BATCH, store, cfg)
+    assert len(built) == 0
+    detection_predictions(BATCH, store, cfg)
+    grounding_predictions(BATCH, store, cfg)
+    assert len(built) == cfg.k_det + cfg.k_grd == 48
+
+
 def test_step_and_forward_leave_no_cyclic_garbage():
     # No tape node is in a reference cycle, so dropping the loss (or the
     # forward output) frees the whole graph and the cyclic collector finds
@@ -334,7 +389,7 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
         assert out.centers._parents == () and logits._parents == ()
     for preds, out in ((d.pred_boxes, det_out), (g.predictions, grd_out)):
         assert [p.box.as_params().tobytes() for p in preds] == \
-            [b.as_params().tobytes() for b in out.boxes]
+            [row.tobytes() for row in out.boxes]
     assert d.pred_classes == [int(c) for c in det_out.logits.data.argmax(axis=1)]
     assert [p.score for p in g.predictions] == \
         [float(s) for s in egoground.train._sigmoid(grd_out.logits.data[:, 0])]
