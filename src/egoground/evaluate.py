@@ -6,20 +6,26 @@ threshold (ties on IoU go to the lowest ground-truth index).  AP uses
 all-point interpolation: precision is replaced by its running maximum from
 the right before integrating over recall.
 
-Grounding is scored per instruction against the single referred box: each
-prediction's IoU with that box is computed once and serves both the greedy
-match and the diagnostics.  The instructions are then pooled: the overall
-AP ranks every prediction from every instruction in one list with the
-instruction count as the ground-truth total.  Buckets (easy / hard,
-view-dependent / view-independent) are pooled the same way over their
-subset; a bucket with no instructions is omitted from the report rather
-than reported as zero.
+The result classes are frozen, and each computes its exact IoUs once, on
+first use, so every threshold's report reads the same values (COCOeval's
+pattern, Lin et al., 2014): a ``GroundingResult`` holds each prediction's
+IoU with the referred box, a ``DetectionResult`` a (P, G) table over its
+same-class pairs.  Cross-class pairs are never computed.
+
+Grounding is scored per instruction against the single referred box; each
+prediction's IoU serves both the greedy match and the diagnostics.  The
+instructions are then pooled: the overall AP ranks every prediction from
+every instruction in one list with the instruction count as the
+ground-truth total.  Buckets (easy / hard, view-dependent /
+view-independent) are pooled the same way over their subset; a bucket with
+no instructions is omitted from the report rather than reported as zero.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,34 +35,55 @@ from .boxes import Box9DoF, box_iou_exact
 Array = np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoredBox:
     box: Box9DoF
     score: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundingResult:
     """One instruction's predictions plus the metadata that buckets it."""
-    predictions: list[ScoredBox]
+    predictions: tuple[ScoredBox, ...]
     gt_box: Box9DoF
     difficulty: str = "easy"
     view_dep: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "predictions", tuple(self.predictions))
 
-@dataclass
+    @cached_property
+    def ious(self) -> tuple[float, ...]:
+        """Each prediction's exact IoU with ``gt_box``."""
+        return tuple(box_iou_exact(p.box, self.gt_box) for p in self.predictions)
+
+
+@dataclass(frozen=True)
 class DetectionResult:
     """One scene's class-labelled predictions and ground truth."""
-    pred_boxes: list[ScoredBox]
-    pred_classes: list[int]
-    gt_boxes: list[Box9DoF]
-    gt_classes: list[int]
+    pred_boxes: tuple[ScoredBox, ...]
+    pred_classes: tuple[int, ...]
+    gt_boxes: tuple[Box9DoF, ...]
+    gt_classes: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("pred_boxes", "pred_classes", "gt_boxes", "gt_classes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.pred_boxes) != len(self.pred_classes):
             raise ValueError("prediction boxes and classes must align")
         if len(self.gt_boxes) != len(self.gt_classes):
             raise ValueError("ground-truth boxes and classes must align")
+
+    @cached_property
+    def ious(self) -> Array:
+        """Read-only (P, G) exact IoUs of the same-class pairs; NaN across classes."""
+        table = np.full((len(self.pred_boxes), len(self.gt_boxes)), np.nan)
+        for i, (pred, pc) in enumerate(zip(self.pred_boxes, self.pred_classes)):
+            for j, (gt, gc) in enumerate(zip(self.gt_boxes, self.gt_classes)):
+                if pc == gc:
+                    table[i, j] = box_iou_exact(pred.box, gt)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass
@@ -156,7 +183,7 @@ def bucket_report(results: list[GroundingResult], iou_thresh: float) -> EvalRepo
         if res.difficulty not in ("easy", "hard"):
             raise ValueError(f"unknown difficulty {res.difficulty!r}")
         scores = [p.score for p in res.predictions]
-        ious = [box_iou_exact(p.box, res.gt_box) for p in res.predictions]
+        ious = res.ious
         flags, _ = _greedy_match(scores, 1, lambda i, _: ious[i], iou_thresh)
         per_result.append((flags, scores))
         order = np.argsort(-np.asarray(scores), kind="stable")
@@ -210,12 +237,15 @@ def evaluate_detection(results: list[DetectionResult], iou_thresh: float,
         scores: list[float] = []
         num_gt = 0
         for res in results:
-            gts = [b for b, c in zip(res.gt_boxes, res.gt_classes) if c == cls]
-            preds = [p for p, c in zip(res.pred_boxes, res.pred_classes) if c == cls]
+            gts = [j for j, c in enumerate(res.gt_classes) if c == cls]
+            preds = [i for i, c in enumerate(res.pred_classes) if c == cls]
+            table = res.ious
             num_gt += len(gts)
-            f, _ = match_predictions(preds, gts, iou_thresh)
+            pred_scores = [res.pred_boxes[i].score for i in preds]
+            f, _ = _greedy_match(pred_scores, len(gts),
+                                 lambda i, j: table[preds[i], gts[j]], iou_thresh)
             flags.extend(f)
-            scores.extend(p.score for p in preds)
+            scores.extend(pred_scores)
         if num_gt == 0:
             continue
         ap = average_precision(flags, scores, num_gt)

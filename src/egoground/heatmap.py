@@ -19,12 +19,17 @@ from .geometry import CameraIntrinsics, CameraPose, project_points
 Array = np.ndarray
 
 
+def _colors(scores: Array) -> Array:
+    """(..., 3) float RGB channels of each score: see ``score_color``."""
+    s = np.clip(scores, 0.0, 1.0)
+    gb = np.floor(128.0 * (1.0 - s) + 0.5)
+    return np.stack([np.floor(128.0 + 127.0 * s + 0.5), gb, gb], axis=-1)
+
+
 def score_color(score: float) -> tuple[int, int, int]:
     """Linear gray -> red; channels floor(x + 0.5), score clipped to [0, 1]."""
-    s = min(max(float(score), 0.0), 1.0)
-    r = int(np.floor(128.0 + 127.0 * s + 0.5))
-    gb = int(np.floor(128.0 * (1.0 - s) + 0.5))
-    return r, gb, gb
+    r, g, b = _colors(float(score))
+    return int(r), int(g), int(b)
 
 
 def write_ppm(path: str | Path, pixels: Array) -> None:
@@ -53,13 +58,11 @@ def render_relevance_image(coords: Array, scores: Array, cam: CameraIntrinsics,
     uv = uv[in_front]
     vis_scores = scores[in_front]
     vs, us = np.mgrid[0:cam.height, 0:cam.width].astype(np.float64)
-    px = np.stack([us.ravel(), vs.ravel()], axis=1)
-    d2 = ((px[:, None, :] - uv[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((us.reshape(-1, 1) - uv[:, 0]) ** 2
+          + (vs.reshape(-1, 1) - uv[:, 1]) ** 2)
     nearest = d2.argmin(axis=1)
-    img = np.zeros((cam.height * cam.width, 3), dtype=np.uint8)
-    palette = np.array([score_color(s) for s in vis_scores], dtype=np.uint8)
-    img[:] = palette[nearest]
-    return img.reshape(cam.height, cam.width, 3)
+    palette = _colors(vis_scores).astype(np.uint8)
+    return palette[nearest].reshape(cam.height, cam.width, 3)
 
 
 def write_scores_csv(path: str | Path, coords: Array, scores: Array) -> None:

@@ -11,7 +11,8 @@ from itertools import permutations
 import numpy as np
 
 from egoground.autodiff import Adam, make_rng
-from egoground.boxes import Box9DoF, box_iou_exact, box_iou_mc, contains_points
+from egoground.boxes import (Box9DoF, box_corners, box_iou_exact, box_iou_mc,
+                             contains_points)
 from egoground.cli import RunConfig, gradcheck_model, main
 from egoground.evaluate import ScoredBox, average_precision, match_predictions
 from egoground.losses import hungarian
@@ -134,6 +135,23 @@ def test_criterion_3_iou_oracle():
         assert z <= 3.0, f"pair {i}: exact={exact:.6f} mc={est:.6f} z={z:.2f}"
     _report(3, True, f"1000 box pairs within 3 SE (worst z={worst:.3f}), "
                      f"analytic anchors exact")
+
+
+def test_criterion_3_chunked_oracle_equals_one_shot_draw():
+    """box_iou_mc draws in row chunks; its counts are those of one (samples, 3) draw."""
+    pair_seed, samples = 9, 1_000_000
+    for i in (0, 1, 7, 42, 513):
+        a, b = _iou_pair(pair_seed, i)
+        seed = pair_seed * 1_000_000 + i
+        corners = np.vstack([box_corners(a), box_corners(b)])
+        pts = make_rng(seed).uniform(corners.min(axis=0), corners.max(axis=0),
+                                     size=(samples, 3))
+        in_a, in_b = contains_points(a, pts), contains_points(b, pts)
+        n_union = int(np.count_nonzero(in_a | in_b))
+        n_both = int(np.count_nonzero(in_a & in_b))
+        p_adj = (n_both + 2.0) / (n_union + 4.0)
+        want = (n_both / n_union, float(np.sqrt(p_adj * (1.0 - p_adj) / n_union)))
+        assert box_iou_mc(a, b, samples=samples, seed=seed) == want, i
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ def test_box_validation():
         Box9DoF(0, 0, 0, 1, 1, np.nan)
     b = Box9DoF(0, 0, 0, 1, 1, 1, alpha=2 * np.pi)
     assert b.alpha == pytest.approx(0.0, abs=1e-12)
+
+
+def test_box_rotation_is_built_once_and_read_only():
+    b = Box9DoF(0.5, -1.0, 2.0, 1.0, 2.0, 0.5, 0.3, -1.1, 2.4)
+    r = b.rotation()
+    assert r is b.rotation()
+    assert r.tobytes() == rotation_matrix(b.alpha, b.beta, b.gamma).tobytes()
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.alpha = 0.0
 
 
 def test_corners_of_axis_aligned_cube():

@@ -6,6 +6,7 @@ prediction at any wanted IoU i.  Hand AP values are computed from the PR
 curve in the comments where used.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -291,19 +292,22 @@ def test_bucket_report_one_iou_per_prediction_matches_reference(monkeypatch):
     import egoground.evaluate as evaluate_mod
     results = _grounding_fixture()
     n_preds = sum(len(r.predictions) for r in results)
-    for thresh in (0.25, 0.5):
-        want = _reference_bucket_report(results, thresh)
-        calls = []
+    thresholds = (0.25, 0.5)
+    want = {t: _reference_bucket_report(results, t) for t in thresholds}
+    calls = []
 
-        def counting(a, b):
-            calls.append(1)
-            return box_iou_exact(a, b)
+    def counting(a, b):
+        calls.append(1)
+        return box_iou_exact(a, b)
 
-        monkeypatch.setattr(evaluate_mod, "box_iou_exact", counting)
-        report = bucket_report(results, thresh)
-        monkeypatch.undo()
-        assert len(calls) == n_preds
-        assert (report.bucket_ap, report.bucket_counts, report.diagnostics) == want
+    monkeypatch.setattr(evaluate_mod, "box_iou_exact", counting)
+    reports = {t: bucket_report(results, t) for t in thresholds}
+    monkeypatch.undo()
+    # one IoU per prediction across both thresholds, not per threshold
+    assert len(calls) == n_preds
+    for t in thresholds:
+        report = reports[t]
+        assert (report.bucket_ap, report.bucket_counts, report.diagnostics) == want[t]
         assert 0.0 < report.bucket_ap["overall"] < 1.0
 
 
@@ -331,6 +335,98 @@ def test_evaluate_detection_per_class_and_map():
     assert report.bucket_ap["class_1"] == 0.0
     assert "class_2" not in report.bucket_ap  # no GT for class 2
     assert report.bucket_ap["mAP"] == 0.5
+
+
+def _detection_fixture(seed=504, scenes=6, num_classes=3):
+    """Seeded scenes of jittered, rotated predictions around same- and other-class truth."""
+    rng = make_rng(seed)
+    results = []
+    for _ in range(scenes):
+        n_gt = int(rng.integers(1, 6))
+        gts = [cube(*rng.uniform(-1.5, 1.5, size=3), s=float(rng.uniform(0.8, 1.4)))
+               for _ in range(n_gt)]
+        gt_classes = [int(c) for c in rng.integers(0, num_classes, size=n_gt)]
+        preds, pred_classes = [], []
+        for _ in range(int(rng.integers(0, 9))):
+            j = int(rng.integers(0, n_gt))
+            base = gts[j]
+            jit = rng.uniform(-0.6, 0.6, size=3)
+            preds.append(ScoredBox(
+                Box9DoF(base.x + jit[0], base.y + jit[1], base.z + jit[2],
+                        base.l, base.w, base.h, float(rng.uniform(-0.4, 0.4)), 0.0, 0.0),
+                float(rng.uniform(0.0, 1.0))))
+            # mostly the class of the box it jitters, sometimes another
+            keep = rng.uniform() < 0.75
+            pred_classes.append(gt_classes[j] if keep
+                                else int(rng.integers(0, num_classes)))
+        results.append(DetectionResult(pred_boxes=preds, pred_classes=pred_classes,
+                                       gt_boxes=gts, gt_classes=gt_classes))
+    return results
+
+
+def _reference_detection(results, thresh, num_classes):
+    """Brute force: match_predictions per class and scene, as the protocol reads."""
+    bucket_ap, aps = {}, []
+    for cls in range(num_classes):
+        flags, scores, num_gt = [], [], 0
+        for res in results:
+            gts = [b for b, c in zip(res.gt_boxes, res.gt_classes) if c == cls]
+            preds = [p for p, c in zip(res.pred_boxes, res.pred_classes) if c == cls]
+            num_gt += len(gts)
+            flags.extend(match_predictions(preds, gts, thresh)[0])
+            scores.extend(p.score for p in preds)
+        if num_gt:
+            bucket_ap[f"class_{cls}"] = average_precision(flags, scores, num_gt)
+            aps.append(bucket_ap[f"class_{cls}"])
+    bucket_ap["mAP"] = float(np.mean(aps))
+    return bucket_ap
+
+
+def test_evaluate_detection_reads_one_iou_table_per_scene(monkeypatch):
+    import egoground.evaluate as evaluate_mod
+    num_classes = 3
+    results = _detection_fixture(num_classes=num_classes)
+    thresholds = (0.25, 0.40, 0.50)
+    want = {t: _reference_detection(results, t, num_classes) for t in thresholds}
+    pairs = []
+
+    def counting(a, b):
+        pairs.append((id(a), id(b)))
+        return box_iou_exact(a, b)
+
+    monkeypatch.setattr(evaluate_mod, "box_iou_exact", counting)
+    got = {t: evaluate_detection(results, t, num_classes) for t in thresholds}
+    monkeypatch.undo()
+    same_class = {(id(p.box), id(g)) for res in results
+                  for p, pc in zip(res.pred_boxes, res.pred_classes)
+                  for g, gc in zip(res.gt_boxes, res.gt_classes) if pc == gc}
+    # every same-class pair once over all thresholds, no cross-class pair
+    assert len(pairs) == len(set(pairs)) == len(same_class)
+    assert set(pairs) == same_class
+    for t in thresholds:
+        assert got[t].bucket_ap == want[t], t
+    assert got[0.25].bucket_ap["mAP"] > got[0.50].bucket_ap["mAP"] > 0.0
+    for res in results:
+        table = res.ious
+        assert table.shape == (len(res.pred_boxes), len(res.gt_boxes))
+        assert not table.flags.writeable
+        for i, pc in enumerate(res.pred_classes):
+            for j, gc in enumerate(res.gt_classes):
+                assert np.isnan(table[i, j]) == (pc != gc)
+
+
+def test_results_are_frozen_and_store_tuples():
+    pred = ScoredBox(cube(), 0.5)
+    grounding = GroundingResult(predictions=[pred], gt_box=cube())
+    detection = DetectionResult(pred_boxes=[pred], pred_classes=[0],
+                                gt_boxes=[cube()], gt_classes=[0])
+    assert grounding.predictions == (pred,)
+    assert (detection.pred_boxes, detection.pred_classes, detection.gt_boxes,
+            detection.gt_classes) == ((pred,), (0,), (cube(),), (0,))
+    for obj, name in ((pred, "score"), (grounding, "predictions"),
+                      (detection, "pred_classes"), (cube(), "x")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
 
 
 def test_evaluate_detection_validation():

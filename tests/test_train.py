@@ -360,7 +360,7 @@ def test_prediction_wrappers():
     assert len(d.pred_boxes) == min(CFG.k_det, n)
     assert len(d.pred_classes) == len(d.pred_boxes)
     assert all(0 <= c < CFG.num_classes for c in d.pred_classes)
-    assert d.gt_classes == [o.class_id for o in BATCH.scene.objects]
+    assert d.gt_classes == tuple(o.class_id for o in BATCH.scene.objects)
 
 
 def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
@@ -390,6 +390,6 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
     for preds, out in ((d.pred_boxes, det_out), (g.predictions, grd_out)):
         assert [p.box.as_params().tobytes() for p in preds] == \
             [row.tobytes() for row in out.boxes]
-    assert d.pred_classes == [int(c) for c in det_out.logits.data.argmax(axis=1)]
+    assert d.pred_classes == tuple(int(c) for c in det_out.logits.data.argmax(axis=1))
     assert [p.score for p in g.predictions] == \
         [float(s) for s in egoground.train._sigmoid(grd_out.logits.data[:, 0])]
