@@ -69,7 +69,8 @@ class _DegenerateClip(Exception):
 
 def wrap_angle(a):
     """Wrap a float or an array of them to (-pi, pi]."""
-    return a - 2.0 * np.pi * np.ceil((a - np.pi) / (2.0 * np.pi))
+    w = a - 2.0 * np.pi * np.ceil((a - np.pi) / (2.0 * np.pi))
+    return w - 2.0 * np.pi * (w > np.pi)  # rounding can land one ulp above pi
 
 
 def rotation_matrix(alpha: float, beta: float, gamma: float) -> Array:

@@ -9,7 +9,6 @@ voxel (x, y, z, score) regardless of visibility in the chosen view.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -70,12 +69,10 @@ def write_scores_csv(path: str | Path, coords: Array, scores: Array) -> None:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (coords.shape[0],):
         raise ValueError("one score per voxel required")
+    rows = np.column_stack([coords, scores]).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "score"])
-        for c, s in zip(coords, scores):
-            writer.writerow([repr(float(c[0])), repr(float(c[1])),
-                             repr(float(c[2])), repr(float(s))])
+        fh.write("x,y,z,score\r\n"
+                 + "".join(f"{x!r},{y!r},{z!r},{s!r}\r\n" for x, y, z, s in rows))
 
 
 def export_heatmap(coords: Array, scores: Array, cam: CameraIntrinsics,

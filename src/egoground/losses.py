@@ -10,20 +10,15 @@ w, h, alpha, beta, gamma) of a float array, angles wrapped to (-pi, pi];
 ``box_loss`` on two ``Box9DoF`` is the scalar reference of the array code.
 
 Matching is min-cost bipartite assignment over a (K preds, G truths) cost
-matrix; ties between equal-cost assignments resolve to the
-lexicographically smallest pair list so runs are reproducible.
-
-The assignment is solved once, by shortest augmenting paths from each vertex
-of the smaller side (Jonker & Volgenant, 1987, "A shortest augmenting path
+matrix, solved once by shortest augmenting paths from each vertex of the
+smaller side (Jonker & Volgenant, 1987, "A shortest augmenting path
 algorithm for dense and sparse linear assignment problems"; the rectangular
 form of Crouse, 2016, "On implementing 2D rectangular assignment
-algorithms"), which also yields dual potentials u, v.  By complementary
-slackness the min-cost assignments are exactly the matchings on the tight
-edges (reduced cost c - u - v <= tol) that cover the smaller side and every
-larger-side vertex with dual < -tol, where tol = 1e-9 * max(1, |optimum|).
-The tie-break walks (prediction, truth) pairs in lexicographic order and
-keeps a tight pair when augmenting-path searches on the tight graph can
-still complete it; no second solve is needed.
+algorithms").  Every vertex of the smaller side is matched at minimum total
+cost, and the solver is deterministic, so the same matrix always gives the
+same pairs.  On exact ties, which optimum comes back is the solver's choice,
+as in DETR's plain assignment call.  The solver's dual potentials u, v
+certify the optimum.
 
 The classification term is a sigmoid focal loss normalized by the number of
 matched predictions, with unmatched predictions supervised toward
@@ -149,67 +144,14 @@ def linear_sum_assignment(cost: Array):
     return np.arange(nr), np.asarray(col4row, dtype=np.intp), np.array(u), np.array(v)
 
 
-def _augment(a: int, adj: list, open_: list, match: list, seen: set) -> bool:
-    """Kuhn's step: find ``a`` a partner among the open vertices of the other side."""
-    for b in adj[a]:
-        if open_[b] and b not in seen:
-            seen.add(b)
-            if match[b] < 0 or _augment(match[b], adj, open_, match, seen):
-                match[b] = a
-                return True
-    return False
-
-
-def _covers(need, adj: list, open_: list) -> bool:
-    """Whether some matching into the open vertices covers every vertex in ``need``."""
-    match = [-1] * len(open_)
-    return all(_augment(a, adj, open_, match, set()) for a in need)
-
-
-def _tight_lex_pairs(cost: Array, u: Array, v: Array, tol: float) -> list[tuple[int, int]]:
-    """The lexicographically smallest min-cost pair list (pairs sorted by row).
-
-    By complementary slackness the min-cost assignments are the matchings of
-    the tight edges (reduced cost <= tol) that cover the smaller side and
-    every vertex of the larger side whose dual is below -tol.  Rows are
-    visited in order, and each takes its smallest tight column whose
-    completion by later rows and the unused columns can still cover both
-    sets; by Mendelsohn-Dulmage it can iff each set alone can be covered.
-    """
-    k, g = cost.shape
-    row_adj: list[list[int]] = [[] for _ in range(k)]
-    col_adj: list[list[int]] = [[] for _ in range(g)]
-    tight_rows, tight_cols = np.nonzero(cost - u[:, None] - v[None, :] <= tol)
-    for i, j in zip(tight_rows.tolist(), tight_cols.tolist()):  # row-major: both ascending
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    must_rows = range(k) if k <= g else np.flatnonzero(u < -tol).tolist()
-    must_cols = range(g) if g <= k else np.flatnonzero(v < -tol).tolist()
-    row_open, col_open = [True] * k, [True] * g
-    pairs: list[tuple[int, int]] = []
-    for i in range(k):
-        if len(pairs) == min(k, g):
-            break
-        row_open[i] = False
-        for j in row_adj[i]:
-            if not col_open[j]:
-                continue
-            col_open[j] = False
-            if (_covers([r for r in must_rows if row_open[r]], row_adj, col_open)
-                    and _covers([c for c in must_cols if col_open[c]], col_adj, row_open)):
-                pairs.append((i, j))
-                break
-            col_open[j] = True
-    if len(pairs) != min(k, g):
-        raise RuntimeError("assignment refinement lost the optimum")
-    return pairs
-
-
 def hungarian(cost) -> Assignment:
-    """Globally minimal-cost assignment of predictions to ground truths.
+    """Minimum-cost assignment of predictions to ground truths.
 
-    Returns min(K, G) pairs; an empty matrix yields an empty assignment.
-    Cost entries must be finite.
+    Returns min(K, G) (prediction, truth) pairs, rows ascending, as solved by
+    ``linear_sum_assignment``; an empty matrix yields an empty assignment.
+    Cost entries must be finite.  The same matrix always gives the same
+    pairs; among exactly tied optima, which one comes back is the solver's
+    choice.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -218,9 +160,8 @@ def hungarian(cost) -> Assignment:
         return Assignment(pairs=[], total_cost=0.0)
     if not np.isfinite(cost).all():
         raise NonFiniteError("cost matrix entries must be finite")
-    rows, cols, u, v = linear_sum_assignment(cost)
-    target = float(cost[rows, cols].sum())
-    pairs = _tight_lex_pairs(cost, u, v, 1e-9 * max(1.0, abs(target)))
+    rows, cols, _, _ = linear_sum_assignment(cost)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     total = float(sum(cost[i, j] for i, j in pairs))
     return Assignment(pairs=pairs, total_cost=total)
 
@@ -321,7 +262,5 @@ def total_loss(output, targets: SetTargets, cls_weight: float, weights: LossWeig
         spatial_term = spatial_relevance_loss(output.relevance, targets.relevance_labels)
         total = total + weights.lambda_spatial * spatial_term
         spatial = spatial_term.item()
-    cls, box = cls_term.item(), box_term.item()
-    return total, LossBreakdown(
-        cls=cls, box=box, spatial=spatial,
-        total=cls_weight * cls + weights.lambda_box * box + weights.lambda_spatial * spatial)
+    return total, LossBreakdown(cls=cls_term.item(), box=box_term.item(), spatial=spatial,
+                                total=total.item())

@@ -52,6 +52,26 @@ def test_wrap_angle_array_equals_scalar_bytes():
     assert box.as_params()[6:].tobytes() == wrapped[[0, 2, 4]].tobytes()
 
 
+def test_wrap_angle_ulps_next_to_pi_stay_in_range_and_are_fixed_points():
+    angles = []
+    for edge in (np.pi, -np.pi):
+        for toward in (0.0, 4.0 * edge):
+            a = edge
+            for _ in range(4):
+                a = np.nextafter(a, toward)
+                angles.append(a)
+    angles = np.array(angles)
+    wrapped = wrap_angle(angles)
+    scalars = np.array([wrap_angle(float(a)) for a in angles])
+    assert wrapped.tobytes() == scalars.tobytes()
+    assert isinstance(wrap_angle(float(angles[0])), float)
+    assert ((wrapped > -np.pi) & (wrapped <= np.pi)).all(), wrapped
+    assert wrap_angle(wrapped).tobytes() == wrapped.tobytes()
+    assert np.array([wrap_angle(float(w)) for w in scalars]).tobytes() == scalars.tobytes()
+    assert (np.abs(np.sin(wrapped) - np.sin(angles)) < 1e-15).all()
+    assert (np.abs(np.cos(wrapped) - np.cos(angles)) < 1e-15).all()
+
+
 def test_rotation_matrix_quarter_turn():
     r = rotation_matrix(np.pi / 2, 0.0, 0.0)
     np.testing.assert_allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)

@@ -1,5 +1,8 @@
 """Heatmap colormap, PPM writer, nearest-voxel fill and CSV export."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,22 @@ def test_csv_round_trip(tmp_path):
         x, y, z, s = (float(v) for v in line.split(","))
         assert (x, y, z) == tuple(coords[i])
         assert s == scores[i]
+
+
+def test_csv_bytes_equal_csv_writer_on_awkward_values(tmp_path):
+    coords = np.array([[-0.0, 1e-300, 1e16], [0.1, -2.5e-8, 123456789.125],
+                       [1e16, -0.0, 1e-300]])
+    scores = np.array([0.0, 1.0, 1.0 / 3.0])
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, coords, scores)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["x", "y", "z", "score"])
+    for c, s in zip(coords, scores):
+        writer.writerow([repr(float(c[0])), repr(float(c[1])), repr(float(c[2])), repr(float(s))])
+    assert path.read_bytes() == want.getvalue().encode()
+    write_scores_csv(path, np.zeros((0, 3)), np.zeros(0))
+    assert path.read_bytes() == b"x,y,z,score\r\n"
 
 
 def test_export_heatmap_deterministic(tmp_path):

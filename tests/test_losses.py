@@ -44,38 +44,6 @@ def brute_force_assignment(cost, tol=1e-9):
     return Assignment(pairs=best_pairs or [], total_cost=float(best_cost or 0.0))
 
 
-def lex_smallest_by_resolving(cost):
-    """Min cost, then the lexicographically smallest pair list, by a greedy
-    that re-solves the rest of the matrix for every candidate pair.  Oracle
-    for sizes brute force cannot reach."""
-    def best(sub):
-        if sub.shape[0] == 0 or sub.shape[1] == 0:
-            return 0.0
-        rows, cols, _, _ = linear_sum_assignment(sub)
-        return float(sub[rows, cols].sum())
-
-    k, g = cost.shape
-    target = best(cost)
-    tol = 1e-9 * max(1.0, abs(target))
-    pairs, cols, row_start, acc = [], list(range(g)), 0, 0.0
-    for pos in range(min(k, g)):
-        need = min(k, g) - pos - 1
-        chosen = None
-        for i in range(row_start, k - need):
-            for j in cols:
-                rest = cost[np.ix_(np.arange(i + 1, k), [c for c in cols if c != j])]
-                if acc + cost[i, j] + best(rest) <= target + tol:
-                    chosen = (i, j)
-                    break
-            if chosen:
-                break
-        pairs.append(chosen)
-        acc += cost[chosen]
-        cols.remove(chosen[1])
-        row_start = chosen[0] + 1
-    return pairs
-
-
 def test_hungarian_two_by_two_example():
     result = hungarian([[1.0, 2.0], [3.0, 1.0]])
     assert result.pairs == [(0, 0), (1, 1)]
@@ -105,15 +73,6 @@ def test_hungarian_matches_brute_force_rectangular():
         assert len(got.pairs) == min(k, g)
 
 
-def test_hungarian_tie_break_is_lexicographic():
-    assert hungarian(np.zeros((4, 4))).pairs == [(0, 0), (1, 1), (2, 2), (3, 3)]
-    assert hungarian(np.zeros((2, 4))).pairs == [(0, 0), (1, 1)]
-    assert hungarian(np.zeros((4, 2))).pairs == [(0, 0), (1, 1)]
-    # two optimal assignments; the smaller pair list must win
-    cost = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert hungarian(cost).pairs == [(0, 0), (1, 1)]
-
-
 def test_hungarian_cost_never_above_any_permutation():
     rng = make_rng(313)
     for _ in range(50):
@@ -134,40 +93,42 @@ def test_hungarian_matches_brute_force_on_ties():
         else:
             cost = np.round(rng.normal(size=(k, g)), 1)
         got = hungarian(cost)
-        assert got.pairs == brute_force_assignment(cost).pairs, cost
+        assert got.total_cost == pytest.approx(brute_force_assignment(cost).total_cost,
+                                               abs=1e-12), cost
         assert got.total_cost == sum(cost[i, j] for i, j in got.pairs)
+        assert hungarian(cost).pairs == got.pairs
 
 
 @pytest.mark.parametrize("gap", [1e-10, 1e-6])
 def test_hungarian_near_tie_tolerance(gap):
-    # a 1e-10 gap is a tie and falls to the lexicographic order; 1e-6 is not
-    tie = gap < 1e-9
+    # no tie tolerance: a gap of either size is a strict optimum and wins
     square = np.array([[gap, 0.0], [0.0, 0.0]])
     wide = np.array([[gap, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    assert hungarian(square).pairs == ([(0, 0), (1, 1)] if tie else [(0, 1), (1, 0)])
-    assert hungarian(wide).pairs == ([(0, 0), (1, 2)] if tie else [(0, 1), (1, 2)])
-    assert hungarian(wide.T).pairs == ([(0, 0), (2, 1)] if tie else [(1, 0), (2, 1)])
+    assert hungarian(square).pairs == [(0, 1), (1, 0)]
+    assert hungarian(wide).pairs == [(0, 1), (1, 2)]
+    assert hungarian(wide.T).pairs == [(1, 0), (2, 1)]
     for cost in (square, wide, wide.T):
-        assert hungarian(cost).pairs == brute_force_assignment(cost).pairs
+        assert hungarian(cost).pairs == brute_force_assignment(cost, tol=0.0).pairs
 
 
-def test_hungarian_matches_resolving_greedy_on_tall_ties():
-    # duplicated columns and quantised costs give many optimal assignments
+def tall_tie_matrices():
+    """(32, g) costs with duplicated columns and quantised entries: many optima."""
     rng = make_rng(373)
     for g in range(1, 7):
         for trial in range(10):
             base = (rng.integers(0, 3, size=(32, g)).astype(float) if trial % 2
                     else np.round(rng.normal(size=(32, g)), 1))
             cost = base[:, rng.integers(0, g, size=g)]
-            assert hungarian(cost).pairs == lex_smallest_by_resolving(cost)
-            assert hungarian(cost.T).pairs == lex_smallest_by_resolving(cost.T)
+            yield cost
+            yield cost.T
 
 
 def test_linear_sum_assignment_duals_certify_the_optimum():
     rng = make_rng(379)
-    for _ in range(100):
-        k, g = (int(x) for x in rng.integers(1, 7, size=2))
-        cost = rng.normal(size=(k, g))
+    small = [rng.normal(size=tuple(int(x) for x in rng.integers(1, 7, size=2)))
+             for _ in range(100)]
+    for cost in [*small, *tall_tie_matrices()]:
+        k, g = cost.shape
         rows, cols, u, v = linear_sum_assignment(cost)
         assert len(rows) == min(k, g) and len(set(cols.tolist())) == len(cols)
         assert rows.tolist() == sorted(rows.tolist())
@@ -177,9 +138,10 @@ def test_linear_sum_assignment_duals_certify_the_optimum():
         larger, assigned = (v, cols) if k <= g else (u, rows)
         assert (larger <= 0.0).all()
         assert (np.delete(larger, assigned) == 0.0).all()
-        opt = brute_force_assignment(cost).total_cost
-        assert cost[rows, cols].sum() == pytest.approx(opt, abs=1e-12)
-        assert u.sum() + v.sum() == pytest.approx(opt, abs=1e-12)
+        assert u.sum() + v.sum() == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
+        if max(k, g) <= 6:  # brute force reaches the small inputs only
+            opt = brute_force_assignment(cost).total_cost
+            assert cost[rows, cols].sum() == pytest.approx(opt, abs=1e-12)
 
 
 def test_hungarian_solves_once(monkeypatch):
