@@ -44,6 +44,56 @@ def brute_force_assignment(cost, tol=1e-9):
     return Assignment(pairs=best_pairs or [], total_cost=float(best_cost or 0.0))
 
 
+def lex_smallest_by_resolving(cost):
+    """Min cost, then the lexicographically smallest pair list, by a greedy
+    that re-solves the rest of the matrix for every candidate pair.  Oracle
+    for sizes brute force cannot reach."""
+    def best(sub):
+        if sub.shape[0] == 0 or sub.shape[1] == 0:
+            return 0.0
+        rows, cols, _, _ = linear_sum_assignment(sub)
+        return float(sub[rows, cols].sum())
+
+    k, g = cost.shape
+    target = best(cost)
+    tol = 1e-9 * max(1.0, abs(target))
+    pairs, cols, row_start, acc = [], list(range(g)), 0, 0.0
+    for pos in range(min(k, g)):
+        need = min(k, g) - pos - 1
+        chosen = None
+        for i in range(row_start, k - need):
+            for j in cols:
+                rest = cost[np.ix_(np.arange(i + 1, k), [c for c in cols if c != j])]
+                if acc + cost[i, j] + best(rest) <= target + tol:
+                    chosen = (i, j)
+                    break
+            if chosen:
+                break
+        pairs.append(chosen)
+        acc += cost[chosen]
+        cols.remove(chosen[1])
+        row_start = chosen[0] + 1
+    return pairs
+
+
+def min_cost_by_column_subsets(cost):
+    """Exact minimum assignment cost by dynamic programming over subsets of
+    the smaller side; independent of the solver, cheap while that side has
+    at most a handful of entries."""
+    if cost.shape[0] < cost.shape[1]:
+        cost = cost.T
+    g = cost.shape[1]
+    best = np.full(1 << g, np.inf)
+    best[0] = 0.0
+    for row in cost:
+        nxt = best.copy()
+        for c in range(g):
+            free = np.array([m for m in range(1 << g) if not m & (1 << c)])
+            nxt[free | (1 << c)] = np.minimum(nxt[free | (1 << c)], best[free] + row[c])
+        best = nxt
+    return float(best[-1])
+
+
 def test_hungarian_two_by_two_example():
     result = hungarian([[1.0, 2.0], [3.0, 1.0]])
     assert result.pairs == [(0, 0), (1, 1)]
@@ -121,6 +171,21 @@ def tall_tie_matrices():
             cost = base[:, rng.integers(0, g, size=g)]
             yield cost
             yield cost.T
+
+
+def test_hungarian_matches_resolving_greedy_on_tall_ties():
+    # many optima: the solver's pick must cost what the re-solving greedy's
+    # and the subset DP's optimum cost, whichever optimum it picks
+    for cost in tall_tie_matrices():
+        got = hungarian(cost)
+        greedy = lex_smallest_by_resolving(cost)
+        assert len(got.pairs) == len(greedy) == min(cost.shape)
+        assert [i for i, _ in got.pairs] == sorted(i for i, _ in got.pairs)
+        assert len({j for _, j in got.pairs}) == len(got.pairs)
+        assert got.total_cost == sum(cost[i, j] for i, j in got.pairs)
+        assert got.total_cost == pytest.approx(sum(cost[p] for p in greedy), abs=1e-12)
+        assert got.total_cost == pytest.approx(min_cost_by_column_subsets(cost), abs=1e-12)
+        assert hungarian(cost).pairs == got.pairs
 
 
 def test_linear_sum_assignment_duals_certify_the_optimum():
