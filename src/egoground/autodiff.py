@@ -186,9 +186,6 @@ class Tensor:
 
         return out._taped(backward)
 
-    def __radd__(self, other) -> "Tensor":
-        return as_tensor(other).__add__(self)
-
     def __neg__(self) -> "Tensor":
         out = Tensor(-self.data, (self,))
 
@@ -206,9 +203,6 @@ class Tensor:
             other.grad -= _unbroadcast(g, other.data.shape)
 
         return out._taped(backward)
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -232,9 +226,6 @@ class Tensor:
             other.grad += _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
 
         return out._taped(backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other).__truediv__(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         p = float(exponent)

@@ -2,12 +2,12 @@
 
 Subcommands share one RunConfig.  A config file (JSON mirroring RunConfig)
 is loaded first and explicit flags override it.  A command takes only the
-flags it reads: ``--config`` goes to `gen`, `train` and `eval`, ``--seed``
-to `gen`, `train` and `gradcheck`.  `train` dumps the effective
-config next to the checkpoint so a run can be reproduced from its artifacts
-alone.  Every command is deterministic under a fixed seed, exits 0 on
-success and prints a single-line diagnostic to stderr with exit code 1 on
-failure.
+flags it reads: ``--config`` goes to `gen` and `train`, ``--seed`` to `gen`,
+`train` and `gradcheck`.  `eval` and `heatmap` read the run's settings from
+the checkpoint, where `train` stores its effective config (and dumps it next
+to the checkpoint) so a run can be reproduced from its artifacts alone.
+Every command is deterministic under a fixed seed, exits 0 on success and
+prints a single-line diagnostic to stderr with exit code 1 on failure.
 """
 
 from __future__ import annotations
@@ -262,9 +262,8 @@ def cmd_eval(args) -> int:
     store, model_cfg, extra = load_model(args.checkpoint)
     run_cfg = RunConfig.from_dict(extra["run_config"]) if "run_config" in extra \
         else RunConfig()
-    cfg = _merged_config(args)
-    use_rag = not (run_cfg.disable_rag or cfg.disable_rag)
-    use_qim = not (run_cfg.disable_qim or cfg.disable_qim)
+    use_rag = not (run_cfg.disable_rag or args.disable_rag)
+    use_qim = not (run_cfg.disable_qim or args.disable_qim)
     scene_files = _load_scene_files(args.scenes)
     batches = _prepare_batches(run_cfg, scene_files)
     out = Path(args.out)
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disable-qim", action="store_true")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", parents=[config], help="evaluate a checkpoint")
+    p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--scenes", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="report directory")

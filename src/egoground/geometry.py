@@ -10,14 +10,10 @@ Conventions:
 * Voxel index = floor(p / voxel_size) per axis; a voxel's center is
   (index + 0.5) * voxel_size.
 
-The fusion path mirrors a two-backbone pipeline at desk scale.  Each voxel
-carries the mean 2D stub feature of the pixels lifted into it; that runs
-through one learned linear layer (standing in for a sparse 3D conv
-backbone, so its input includes a sinusoidal encoding of the voxel center).
-Per-view 2D features are bilinearly sampled at the projected voxel centers
-and averaged over the views that see the voxel (once per scene, in
-``sample_views``), and the concatenated [3D | 2D] vector is projected to the
-model width by a second learned linear (every step, in ``fuse_features``).
+Once per scene, ``voxelize`` pools the 2D stub features of the pixels lifted
+into each voxel and ``sample_views`` averages the per-view 2D feature maps
+sampled at the voxel centers.  The learned layers that encode and fuse the
+two live in ``network``: this module creates and names no parameter.
 
 ``voxelize`` returns the scene's one ``VoxelFeatureSet``: the voxel centers
 and their pooled features.  Everything downstream of it is a plain (N, C)
@@ -31,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, concat, init_linear, linear
+from .autodiff import Tensor
 
 Array = np.ndarray
 
@@ -234,21 +230,6 @@ def positional_encoding(coords: Array, dim: int) -> Array:
     return out
 
 
-def init_fusion_params(store: ParamStore, pooled_dim: int, feat2d_dim: int, model_dim: int,
-                       rng: np.random.Generator) -> None:
-    """Learned linears for the voxel encoder and the concat-then-project fusion."""
-    init_linear(store, "enc3d", pooled_dim + model_dim, model_dim, rng)
-    init_linear(store, "fuse", model_dim + feat2d_dim, model_dim, rng)
-
-
-def encode_voxels(voxels: VoxelFeatureSet, store: ParamStore) -> Tensor:
-    """Voxel encoder stub: [pooled features | positional encoding] -> (N, C)."""
-    pooled = voxels.features
-    pe_dim = store["enc3d.w"].shape[0] - pooled.shape[1]
-    pe = positional_encoding(voxels.coords, pe_dim)
-    return linear(concat([pooled, Tensor(pe)], axis=1), store, "enc3d")
-
-
 def sample_views(coords: Array, views: list[ViewFeatureMap]):
     """Average the bilinearly sampled 2D features over the views that see each point.
 
@@ -271,12 +252,3 @@ def sample_views(coords: Array, views: list[ViewFeatureMap]):
     total[seen] /= hits[seen, None]
     return total, seen
 
-
-def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
-    """Concatenate [encoded 3D | mean sampled 2D] and project to the model width.
-
-    ``encoded`` is the (N, C) ``encode_voxels`` output and ``sampled`` the
-    (N, C') ``sample_views`` output for the same voxels, a constant on the
-    tape; gradients flow through the projection and the 3D branch.
-    """
-    return linear(concat([encoded, Tensor(sampled)], axis=1), store, "fuse")

@@ -1,4 +1,9 @@
-"""Grounding network: query selection, text modulation and a shared decoder.
+"""Grounding network: fusion, query selection, text modulation and a shared decoder.
+
+The trunk mirrors a two-backbone pipeline at desk scale: ``encode_voxels``
+is one learned linear over [pooled voxel feature | sinusoidal encoding of
+the center] (a sparse 3D conv stand-in), and ``fuse_features`` projects
+[encoded 3D | sampled 2D] to the model width with a second one.
 
 Detection and grounding run the same decoder weights and the same box head;
 only the scoring heads, the task heads and the two language modules differ.
@@ -35,7 +40,8 @@ order, and the voxel centers are passed alongside where a stage needs them
 (K, num_classes) for detection and (K, 1) for grounding.
 
 The parameter store built by ``init_model_params`` is the one description of
-the model.  ``MODULES`` is the one map from parameter-name prefix to module
+the model, and every learned layer is created, named and applied in this
+module.  ``MODULES`` is the one map from parameter-name prefix to module
 (gradcheck groups its table by it), and every MLP's depth and widths are
 read from the store by ``mlp_apply``, never restated at a call site.
 """
@@ -53,6 +59,7 @@ from .autodiff import (
     Tensor,
     _is_int,
     attention,
+    concat,
     init_attention,
     init_layer_norm,
     init_linear,
@@ -65,7 +72,7 @@ from .autodiff import (
     save_checkpoint,
 )
 from .boxes import wrap_angle
-from .geometry import init_fusion_params, positional_encoding
+from .geometry import VoxelFeatureSet, positional_encoding
 
 Array = np.ndarray
 
@@ -160,7 +167,8 @@ def init_model_params(cfg: ModelConfig, seed: int) -> ParamStore:
     """Create every learnable tensor; creation order is fixed for determinism."""
     store = ParamStore()
     rng = make_rng(seed, 100)
-    init_fusion_params(store, cfg.feat2d_dim, cfg.feat2d_dim, cfg.dim, rng)
+    init_linear(store, "enc3d", cfg.feat2d_dim + cfg.dim, cfg.dim, rng)
+    init_linear(store, "fuse", cfg.dim + cfg.feat2d_dim, cfg.dim, rng)
     init_linear(store, "text_proj", cfg.text_dim, cfg.dim, rng)
 
     init_mlp(store, "score_det", _mlp_sizes(cfg, cfg.num_classes), rng)
@@ -225,6 +233,27 @@ def load_model(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
         raise ValueError(f"checkpoint {path}: tensor {missing[0]!r} is missing "
                          f"({len(missing)} of {len(expected)} absent)")
     return store, cfg, extra
+
+
+# ---------------------------------------------------------------------------
+# Fusion
+# ---------------------------------------------------------------------------
+
+
+def encode_voxels(voxels: VoxelFeatureSet, store: ParamStore, cfg: ModelConfig) -> Tensor:
+    """Voxel encoder stub: [pooled features | positional encoding] -> (N, C)."""
+    pe = positional_encoding(voxels.coords, cfg.dim)
+    return linear(concat([voxels.features, Tensor(pe)], axis=1), store, "enc3d")
+
+
+def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
+    """Concatenate [encoded 3D | mean sampled 2D] and project to the model width.
+
+    ``encoded`` is the (N, C) ``encode_voxels`` output and ``sampled`` the
+    (N, C') ``geometry.sample_views`` output for the same voxels, a constant
+    on the tape; gradients flow through the projection and the 3D branch.
+    """
+    return linear(concat([encoded, Tensor(sampled)], axis=1), store, "fuse")
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,19 @@
 A scene is prepared once: every view is rendered, lifted to a point cloud
 with its per-pixel stub features and pooled into voxels, and the 2D feature
 maps are sampled at the voxel centers.  Per-voxel labels come from box
-containment of the voxel center (class id for the detection scoring head,
-inside-the-target for the grounding scoring head and relevance objective).
-The set-loss targets are built here too, once per scene: every object as
-one row of a (G, 9) box array with its class, and per instruction the
-target's row with the relevance labels.
+containment of the voxel center (a class one-hot and the foreground count
+for the detection scoring head, inside-the-target for the grounding scoring
+head and relevance objective).  The set-loss targets are built here too,
+once per scene: every object as one row of a (G, 9) box array with its
+class, and per instruction the target's row with the relevance labels.
 
 Each training step builds the fused voxel trunk once, an (N, C) ``Tensor``
 in the row order of ``batch.voxels``, runs both task bodies on it and takes
 a single optimizer step on the summed objective: detection loss + grounding
 loss + the two scoring-head auxiliaries.  Query selection is not
-differentiable, so the auxiliaries are what teach the scoring heads.  A
-non-finite loss aborts with the step number.
+differentiable, so the auxiliaries are what teach the scoring heads.  The
+forward runs with numpy's overflow warning off: a non-finite loss or box
+extent is one ``TrainingDiverged`` line naming the step.
 
 ``training_losses`` is the one forward that records a tape.  The inference
 forwards (``forward_detection``, ``forward_grounding`` and the prediction
@@ -32,14 +33,7 @@ import numpy as np
 from .autodiff import NonFiniteError, ParamStore, Tensor, _sigmoid, no_grad
 from .boxes import Box9DoF, contains_points
 from .evaluate import DetectionResult, GroundingResult, ScoredBox
-from .geometry import (
-    VoxelFeatureSet,
-    backproject_depth,
-    encode_voxels,
-    fuse_features,
-    sample_views,
-    voxelize,
-)
+from .geometry import VoxelFeatureSet, backproject_depth, sample_views, voxelize
 from .losses import (
     LossWeights,
     SetTargets,
@@ -51,6 +45,8 @@ from .network import (
     ModelConfig,
     decoder_forward,
     embed_text,
+    encode_voxels,
+    fuse_features,
     qim_modulate,
     rag_apply,
     scoring_logits,
@@ -73,10 +69,16 @@ class SceneBatch:
     voxels: VoxelFeatureSet          # 2D features pooled over each voxel's pixels (constant)
     image_features: Array            # (N, C') view grids sampled at voxel centers (constant)
     det_targets: SetTargets          # every object box and its class (constant)
-    voxel_classes: Array             # (N,) int, -1 for background
+    class_onehot: Array              # (N, num_classes) one-hot voxel class; background rows zero
+    foreground: int                  # voxels inside some object: rows of class_onehot with a 1
     instructions: list[Instruction]
     token_vectors: list[Array]       # raw stub vectors per instruction
     grd_targets: list[SetTargets]    # per instruction: the target box, relevance labels
+
+    @property
+    def voxel_classes(self) -> Array:
+        """(N,) class id of each voxel, -1 for background, read off ``class_onehot``."""
+        return np.where(self.class_onehot.any(axis=1), self.class_onehot.argmax(axis=1), -1)
 
 
 def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbeddings,
@@ -109,6 +111,9 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
     voxel_classes = np.full(len(voxels), -1, dtype=np.int64)
     for obj in scene.objects:
         voxel_classes[contains_points(obj.box, voxels.coords)] = obj.class_id
+    fg = np.nonzero(voxel_classes >= 0)[0]
+    class_onehot = np.zeros((len(voxels), num_classes))
+    class_onehot[fg, voxel_classes[fg]] = 1.0
     boxes = np.array([o.box.as_params() for o in scene.objects]).reshape(-1, 9)
     det_targets = SetTargets(boxes, [o.class_id for o in scene.objects])
     token_vectors = [stub.token_vectors(ins.tokens) for ins in instructions]
@@ -117,14 +122,14 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
         inside = contains_points(scene.objects[ins.target].box, voxels.coords)
         grd_targets.append(SetTargets(boxes[[ins.target]], [0], inside.astype(np.float64)))
     return SceneBatch(scene=scene, voxels=voxels, image_features=image_features,
-                      det_targets=det_targets, voxel_classes=voxel_classes,
-                      instructions=instructions, token_vectors=token_vectors,
+                      det_targets=det_targets, class_onehot=class_onehot,
+                      foreground=len(fg), instructions=instructions, token_vectors=token_vectors,
                       grd_targets=grd_targets)
 
 
-def fuse_scene(batch: SceneBatch, store: ParamStore) -> Tensor:
+def fuse_scene(batch: SceneBatch, store: ParamStore, cfg: ModelConfig) -> Tensor:
     """The shared (N, C) trunk: encoded voxels fused with the sampled 2D features."""
-    return fuse_features(encode_voxels(batch.voxels, store), batch.image_features, store)
+    return fuse_features(encode_voxels(batch.voxels, store, cfg), batch.image_features, store)
 
 
 def _detection_body(fused: Tensor, batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
@@ -156,7 +161,7 @@ def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
 def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
     """Untaped; returns (DecoderOutput, per-voxel scoring logits)."""
     with no_grad():
-        return _detection_body(fuse_scene(batch, store), batch, store, cfg)
+        return _detection_body(fuse_scene(batch, store, cfg), batch, store, cfg)
 
 
 def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
@@ -164,7 +169,7 @@ def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                       use_qim: bool = True):
     """Untaped; returns (DecoderOutput with relevance, per-voxel scoring logits)."""
     with no_grad():
-        return _grounding_body(fuse_scene(batch, store), batch, store, cfg,
+        return _grounding_body(fuse_scene(batch, store, cfg), batch, store, cfg,
                                instruction_idx, use_rag, use_qim)
 
 
@@ -172,7 +177,7 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                     weights: LossWeights, instruction_idx: int = 0,
                     use_rag: bool = True, use_qim: bool = True):
     """Summed objective plus a float breakdown for logging; one trunk for both tasks."""
-    fused = fuse_scene(batch, store)
+    fused = fuse_scene(batch, store, cfg)
     det_out, det_score_logits = _detection_body(fused, batch, store, cfg)
     det_total, det_parts = total_loss(det_out, batch.det_targets, weights.lambda_cls, weights)
     grd_out, grd_score_logits = _grounding_body(fused, batch, store, cfg, instruction_idx,
@@ -180,12 +185,9 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
     grd_targets = batch.grd_targets[instruction_idx]
     grd_total, grd_parts = total_loss(grd_out, grd_targets, weights.lambda_ground, weights)
 
-    n = len(batch.voxels)
-    onehot = np.zeros((n, cfg.num_classes))
-    fg = batch.voxel_classes >= 0
-    onehot[np.nonzero(fg)[0], batch.voxel_classes[fg]] = 1.0
-    aux_det = focal_loss(det_score_logits, onehot, normalizer=max(1, int(fg.sum())))
-    aux_grd = spatial_relevance_loss(grd_score_logits.reshape((n,)),
+    aux_det = focal_loss(det_score_logits, batch.class_onehot,
+                         normalizer=max(1, batch.foreground))
+    aux_grd = spatial_relevance_loss(grd_score_logits.reshape((len(batch.voxels),)),
                                      grd_targets.relevance_labels)
 
     loss = det_total + grd_total + aux_det + aux_grd
@@ -217,8 +219,9 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
         batch = batches[step % len(batches)]
         ins_idx = (step // len(batches)) % max(1, len(batch.instructions))
         try:
-            loss, parts = training_losses(batch, store, cfg, weights, ins_idx,
-                                          use_rag=use_rag, use_qim=use_qim)
+            with np.errstate(over="ignore"):
+                loss, parts = training_losses(batch, store, cfg, weights, ins_idx,
+                                              use_rag=use_rag, use_qim=use_qim)
         except NonFiniteError as exc:
             raise TrainingDiverged(step, str(exc)) from exc
         if not np.isfinite(parts["total"]):

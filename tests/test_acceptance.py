@@ -166,7 +166,7 @@ def test_criterion_4_init_identity():
     cfg = ModelConfig(dim=16, layers=1, heads=2, num_classes=6, k_det=8, k_grd=6)
     store = init_model_params(cfg, 4400)
 
-    fused = fuse_scene(batch, store)
+    fused = fuse_scene(batch, store, cfg)
     text = embed_text(batch.token_vectors[0], store)
     refined, rel_logits = rag_apply(fused, text, store, cfg)
     rag_identity = np.array_equal(refined.data, fused.data)

@@ -411,6 +411,7 @@ def test_unknown_command_rejected():
      "--seed", "99"],
     ["gradcheck", "--config", "cfg.json"],
     ["eval", "--scenes", "s", "--checkpoint", "c.json", "--out", "r", "--seed", "1"],
+    ["eval", "--scenes", "s", "--checkpoint", "c.json", "--out", "r", "--config", "cfg.json"],
 ])
 def test_flags_a_command_ignores_are_rejected(argv, tmp_path, monkeypatch, capsys):
     # each command takes --config or --seed only if it reads it

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from egoground.autodiff import ParamStore, Tensor, grad_check, make_rng
+from egoground.autodiff import Tensor, make_rng
 from egoground.geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -10,9 +10,6 @@ from egoground.geometry import (
     VoxelFeatureSet,
     backproject_depth,
     bilinear_sample_many,
-    encode_voxels,
-    fuse_features,
-    init_fusion_params,
     positional_encoding,
     project_points,
     sample_views,
@@ -217,36 +214,6 @@ def test_sample_views_averages_over_views():
     coords = np.array([[0.0, 0.0, 0.0]])
     sampled, seen = sample_views(coords, [view_a, view_b])
     np.testing.assert_allclose(sampled[0], view_a.grid[4, 4] + 1.0, atol=1e-9)
-
-
-def test_fuse_concat_width_and_output_dim():
-    rng = make_rng(127)
-    store = ParamStore()
-    c, c2d = 8, 4
-    init_fusion_params(store, pooled_dim=1, feat2d_dim=c2d, model_dim=c, rng=rng)
-    assert store["enc3d.w"].shape == (1 + c, c)
-    assert store["fuse.w"].shape == (c + c2d, c)
-    view = make_center_view(c2d=c2d)
-    vox = voxelize(np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]]), np.ones((2, 1)), 0.25)
-    encoded = encode_voxels(vox, store)
-    assert encoded.shape == (len(vox), c)
-    fused = fuse_features(encoded, sample_views(vox.coords, [view])[0], store)
-    assert fused.shape == (len(vox), c)
-
-
-def test_fusion_gradients_flow_to_both_linears():
-    rng = make_rng(131)
-    store = ParamStore()
-    init_fusion_params(store, pooled_dim=1, feat2d_dim=4, model_dim=6, rng=rng)
-    view = make_center_view(c2d=4)
-    vox = voxelize(rng.uniform(-0.6, 0.6, size=(12, 3)), np.ones((12, 1)), 0.3)
-    sampled, _ = sample_views(vox.coords, [view])
-
-    def fn(s):
-        fused = fuse_features(encode_voxels(vox, s), sampled, s)
-        return (fused * fused).mean()
-
-    assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
 
 def test_voxel_feature_set_validation():

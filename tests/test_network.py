@@ -5,6 +5,7 @@ equivariance under query permutation, and the whole grounding pipeline gets
 a finite-difference gradient check on a tiny scene.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from egoground.autodiff import (
     make_rng,
     mlp_apply,
 )
-from egoground.geometry import VoxelFeatureSet, encode_voxels, positional_encoding
+from egoground.geometry import VoxelFeatureSet, positional_encoding, voxelize
 from egoground.losses import LossWeights, SetTargets, total_loss
 from egoground.network import (
     MODULES,
@@ -30,6 +31,8 @@ from egoground.network import (
     TextEmbedding,
     decoder_forward,
     embed_text,
+    encode_voxels,
+    fuse_features,
     init_model_params,
     load_model,
     module_of,
@@ -118,6 +121,17 @@ def test_init_deterministic_and_complete():
     assert any(module_of(n) == "decoder" for n in a.names())
 
 
+def test_init_golden_bytes():
+    # names, shapes and values of the default model, pinned: any change to
+    # the order of creation or of random draws shows here
+    h = hashlib.sha256()
+    for name, p in init_model_params(ModelConfig(), 0).items():
+        h.update(name.encode())
+        h.update(repr(p.shape).encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == "3d20a8984df3caf842fb8cc3271140ad4f76965931f2009e9674872c872905f2"
+
+
 def test_module_grouping_covers_all_params():
     for cfg in (TINY, ModelConfig()):
         names = init_model_params(cfg, 0).names()
@@ -177,6 +191,45 @@ def test_load_requires_config(tmp_path):
     save_checkpoint(store, path, extra={})
     with pytest.raises(ValueError, match="model_config"):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# fusion
+# ---------------------------------------------------------------------------
+
+
+def test_fuse_concat_width_and_output_dim():
+    cfg = ModelConfig(dim=8, feat2d_dim=4)
+    store = init_model_params(cfg, seed=127)
+    assert store["enc3d.w"].shape == (cfg.feat2d_dim + cfg.dim, cfg.dim)
+    assert store["fuse.w"].shape == (cfg.dim + cfg.feat2d_dim, cfg.dim)
+    points = np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]])
+    vox = voxelize(points, np.ones((2, cfg.feat2d_dim)), 0.25)
+    encoded = encode_voxels(vox, store, cfg)
+    assert encoded.shape == (len(vox), cfg.dim)
+    fused = fuse_features(encoded, np.ones((len(vox), cfg.feat2d_dim)), store)
+    assert fused.shape == (len(vox), cfg.dim)
+    narrow = voxelize(points, np.ones((2, 1)), 0.25)
+    with pytest.raises(ValueError, match="'enc3d'"):
+        encode_voxels(narrow, store, cfg)
+
+
+def test_fusion_gradients_flow_to_both_linears():
+    cfg = ModelConfig(dim=6, feat2d_dim=4)
+    store = ParamStore()
+    for name, p in init_model_params(cfg, seed=131).items():
+        if module_of(name) == "fusion":
+            store.create(name, p.data)
+    assert store.names() == ["enc3d.w", "enc3d.b", "fuse.w", "fuse.b"]
+    rng = make_rng(131)
+    vox = voxelize(rng.uniform(-0.6, 0.6, size=(12, 3)), rng.normal(size=(12, 4)), 0.3)
+    sampled = rng.normal(size=(len(vox), 4))
+
+    def fn(s):
+        fused = fuse_features(encode_voxels(vox, s, cfg), sampled, s)
+        return (fused * fused).mean()
+
+    assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +517,10 @@ def test_grounding_pipeline_gradcheck():
     tok_raw = rng.normal(size=(2, cfg.text_dim))
     labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     gt = SetTargets(np.array([[*coords[0], 0.6, 0.5, 0.4, 0.3, 0.0, 0.0]]), [0], labels)
+    voxels = VoxelFeatureSet(coords=coords, features=Tensor(pooled))
 
     def fn(store):
-        fused = encode_voxels(VoxelFeatureSet(coords=coords, features=Tensor(pooled)), store)
+        fused = encode_voxels(voxels, store, cfg)
         logits = scoring_logits(fused, store, "grounding")
         qs = select_queries(fused, coords, cfg.k_grd, logits, cfg)
         text = embed_text(tok_raw, store)

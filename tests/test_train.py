@@ -65,16 +65,20 @@ BATCH = small_batch()
 def test_prepare_scene_labels_match_containment():
     batch = BATCH
     n = len(batch.voxels)
-    assert batch.voxel_classes.shape == (n,)
+    onehot = batch.class_onehot
+    assert onehot.shape == (n, CFG.num_classes)
+    assert set(np.unique(onehot)) <= {0.0, 1.0} and (onehot.sum(axis=1) <= 1.0).all()
     for obj in batch.scene.objects:
         inside = contains_points(obj.box, batch.voxels.coords)
+        assert (onehot[inside, obj.class_id] == 1.0).all()
         assert (batch.voxel_classes[inside] == obj.class_id).all()
     outside_all = np.ones(n, dtype=bool)
     for obj in batch.scene.objects:
         outside_all &= ~contains_points(obj.box, batch.voxels.coords)
+    assert (onehot[outside_all] == 0.0).all()
     assert (batch.voxel_classes[outside_all] == -1).all()
     # some voxels must be foreground for the scene to be trainable
-    assert (batch.voxel_classes >= 0).any()
+    assert batch.foreground == int(onehot.sum()) == int((~outside_all).sum()) > 0
     labels = batch.grd_targets[0].relevance_labels
     target_box = batch.scene.objects[batch.instructions[0].target].box
     assert np.array_equal(labels, contains_points(target_box, batch.voxels.coords))
@@ -271,12 +275,13 @@ def test_train_validation():
         train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-2), steps=-1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergence_aborts_with_step():
     store = init_model_params(CFG, seed=6)
     store["head_box.1.w"].data[:] = 1e200  # forces exp overflow in box decode
-    with pytest.raises(TrainingDiverged) as err:
-        train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged) as err:
+            train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=3)
     assert err.value.step == 0
     assert "step 0" in str(err.value)
 
@@ -367,7 +372,7 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
     # The inference forwards record no tape, and the wrappers' boxes and
     # scores are bit-identical to those read off a recorded forward.
     store = init_model_params(CFG, seed=8)
-    fused = fuse_scene(BATCH, store)
+    fused = fuse_scene(BATCH, store, CFG)
     det_out, _ = _detection_body(fused, BATCH, store, CFG)
     grd_out, _ = _grounding_body(fused, BATCH, store, CFG, 0, True, True)
     assert det_out.centers._parents and grd_out.centers._parents
