@@ -125,8 +125,7 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(dim=self.dim, layers=self.layers, heads=self.heads,
-                           num_classes=len(CLASS_NAMES), k_det=self.k_det,
-                           k_grd=self.k_grd)
+                           k_det=self.k_det, k_grd=self.k_grd)
 
     def scene_config(self) -> SceneConfig:
         return SceneConfig(**self.scene)
@@ -144,15 +143,13 @@ class RunConfig:
 
 def _merged_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.load(args.config) if getattr(args, "config", None) else RunConfig()
+    # a flag overrides the RunConfig field of its name when given: an unset
+    # store_true flag is False, and `is` keeps `--steps 0` an override
     overrides = {}
-    for name in ("seed", "steps", "lr", "k_det", "k_grd", "lambda_spatial"):
+    for name in RunConfig.__dataclass_fields__:
         value = getattr(args, name, None)
-        if value is not None:
+        if value is not None and value is not False:
             overrides[name] = value
-    if getattr(args, "disable_rag", False):
-        overrides["disable_rag"] = True
-    if getattr(args, "disable_qim", False):
-        overrides["disable_qim"] = True
     # flags pass the same field checks as a config file
     return RunConfig.from_dict({**cfg.to_dict(), **overrides}) if overrides else cfg
 
@@ -317,11 +314,9 @@ def gradcheck_model(seed: int, tol: float, eps: float) -> tuple[GradCheckReport,
 
 
 def cmd_gradcheck(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-4
-    eps = args.eps if args.eps is not None else 1e-5
     seed = args.seed if args.seed is not None else 0
     start = time.time()
-    report, modules = gradcheck_model(seed, tol, eps)
+    report, modules = gradcheck_model(seed, args.tol, args.eps)
     width = max(len(m) for m, _ in MODULES)
     print(f"{'module':<{width}}  {'params':>6}  {'max_rel_err':>12}  status")
     failed = False
@@ -329,12 +324,12 @@ def cmd_gradcheck(args) -> int:
         if module not in modules:
             continue
         count, worst = modules[module]
-        ok = worst <= tol
+        ok = worst <= args.tol
         failed |= not ok
         print(f"{module:<{width}}  {count:>6d}  {worst:>12.3e}  "
               f"{'pass' if ok else 'FAIL'}")
     print(f"checked {len(report.per_param)} parameter tensors in "
-          f"{time.time() - start:.1f}s (tol {tol:g}, eps {eps:g})")
+          f"{time.time() - start:.1f}s (tol {args.tol:g}, eps {args.eps:g})")
     return 1 if failed else 0
 
 
@@ -354,6 +349,7 @@ def cmd_heatmap(args) -> int:
     if not 0 <= args.view < len(scene.cameras):
         raise ValueError(f"view {args.view} out of range "
                          f"(scene has {len(scene.cameras)} cameras)")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # fail before the forward
     batch = prepare_scene(scene, instructions, StubEmbeddings(), run_cfg.voxel_size,
                           num_classes=len(CLASS_NAMES))
     out, _ = forward_grounding(batch, store, model_cfg, 0, use_qim=not run_cfg.disable_qim)
@@ -405,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", parents=[seed], help="finite-difference gradient check")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--eps", type=float, default=1e-5)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("heatmap", help="export a relevance heatmap")

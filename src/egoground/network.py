@@ -41,9 +41,12 @@ order, and the voxel centers are passed alongside where a stage needs them
 
 The parameter store built by ``init_model_params`` is the one description of
 the model, and every learned layer is created, named and applied in this
-module.  ``MODULES`` is the one map from parameter-name prefix to module
-(gradcheck groups its table by it), and every MLP's depth and widths are
-read from the store by ``mlp_apply``, never restated at a call site.
+module.  ``ModelConfig`` holds only what a run sets: the input widths and the
+class count are those of the stub embeddings in ``scenes``, and the
+feed-forward block is twice the model width.  ``MODULES`` is the one map from
+parameter-name prefix to module (gradcheck groups its table by it), and every
+MLP's depth and widths are read from the store by ``mlp_apply``, never
+restated at a call site.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from .autodiff import (
 )
 from .boxes import wrap_angle
 from .geometry import VoxelFeatureSet, positional_encoding
+from .scenes import CLASS_NAMES, FEAT2D_DIM, TEXT_DIM
 
 Array = np.ndarray
 
@@ -84,12 +88,8 @@ class ModelConfig:
     dim: int = 32
     layers: int = 2
     heads: int = 2
-    num_classes: int = 6
     k_det: int = 32
     k_grd: int = 16
-    text_dim: int = 16
-    feat2d_dim: int = 16
-    ffn_mult: int = 2
 
     def __post_init__(self):
         for f in fields(self):
@@ -102,13 +102,9 @@ class ModelConfig:
             raise ValueError("dim must be positive and divisible by heads")
         if self.layers < 0:
             raise ValueError("layers must be >= 0")
-        for name in ("k_det", "k_grd", "num_classes", "text_dim", "feat2d_dim", "ffn_mult"):
+        for name in ("k_det", "k_grd"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @property
-    def ffn_dim(self) -> int:
-        return self.dim * self.ffn_mult
 
 
 @dataclass
@@ -167,11 +163,11 @@ def init_model_params(cfg: ModelConfig, seed: int) -> ParamStore:
     """Create every learnable tensor; creation order is fixed for determinism."""
     store = ParamStore()
     rng = make_rng(seed, 100)
-    init_linear(store, "enc3d", cfg.feat2d_dim + cfg.dim, cfg.dim, rng)
-    init_linear(store, "fuse", cfg.dim + cfg.feat2d_dim, cfg.dim, rng)
-    init_linear(store, "text_proj", cfg.text_dim, cfg.dim, rng)
+    init_linear(store, "enc3d", FEAT2D_DIM + cfg.dim, cfg.dim, rng)
+    init_linear(store, "fuse", cfg.dim + FEAT2D_DIM, cfg.dim, rng)
+    init_linear(store, "text_proj", TEXT_DIM, cfg.dim, rng)
 
-    init_mlp(store, "score_det", _mlp_sizes(cfg, cfg.num_classes), rng)
+    init_mlp(store, "score_det", _mlp_sizes(cfg, len(CLASS_NAMES)), rng)
     init_mlp(store, "score_grd", _mlp_sizes(cfg, 1), rng)
 
     # identity at init: beta outputs exactly 1, gamma exactly 0
@@ -190,11 +186,11 @@ def init_model_params(cfg: ModelConfig, seed: int) -> ParamStore:
         init_attention(store, f"dec{i}.self", cfg.dim, rng)
         init_attention(store, f"dec{i}.text", cfg.dim, rng)
         init_attention(store, f"dec{i}.vis", cfg.dim, rng)
-        init_linear(store, f"dec{i}.ffn1", cfg.dim, cfg.ffn_dim, rng)
-        init_linear(store, f"dec{i}.ffn2", cfg.ffn_dim, cfg.dim, rng)
+        init_linear(store, f"dec{i}.ffn1", cfg.dim, 2 * cfg.dim, rng)
+        init_linear(store, f"dec{i}.ffn2", 2 * cfg.dim, cfg.dim, rng)
 
     init_mlp(store, "head_box", _mlp_sizes(cfg, 12), rng)
-    init_mlp(store, "head_det", _mlp_sizes(cfg, cfg.num_classes), rng)
+    init_mlp(store, "head_det", _mlp_sizes(cfg, len(CLASS_NAMES)), rng)
     init_mlp(store, "head_grd", _mlp_sizes(cfg, 1), rng)
     return store
 
@@ -214,9 +210,12 @@ def load_model(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
     raw = extra.pop("model_config")
     if not isinstance(raw, dict):
         raise ValueError(f"checkpoint {path}: model_config must be an object, got {raw!r}")
-    unknown = set(raw) - {f.name for f in fields(ModelConfig)}
+    known = {f.name for f in fields(ModelConfig)}
+    unknown, missing = set(raw) - known, known - set(raw)
     if unknown:
         raise ValueError(f"checkpoint {path}: unknown model_config fields {sorted(unknown)}")
+    if missing:
+        raise ValueError(f"checkpoint {path}: missing model_config fields {sorted(missing)}")
     try:
         cfg = ModelConfig(**raw)
     except ValueError as exc:
@@ -272,7 +271,7 @@ def embed_text(token_vectors: Array, store: ParamStore) -> TextEmbedding:
     """Project raw token vectors into model width and pool the sentence."""
     raw = np.asarray(token_vectors, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 1:
-        raise ValueError(f"token vectors must be (T, text_dim) with T >= 1, got {raw.shape}")
+        raise ValueError(f"token vectors must be (T, TEXT_DIM) with T >= 1, got {raw.shape}")
     tokens = linear(Tensor(raw), store, "text_proj")
     return TextEmbedding(tokens=tokens, sentence=sentence_embed(tokens))
 

@@ -31,7 +31,6 @@ import numpy as np
 from .autodiff import _is_int, make_rng
 from .boxes import Box9DoF, box_corners, box_iou_exact
 from .geometry import CameraIntrinsics, CameraPose, DepthMap, ViewFeatureMap
-from .network import ModelConfig
 
 Array = np.ndarray
 
@@ -297,16 +296,20 @@ def make_instruction(scene: Scene, target_idx: int, seed_words: tuple[int, ...])
     raise InstructionError(f"no unambiguous expression for object {target_idx}")
 
 
+# widths of the stub's word vectors and per-pixel image features
+TEXT_DIM = 16
+FEAT2D_DIM = 16
+
+
 class StubEmbeddings:
     """Fixed seeded tables standing in for pretrained text / image backbones."""
 
     def __init__(self, seed: int = DEFAULT_STUB_SEED):
         rng = make_rng(seed, 1)
-        text_dim, feat2d_dim = ModelConfig.text_dim, ModelConfig.feat2d_dim
-        self.word_table = rng.normal(size=(len(VOCABULARY), text_dim)) / np.sqrt(text_dim)
+        self.word_table = rng.normal(size=(len(VOCABULARY), TEXT_DIM)) / np.sqrt(TEXT_DIM)
         # row 0 is the background (no surface hit)
-        self.class_table = rng.normal(size=(len(CLASS_NAMES) + 1, feat2d_dim)) / np.sqrt(feat2d_dim)
-        self.depth_vector = rng.normal(size=(feat2d_dim,)) / np.sqrt(feat2d_dim)
+        self.class_table = rng.normal(size=(len(CLASS_NAMES) + 1, FEAT2D_DIM)) / np.sqrt(FEAT2D_DIM)
+        self.depth_vector = rng.normal(size=(FEAT2D_DIM,)) / np.sqrt(FEAT2D_DIM)
 
     def token_vectors(self, tokens: list[int]) -> Array:
         if len(tokens) == 0:

@@ -163,7 +163,7 @@ def test_criterion_4_init_identity():
     scfg = SceneConfig(force_distractors=True, image_width=24, image_height=18,
                        focal=18.0)
     batch = _scene_batch(4400, scfg, 0.4)
-    cfg = ModelConfig(dim=16, layers=1, heads=2, num_classes=6, k_det=8, k_grd=6)
+    cfg = ModelConfig(dim=16, layers=1, heads=2, k_det=8, k_grd=6)
     store = init_model_params(cfg, 4400)
 
     fused = fuse_scene(batch, store, cfg)

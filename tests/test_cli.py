@@ -1,19 +1,21 @@
 """CLI behavior: config round trips, command plumbing, determinism, errors."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
 import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from egoground.autodiff import make_rng
-from egoground.cli import RunConfig, _thresholds, main
-from egoground.network import init_model_params, load_model
+from egoground.cli import RunConfig, _merged_config, _thresholds, build_parser, main
+from egoground.network import ModelConfig, init_model_params, load_model
 from egoground.scenes import SceneConfig, load_scene
 
 SMOKE = {
@@ -177,6 +179,32 @@ def test_gen_fuzzed_config_fields_fail_naming_the_field(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error:")
         assert captured.err.count("\n") == 1 and leaf in captured.err, (name, value)
         assert not out.exists()
+
+
+def test_run_config_sets_every_model_config_field():
+    # a ModelConfig field no run can set would be an option for tests only
+    values = {"dim": 12, "layers": 3, "heads": 3, "k_det": 7, "k_grd": 5}
+    assert {f.name for f in fields(ModelConfig)} == set(values)
+    assert asdict(RunConfig(**values).model_config()) == values
+
+
+def test_flags_override_config_fields_by_name(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"steps": 5, "n_scenes": 2, "disable_rag": True}))
+    args = build_parser().parse_args(["train", "--config", str(cfg_path), "--scenes", "s",
+                                      "--out", "c.json", "--steps", "0"])
+    cfg = _merged_config(args)
+    # --steps 0 applies; the unset --disable-rag keeps the file's True
+    assert (cfg.steps, cfg.n_scenes, cfg.seed, cfg.disable_rag) == (0, 2, 0, True)
+    # any attribute named like a RunConfig field is an override
+    args = argparse.Namespace(config=str(cfg_path), n_scenes=4, lr=0.5, seed=None)
+    cfg = _merged_config(args)
+    assert (cfg.n_scenes, cfg.lr, cfg.steps, cfg.seed) == (4, 0.5, 5, 0)
+
+
+def test_gradcheck_tolerances_default_in_parser():
+    args = build_parser().parse_args(["gradcheck"])
+    assert (args.tol, args.eps) == (1e-4, 1e-5)
 
 
 def test_run_config_round_trip(tmp_path):
@@ -372,6 +400,15 @@ def test_heatmap_command(workspace, tmp_path):
     from egoground.train import prepare_scene
     batch = prepare_scene(scene, [], StubEmbeddings(), 0.4, 6)
     assert len(rows) == 1 + len(batch.voxels)
+
+
+def test_heatmap_creates_missing_output_dir(workspace, tmp_path):
+    scene_file = sorted(workspace["scenes"].glob("*.json"))[0]
+    prefix = tmp_path / "heat" / "nested" / "h0"
+    assert main(["heatmap", "--scene", str(scene_file), "--checkpoint",
+                 str(workspace["ckpt"]), "--view", "0", "--out", str(prefix)]) == 0
+    assert prefix.with_suffix(".ppm").is_file()
+    assert prefix.with_suffix(".csv").is_file()
 
 
 def test_heatmap_view_out_of_range(workspace, tmp_path, capsys):

@@ -43,9 +43,9 @@ from egoground.network import (
     select_queries,
     sentence_embed,
 )
+from egoground.scenes import FEAT2D_DIM, TEXT_DIM
 
-TINY = ModelConfig(dim=8, layers=1, heads=2, num_classes=3, k_det=4, k_grd=3,
-                   text_dim=5, feat2d_dim=4)
+TINY = ModelConfig(dim=8, layers=1, heads=2, k_det=4, k_grd=3)
 
 
 def tiny_coords(n=6):
@@ -108,6 +108,34 @@ def test_load_model_names_checkpoint_on_bad_model_config(tmp_path):
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=rf"bad{i}\.json.*{field}"):
             load_model(path)
+
+
+def test_load_model_rejects_missing_model_config_fields(tmp_path):
+    # no tensor shape depends on heads, k_det or k_grd, so a missing field
+    # must not fall back to its default
+    cfg = ModelConfig(dim=8, layers=1, heads=4, k_det=8, k_grd=3)
+    path = tmp_path / "old.json"
+    save_model(init_model_params(cfg, seed=1), cfg, path)
+    manifest = json.loads(path.read_text())
+    del manifest["extra"]["model_config"]["heads"]
+    del manifest["extra"]["model_config"]["k_det"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"old\.json: missing model_config fields "
+                                         r"\['heads', 'k_det'\]"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name, value", [("text_dim", 16), ("feat2d_dim", 16),
+                                         ("ffn_mult", 2), ("num_classes", 6)])
+def test_load_model_rejects_widths_the_config_no_longer_holds(tmp_path, name, value):
+    # the stub embeddings own the input widths and the class count
+    path = tmp_path / "model.json"
+    save_model(init_model_params(TINY, seed=1), TINY, path)
+    manifest = json.loads(path.read_text())
+    manifest["extra"]["model_config"][name] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"unknown model_config fields \['{name}'\]"):
+        load_model(path)
 
 
 def test_init_deterministic_and_complete():
@@ -199,15 +227,15 @@ def test_load_requires_config(tmp_path):
 
 
 def test_fuse_concat_width_and_output_dim():
-    cfg = ModelConfig(dim=8, feat2d_dim=4)
+    cfg = ModelConfig(dim=8)
     store = init_model_params(cfg, seed=127)
-    assert store["enc3d.w"].shape == (cfg.feat2d_dim + cfg.dim, cfg.dim)
-    assert store["fuse.w"].shape == (cfg.dim + cfg.feat2d_dim, cfg.dim)
+    assert store["enc3d.w"].shape == (FEAT2D_DIM + cfg.dim, cfg.dim)
+    assert store["fuse.w"].shape == (cfg.dim + FEAT2D_DIM, cfg.dim)
     points = np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]])
-    vox = voxelize(points, np.ones((2, cfg.feat2d_dim)), 0.25)
+    vox = voxelize(points, np.ones((2, FEAT2D_DIM)), 0.25)
     encoded = encode_voxels(vox, store, cfg)
     assert encoded.shape == (len(vox), cfg.dim)
-    fused = fuse_features(encoded, np.ones((len(vox), cfg.feat2d_dim)), store)
+    fused = fuse_features(encoded, np.ones((len(vox), FEAT2D_DIM)), store)
     assert fused.shape == (len(vox), cfg.dim)
     narrow = voxelize(points, np.ones((2, 1)), 0.25)
     with pytest.raises(ValueError, match="'enc3d'"):
@@ -215,15 +243,15 @@ def test_fuse_concat_width_and_output_dim():
 
 
 def test_fusion_gradients_flow_to_both_linears():
-    cfg = ModelConfig(dim=6, feat2d_dim=4)
+    cfg = ModelConfig(dim=6)
     store = ParamStore()
     for name, p in init_model_params(cfg, seed=131).items():
         if module_of(name) == "fusion":
             store.create(name, p.data)
     assert store.names() == ["enc3d.w", "enc3d.b", "fuse.w", "fuse.b"]
     rng = make_rng(131)
-    vox = voxelize(rng.uniform(-0.6, 0.6, size=(12, 3)), rng.normal(size=(12, 4)), 0.3)
-    sampled = rng.normal(size=(len(vox), 4))
+    vox = voxelize(rng.uniform(-0.6, 0.6, size=(12, 3)), rng.normal(size=(12, FEAT2D_DIM)), 0.3)
+    sampled = rng.normal(size=(len(vox), FEAT2D_DIM))
 
     def fn(s):
         fused = fuse_features(encode_voxels(vox, s, cfg), sampled, s)
@@ -253,13 +281,13 @@ def test_sentence_embed_examples():
 
 def test_embed_text_projects_and_pools():
     store = init_model_params(TINY, seed=2)
-    raw = make_rng(6).normal(size=(3, TINY.text_dim))
+    raw = make_rng(6).normal(size=(3, TEXT_DIM))
     text = embed_text(raw, store)
     assert text.tokens.shape == (3, TINY.dim)
     assert text.sentence.shape == (1, TINY.dim)
     assert np.allclose(text.sentence.data, text.tokens.data.mean(axis=0, keepdims=True))
     with pytest.raises(ValueError):
-        embed_text(np.zeros((0, TINY.text_dim)), store)
+        embed_text(np.zeros((0, TEXT_DIM)), store)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +431,7 @@ def test_rag_departs_from_identity_once_trained():
 
 
 def test_zero_layers_feeds_heads_directly():
-    cfg = ModelConfig(dim=8, layers=0, heads=2, num_classes=3, text_dim=5, feat2d_dim=4)
+    cfg = ModelConfig(dim=8, layers=0, heads=2)
     store = init_model_params(cfg, seed=31)
     fused = tiny_fused(cfg)
     qs = tiny_queries(fused, cfg)
@@ -507,14 +535,13 @@ def test_box_head_shared_between_tasks():
 
 
 def test_grounding_pipeline_gradcheck():
-    cfg = ModelConfig(dim=8, layers=1, heads=2, num_classes=3, k_det=4, k_grd=3,
-                      text_dim=5, feat2d_dim=4)
+    cfg = TINY
     store = init_model_params(cfg, seed=41)
     rng = make_rng(42)
     n = 6
     coords = rng.uniform(-1.0, 1.0, size=(n, 3))
-    pooled = rng.normal(size=(n, cfg.feat2d_dim))
-    tok_raw = rng.normal(size=(2, cfg.text_dim))
+    pooled = rng.normal(size=(n, FEAT2D_DIM))
+    tok_raw = rng.normal(size=(2, TEXT_DIM))
     labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     gt = SetTargets(np.array([[*coords[0], 0.6, 0.5, 0.4, 0.3, 0.0, 0.0]]), [0], labels)
     voxels = VoxelFeatureSet(coords=coords, features=Tensor(pooled))

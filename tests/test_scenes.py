@@ -8,7 +8,11 @@ alone, the set of objects that satisfy the expression.
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +20,10 @@ import pytest
 from egoground.autodiff import make_rng
 from egoground.boxes import Box9DoF, box_iou_exact
 from egoground.geometry import CameraIntrinsics
-from egoground.network import ModelConfig
 from egoground.scenes import (
     CLASS_NAMES,
+    FEAT2D_DIM,
+    TEXT_DIM,
     VOCABULARY,
     WORD_IDS,
     Instruction,
@@ -349,11 +354,22 @@ def test_stub_embeddings_deterministic():
     assert not np.array_equal(a.word_table, c.word_table)
 
 
+def test_scenes_import_does_not_load_network():
+    # the stub owns its widths; scene generation needs no model code
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, egoground.scenes; print('egoground.network' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_stub_token_vectors():
     stub = StubEmbeddings()
     ins_tokens = [WORD_IDS["the"], WORD_IDS["chair"]]
     vecs = stub.token_vectors(ins_tokens)
-    assert vecs.shape == (2, ModelConfig.text_dim)
+    assert vecs.shape == (2, TEXT_DIM)
     assert np.array_equal(vecs[0], stub.word_table[WORD_IDS["the"]])
     with pytest.raises(ValueError):
         stub.token_vectors([])
@@ -365,7 +381,7 @@ def test_stub_view_feature_map_background_rows():
     depth, classes = render_depth_and_classes(scene, 0)
     fm = stub.view_feature_map(scene, 0, depth, classes)
     assert fm.grid.shape == (depth.values.shape[0], depth.values.shape[1],
-                             ModelConfig.feat2d_dim)
+                             FEAT2D_DIM)
     bg = ~depth.valid
     assert bg.any() and depth.valid.any()
     assert np.allclose(fm.grid[bg], stub.class_table[0])

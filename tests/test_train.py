@@ -16,6 +16,8 @@ from egoground.losses import LossWeights, total_loss
 from egoground.network import ModelConfig, init_model_params
 from egoground.scenes import (
     CLASS_NAMES,
+    FEAT2D_DIM,
+    TEXT_DIM,
     SceneConfig,
     StubEmbeddings,
     choose_target,
@@ -37,8 +39,8 @@ from egoground.train import (
     training_losses,
 )
 
-CFG = ModelConfig(dim=16, layers=1, heads=2, num_classes=len(CLASS_NAMES),
-                  k_det=12, k_grd=8, text_dim=16, feat2d_dim=16)
+CFG = ModelConfig(dim=16, layers=1, heads=2, k_det=12, k_grd=8)
+NUM_CLASSES = len(CLASS_NAMES)
 WEIGHTS = LossWeights()
 
 
@@ -55,7 +57,7 @@ def small_batch(seed=21, force_distractors=True):
         except Exception:
             continue
         return prepare_scene(scene, [ins], stub, voxel_size=0.4,
-                             num_classes=CFG.num_classes)
+                             num_classes=NUM_CLASSES)
     raise RuntimeError("no usable scene found")
 
 
@@ -66,7 +68,7 @@ def test_prepare_scene_labels_match_containment():
     batch = BATCH
     n = len(batch.voxels)
     onehot = batch.class_onehot
-    assert onehot.shape == (n, CFG.num_classes)
+    assert onehot.shape == (n, NUM_CLASSES)
     assert set(np.unique(onehot)) <= {0.0, 1.0} and (onehot.sum(axis=1) <= 1.0).all()
     for obj in batch.scene.objects:
         inside = contains_points(obj.box, batch.voxels.coords)
@@ -87,10 +89,10 @@ def test_prepare_scene_labels_match_containment():
 
 def test_prepare_scene_feature_shapes():
     batch = BATCH
-    assert batch.voxels.features.shape == (len(batch.voxels), CFG.feat2d_dim)
-    assert batch.image_features.shape == (len(batch.voxels), CFG.feat2d_dim)
+    assert batch.voxels.features.shape == (len(batch.voxels), FEAT2D_DIM)
+    assert batch.image_features.shape == (len(batch.voxels), FEAT2D_DIM)
     assert batch.token_vectors[0].shape == (len(batch.instructions[0].tokens),
-                                            CFG.text_dim)
+                                            TEXT_DIM)
     assert len(batch.det_targets.boxes) == len(batch.scene.objects)
     assert np.array_equal(batch.det_targets.boxes,
                           [o.box.as_params() for o in batch.scene.objects])
@@ -100,25 +102,24 @@ def test_prepare_scene_feature_shapes():
     assert batch.grd_targets[0].columns == [0]
 
 
-@pytest.mark.parametrize("class_id", [-1, CFG.num_classes])
+@pytest.mark.parametrize("class_id", [-1, NUM_CLASSES])
 def test_prepare_scene_rejects_out_of_range_class(class_id):
     scene = BATCH.scene
     objects = list(scene.objects)
     objects[1] = replace(objects[1], class_id=class_id)
     with pytest.raises(ValueError, match=f"object 1 has class {class_id}"):
         prepare_scene(replace(scene, objects=objects), BATCH.instructions, StubEmbeddings(),
-                      voxel_size=0.4, num_classes=CFG.num_classes)
+                      voxel_size=0.4, num_classes=NUM_CLASSES)
 
 
 def test_forward_shapes_and_k_clamp():
     store = init_model_params(CFG, seed=1)
     out, logits = forward_detection(BATCH, store, CFG)
     n = len(BATCH.voxels)
-    assert logits.shape == (n, CFG.num_classes)
-    assert out.logits.shape == (min(CFG.k_det, n), CFG.num_classes)
+    assert logits.shape == (n, NUM_CLASSES)
+    assert out.logits.shape == (min(CFG.k_det, n), NUM_CLASSES)
 
-    big = ModelConfig(dim=16, layers=1, heads=2, num_classes=CFG.num_classes,
-                      k_det=10 ** 6, k_grd=10 ** 6, text_dim=16, feat2d_dim=16)
+    big = ModelConfig(dim=16, layers=1, heads=2, k_det=10 ** 6, k_grd=10 ** 6)
     out, _ = forward_detection(BATCH, store, big)
     assert len(out.boxes) == n  # clamped to the voxel count
 
@@ -308,7 +309,7 @@ def test_boxes_become_objects_only_where_they_leave_the_model(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Box9DoF, "__post_init__", counted)
-    cfg = ModelConfig(num_classes=len(CLASS_NAMES))  # k_det 32, k_grd 16
+    cfg = ModelConfig()  # k_det 32, k_grd 16
     assert len(BATCH.voxels) >= cfg.k_det
     store = init_model_params(cfg, seed=10)
     loss, _ = training_losses(BATCH, store, cfg, WEIGHTS)
@@ -364,7 +365,7 @@ def test_prediction_wrappers():
     d = detection_predictions(BATCH, store, CFG)
     assert len(d.pred_boxes) == min(CFG.k_det, n)
     assert len(d.pred_classes) == len(d.pred_boxes)
-    assert all(0 <= c < CFG.num_classes for c in d.pred_classes)
+    assert all(0 <= c < NUM_CLASSES for c in d.pred_classes)
     assert d.gt_classes == tuple(o.class_id for o in BATCH.scene.objects)
 
 
