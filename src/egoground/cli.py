@@ -18,7 +18,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng
@@ -83,8 +83,8 @@ class RunConfig:
     steps: int = 500
     seed: int = 0
     n_scenes: int = 3
-    disable_rag: bool = False
-    disable_qim: bool = False
+    disable_rag: bool = ModelConfig.disable_rag
+    disable_qim: bool = ModelConfig.disable_qim
     scene: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -124,16 +124,13 @@ class RunConfig:
         return cls.from_dict(data)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(dim=self.dim, layers=self.layers, heads=self.heads,
-                           k_det=self.k_det, k_grd=self.k_grd)
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def scene_config(self) -> SceneConfig:
         return SceneConfig(**self.scene)
 
     def weights(self) -> LossWeights:
-        return LossWeights(lambda_cls=self.lambda_cls, lambda_box=self.lambda_box,
-                           lambda_ground=self.lambda_ground,
-                           lambda_spatial=self.lambda_spatial)
+        return LossWeights(**{f.name: getattr(self, f.name) for f in fields(LossWeights)})
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +227,20 @@ def cmd_train(args) -> int:
     cfg = _merged_config(args)
     scene_files = _load_scene_files(args.scenes)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)  # fail before training, not after
+    config_out = out.with_name(out.stem + ".config.json")
+    for path in (out, out.with_suffix(".bin"), config_out):  # fail before training, not after
+        if path.is_dir():
+            raise ValueError(f"checkpoint path {path} is a directory")
+    out.parent.mkdir(parents=True, exist_ok=True)
     batches = _prepare_batches(cfg, scene_files)
     model_cfg = cfg.model_config()
     store = init_model_params(model_cfg, cfg.seed)
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     history = train(batches, store, model_cfg, cfg.weights(), optimizer,
-                    steps=cfg.steps, use_rag=not cfg.disable_rag,
-                    use_qim=not cfg.disable_qim,
-                    log=lambda e: print(_log_line(e)))
+                    steps=cfg.steps, log=lambda e: print(_log_line(e)))
     save_model(store, model_cfg, out,
                extra={"run_config": cfg.to_dict(), "steps_trained": cfg.steps})
-    cfg.save(out.with_name(out.stem + ".config.json"))
+    cfg.save(config_out)
     final = history[-1]["total"] if history else float("nan")
     print(f"saved checkpoint {out} after {cfg.steps} steps (final total "
           f"{final:.6f})" if history else f"saved checkpoint {out} at initialization")
@@ -259,8 +258,9 @@ def cmd_eval(args) -> int:
     store, model_cfg, extra = load_model(args.checkpoint)
     run_cfg = RunConfig.from_dict(extra["run_config"]) if "run_config" in extra \
         else RunConfig()
-    use_rag = not (run_cfg.disable_rag or args.disable_rag)
-    use_qim = not (run_cfg.disable_qim or args.disable_qim)
+    # the flags switch a module off on top of the checkpoint's own switches
+    model_cfg = replace(model_cfg, disable_rag=model_cfg.disable_rag or args.disable_rag,
+                        disable_qim=model_cfg.disable_qim or args.disable_qim)
     scene_files = _load_scene_files(args.scenes)
     batches = _prepare_batches(run_cfg, scene_files)
     out = Path(args.out)
@@ -271,8 +271,7 @@ def cmd_eval(args) -> int:
     for batch in batches:
         detection.append(detection_predictions(batch, store, model_cfg))
         for i in range(len(batch.instructions)):
-            grounding.append(grounding_predictions(batch, store, model_cfg, i,
-                                                   use_rag=use_rag, use_qim=use_qim))
+            grounding.append(grounding_predictions(batch, store, model_cfg, i))
     for thresh in _thresholds(args.iou):
         tag = f"{round(thresh * 100):02d}"
         g_report = bucket_report(grounding, thresh)
@@ -340,7 +339,7 @@ def cmd_heatmap(args) -> int:
     store, model_cfg, extra = load_model(args.checkpoint)
     run_cfg = RunConfig.from_dict(extra["run_config"]) if "run_config" in extra \
         else RunConfig()
-    if run_cfg.disable_rag:
+    if model_cfg.disable_rag:
         raise ValueError(f"{args.checkpoint} was trained with --disable-rag, "
                          "so it has no trained relevance head to draw")
     scene, instructions = load_scene(args.scene)
@@ -352,7 +351,7 @@ def cmd_heatmap(args) -> int:
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # fail before the forward
     batch = prepare_scene(scene, instructions, StubEmbeddings(), run_cfg.voxel_size,
                           num_classes=len(CLASS_NAMES))
-    out, _ = forward_grounding(batch, store, model_cfg, 0, use_qim=not run_cfg.disable_qim)
+    out, _ = forward_grounding(batch, store, model_cfg, 0)
     scores = _sigmoid(out.relevance.data)
     cam, pose = scene.cameras[args.view]
     ppm, csv_path = export_heatmap(batch.voxels.coords, scores, cam, pose, args.out)

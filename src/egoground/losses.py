@@ -32,7 +32,7 @@ inside-the-target-box labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,9 +50,9 @@ class LossWeights:
     lambda_spatial: float = 0.01
 
     def __post_init__(self):
-        for name in ("lambda_cls", "lambda_box", "lambda_ground", "lambda_spatial"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for f in fields(self):
+            if not getattr(self, f.name) >= 0.0:
+                raise ValueError(f"{f.name} must be nonnegative, got {getattr(self, f.name)}")
 
 
 @dataclass

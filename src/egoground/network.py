@@ -43,10 +43,12 @@ The parameter store built by ``init_model_params`` is the one description of
 the model, and every learned layer is created, named and applied in this
 module.  ``ModelConfig`` holds only what a run sets: the input widths and the
 class count are those of the stub embeddings in ``scenes``, and the
-feed-forward block is twice the model width.  ``MODULES`` is the one map from
-parameter-name prefix to module (gradcheck groups its table by it), and every
-MLP's depth and widths are read from the store by ``mlp_apply``, never
-restated at a call site.
+feed-forward block is twice the model width.  Its ``disable_rag`` and
+``disable_qim`` switches turn a grounding module off in the forward only, so
+one seed gives the same parameters with a module on or off.  ``MODULES`` is
+the one map from parameter-name prefix to module (gradcheck groups its table
+by it), and every MLP's depth and widths are read from the store by
+``mlp_apply``, never restated at a call site.
 """
 
 from __future__ import annotations
@@ -90,11 +92,15 @@ class ModelConfig:
     heads: int = 2
     k_det: int = 32
     k_grd: int = 16
+    disable_rag: bool = False   # run grounding without region attention and relevance
+    disable_qim: bool = False   # run grounding without query modulation
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _is_int(value):
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
+            if f.type == "int" and not _is_int(value):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")

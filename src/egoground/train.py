@@ -12,10 +12,12 @@ class, and per instruction the target's row with the relevance labels.
 Each training step builds the fused voxel trunk once, an (N, C) ``Tensor``
 in the row order of ``batch.voxels``, runs both task bodies on it and takes
 a single optimizer step on the summed objective: detection loss + grounding
-loss + the two scoring-head auxiliaries.  Query selection is not
-differentiable, so the auxiliaries are what teach the scoring heads.  The
-forward runs with numpy's overflow warning off: a non-finite loss or box
-extent is one ``TrainingDiverged`` line naming the step.
+loss + the two scoring-head auxiliaries.  The grounding body runs region
+attention and query modulation unless ``cfg.disable_rag``/``disable_qim``
+switch them off.  Query selection is not differentiable, so the auxiliaries
+are what teach the scoring heads.  The forward runs with numpy's overflow
+warning off: a non-finite loss or box extent is one ``TrainingDiverged`` line
+naming the step.
 
 ``training_losses`` is the one forward that records a tape.  The inference
 forwards (``forward_detection``, ``forward_grounding`` and the prediction
@@ -141,8 +143,7 @@ def _detection_body(fused: Tensor, batch: SceneBatch, store: ParamStore, cfg: Mo
 
 
 def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
-                    cfg: ModelConfig, instruction_idx: int, use_rag: bool,
-                    use_qim: bool):
+                    cfg: ModelConfig, instruction_idx: int):
     if not 0 <= instruction_idx < len(batch.instructions):
         raise IndexError(f"instruction {instruction_idx} out of range "
                          f"({len(batch.instructions)} available)")
@@ -150,8 +151,8 @@ def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
     logits = scoring_logits(fused, store, "grounding")
     k = min(cfg.k_grd, len(batch.voxels))
     qs = select_queries(fused, batch.voxels.coords, k, logits, cfg)
-    features, relevance = rag_apply(fused, text, store, cfg) if use_rag else (fused, None)
-    if use_qim:
+    features, relevance = (fused, None) if cfg.disable_rag else rag_apply(fused, text, store, cfg)
+    if not cfg.disable_qim:
         qs = replace(qs, embeddings=qim_modulate(qs.embeddings, text.sentence, store))
     out = decoder_forward(features, text, qs, store, cfg, "grounding")
     out.relevance = relevance
@@ -165,23 +166,19 @@ def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
 
 
 def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
-                      instruction_idx: int = 0, use_rag: bool = True,
-                      use_qim: bool = True):
+                      instruction_idx: int = 0):
     """Untaped; returns (DecoderOutput with relevance, per-voxel scoring logits)."""
     with no_grad():
-        return _grounding_body(fuse_scene(batch, store, cfg), batch, store, cfg,
-                               instruction_idx, use_rag, use_qim)
+        return _grounding_body(fuse_scene(batch, store, cfg), batch, store, cfg, instruction_idx)
 
 
 def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
-                    weights: LossWeights, instruction_idx: int = 0,
-                    use_rag: bool = True, use_qim: bool = True):
+                    weights: LossWeights, instruction_idx: int = 0):
     """Summed objective plus a float breakdown for logging; one trunk for both tasks."""
     fused = fuse_scene(batch, store, cfg)
     det_out, det_score_logits = _detection_body(fused, batch, store, cfg)
     det_total, det_parts = total_loss(det_out, batch.det_targets, weights.lambda_cls, weights)
-    grd_out, grd_score_logits = _grounding_body(fused, batch, store, cfg, instruction_idx,
-                                                use_rag, use_qim)
+    grd_out, grd_score_logits = _grounding_body(fused, batch, store, cfg, instruction_idx)
     grd_targets = batch.grd_targets[instruction_idx]
     grd_total, grd_parts = total_loss(grd_out, grd_targets, weights.lambda_ground, weights)
 
@@ -207,8 +204,7 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
 
 
 def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
-          weights: LossWeights, optimizer, steps: int, use_rag: bool = True,
-          use_qim: bool = True, log=None) -> list[dict]:
+          weights: LossWeights, optimizer, steps: int, log=None) -> list[dict]:
     """Round-robin over scenes; one optimizer step per scene visit."""
     if not batches:
         raise ValueError("need at least one prepared scene")
@@ -220,8 +216,7 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
         ins_idx = (step // len(batches)) % max(1, len(batch.instructions))
         try:
             with np.errstate(over="ignore"):
-                loss, parts = training_losses(batch, store, cfg, weights, ins_idx,
-                                              use_rag=use_rag, use_qim=use_qim)
+                loss, parts = training_losses(batch, store, cfg, weights, ins_idx)
         except NonFiniteError as exc:
             raise TrainingDiverged(step, str(exc)) from exc
         if not np.isfinite(parts["total"]):
@@ -247,10 +242,8 @@ def _scored_boxes(boxes: Array, logits: Array) -> list[ScoredBox]:
 
 
 def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
-                          instruction_idx: int = 0, use_rag: bool = True,
-                          use_qim: bool = True) -> GroundingResult:
-    out, _ = forward_grounding(batch, store, cfg, instruction_idx,
-                               use_rag=use_rag, use_qim=use_qim)
+                          instruction_idx: int = 0) -> GroundingResult:
+    out, _ = forward_grounding(batch, store, cfg, instruction_idx)
     ins = batch.instructions[instruction_idx]
     return GroundingResult(predictions=_scored_boxes(out.boxes, out.logits.data),
                            gt_box=batch.scene.objects[ins.target].box,

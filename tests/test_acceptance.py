@@ -6,6 +6,7 @@ and tolerances are pinned; nothing here is tuned at runtime.
 """
 
 import time
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -171,10 +172,9 @@ def test_criterion_4_init_identity():
     refined, rel_logits = rag_apply(fused, text, store, cfg)
     rag_identity = np.array_equal(refined.data, fused.data)
 
-    on, logits_on = forward_grounding(batch, store, cfg, 0, use_rag=True,
-                                      use_qim=True)
-    off, logits_off = forward_grounding(batch, store, cfg, 0, use_rag=False,
-                                        use_qim=False)
+    on, logits_on = forward_grounding(batch, store, cfg, 0)
+    off, logits_off = forward_grounding(batch, store, replace(cfg, disable_rag=True,
+                                                              disable_qim=True), 0)
     same = (np.array_equal(logits_on.data, logits_off.data)
             and np.array_equal(on.logits.data, off.logits.data)
             and np.array_equal(on.centers.data, off.centers.data)

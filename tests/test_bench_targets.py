@@ -92,9 +92,11 @@ def test_adam_step_resolves_on_the_class(monkeypatch):
     assert calls == [store]
 
 
-def test_workloads_run_one_scene_each_without_errors(workloads, tmp_path):
+def test_workloads_run_one_scene_each_without_errors(workloads, tmp_path, monkeypatch):
     # Two passes of each timed loop, the first traced: every traced function
     # is called through the tracer's wrapper with the benchmark's arguments.
+    # A scene_prep pass is a block of fresh scenes; two keep it short.
+    monkeypatch.setattr(workloads, "PREP_BLOCK", 2)
     spans = importlib.import_module("spans")
     ctx = workloads.Context(seed=0, work=tmp_path)
     (train_batch,) = workloads.scene_set(ctx, 0, workloads.STREAM_TRAIN, 1)
@@ -104,7 +106,8 @@ def test_workloads_run_one_scene_each_without_errors(workloads, tmp_path):
     tracers = []
     try:
         for run_workload, arg in ((workloads.run_eval, state),
-                                  (workloads.run_train, [train_batch])):
+                                  (workloads.run_train, [train_batch]),
+                                  (workloads.run_prep, None)):
             tracers.append(spans.Tracer())
             run = workloads.Run(0.0, tracers[-1])
             run_workload(ctx, arg, run)

@@ -7,16 +7,20 @@ import os
 import subprocess
 import sys
 import typing
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egoground.train
 from egoground.autodiff import make_rng
 from egoground.cli import RunConfig, _merged_config, _thresholds, build_parser, main
+from egoground.evaluate import bucket_report, save_report
+from egoground.losses import LossWeights
 from egoground.network import ModelConfig, init_model_params, load_model
-from egoground.scenes import SceneConfig, load_scene
+from egoground.scenes import SceneConfig, StubEmbeddings, load_scene
+from egoground.train import grounding_predictions, prepare_scene
 
 SMOKE = {
     "n_scenes": 2,
@@ -183,9 +187,17 @@ def test_gen_fuzzed_config_fields_fail_naming_the_field(tmp_path, capsys):
 
 def test_run_config_sets_every_model_config_field():
     # a ModelConfig field no run can set would be an option for tests only
-    values = {"dim": 12, "layers": 3, "heads": 3, "k_det": 7, "k_grd": 5}
+    values = {"dim": 12, "layers": 3, "heads": 3, "k_det": 7, "k_grd": 5,
+              "disable_rag": True, "disable_qim": True}
     assert {f.name for f in fields(ModelConfig)} == set(values)
     assert asdict(RunConfig(**values).model_config()) == values
+
+
+def test_run_config_sets_every_loss_weight():
+    values = {"lambda_cls": 0.5, "lambda_box": 2.0, "lambda_ground": 1.5,
+              "lambda_spatial": 0.25}
+    assert {f.name for f in fields(LossWeights)} == set(values)
+    assert asdict(RunConfig(**values).weights()) == values
 
 
 def test_flags_override_config_fields_by_name(tmp_path):
@@ -315,12 +327,19 @@ def test_train_creates_missing_checkpoint_dir(workspace, tmp_path):
 def test_train_unusable_checkpoint_dir_fails_before_training(workspace, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    rc = main(["train", "--config", str(workspace["cfg"]), "--scenes",
-               str(workspace["scenes"]), "--out", str(blocker / "ckpt.json")])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert "step" not in captured.out
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    existing_dir = tmp_path / "outdir"
+    existing_dir.mkdir()
+    (tmp_path / "sidecar.bin").mkdir()  # the payload written beside sidecar.json
+    for out, named in ((blocker / "ckpt.json", None), (existing_dir, existing_dir),
+                       (tmp_path / "sidecar.json", tmp_path / "sidecar.bin")):
+        rc = main(["train", "--config", str(workspace["cfg"]), "--scenes",
+                   str(workspace["scenes"]), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "step" not in captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert named is None or str(named) in captured.err
+    assert not (tmp_path / "sidecar.json").exists()
 
 
 def test_train_bad_model_config_fails_before_any_work(workspace, tmp_path, capsys):
@@ -371,6 +390,62 @@ def test_eval_deterministic_and_extra_iou(workspace, tmp_path):
     assert (out1 / "grounding_ap40.json").is_file()
     for p in sorted(out1.iterdir()):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+def _inprocess_grounding_reports(workspace, checkpoint, out, **switches):
+    """What `eval` should write for grounding, from in-process predictions."""
+    store, model_cfg, _ = load_model(checkpoint)
+    model_cfg = replace(model_cfg, **switches)
+    grounding = []
+    for path in sorted(workspace["scenes"].glob("*.json")):
+        scene, instructions = load_scene(path)
+        batch = prepare_scene(scene, instructions, StubEmbeddings(), SMOKE["voxel_size"], 6)
+        grounding += [grounding_predictions(batch, store, model_cfg, i)
+                      for i in range(len(instructions))]
+    out.mkdir()
+    for tag, thresh in (("25", 0.25), ("50", 0.50)):
+        save_report(bucket_report(grounding, thresh), out / f"grounding_ap{tag}.json")
+    return out
+
+
+def _same_grounding_reports(a, b):
+    names = sorted(p.name for p in a.glob("grounding_*"))
+    return len(names) == 4 and all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
+def test_eval_reads_disable_rag_from_checkpoint(workspace, tmp_path, monkeypatch):
+    ckpt = tmp_path / "norag.json"
+    assert main(["train", "--config", str(workspace["cfg"]), "--scenes",
+                 str(workspace["scenes"]), "--out", str(ckpt), "--seed", "5",
+                 "--disable-rag"]) == 0
+    assert load_model(ckpt)[1].disable_rag
+    calls = []
+    real_rag_apply = egoground.train.rag_apply
+    monkeypatch.setattr(egoground.train, "rag_apply",
+                        lambda *a: calls.append(1) or real_rag_apply(*a))
+    out = tmp_path / "reports"
+    assert main(["eval", "--scenes", str(workspace["scenes"]), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 0  # no --disable-rag
+    assert calls == []
+    want = _inprocess_grounding_reports(workspace, ckpt, tmp_path / "want")
+    assert _same_grounding_reports(out, want)
+    # the spy sees the default checkpoint's RAG forward
+    assert main(["eval", "--scenes", str(workspace["scenes"]), "--checkpoint",
+                 str(workspace["ckpt"]), "--out", str(tmp_path / "default")]) == 0
+    assert calls
+
+
+def test_eval_disable_qim_flag_matches_inprocess_predictions(workspace, tmp_path):
+    out = tmp_path / "noqim"
+    assert main(["eval", "--scenes", str(workspace["scenes"]), "--checkpoint",
+                 str(workspace["ckpt"]), "--out", str(out), "--disable-qim"]) == 0
+    want = _inprocess_grounding_reports(workspace, workspace["ckpt"], tmp_path / "want",
+                                        disable_qim=True)
+    assert _same_grounding_reports(out, want)
+    default = tmp_path / "default"
+    assert main(["eval", "--scenes", str(workspace["scenes"]), "--checkpoint",
+                 str(workspace["ckpt"]), "--out", str(default)]) == 0
+    assert not _same_grounding_reports(out, default)  # the flag changes the forward
 
 
 def test_eval_missing_checkpoint(workspace, tmp_path, capsys):

@@ -100,7 +100,9 @@ def test_config_rejects_non_int_sizes():
 def test_load_model_names_checkpoint_on_bad_model_config(tmp_path):
     store = init_model_params(TINY, seed=1)
     for i, (change, field) in enumerate([({"typo": 1}, "typo"), ({"heads": "2"}, "heads"),
-                                         ({"k_det": 4.5}, "k_det")]):
+                                         ({"k_det": 4.5}, "k_det"),
+                                         ({"disable_qim": 1}, "disable_qim"),
+                                         ({"disable_rag": "false"}, "disable_rag")]):
         path = tmp_path / f"bad{i}.json"
         save_model(store, TINY, path)
         manifest = json.loads(path.read_text())
@@ -111,18 +113,20 @@ def test_load_model_names_checkpoint_on_bad_model_config(tmp_path):
 
 
 def test_load_model_rejects_missing_model_config_fields(tmp_path):
-    # no tensor shape depends on heads, k_det or k_grd, so a missing field
-    # must not fall back to its default
-    cfg = ModelConfig(dim=8, layers=1, heads=4, k_det=8, k_grd=3)
-    path = tmp_path / "old.json"
-    save_model(init_model_params(cfg, seed=1), cfg, path)
-    manifest = json.loads(path.read_text())
-    del manifest["extra"]["model_config"]["heads"]
-    del manifest["extra"]["model_config"]["k_det"]
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"old\.json: missing model_config fields "
-                                         r"\['heads', 'k_det'\]"):
-        load_model(path)
+    # no tensor shape depends on heads, k_det, k_grd or the switches, so a
+    # missing field must not fall back to its default; the five-field
+    # model_config of checkpoints written before the switches is refused too
+    cfg = ModelConfig(dim=8, layers=1, heads=4, k_det=8, k_grd=3, disable_rag=True)
+    for dropped in (["heads", "k_det"], ["disable_qim", "disable_rag"]):
+        path = tmp_path / "old.json"
+        save_model(init_model_params(cfg, seed=1), cfg, path)
+        manifest = json.loads(path.read_text())
+        for name in dropped:
+            del manifest["extra"]["model_config"][name]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"old\.json: missing model_config fields "
+                                             rf"\['{dropped[0]}', '{dropped[1]}'\]"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("name, value", [("text_dim", 16), ("feat2d_dim", 16),

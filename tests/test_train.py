@@ -207,7 +207,8 @@ def test_training_losses_golden():
     }
     for use_rag in (True, False):
         store = init_model_params(CFG, seed=2)
-        loss, parts = training_losses(BATCH, store, CFG, WEIGHTS, use_rag=use_rag)
+        cfg = replace(CFG, disable_rag=not use_rag)
+        loss, parts = training_losses(BATCH, store, cfg, WEIGHTS)
         assert {k: v.hex() for k, v in parts.items()} == want[use_rag]
         if use_rag:
             assert _tape_nodes(loss) == 359
@@ -224,21 +225,22 @@ def test_training_losses_breakdown_sums():
 
 def test_disable_qim_identical_at_init():
     store = init_model_params(CFG, seed=3)
-    loss_on, _ = training_losses(BATCH, store, CFG, WEIGHTS, use_qim=True)
-    loss_off, _ = training_losses(BATCH, store, CFG, WEIGHTS, use_qim=False)
+    loss_on, _ = training_losses(BATCH, store, CFG, WEIGHTS)
+    loss_off, _ = training_losses(BATCH, store, replace(CFG, disable_qim=True), WEIGHTS)
     assert loss_on.item() == loss_off.item()  # bit exact
 
 
 def test_disable_rag_at_init_differs_only_by_spatial():
     store = init_model_params(CFG, seed=3)
-    out_on, _ = forward_grounding(BATCH, store, CFG, use_rag=True)
-    out_off, _ = forward_grounding(BATCH, store, CFG, use_rag=False)
+    no_rag = replace(CFG, disable_rag=True)
+    out_on, _ = forward_grounding(BATCH, store, CFG)
+    out_off, _ = forward_grounding(BATCH, store, no_rag)
     # decoder path identical at init (zeroed residual branch)
     assert np.array_equal(out_on.logits.data, out_off.logits.data)
     assert out_off.relevance is None
 
-    loss_on, parts_on = training_losses(BATCH, store, CFG, WEIGHTS, use_rag=True)
-    loss_off, parts_off = training_losses(BATCH, store, CFG, WEIGHTS, use_rag=False)
+    loss_on, parts_on = training_losses(BATCH, store, CFG, WEIGHTS)
+    loss_off, parts_off = training_losses(BATCH, store, no_rag, WEIGHTS)
     gap = WEIGHTS.lambda_spatial * parts_on["grd_spatial"]
     assert abs((loss_on.item() - loss_off.item()) - gap) < 1e-12
 
@@ -375,7 +377,7 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
     store = init_model_params(CFG, seed=8)
     fused = fuse_scene(BATCH, store, CFG)
     det_out, _ = _detection_body(fused, BATCH, store, CFG)
-    grd_out, _ = _grounding_body(fused, BATCH, store, CFG, 0, True, True)
+    grd_out, _ = _grounding_body(fused, BATCH, store, CFG, 0)
     assert det_out.centers._parents and grd_out.centers._parents
     seen = []
 
