@@ -6,15 +6,15 @@ full extents along local x, y, z.  Angles are stored wrapped to (-pi, pi].
 Boxes are frozen, so each builds its rotation matrix once and shares it
 read-only.
 
-Exact IoU first tries to prove the boxes disjoint: a bounding-sphere test,
-then the 15 separating axes of two oriented boxes (Gottschalk et al., 1996,
+``boxes_disjoint`` is the overlap predicate: a bounding-sphere test, then
+the 15 separating axes of two oriented boxes (Gottschalk et al., 1996,
 "OBBTree"): the three face normals of each box and the nine cross products
 of their edges, skipping cross products of (nearly) parallel edges, which
-the face axes cover.  A pair counts as separated only when its gap on some
-axis exceeds 1e-9 of the projected radii plus 1e-9 of a unit length, a
-thousand times the clip tolerance, so the clip would also have found
-nothing and the exit returns the same 0.0.  Touching and near-touching
-pairs still clip.
+the face axes cover.  It is True only when the gap on some axis exceeds
+1e-9 of the projected radii plus 1e-9 of a unit length, a thousand times
+the clip tolerance, so the exact IoU is exactly 0.  False means the boxes
+overlap or are within that margin of touching.  Exact IoU uses it as its
+early exit; touching and near-touching pairs still clip.
 
 Otherwise IoU clips one box's face polygons against the other box's six
 halfspaces (Sutherland-Hodgman in 3D) and integrates the volume of the
@@ -265,8 +265,8 @@ def _polytope_volume(faces: list[Array]) -> float:
     return volume / 6.0
 
 
-def _separated(a: Box9DoF, b: Box9DoF) -> bool:
-    """True when a separating axis shows a clear gap between the boxes.
+def boxes_disjoint(a: Box9DoF, b: Box9DoF) -> bool:
+    """True when a separating axis shows a clear gap, so the exact IoU is 0.
 
     The axes are taken in a's frame, where c[i][j] = a_i . b_j and t is b's
     centre; the edge axis a_i x b_j has length sqrt(1 - c[i][j]**2), and the
@@ -310,7 +310,7 @@ def _separated(a: Box9DoF, b: Box9DoF) -> bool:
 def intersection_volume(a: Box9DoF, b: Box9DoF) -> float:
     """Exact intersection volume: 0.0 for a clearly separated pair, else by
     clipping a's faces against b's halfspaces."""
-    if _separated(a, b):
+    if boxes_disjoint(a, b):
         return 0.0
     faces = _face_polygons(a)
     for normal, offset in _halfspaces(b):

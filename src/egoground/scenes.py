@@ -1,9 +1,11 @@
 """Synthetic desk-scale scenes with analytic RGB-D rendering.
 
-A scene is a handful of non-overlapping oriented boxes inside a room, viewed
-by pinhole cameras on a ring looking inward.  Depth is rendered by exact
-ray / box slab intersection, so the generator needs no mesh machinery and
-the depth maps are reproducible bit for bit from the seed.
+A scene is a handful of oriented boxes inside a room, viewed by pinhole
+cameras on a ring looking inward.  Every pair of boxes, each grown by a 0.1
+clearance, has a clear separating axis (``boxes_disjoint``), so any two
+objects have IoU exactly 0.  Depth is rendered by exact ray / box slab
+intersection, so the generator needs no mesh machinery and the depth maps
+are reproducible bit for bit from the seed.
 
 Language supervision is template based.  A referring expression is either
 "the <class>" when the class is unique, or "the <class> <relation> the
@@ -29,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import _is_int, make_rng
-from .boxes import Box9DoF, box_corners, box_iou_exact
+from .boxes import Box9DoF, box_corners, boxes_disjoint
+from .boxes import box_iou_exact  # noqa: F401  benchmark/spans.py traces it at this name
 from .geometry import CameraIntrinsics, CameraPose, DepthMap, ViewFeatureMap
 
 Array = np.ndarray
@@ -140,7 +143,8 @@ def _inflate(box: Box9DoF, margin: float) -> Box9DoF:
 
 
 def generate_scene(cfg: SceneConfig, seed_words: tuple[int, ...]) -> Scene:
-    """Rejection-sample non-overlapping boxes and place the camera ring.
+    """Rejection-sample boxes whose copies grown by 0.1 are pairwise
+    ``boxes_disjoint`` (touching counts as overlap), then place the camera ring.
 
     Raises RuntimeError naming the object index if placement keeps failing.
     """
@@ -170,7 +174,7 @@ def generate_scene(cfg: SceneConfig, seed_words: tuple[int, ...]) -> Scene:
                 continue
             # keep a small clearance so voxel labels never straddle objects
             grown = _inflate(box, 0.1)
-            if any(box_iou_exact(grown, other) > 0.0 for other in grown_boxes):
+            if not all(boxes_disjoint(grown, other) for other in grown_boxes):
                 continue
             objects.append(SceneObject(box=box, class_id=class_id))
             grown_boxes.append(grown)

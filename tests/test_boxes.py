@@ -11,6 +11,7 @@ from egoground.boxes import (
     box_corners,
     box_iou_exact,
     box_iou_mc,
+    boxes_disjoint,
     contains_points,
     intersection_volume,
     rotation_matrix,
@@ -310,8 +311,8 @@ def _sat_pairs():
 def test_separating_axis_exit_is_bit_identical_to_clip(monkeypatch):
     pairs = _sat_pairs()
     fast = [(intersection_volume(a, b), box_iou_exact(a, b)) for a, b in pairs]
-    exits = sum(boxes_mod._separated(a, b) for a, b in pairs)
-    monkeypatch.setattr(boxes_mod, "_separated", lambda a, b: False)
+    exits = sum(boxes_mod.boxes_disjoint(a, b) for a, b in pairs)
+    monkeypatch.setattr(boxes_mod, "boxes_disjoint", lambda a, b: False)
     clipped = [(intersection_volume(a, b), box_iou_exact(a, b)) for a, b in pairs]
     for i, (f, c) in enumerate(zip(fast, clipped)):
         assert _bits(f[0]) == _bits(c[0]) and _bits(f[1]) == _bits(c[1]), (i, f, c)
@@ -322,9 +323,9 @@ def test_separating_axis_exit_is_bit_identical_to_clip(monkeypatch):
 def test_separating_axis_exit_keeps_near_contact_on_the_clip():
     for yaw in (0.0, 0.7):
         for gap in (0.0, 1e-13, 1e-10):
-            assert not boxes_mod._separated(*_face_to_face(gap, yaw))
-        assert boxes_mod._separated(*_face_to_face(1e-6, yaw))
-    assert not boxes_mod._separated(*_edge_to_edge(1e-13))
+            assert not boxes_mod.boxes_disjoint(*_face_to_face(gap, yaw))
+        assert boxes_mod.boxes_disjoint(*_face_to_face(1e-6, yaw))
+    assert not boxes_mod.boxes_disjoint(*_edge_to_edge(1e-13))
 
 
 def test_edge_cross_axis_alone_separates():
@@ -332,8 +333,51 @@ def test_edge_cross_axis_alone_separates():
     assert (_face_axis_gaps(a, b) < 0.0).all()
     assert np.linalg.norm(b.center - a.center) < (np.linalg.norm(a.extents)
                                                   + np.linalg.norm(b.extents)) / 2.0
-    assert boxes_mod._separated(a, b)
+    assert boxes_mod.boxes_disjoint(a, b)
     assert box_iou_exact(a, b) == 0.0
+
+
+def _grown_scene_box(rng):
+    """A candidate box with generate_scene's default draws, grown by its 0.1 clearance."""
+    l, w = rng.uniform(0.35, 0.9, size=2)
+    h = rng.uniform(0.3, 0.8)
+    cx, cy = rng.uniform(-1.3, 1.3, size=2)
+    cz = rng.uniform(h / 2.0 + 0.02, 2.4 - h / 2.0 - 0.8)
+    alpha = rng.uniform(-np.pi, np.pi)
+    beta, gamma = rng.uniform(-0.2, 0.2, size=2)
+    return Box9DoF(cx, cy, cz, l + 0.1, w + 0.1, h + 0.1, alpha, beta, gamma)
+
+
+def test_boxes_disjoint_agrees_with_exact_iou_on_scene_boxes(monkeypatch):
+    rng = make_rng(613)
+    pairs = [(_grown_scene_box(rng), _grown_scene_box(rng)) for _ in range(2_000)]
+    disjoint = [boxes_disjoint(a, b) for a, b in pairs]
+    # judge the predicate by the clip alone, not by IoU's exit through it;
+    # pairs whose bounding spheres are apart need no clip to be disjoint
+    monkeypatch.setattr(boxes_mod, "boxes_disjoint", lambda a, b: False)
+    near = 0
+    for i, (a, b) in enumerate(pairs):
+        reach = (np.linalg.norm(a.extents) + np.linalg.norm(b.extents)) / 2.0
+        if np.linalg.norm(b.center - a.center) > reach + 1e-6:
+            assert disjoint[i], i
+            continue
+        near += 1
+        iou = box_iou_exact(a, b)
+        assert disjoint[i] == (iou == 0.0), (i, iou)
+    assert 200 <= disjoint.count(False) < near < 1_800
+
+
+def test_boxes_disjoint_pairs_have_no_monte_carlo_joint_hit():
+    rng = make_rng(617)
+    checked = 0
+    while checked < 150:
+        a = random_box(rng)
+        b = random_box(rng, center_scale=1.2)
+        reach = (np.linalg.norm(a.extents) + np.linalg.norm(b.extents)) / 2.0
+        if np.linalg.norm(b.center - a.center) >= reach or not boxes_disjoint(a, b):
+            continue  # keep pairs that only an axis test separates
+        assert box_iou_mc(a, b, samples=20_000, seed=checked)[0] == 0.0, checked
+        checked += 1
 
 
 def test_disjoint_pair_skips_the_clip(monkeypatch):

@@ -63,31 +63,57 @@ def aa_box(x, y, z, l=0.6, w=0.6, h=0.5):
 
 
 def test_generate_scene_objects_in_room_and_disjoint():
-    cfg = SceneConfig()
-    scene = generate_scene(cfg, (11, 0))
-    assert cfg.n_objects_min <= len(scene.objects) <= cfg.n_objects_max
-    from egoground.boxes import box_corners
-    for obj in scene.objects:
-        corners = box_corners(obj.box)
-        assert (corners >= scene.room_lo - 1e-12).all()
-        assert (corners <= scene.room_hi + 1e-12).all()
-    for i in range(len(scene.objects)):
-        for j in range(i + 1, len(scene.objects)):
-            assert box_iou_exact(scene.objects[i].box, scene.objects[j].box) == 0.0
+    from egoground.boxes import box_corners, boxes_disjoint
+    from egoground.scenes import _inflate
+    for cfg in (SceneConfig(), SceneConfig(force_distractors=True)):
+        for seed in range(16):
+            scene = generate_scene(cfg, (seed, 11))
+            assert cfg.n_objects_min <= len(scene.objects) <= cfg.n_objects_max
+            for obj in scene.objects:
+                corners = box_corners(obj.box)
+                assert (corners >= scene.room_lo - 1e-12).all()
+                assert (corners <= scene.room_hi + 1e-12).all()
+            for i in range(len(scene.objects)):
+                for j in range(i + 1, len(scene.objects)):
+                    a, b = scene.objects[i].box, scene.objects[j].box
+                    assert box_iou_exact(a, b) == 0.0, (seed, i, j)
+                    assert boxes_disjoint(_inflate(a, 0.1), _inflate(b, 0.1)), (seed, i, j)
 
 
-def test_generate_scene_tests_overlap_through_module_iou(monkeypatch):
-    # the benchmark tracer counts scene-generation IoUs at this attribute
+def test_generate_scene_tests_overlap_with_the_separating_axis_only(monkeypatch):
+    # the benchmark tracer counts scene-generation IoUs at scenes.box_iou_exact
+    import egoground.boxes as boxes_mod
     import egoground.scenes as scenes_mod
-    calls = []
+    iou_calls, disjoint_calls = [], []
 
-    def counting(a, b):
-        calls.append(1)
+    def counting_iou(a, b):
+        iou_calls.append(1)
         return box_iou_exact(a, b)
 
-    monkeypatch.setattr(scenes_mod, "box_iou_exact", counting)
-    scene = generate_scene(SceneConfig(n_objects_min=3, n_objects_max=3), (11, 0))
-    assert len(calls) >= len(scene.objects) * (len(scene.objects) - 1) // 2
+    def counting_disjoint(a, b):
+        disjoint_calls.append(1)
+        return boxes_mod.boxes_disjoint(a, b)
+
+    def no_clip(*args):
+        raise AssertionError("scene generation reached the IoU clip")
+
+    monkeypatch.setattr(scenes_mod, "box_iou_exact", counting_iou)
+    monkeypatch.setattr(scenes_mod, "boxes_disjoint", counting_disjoint)
+    monkeypatch.setattr(boxes_mod, "_clip_faces", no_clip)
+    scene = generate_scene(SceneConfig(n_objects_min=6, n_objects_max=6), (11, 0))
+    assert iou_calls == []
+    assert len(disjoint_calls) >= len(scene.objects) * (len(scene.objects) - 1) // 2
+
+
+def test_generate_scene_bytes_golden():
+    # pinned while the sampler still rejected on box_iou_exact > 0
+    import hashlib
+    digest = hashlib.sha256()
+    cfg = SceneConfig()
+    for s in (1, 2, 3):
+        for i in range(32):
+            digest.update(json.dumps(scene_to_dict(generate_scene(cfg, (s, 2, i, 0)), [])).encode())
+    assert digest.hexdigest() == "900238414ec3f68ca8332e869e546ee2281e5ca267728d1a696506609c33e612"
 
 
 def test_generate_scene_deterministic():
