@@ -23,20 +23,34 @@ way too; only ``train.training_losses`` records.  A forward kept alive as a
 tape holds thousands of collector-tracked objects until it ends, enough to
 set off a full collection every few dozen forwards.
 
-A tape's cost is Python overhead per node, so the model's three building
-blocks are each one node with a hand-written backward:
+A tape's cost is Python overhead per node, so the model's building blocks
+are each one node with a hand-written backward:
 
 * ``linear``: ``x @ w + b`` over ``(x, w, b)``.
+* ``mlp``: linears with a ReLU between them over ``x`` and every layer's
+  ``(w, b)``; ``mlp_apply`` and the decoder's feed-forward block use it.
 * ``layer_norm``: one node over ``(x, gamma, beta)`` whose backward is the
   closed form of Ba et al. (2016), not the chain through mean, variance,
   square root and division.
 * the attention core: ``softmax(q k^T / sqrt(d)) v`` for every head at once
   on (H, N, d) stacks (Vaswani et al., 2017), so ``attention`` is five
   nodes (four linears and the core) for any head count.
+* the loss tails in ``losses``: ``focal_loss``, ``box_regression_loss`` and
+  ``spatial_relevance_loss`` are one node each over their input tensors.
 
 Their forward values are bit-identical to the elementwise compositions they
-replace (the tests keep those compositions as references); their gradients
-agree to rounding, since the closed forms sum in a different order.
+replace (the tests keep those compositions as references).  The gradients
+of ``linear``, ``mlp`` and the loss tails are bit-identical too: their
+backwards apply the composition's terms in its tape order.  Those of
+``layer_norm`` and the attention core agree to rounding, since their closed
+forms sum in a different order.
+
+Finiteness is checked where values enter and where they leave, not per
+node.  A ``Tensor`` built from data must be finite (``NonFiniteError``);
+an op's output is not checked, so a NaN or infinity travels on to the
+loss.  ``backward`` refuses a non-finite loss, ``train.train`` checks the
+whole gradient arena once per step and names the first bad parameter, and
+the inference forwards check their outputs once.
 
 Parameters live in one flat arena per ``ParamStore``: every parameter's
 ``data`` and ``grad`` are views into the store's ``data`` and ``grad``
@@ -97,6 +111,11 @@ def _sigmoid(x: Array) -> Array:
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
+def _softplus(x: Array) -> Array:
+    """log(1 + e^x) = max(x, 0) + log1p(e^-|x|), stable on both tails."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -127,17 +146,18 @@ def no_grad():
 class Tensor:
     """A float64 array plus the tape bookkeeping needed for backward().
 
-    ``data`` is always a C-contiguous float64 ndarray with finite entries;
-    non-finite values are rejected at construction (``NonFiniteError``) so
-    divergence surfaces at the op that produced it.  ``grad`` is lazily allocated (parameters get a
-    zero slot up front via ``ParamStore``).
+    ``data`` is always a C-contiguous float64 ndarray.  A tensor built from
+    data (no parents) must be finite, or construction raises
+    ``NonFiniteError``; an op's output is not checked (see the module
+    docstring).  ``grad`` is lazily allocated (parameters get a zero slot up
+    front via ``ParamStore``).
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents: tuple = (), backward: Callable[[Array], None] | None = None):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.isfinite(arr).all():
+        arr = np.ascontiguousarray(data, dtype=np.float64)
+        if not parents and not np.isfinite(arr).all():
             raise NonFiniteError("non-finite values in tensor")
         self.data = arr
         self.grad: Array | None = None
@@ -268,8 +288,7 @@ class Tensor:
         return out._taped(backward)
 
     def softplus(self) -> "Tensor":
-        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), stable on both tails
-        out = Tensor(np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data))), (self,))
+        out = Tensor(_softplus(self.data), (self,))
 
         def backward(g):
             self.grad += g * _sigmoid(self.data)
@@ -370,20 +389,22 @@ class Tensor:
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
+        if not np.isfinite(self.data).all():
+            raise NonFiniteError(f"non-finite loss {self.item()}")
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()  # Tensor defines no __eq__, so it hashes by identity
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent not in seen:
                     stack.append((parent, False))
         for node in topo:
             if node.grad is None:
@@ -491,6 +512,15 @@ class ParamStore:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
+    def name_at(self, index: int) -> str:
+        """The parameter whose arena slice holds flat element ``index``."""
+        end = 0
+        for name, p in self._params.items():
+            end += p.data.size
+            if index < end:
+                return name
+        raise IndexError(f"arena index {index} is past the {self._size} parameters")
+
     def total_parameters(self) -> int:
         return self._size
 
@@ -501,8 +531,10 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array
 
 
 def init_linear(store: ParamStore, name: str, fan_in: int, fan_out: int,
-                rng: np.random.Generator, zero_weight: bool = False, bias: float | Array = 0.0) -> None:
-    if zero_weight:
+                rng: np.random.Generator | None, zero_weight: bool = False,
+                bias: float | Array = 0.0) -> None:
+    """``name.w`` (fan_in, fan_out) and ``name.b`` (fan_out,); with no ``rng`` the weight is zero."""
+    if zero_weight or rng is None:
         w = np.zeros((fan_in, fan_out))
     else:
         w = xavier_uniform(rng, fan_in, fan_out)
@@ -526,7 +558,7 @@ def linear(x: Tensor, store: ParamStore, name: str) -> Tensor:
     return out._taped(backward)
 
 
-def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.random.Generator,
+def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.random.Generator | None,
              zero_last: bool = False, last_bias: float | Array = 0.0) -> None:
     """Parameters for an MLP with layer i mapping sizes[i] -> sizes[i+1]."""
     n = len(sizes) - 1
@@ -536,21 +568,53 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.rando
                     zero_weight=zero_last and last, bias=last_bias if last else 0.0)
 
 
+def mlp(x: Tensor, store: ParamStore, layers: Sequence[str]) -> Tensor:
+    """The linears ``layers`` in turn, ReLU between them and none after the last, as one node.
+
+    Its value is that of the chain ``linear``, ``relu``, ``linear``, ...; its
+    backward runs the chain's closures in their tape order, last layer first,
+    so every gradient byte matches the chain's too.
+    """
+    params = [(store[name + ".w"], store[name + ".b"]) for name in layers]
+    inputs = []  # each layer's input; past layer 0 a ReLU output, > 0 where the ReLU passes
+    h = x.data
+    for i, (name, (w, b)) in enumerate(zip(layers, params)):
+        if i:
+            h = np.maximum(h, 0.0)
+        if h.ndim != 2 or h.shape[1] != w.shape[0]:
+            raise ValueError(f"linear {name!r}: input shape {h.shape} does not fit weight "
+                             f"fan-in {w.shape[0]}")
+        inputs.append(h)
+        h = h @ w.data + b.data
+    out = Tensor(h, (x, *(t for pair in params for t in pair)))
+
+    def backward(g):
+        for i in range(len(params) - 1, -1, -1):
+            w, b = params[i]
+            gx = g @ w.data.T
+            w.grad += inputs[i].T @ g
+            b.grad += g.sum(axis=0)
+            if i == 0:
+                x.grad += gx
+            else:
+                g = gx * (inputs[i] > 0.0)
+
+    return out._taped(backward)
+
+
 def mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    """Apply the MLP under ``prefix``; ReLU between layers, none after the last.
+    """Apply the MLP under ``prefix`` with ``mlp``.
 
     The depth and the widths are read from the store: layers ``prefix.0``,
-    ``prefix.1``, ... run until ``prefix.{i}.w`` is absent, and ``linear``
-    checks each layer's input width.
+    ``prefix.1``, ... run until ``prefix.{i}.w`` is absent, and each layer's
+    input width is checked.
     """
     if f"{prefix}.0.w" not in store:
         raise ValueError(f"mlp {prefix!r} has no layers in the store")
-    h = linear(x, store, f"{prefix}.0")
-    i = 1
-    while f"{prefix}.{i}.w" in store:
-        h = linear(h.relu(), store, f"{prefix}.{i}")
-        i += 1
-    return h
+    layers = [f"{prefix}.0"]
+    while f"{prefix}.{len(layers)}.w" in store:
+        layers.append(f"{prefix}.{len(layers)}")
+    return mlp(x, store, layers)
 
 
 def init_layer_norm(store: ParamStore, name: str, dim: int) -> None:
@@ -585,7 +649,7 @@ def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:
     return out._taped(backward)
 
 
-def init_attention(store: ParamStore, prefix: str, dim: int, rng: np.random.Generator,
+def init_attention(store: ParamStore, prefix: str, dim: int, rng: np.random.Generator | None,
                    zero_out: bool = False) -> None:
     for part in ("q", "k", "v"):
         init_linear(store, f"{prefix}.{part}", dim, dim, rng)
@@ -670,7 +734,10 @@ class Adam:
 
     The moments are two flat arrays aligned with the store's arena, so a
     step is a few whole-buffer operations; every element sees the same
-    arithmetic as a per-tensor loop would give it.
+    arithmetic as a per-tensor loop would give it.  The step allocates
+    nothing: each operation of ``data -= lr * m_hat / (sqrt(v_hat) + eps)``
+    writes into one of two spare buffers, in the order the expression
+    evaluates, so the bytes are those of the expression.
     """
 
     def __init__(self, lr: float):
@@ -680,24 +747,28 @@ class Adam:
         self.t = 0
         self._m: Array | None = None
         self._v: Array | None = None
+        self._spare: tuple[Array, Array] | None = None
 
     def step(self, store: ParamStore) -> None:
         data, grad = store.data, store.grad
         if self._m is None:
             self._m = np.zeros_like(data)
             self._v = np.zeros_like(data)
+            self._spare = (np.empty_like(data), np.empty_like(data))
         elif self._m.shape != data.shape:
             raise ValueError(f"Adam moments cover {self._m.size} parameters, the store holds {data.size}")
         self.t += 1
         b1, b2 = 0.9, 0.999
         m, v = self._m, self._v
+        a, b = self._spare
         m *= b1
-        m += (1.0 - b1) * grad
+        m += np.multiply(1.0 - b1, grad, out=a)
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / (1.0 - b1 ** self.t)
-        v_hat = v / (1.0 - b2 ** self.t)
-        data -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        v += np.multiply(np.multiply(1.0 - b2, grad, out=a), grad, out=a)
+        np.divide(m, 1.0 - b1 ** self.t, out=a)  # m_hat
+        np.divide(v, 1.0 - b2 ** self.t, out=b)  # v_hat
+        np.add(np.sqrt(b, out=b), 1e-8, out=b)
+        data -= np.divide(np.multiply(self.lr, a, out=a), b, out=a)
         store.zero_grad()
 
 
@@ -748,8 +819,6 @@ def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
     loss = fn(store)
     if loss.data.size != 1:
         raise ValueError("grad_check requires a scalar-valued fn")
-    if not np.isfinite(loss.data).all():
-        raise NonFiniteError("non-finite loss")
     loss.backward()
     analytic = {name: p.grad.copy() for name, p in store.items()}
 
@@ -767,6 +836,8 @@ def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
                 f_minus = float(fn(store).data.reshape(()))
                 flat[i] = saved
                 fd = (f_plus - f_minus) / (2.0 * eps)
+                if not math.isfinite(fd):
+                    raise NonFiniteError(f"non-finite loss with {name}[{i}] moved by +/-{eps}")
                 rel = abs(a_flat[i] - fd) / max(abs(a_flat[i]), abs(fd), 1e-3)
                 if rel > worst:
                     worst = rel

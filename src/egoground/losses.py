@@ -6,8 +6,7 @@ the logit column of each.  Grounding is one-object detection: its ground
 truth is the target box in column 0 of the grounding logits.  The caller
 passes the class weight, lambda_cls for detection and lambda_ground for
 grounding.  Between the decoder and the loss a box is one row (x, y, z, l,
-w, h, alpha, beta, gamma) of a float array, angles wrapped to (-pi, pi];
-``box_loss`` on two ``Box9DoF`` is the scalar reference of the array code.
+w, h, alpha, beta, gamma) of a float array, angles wrapped to (-pi, pi].
 
 Matching is min-cost bipartite assignment over a (K preds, G truths) cost
 matrix, solved once by shortest augmenting paths from each vertex of the
@@ -27,6 +26,13 @@ centers, on log-extent ratios and on the (sin, cos) of each angle, which
 makes 0 and 2 pi identical.  ``total_loss`` adds, for grounding, a mean
 binary cross-entropy over per-voxel relevance logits against
 inside-the-target-box labels.
+
+The three loss tails (``focal_loss``, ``box_regression_loss`` and
+``spatial_relevance_loss``) are one tape node each.  Each forward evaluates
+the numpy expressions of the ``Tensor`` op composition it replaces, and
+each backward adds the composition's gradient terms in the order its tape
+would, so values and gradients are bit-identical to that composition (the
+tests keep it as the reference).
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, _sigmoid
-from .boxes import Box9DoF
+from .autodiff import NonFiniteError, Tensor, _sigmoid, _softplus
 
 Array = np.ndarray
 
@@ -166,40 +171,42 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
-def box_loss(pred: Box9DoF, gt: Box9DoF) -> float:
-    """L1 center + L1 log-extent ratio + L1 on (sin, cos) per angle."""
-    center = float(np.abs(pred.center - gt.center).sum())
-    ext = float(np.abs(np.log(pred.extents / gt.extents)).sum())
-    ang = 0.0
-    for pa, ga in ((pred.alpha, gt.alpha), (pred.beta, gt.beta), (pred.gamma, gt.gamma)):
-        ang += abs(np.sin(pa) - np.sin(ga)) + abs(np.cos(pa) - np.cos(ga))
-    return center + ext + ang
-
-
 def box_regression_loss(centers: Tensor, log_extents: Tensor, sin_t: Tensor, cos_t: Tensor,
                         pred_rows, gt_boxes: Array) -> Tensor:
-    """Tape version of ``box_loss`` averaged over matched pairs.
+    """L1 on centers, log extents and each angle's (sin, cos), averaged over matched pairs.
 
     ``pred_rows[i]`` is the prediction matched to the box in row i of the
     (M, 9) ``gt_boxes``; sin_t and cos_t must already be normalized so they
-    are the sine/cosine of the predicted angles.
+    are the sine/cosine of the predicted angles.  One tape node over the
+    four tensors; with no pairs it is a constant 0.
     """
     if len(gt_boxes) == 0:
         return Tensor(0.0)
     rows = np.asarray(pred_rows, dtype=np.intp)
-    c_term = (centers[rows] - gt_boxes[:, :3]).abs().sum()
-    e_term = (log_extents[rows] - np.log(gt_boxes[:, 3:6])).abs().sum()
-    s_term = (sin_t[rows] - np.sin(gt_boxes[:, 6:])).abs().sum()
-    k_term = (cos_t[rows] - np.cos(gt_boxes[:, 6:])).abs().sum()
-    return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
+    preds = (centers, log_extents, sin_t, cos_t)
+    refs = (gt_boxes[:, :3], np.log(gt_boxes[:, 3:6]), np.sin(gt_boxes[:, 6:]),
+            np.cos(gt_boxes[:, 6:]))
+    diffs = [p.data[rows] - ref for p, ref in zip(preds, refs)]
+    c_term, e_term, s_term, k_term = (np.abs(d).sum() for d in diffs)
+    inv_m = 1.0 / len(gt_boxes)
+    out = Tensor((c_term + e_term + s_term + k_term) * inv_m, preds)
+
+    def backward(g):
+        gm = g * inv_m
+        for p, d in zip(preds, diffs):
+            np.add.at(p.grad, rows, gm * np.sign(d))
+
+    return out._taped(backward)
 
 
 def matching_cost(output, targets: SetTargets, cls_weight: float,
                   weights: LossWeights) -> Array:
-    """(K, G) matrix: cls_weight * (-p_k(class_g)) + lambda_box * box_loss.
+    """(K, G) matrix: cls_weight * (-p_k(class_g)) + lambda_box * box term.
 
-    The box term is ``box_loss`` broadcast over all pairs, in its summation
-    order, so each entry equals the scalar call bit for bit.
+    The box term of a pair is the L1 of ``box_regression_loss`` for that
+    pair alone, read off the decoded box rows: the center, the log of the
+    extent ratio and each angle's (sin, cos).  The tests check every entry
+    against a scalar per-pair loop over ``Box9DoF``, bit for bit.
     """
     cls_cost = -_sigmoid(output.logits.data)[:, np.asarray(targets.columns, dtype=np.intp)]
     pred = output.boxes[:, None, :]
@@ -216,29 +223,52 @@ def focal_loss(logits: Tensor, targets: Array, normalizer: float) -> Tensor:
     """Sigmoid focal loss (alpha 0.25, gamma 2) summed over entries, divided by ``normalizer``.
 
     Positive entries contribute 0.25 * (1-p)^2 * -log p, negatives
-    0.75 * p^2 * -log(1-p).
+    0.75 * p^2 * -log(1-p), with -log p = softplus(-x) and -log(1-p) =
+    softplus(x) so that neither tail overflows (Lin et al., 2017).  One
+    tape node over ``logits``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise ValueError(f"targets shape {targets.shape} != logits shape {logits.shape}")
     if normalizer <= 0.0:
         raise ValueError("normalizer must be positive")
-    p = logits.sigmoid()
-    one_minus_p = (-logits).sigmoid()
-    # -log p = softplus(-x), -log(1-p) = softplus(x): stable on both tails
-    pos = (one_minus_p ** 2.0) * (-logits).softplus() * 0.25
-    neg = (p ** 2.0) * logits.softplus() * 0.75
-    per_entry = pos * targets + neg * (1.0 - targets)
-    return per_entry.sum() * (1.0 / normalizer)
+    x = logits.data
+    p, q = _sigmoid(x), _sigmoid(-x)            # q is 1 - p
+    sp_neg, sp = _softplus(-x), _softplus(x)   # -log p, -log(1 - p)
+    q2, p2 = q ** 2.0, p ** 2.0
+    per_entry = q2 * sp_neg * 0.25 * targets + p2 * sp * 0.75 * (1.0 - targets)
+    inv_n = 1.0 / normalizer
+    out = Tensor(per_entry.sum() * inv_n, (logits,))
+
+    def backward(g):
+        gs = g * inv_n
+        g_pos = gs * targets * 0.25          # gradient of the product q2 * sp_neg
+        logits.grad -= g_pos * sp_neg * 2.0 * q * q * (1.0 - q)
+        logits.grad -= g_pos * q2 * q
+        g_neg = gs * (1.0 - targets) * 0.75  # gradient of the product p2 * sp
+        logits.grad += g_neg * sp * 2.0 * p * p * (1.0 - p)
+        logits.grad += g_neg * p2 * p
+
+    return out._taped(backward)
 
 
 def spatial_relevance_loss(logits: Tensor, labels: Array) -> Tensor:
-    """Mean binary cross-entropy of per-voxel relevance logits."""
+    """Mean binary cross-entropy of per-voxel relevance logits, one tape node.
+
+    ``labels`` holds one 0/1 label per logit, in ``logits.reshape(-1)`` order.
+    """
     labels = np.asarray(labels, dtype=np.float64)
-    flat = logits.reshape(-1)
+    flat = logits.data.reshape(-1)
     if labels.shape != flat.shape:
         raise ValueError(f"labels shape {labels.shape} != logits shape {flat.shape}")
-    return (flat.softplus() - flat * labels).mean()
+    inv_n = 1.0 / flat.size
+    out = Tensor((_softplus(flat) - flat * labels).sum() * inv_n, (logits,))
+
+    def backward(g):
+        gd = g * inv_n
+        logits.grad += (gd * _sigmoid(flat) - gd * labels).reshape(logits.shape)
+
+    return out._taped(backward)
 
 
 def total_loss(output, targets: SetTargets, cls_weight: float, weights: LossWeights):

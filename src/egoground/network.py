@@ -1,9 +1,12 @@
 """Grounding network: fusion, query selection, text modulation and a shared decoder.
 
 The trunk mirrors a two-backbone pipeline at desk scale: ``encode_voxels``
-is one learned linear over [pooled voxel feature | sinusoidal encoding of
-the center] (a sparse 3D conv stand-in), and ``fuse_features`` projects
-[encoded 3D | sampled 2D] to the model width with a second one.
+is one learned linear over ``encoder_input``, [pooled voxel feature |
+sinusoidal encoding of the center] (a sparse 3D conv stand-in), and
+``fuse_features`` projects [encoded 3D | sampled 2D] to the model width with
+a second one.  The encoder input depends only on the scene and the model
+width, so a prepared scene computes it once (``train.SceneBatch``), and
+query selection reads each query's positional encoding from its columns.
 
 Detection and grounding run the same decoder weights and the same box head;
 only the scoring heads, the task heads and the two language modules differ.
@@ -48,7 +51,10 @@ feed-forward block is twice the model width.  Its ``disable_rag`` and
 one seed gives the same parameters with a module on or off.  ``MODULES`` is
 the one map from parameter-name prefix to module (gradcheck groups its table
 by it), and every MLP's depth and widths are read from the store by
-``mlp_apply``, never restated at a call site.
+``mlp_apply``, never restated at a call site.  ``load_model`` checks a
+checkpoint's names and shapes against ``model_shapes``, the same creation
+code run without a generator on a store that keeps only shapes, so it
+draws and stores nothing.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ from .autodiff import (
     linear,
     load_checkpoint,
     make_rng,
+    mlp,
     mlp_apply,
     save_checkpoint,
 )
@@ -168,7 +175,26 @@ def _mlp_sizes(cfg: ModelConfig, out: int) -> list[int]:
 def init_model_params(cfg: ModelConfig, seed: int) -> ParamStore:
     """Create every learnable tensor; creation order is fixed for determinism."""
     store = ParamStore()
-    rng = make_rng(seed, 100)
+    _create_params(store, cfg, make_rng(seed, 100))
+    return store
+
+
+class _Shapes(dict):
+    """Stands in for a ``ParamStore``: ``create`` keeps each parameter's shape only."""
+
+    def create(self, name: str, value) -> None:
+        self[name] = np.shape(value)
+
+
+def model_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in creation order, with nothing drawn or stored."""
+    shapes = _Shapes()
+    _create_params(shapes, cfg, None)
+    return dict(shapes)
+
+
+def _create_params(store: ParamStore, cfg: ModelConfig, rng: np.random.Generator | None) -> None:
+    """Create the model's parameters in ``store``; with no ``rng`` drawn weights are zero."""
     init_linear(store, "enc3d", FEAT2D_DIM + cfg.dim, cfg.dim, rng)
     init_linear(store, "fuse", cfg.dim + FEAT2D_DIM, cfg.dim, rng)
     init_linear(store, "text_proj", TEXT_DIM, cfg.dim, rng)
@@ -198,7 +224,6 @@ def init_model_params(cfg: ModelConfig, seed: int) -> ParamStore:
     init_mlp(store, "head_box", _mlp_sizes(cfg, 12), rng)
     init_mlp(store, "head_det", _mlp_sizes(cfg, len(CLASS_NAMES)), rng)
     init_mlp(store, "head_grd", _mlp_sizes(cfg, 1), rng)
-    return store
 
 
 def save_model(store: ParamStore, cfg: ModelConfig, path: str | Path,
@@ -226,7 +251,7 @@ def load_model(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
         cfg = ModelConfig(**raw)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: bad model_config: {exc}") from exc
-    expected = {name: p.shape for name, p in init_model_params(cfg, 0).items()}
+    expected = model_shapes(cfg)
     for name, p in store.items():
         if name not in expected:
             raise ValueError(f"checkpoint {path}: unexpected tensor {name!r} for its model_config")
@@ -245,10 +270,14 @@ def load_model(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
 # ---------------------------------------------------------------------------
 
 
-def encode_voxels(voxels: VoxelFeatureSet, store: ParamStore, cfg: ModelConfig) -> Tensor:
-    """Voxel encoder stub: [pooled features | positional encoding] -> (N, C)."""
-    pe = positional_encoding(voxels.coords, cfg.dim)
-    return linear(concat([voxels.features, Tensor(pe)], axis=1), store, "enc3d")
+def encoder_input(voxels: VoxelFeatureSet, dim: int) -> Array:
+    """(N, C' + dim) [pooled voxel features | positional encoding of the centers]."""
+    return np.concatenate([voxels.features.data, positional_encoding(voxels.coords, dim)], axis=1)
+
+
+def encode_voxels(inputs: Array, store: ParamStore) -> Tensor:
+    """Voxel encoder stub: the ``encoder_input`` rows -> (N, C)."""
+    return linear(Tensor(inputs), store, "enc3d")
 
 
 def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
@@ -295,19 +324,21 @@ def scoring_logits(features: Tensor, store: ParamStore, task: str) -> Tensor:
     return mlp_apply(features, store, name)
 
 
-def select_queries(features: Tensor, coords: Array, k: int, logits: Tensor,
-                   cfg: ModelConfig) -> QuerySet:
+def select_queries(features: Tensor, coords: Array, inputs: Array, k: int,
+                   logits: Tensor) -> QuerySet:
     """Top-k voxels by max ``scoring_logits`` row; ties keep ascending voxel index.
 
+    A query is its voxel's (N, C) ``features`` row plus its positional
+    encoding, the last C columns of its ``encoder_input`` row ``inputs``.
     Selection indices are treated as constants; gradients flow into the
     selected voxel features and into the scoring head only through the
     logits tensor (pass it to the auxiliary objective).
     """
-    n = features.shape[0]
+    n, dim = features.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} voxels")
     order = np.argsort(-logits.data.max(axis=1), kind="stable")[:k]
-    embeddings = features[order] + Tensor(positional_encoding(coords[order], cfg.dim))
+    embeddings = features[order] + Tensor(inputs[order, inputs.shape[1] - dim:])
     return QuerySet(embeddings=embeddings, positions=coords[order])
 
 
@@ -341,19 +372,19 @@ def rag_apply(features: Tensor, text: TextEmbedding, store: ParamStore,
 
 
 def _decode_boxes(raw: Tensor, positions: Array):
-    offsets = raw[:, 0:3]
-    centers = Tensor(positions) + offsets
     log_extents = raw[:, 3:6]
-    sin_raw = raw[:, 6:9]
-    cos_raw = raw[:, 9:12]
-    norm = (sin_raw * sin_raw + cos_raw * cos_raw + 1e-12) ** 0.5
-    sin_n = sin_raw / norm
-    cos_n = cos_raw / norm
     with np.errstate(over="ignore"):
         extents = np.exp(log_extents.data)
     if not (np.isfinite(extents).all() and (extents > 0.0).all()):
         raise NonFiniteError(f"decoded box extents must be finite and positive, got "
                              f"{extents.min()} .. {extents.max()}")
+    offsets = raw[:, 0:3]
+    centers = Tensor(positions) + offsets
+    sin_raw = raw[:, 6:9]
+    cos_raw = raw[:, 9:12]
+    norm = (sin_raw * sin_raw + cos_raw * cos_raw + 1e-12) ** 0.5
+    sin_n = sin_raw / norm
+    cos_n = cos_raw / norm
     angles = wrap_angle(np.arctan2(sin_raw.data, cos_raw.data))
     boxes = np.hstack([centers.data, extents, angles])
     return boxes, centers, log_extents, sin_n, cos_n
@@ -388,7 +419,7 @@ def decoder_forward(features: Tensor, text: TextEmbedding | None,
         h = layer_norm(q, store, f"dec{i}.ln3")
         q = q + attention(h, features, features, store, f"dec{i}.vis", heads=cfg.heads)
         h = layer_norm(q, store, f"dec{i}.ln4")
-        q = q + linear(linear(h, store, f"dec{i}.ffn1").relu(), store, f"dec{i}.ffn2")
+        q = q + mlp(h, store, (f"dec{i}.ffn1", f"dec{i}.ffn2"))
 
     raw = mlp_apply(q, store, "head_box")
     boxes, centers, log_extents, sin_n, cos_n = _decode_boxes(raw, queries.positions)

@@ -9,26 +9,37 @@ head and relevance objective).  The set-loss targets are built here too,
 once per scene: every object as one row of a (G, 9) box array with its
 class, and per instruction the target's row with the relevance labels.
 
+The voxel encoder's input, [pooled features | positional encoding], depends
+only on the scene and the model width, so a ``SceneBatch`` computes it on
+first use and keeps it for that width (``SceneBatch.encoder_input``).
+
 Each training step builds the fused voxel trunk once, an (N, C) ``Tensor``
 in the row order of ``batch.voxels``, runs both task bodies on it and takes
 a single optimizer step on the summed objective: detection loss + grounding
 loss + the two scoring-head auxiliaries.  The grounding body runs region
 attention and query modulation unless ``cfg.disable_rag``/``disable_qim``
 switch them off.  Query selection is not differentiable, so the auxiliaries
-are what teach the scoring heads.  The forward runs with numpy's overflow
-warning off: a non-finite loss or box extent is one ``TrainingDiverged`` line
-naming the step.
+are what teach the scoring heads.
+
+Ops do not check their outputs (see ``autodiff``), so a step runs its
+forward and backward with numpy's floating-point warnings off and checks
+twice: ``backward`` refuses a non-finite loss, and ``train`` tests the whole
+gradient arena once before the optimizer step.  Either failure, like a
+non-finite box extent or cost matrix in the forward, ends training with one
+``TrainingDiverged`` line naming the step (for a gradient, also the first
+bad parameter).
 
 ``training_losses`` is the one forward that records a tape.  The inference
 forwards (``forward_detection``, ``forward_grounding`` and the prediction
-wrappers built on them) run their body under ``no_grad`` themselves.  Boxes
-stay (K, 9) arrays up to the prediction wrappers, where ``_scored_boxes``
-turns each row into a ``Box9DoF`` for evaluation.
+wrappers built on them) run their body under ``no_grad`` themselves and
+check their outputs once, raising ``NonFiniteError`` naming the first
+non-finite one.  Boxes stay (K, 9) arrays up to the prediction wrappers,
+where ``_scored_boxes`` turns each row into a ``Box9DoF`` for evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +59,7 @@ from .network import (
     decoder_forward,
     embed_text,
     encode_voxels,
+    encoder_input,
     fuse_features,
     qim_modulate,
     rag_apply,
@@ -76,6 +88,14 @@ class SceneBatch:
     instructions: list[Instruction]
     token_vectors: list[Array]       # raw stub vectors per instruction
     grd_targets: list[SetTargets]    # per instruction: the target box, relevance labels
+    _encoder_input: Array | None = field(default=None, init=False, repr=False, compare=False)
+
+    def encoder_input(self, dim: int) -> Array:
+        """``network.encoder_input`` of these voxels for a width-``dim`` model, kept for that width."""
+        cached = self._encoder_input
+        if cached is None or cached.shape[1] != self.voxels.features.shape[1] + dim:
+            cached = self._encoder_input = encoder_input(self.voxels, dim)
+        return cached
 
     @property
     def voxel_classes(self) -> Array:
@@ -131,13 +151,14 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
 
 def fuse_scene(batch: SceneBatch, store: ParamStore, cfg: ModelConfig) -> Tensor:
     """The shared (N, C) trunk: encoded voxels fused with the sampled 2D features."""
-    return fuse_features(encode_voxels(batch.voxels, store, cfg), batch.image_features, store)
+    return fuse_features(encode_voxels(batch.encoder_input(cfg.dim), store),
+                         batch.image_features, store)
 
 
 def _detection_body(fused: Tensor, batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
     logits = scoring_logits(fused, store, "detection")
     k = min(cfg.k_det, len(batch.voxels))
-    qs = select_queries(fused, batch.voxels.coords, k, logits, cfg)
+    qs = select_queries(fused, batch.voxels.coords, batch.encoder_input(cfg.dim), k, logits)
     out = decoder_forward(fused, None, qs, store, cfg, "detection")
     return out, logits
 
@@ -150,7 +171,7 @@ def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
     text = embed_text(batch.token_vectors[instruction_idx], store)
     logits = scoring_logits(fused, store, "grounding")
     k = min(cfg.k_grd, len(batch.voxels))
-    qs = select_queries(fused, batch.voxels.coords, k, logits, cfg)
+    qs = select_queries(fused, batch.voxels.coords, batch.encoder_input(cfg.dim), k, logits)
     features, relevance = (fused, None) if cfg.disable_rag else rag_apply(fused, text, store, cfg)
     if not cfg.disable_qim:
         qs = replace(qs, embeddings=qim_modulate(qs.embeddings, text.sentence, store))
@@ -159,17 +180,29 @@ def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
     return out, logits
 
 
+def _checked(task: str, out, score_logits: Tensor):
+    """The forward's outputs, once each of them is known to be finite."""
+    relevance = None if out.relevance is None else out.relevance.data
+    for name, value in (("logits", out.logits.data), ("boxes", out.boxes),
+                        ("relevance", relevance), ("scoring logits", score_logits.data)):
+        if value is not None and not np.isfinite(value).all():
+            raise NonFiniteError(f"{task} forward: non-finite {name}")
+    return out, score_logits
+
+
 def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
     """Untaped; returns (DecoderOutput, per-voxel scoring logits)."""
-    with no_grad():
-        return _detection_body(fuse_scene(batch, store, cfg), batch, store, cfg)
+    with no_grad(), np.errstate(all="ignore"):
+        out = _detection_body(fuse_scene(batch, store, cfg), batch, store, cfg)
+    return _checked("detection", *out)
 
 
 def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                       instruction_idx: int = 0):
     """Untaped; returns (DecoderOutput with relevance, per-voxel scoring logits)."""
-    with no_grad():
-        return _grounding_body(fuse_scene(batch, store, cfg), batch, store, cfg, instruction_idx)
+    with no_grad(), np.errstate(all="ignore"):
+        out = _grounding_body(fuse_scene(batch, store, cfg), batch, store, cfg, instruction_idx)
+    return _checked("grounding", *out)
 
 
 def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
@@ -184,8 +217,7 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
 
     aux_det = focal_loss(det_score_logits, batch.class_onehot,
                          normalizer=max(1, batch.foreground))
-    aux_grd = spatial_relevance_loss(grd_score_logits.reshape((len(batch.voxels),)),
-                                     grd_targets.relevance_labels)
+    aux_grd = spatial_relevance_loss(grd_score_logits, grd_targets.relevance_labels)
 
     loss = det_total + grd_total + aux_det + aux_grd
     parts = {
@@ -205,7 +237,11 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
 
 def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
           weights: LossWeights, optimizer, steps: int, log=None) -> list[dict]:
-    """Round-robin over scenes; one optimizer step per scene visit."""
+    """Round-robin over scenes; one optimizer step per scene visit.
+
+    A step whose loss or gradient is not finite raises ``TrainingDiverged``
+    before the optimizer touches the parameters.
+    """
     if not batches:
         raise ValueError("need at least one prepared scene")
     if steps < 0:
@@ -215,13 +251,15 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
         batch = batches[step % len(batches)]
         ins_idx = (step // len(batches)) % max(1, len(batch.instructions))
         try:
-            with np.errstate(over="ignore"):
+            with np.errstate(all="ignore"):
                 loss, parts = training_losses(batch, store, cfg, weights, ins_idx)
+                loss.backward()
         except NonFiniteError as exc:
             raise TrainingDiverged(step, str(exc)) from exc
-        if not np.isfinite(parts["total"]):
-            raise TrainingDiverged(step, f"loss = {parts['total']}")
-        loss.backward()
+        finite = np.isfinite(store.grad)
+        if not finite.all():
+            name = store.name_at(int(np.argmin(finite)))
+            raise TrainingDiverged(step, f"non-finite gradient in parameter {name!r}")
         optimizer.step(store)
         entry = {"step": step, **parts}
         history.append(entry)

@@ -23,6 +23,7 @@ from egoground.autodiff import (
     load_checkpoint,
     make_optimizer,
     make_rng,
+    mlp,
     mlp_apply,
     no_grad,
     save_checkpoint,
@@ -40,6 +41,16 @@ def test_non_finite_tensor_raises_typed_error():
     with pytest.raises(NonFiniteError) as err:
         Tensor([np.inf])
     assert isinstance(err.value, ValueError)
+
+
+def test_op_outputs_are_unchecked_and_backward_refuses_a_non_finite_loss():
+    # finiteness is checked where data enters and at the loss, not per op
+    x = Tensor([1e308])
+    with np.errstate(over="ignore"):
+        loss = x * 10.0
+    assert loss.data[0] == np.inf
+    with pytest.raises(NonFiniteError, match="non-finite loss inf"):
+        loss.backward()
 
 
 def test_tensor_is_float64_row_major():
@@ -574,6 +585,40 @@ def test_fused_linear_matches_composition():
     assert _op_nodes(linear(store["x"], store, "lin")) == 1
     _assert_fused_matches(lambda s: linear(s["x"], s, "lin"),
                           lambda s: _linear_ref(s["x"], s, "lin"), store, rng)
+
+
+def _mlp_ref(x, store, layers):
+    h = linear(x, store, layers[0])
+    for name in layers[1:]:
+        h = linear(h.relu(), store, name)
+    return h
+
+
+@pytest.mark.parametrize("sizes, zero_last, last_bias", [
+    ([5, 7, 3], False, 0.0),
+    ([4, 5, 6, 3], False, 0.0),
+    ([6, 6, 6], True, 1.0),   # qim's init: zero last weight, constant output
+    ([6, 12], False, 0.0),
+])
+def test_fused_mlp_matches_chain_bytes(sizes, zero_last, last_bias):
+    rng = make_rng(151 + len(sizes))
+    store = ParamStore()
+    init_mlp(store, "m", sizes, rng, zero_last=zero_last, last_bias=last_bias)
+    store.data[:] += rng.normal(scale=0.05, size=store.data.shape) * (not zero_last)
+    layers = [f"m.{i}" for i in range(len(sizes) - 1)]
+    x_data = rng.normal(size=(9, sizes[0]))
+    x_data[0] = 0.0  # with a zero first bias, row 0's hidden units sit on the ReLU kink
+    store["m.0.b"].data[:] = 0.0
+    upstream = rng.normal(size=(9, sizes[-1]))
+    got = []
+    for fn in (lambda x: mlp(x, store, layers), lambda x: _mlp_ref(x, store, layers)):
+        x = Tensor(x_data)
+        out = fn(x)
+        (out * Tensor(upstream)).sum().backward()
+        got.append((out.data.tobytes(), x.grad.tobytes(), store.grad.tobytes()))
+        store.zero_grad()
+    assert got[0] == got[1]
+    assert _op_nodes(mlp(Tensor(x_data), store, layers)) == 1
 
 
 def test_fused_linear_rejects_non_matrix_input():

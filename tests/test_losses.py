@@ -13,7 +13,6 @@ from egoground.losses import (
     Assignment,
     LossWeights,
     SetTargets,
-    box_loss,
     box_regression_loss,
     focal_loss,
     hungarian,
@@ -22,6 +21,16 @@ from egoground.losses import (
     spatial_relevance_loss,
     total_loss,
 )
+
+
+def box_loss(pred: Box9DoF, gt: Box9DoF) -> float:
+    """Scalar reference of the box term: L1 center + L1 log-extent ratio + L1 on (sin, cos) per angle."""
+    center = float(np.abs(pred.center - gt.center).sum())
+    ext = float(np.abs(np.log(pred.extents / gt.extents)).sum())
+    ang = 0.0
+    for pa, ga in ((pred.alpha, gt.alpha), (pred.beta, gt.beta), (pred.gamma, gt.gamma)):
+        ang += abs(np.sin(pa) - np.sin(ga)) + abs(np.cos(pa) - np.cos(ga))
+    return center + ext + ang
 
 
 def brute_force_assignment(cost, tol=1e-9):
@@ -325,6 +334,98 @@ def test_spatial_relevance_loss_values_and_gradcheck():
     store.create("logits", rng.normal(size=(6,)))
     lab = (rng.random(6) > 0.5).astype(float)
     assert grad_check(lambda s: spatial_relevance_loss(s["logits"], lab), store, tol=1e-5).passed
+
+
+# ---------------------------------------------------------------------------
+# Fused loss tails against the Tensor-op compositions they replace
+# ---------------------------------------------------------------------------
+
+
+def _focal_ref(logits, targets, normalizer):
+    p = logits.sigmoid()
+    one_minus_p = (-logits).sigmoid()
+    pos = (one_minus_p ** 2.0) * (-logits).softplus() * 0.25
+    neg = (p ** 2.0) * logits.softplus() * 0.75
+    per_entry = pos * targets + neg * (1.0 - targets)
+    return per_entry.sum() * (1.0 / normalizer)
+
+
+def _box_ref(centers, log_extents, sin_t, cos_t, pred_rows, gt_boxes):
+    if len(gt_boxes) == 0:
+        return Tensor(0.0)
+    rows = np.asarray(pred_rows, dtype=np.intp)
+    c_term = (centers[rows] - gt_boxes[:, :3]).abs().sum()
+    e_term = (log_extents[rows] - np.log(gt_boxes[:, 3:6])).abs().sum()
+    s_term = (sin_t[rows] - np.sin(gt_boxes[:, 6:])).abs().sum()
+    k_term = (cos_t[rows] - np.cos(gt_boxes[:, 6:])).abs().sum()
+    return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
+
+
+def _spatial_ref(logits, labels):
+    flat = logits.reshape(-1)
+    return (flat.softplus() - flat * labels).mean()
+
+
+def _bytes(fn, arrays, upstream):
+    """Value and every input's gradient of ``fn`` on fresh leaves, as bytes (None: no gradient)."""
+    leaves = [Tensor(a) for a in arrays]
+    out = fn(*leaves)
+    (out * upstream).sum().backward()
+    return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+def _assert_same_bytes(fused, reference, arrays, rng):
+    upstream = rng.normal()
+    value, grads = _bytes(fused, arrays, upstream)
+    ref_value, ref_grads = _bytes(reference, arrays, upstream)
+    assert value == ref_value
+    assert grads == ref_grads
+
+
+def _extreme_logits(rng, shape):
+    x = rng.normal(scale=3.0, size=shape)
+    flat = x.reshape(-1)
+    flat[:8] = [40.0, -40.0, 800.0, -800.0, 0.0, 36.5, -37.5, 1e-9][:flat.size]
+    return x
+
+
+def test_fused_focal_loss_matches_composition_bytes():
+    rng = make_rng(401)
+    for shape, normalizer in (((12, 6), 3.0), ((16, 1), 1.0), ((40, 6), 7.0)):
+        logits = _extreme_logits(rng, shape)
+        onehot = (rng.random(shape) > 0.7).astype(float)
+        # fractional targets give every logit four nonzero terms, so only the
+        # composition's own order of adding them keeps the bytes
+        for targets in (onehot, 1.0 - onehot, np.zeros(shape), np.ones(shape),
+                        rng.random(shape)):
+            _assert_same_bytes(lambda x: focal_loss(x, targets, normalizer),
+                               lambda x: _focal_ref(x, targets, normalizer), [logits], rng)
+
+
+def test_fused_box_regression_loss_matches_composition_bytes():
+    rng = make_rng(409)
+    k = 6
+    for rows in ([4, 0, 2], [5], [1, 1, 3], []):
+        preds = [rng.normal(size=(k, 3)), rng.uniform(-0.5, 0.5, size=(k, 3)),
+                 np.sin(rng.uniform(-3, 3, size=(k, 3))), np.cos(rng.uniform(-3, 3, size=(k, 3)))]
+        m = len(rows)
+        gt = np.hstack([rng.normal(size=(m, 3)), rng.uniform(0.5, 2.0, size=(m, 3)),
+                        rng.uniform(-3, 3, size=(m, 3))]).reshape(m, 9)
+        if m:
+            gt[0, :3] = preds[0][rows[0]]  # a zero difference: sign 0 on both paths
+        _assert_same_bytes(lambda *p: box_regression_loss(*p, rows, gt),
+                           lambda *p: _box_ref(*p, rows, gt), preds, rng)
+    empty = box_regression_loss(*(Tensor(a) for a in preds), [], np.zeros((0, 9)))
+    assert empty.item() == 0.0 and empty._parents == ()
+
+
+def test_fused_spatial_relevance_loss_matches_composition_bytes():
+    rng = make_rng(419)
+    for shape in ((30,), (30, 1), (5, 4)):
+        logits = _extreme_logits(rng, shape)
+        labels = (rng.random(logits.size) > 0.6).astype(float)
+        _assert_same_bytes(lambda x: spatial_relevance_loss(x, labels),
+                           lambda x: _spatial_ref(x, labels), [logits], rng)
 
 
 def test_loss_weights_validation():

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from egoground import autodiff
 from egoground.autodiff import (
     ParamStore,
     Tensor,
@@ -32,9 +33,11 @@ from egoground.network import (
     decoder_forward,
     embed_text,
     encode_voxels,
+    encoder_input,
     fuse_features,
     init_model_params,
     load_model,
+    model_shapes,
     module_of,
     qim_modulate,
     rag_apply,
@@ -54,6 +57,11 @@ def tiny_coords(n=6):
 
 def tiny_fused(cfg=TINY, n=6, seed=3):
     return Tensor(make_rng(seed).normal(size=(n, cfg.dim)))
+
+
+def tiny_inputs(cfg=TINY, n=6, seed=4):
+    pooled = Tensor(make_rng(seed).normal(size=(n, FEAT2D_DIM)))
+    return encoder_input(VoxelFeatureSet(coords=tiny_coords(n), features=pooled), cfg.dim)
 
 
 def tiny_queries(fused, cfg=TINY, k=3):
@@ -216,6 +224,42 @@ def test_load_model_rejects_unknown_and_missing_tensors(tmp_path):
         load_model(path)
 
 
+def test_load_model_checks_shapes_without_drawing(tmp_path, monkeypatch):
+    # the shape check walks the creation code with no generator: the names,
+    # order and shapes are those of a drawn store, and nothing is drawn
+    for cfg in (TINY, ModelConfig()):
+        drawn = init_model_params(cfg, 0)
+        assert model_shapes(cfg) == {name: p.shape for name, p in drawn.items()}
+    store = init_model_params(TINY, seed=1)
+    good = tmp_path / "good.json"
+    save_model(store, TINY, good)
+    bad_shape = tmp_path / "shape.json"
+    manifest = json.loads(good.read_text())
+    entry = next(e for e in manifest["params"] if e["name"] == "fuse.w")
+    entry["shape"] = entry["shape"][::-1]
+    bad_shape.write_text(json.dumps(manifest))  # its payload is still good.bin
+    stray, partial = ParamStore(), ParamStore()
+    for i, (name, p) in enumerate(store.items()):
+        stray.create(name, p.data)
+        if i != 3:
+            partial.create(name, p.data)
+    stray.create("stray.b", np.zeros(3))
+    save_model(stray, TINY, tmp_path / "stray.json")
+    save_model(partial, TINY, tmp_path / "partial.json")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew initial weights")
+
+    monkeypatch.setattr(autodiff, "xavier_uniform", no_draws)
+    loaded, cfg, _ = load_model(good)
+    assert cfg == TINY and loaded.data.tobytes() == store.data.tobytes()
+    for path, match in (("shape.json", r"'fuse\.w' has shape"),
+                        ("stray.json", r"unexpected tensor 'stray\.b'"),
+                        ("partial.json", rf"'{store.names()[3]}' is missing")):
+        with pytest.raises(ValueError, match=match):
+            load_model(tmp_path / path)
+
+
 def test_load_requires_config(tmp_path):
     from egoground.autodiff import save_checkpoint
     store = init_model_params(TINY, seed=1)
@@ -237,13 +281,16 @@ def test_fuse_concat_width_and_output_dim():
     assert store["fuse.w"].shape == (cfg.dim + FEAT2D_DIM, cfg.dim)
     points = np.array([[0.01, 0.01, 0.01], [0.3, -0.2, 0.1]])
     vox = voxelize(points, np.ones((2, FEAT2D_DIM)), 0.25)
-    encoded = encode_voxels(vox, store, cfg)
+    inputs = encoder_input(vox, cfg.dim)
+    assert np.array_equal(inputs, np.hstack([vox.features.data,
+                                             positional_encoding(vox.coords, cfg.dim)]))
+    encoded = encode_voxels(inputs, store)
     assert encoded.shape == (len(vox), cfg.dim)
     fused = fuse_features(encoded, np.ones((len(vox), FEAT2D_DIM)), store)
     assert fused.shape == (len(vox), cfg.dim)
     narrow = voxelize(points, np.ones((2, 1)), 0.25)
     with pytest.raises(ValueError, match="'enc3d'"):
-        encode_voxels(narrow, store, cfg)
+        encode_voxels(encoder_input(narrow, cfg.dim), store)
 
 
 def test_fusion_gradients_flow_to_both_linears():
@@ -258,7 +305,7 @@ def test_fusion_gradients_flow_to_both_linears():
     sampled = rng.normal(size=(len(vox), FEAT2D_DIM))
 
     def fn(s):
-        fused = fuse_features(encode_voxels(vox, s, cfg), sampled, s)
+        fused = fuse_features(encode_voxels(encoder_input(vox, cfg.dim), s), sampled, s)
         return (fused * fused).mean()
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
@@ -303,27 +350,29 @@ def test_select_queries_ranking_and_embedding():
     store = init_model_params(TINY, seed=9)
     fused, coords = tiny_fused(), tiny_coords()
     logits = scoring_logits(fused, store, "detection")
-    qs = select_queries(fused, coords, 4, logits, TINY)
+    qs = select_queries(fused, coords, tiny_inputs(), 4, logits)
     # oracle: stable sort of max class logit, descending
     order = np.argsort(-logits.data.max(axis=1), kind="stable")[:4]
     assert np.array_equal(qs.positions, coords[order])
+    # the encoder input's encoding rows are the encoding of the selected rows, bit for bit
     pe = positional_encoding(coords[order], TINY.dim)
-    assert np.allclose(qs.embeddings.data, fused.data[order] + pe)
+    assert qs.embeddings.data.tobytes() == (fused.data[order] + pe).tobytes()
 
 
 def test_select_queries_all_and_onehot_and_ties():
     store = init_model_params(TINY, seed=9)
     fused, coords = tiny_fused(), tiny_coords()
     logits = scoring_logits(fused, store, "grounding")
-    qs = select_queries(fused, coords, 6, logits, TINY)
+    inputs = tiny_inputs()
+    qs = select_queries(fused, coords, inputs, 6, logits)
     assert sorted(map(tuple, qs.positions)) == sorted(map(tuple, coords))
 
     onehot = Tensor(np.array([[0.0], [0.0], [5.0], [0.0], [0.0], [0.0]]))
-    qs = select_queries(fused, coords, 1, onehot, TINY)
+    qs = select_queries(fused, coords, inputs, 1, onehot)
     assert np.array_equal(qs.positions, coords[[2]])
 
     tied = Tensor(np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [0.0]]))
-    qs = select_queries(fused, coords, 3, tied, TINY)
+    qs = select_queries(fused, coords, inputs, 3, tied)
     assert np.array_equal(qs.positions, coords[[1, 3, 0]])
 
 
@@ -332,9 +381,9 @@ def test_select_queries_k_out_of_range():
     fused, coords = tiny_fused(), tiny_coords()
     logits = scoring_logits(fused, store, "detection")
     with pytest.raises(ValueError):
-        select_queries(fused, coords, 7, logits, TINY)
+        select_queries(fused, coords, tiny_inputs(), 7, logits)
     with pytest.raises(ValueError):
-        select_queries(fused, coords, 0, logits, TINY)
+        select_queries(fused, coords, tiny_inputs(), 0, logits)
     with pytest.raises(ValueError):
         scoring_logits(fused, store, "segmentation")
 
@@ -551,9 +600,10 @@ def test_grounding_pipeline_gradcheck():
     voxels = VoxelFeatureSet(coords=coords, features=Tensor(pooled))
 
     def fn(store):
-        fused = encode_voxels(voxels, store, cfg)
+        inputs = encoder_input(voxels, cfg.dim)
+        fused = encode_voxels(inputs, store)
         logits = scoring_logits(fused, store, "grounding")
-        qs = select_queries(fused, coords, cfg.k_grd, logits, cfg)
+        qs = select_queries(fused, coords, inputs, cfg.k_grd, logits)
         text = embed_text(tok_raw, store)
         region, relevance = rag_apply(fused, text, store, cfg)
         modded = replace(qs, embeddings=qim_modulate(qs.embeddings, text.sentence, store))

@@ -1,6 +1,7 @@
 """Scene preparation, joint objective, training loop and prediction wrappers."""
 
 import gc
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 
 import egoground.geometry
 import egoground.train
-from egoground.autodiff import Adam, make_rng
+from egoground.autodiff import Adam, NonFiniteError, Tensor, make_rng
 from egoground.boxes import Box9DoF, contains_points
 from egoground.geometry import VoxelFeatureSet
 from egoground.losses import LossWeights, total_loss
@@ -211,7 +212,27 @@ def test_training_losses_golden():
         loss, parts = training_losses(BATCH, store, cfg, WEIGHTS)
         assert {k: v.hex() for k, v in parts.items()} == want[use_rag]
         if use_rag:
-            assert _tape_nodes(loss) == 359
+            assert _tape_nodes(loss) == 209
+
+
+def test_training_bytes_golden():
+    # 24 `train` steps on the test batch, pinned to the parameter bytes and
+    # each step's loss: a change to any forward or gradient byte, to the
+    # order gradients are summed in or to the optimizer's arithmetic shows here
+    store = init_model_params(CFG, seed=4)
+    history = train([BATCH], store, CFG, WEIGHTS, Adam(lr=3e-3), steps=24)
+    assert [entry["total"].hex() for entry in history] == [
+        '0x1.1918bfa9bd716p+5', '0x1.7a947f64e3dc8p+4', '0x1.2e8886d3f3005p+4',
+        '0x1.1730f2facb21fp+4', '0x1.0becaffd386f5p+4', '0x1.05afea386b8a7p+4',
+        '0x1.f489ab43446cbp+3', '0x1.d1e4670ebe0d7p+3', '0x1.b8ce928ae124bp+3',
+        '0x1.a8e2564568632p+3', '0x1.80a349e19f081p+3', '0x1.8205576e0392ap+3',
+        '0x1.750960d8be375p+3', '0x1.5f0d2ff7b201fp+3', '0x1.4d87d73184f23p+3',
+        '0x1.39bd224682a6dp+3', '0x1.2f5a52ec44062p+3', '0x1.1d2d9bb9a1b48p+3',
+        '0x1.23f8e440a2ecap+3', '0x1.18294b1873d8fp+3', '0x1.0baa6e0e70a17p+3',
+        '0x1.04c354423cf26p+3', '0x1.ed40051faf225p+2', '0x1.d6841456c42d7p+2',
+    ]
+    assert hashlib.sha256(store.data.tobytes()).hexdigest() == \
+        "e9680228f855aa70294b08d116a38d892dbaefeea38cd911053ec501a79b764b"
 
 
 def test_training_losses_breakdown_sums():
@@ -300,6 +321,50 @@ def test_collapsed_or_exploded_extents_diverge(bias):
         with pytest.raises(TrainingDiverged, match="box extents") as err:
             train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=3)
     assert err.value.step == 0
+
+
+def test_non_finite_gradient_diverges_before_the_update(monkeypatch):
+    # a NaN gradient is caught by the one whole-arena test of the step that
+    # made it, named by the first bad parameter in arena order, and the
+    # optimizer never applies it
+    backward = Tensor.backward
+    store = init_model_params(CFG, seed=6)
+    train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=1)
+    after_one = store.data.copy()
+    store = init_model_params(CFG, seed=6)
+    calls = []
+
+    def poisoned(self):
+        backward(self)
+        calls.append(1)
+        if len(calls) == 2:
+            for name in ("head_grd.1.b", "dec0.ffn2.w"):
+                store[name].grad.reshape(-1)[-1] = np.nan
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match=r"at step 1: non-finite gradient in "
+                                                   r"parameter 'dec0\.ffn2\.w'") as err:
+            train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=3)
+    assert err.value.step == 1
+    assert store.data.tobytes() == after_one.tobytes()
+
+
+@pytest.mark.parametrize("task, param, output", [
+    ("detection", "head_det.1.b", "logits"),
+    ("detection", "head_box.1.b", "boxes"),
+    ("grounding", "relevance.1.b", "relevance"),
+    ("grounding", "score_grd.1.b", "scoring logits"),
+])
+def test_non_finite_inference_output_is_named(task, param, output):
+    store = init_model_params(CFG, seed=8)
+    store[param].data[0] = np.nan
+    forward = forward_detection if task == "detection" else forward_grounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=rf"^{task} forward: non-finite {output}$"):
+            forward(BATCH, store, CFG)
 
 
 def test_boxes_become_objects_only_where_they_leave_the_model(monkeypatch):
