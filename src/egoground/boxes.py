@@ -19,9 +19,10 @@ early exit; touching and near-touching pairs still clip.
 Otherwise IoU clips one box's face polygons against the other box's six
 halfspaces (Sutherland-Hodgman in 3D) and integrates the volume of the
 intersection polytope with the divergence theorem over triangulated faces.
-Points within 1e-12 of a clip plane count as inside, so coincident faces do
-not chatter.  If the clip degenerates numerically the routine falls back to
-the Monte-Carlo estimate and emits ``DegenerateClipWarning``.
+This clip is the only path: it is exact on coincident faces, where a vertex
+within 1e-12 of a clip plane counts as on it and a face on the plane gives
+way to the one cap facet, so touching boxes clip to exactly 0.  A negative
+volume means the clip itself is broken and raises ``RuntimeError``.
 
 ``box_iou_mc`` is the independent oracle: rejection sampling in the joint
 axis-aligned bounding volume.  Its standard error uses the adjusted
@@ -32,7 +33,6 @@ estimate sits at 0 or 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,14 +57,6 @@ _FACES = (
     (0, 2, 6, 4),  # local z = -h/2
     (1, 3, 7, 5),  # local z = +h/2
 )
-
-
-class DegenerateClipWarning(UserWarning):
-    """Exact clipping hit a numerically degenerate configuration."""
-
-
-class _DegenerateClip(Exception):
-    pass
 
 
 def wrap_angle(a):
@@ -98,11 +90,11 @@ class Box9DoF:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (self.l > 0.0 and self.w > 0.0 and self.h > 0.0):
-            raise ValueError("box extents must be positive")
         vals = [self.x, self.y, self.z, self.l, self.w, self.h, self.alpha, self.beta, self.gamma]
         if not np.isfinite(vals).all():
             raise NonFiniteError("box parameters must be finite")
+        if not (self.l > 0.0 and self.w > 0.0 and self.h > 0.0):
+            raise ValueError("box extents must be positive")
         for name in ("alpha", "beta", "gamma"):
             object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
@@ -169,65 +161,69 @@ def _cross(u: Array, v: Array) -> Array:
                      u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]], axis=-1)
 
 
-def _face_polygons(box: Box9DoF) -> list[Array]:
-    corners = box_corners(box)
-    return [corners[list(face)] for face in _FACES]
+def _clip_faces(faces: list[tuple[list, Array]], normal: Array,
+                offset: float) -> list[tuple[list, Array]]:
+    """Sutherland-Hodgman clip of a convex polytope's faces by one halfspace.
 
+    A face is its vertex ids and its own copy of their points.  Each vertex
+    is classed once, from one copy's distance: inside, on (within _CLIP_TOL
+    of the plane) or outside.  An on vertex of a face with vertices strictly
+    on both sides takes the side of its distance's sign, so a face nearly
+    parallel to the plane is cut where it crosses, not widened by the band.
 
-def _clip_faces(faces: list[Array], normal: Array, offset: float) -> list[Array]:
-    """Sutherland-Hodgman clip of a convex polytope's faces by one halfspace."""
-    kept: list[Array] = []
-    cap_points: list[Array] = []
-    any_outside = False
-    for poly in faces:
-        dist = poly @ normal - offset
-        inside = dist <= _CLIP_TOL
-        if inside.all():
-            kept.append(poly)
+    An edge is cut only from inside to outside.  The cut point's id is the
+    edge's; where a face's copy of it lies over _CLIP_TOL from the first
+    face's (an edge nearly parallel to the plane), it takes the first's, so
+    the surface stays closed.  A face with no vertex inside is dropped.  The
+    cap, the one facet on the plane, joins the on vertices and cut points
+    when some vertex lies outside or some face lies on the plane.
+    """
+    dists = [(poly @ normal - offset).tolist() for _, poly in faces]
+    dist_of = {v: d for (ids, _), dist in zip(faces, dists) for v, d in zip(ids, dist)}
+    side = {v: (d > _CLIP_TOL) - (d < -_CLIP_TOL) for v, d in dist_of.items()}
+    while on := [v for ids, _ in faces if {side[u] for u in ids} == {-1, 0, 1}
+                 for v in ids if side[v] == 0]:
+        side.update((v, 1 if dist_of[v] > 0.0 else -1) for v in on)
+    kept: list[tuple[list, Array]] = []
+    cap: dict = {}  # vertex id -> its first copy, in order of first appearance
+    build_cap = 1 in side.values()
+    for (ids, poly), dist in zip(faces, dists):
+        s = [side[v] for v in ids]
+        if max(s) < 0:
+            kept.append((ids, poly))
             continue
-        any_outside = True
-        if not inside.any():
+        if min(s) >= 0:
+            build_cap = True
             continue
-        out_pts = []
-        n = len(poly)
-        for i in range(n):
-            p, dp = poly[i], dist[i]
-            q, dq = poly[(i + 1) % n], dist[(i + 1) % n]
-            p_in = dp <= _CLIP_TOL
-            q_in = dq <= _CLIP_TOL
-            if p_in:
-                out_pts.append(p)
-                if abs(dp) <= _CLIP_TOL:
-                    cap_points.append(p)
-            if p_in != q_in:
-                denom = dp - dq
-                if abs(denom) < _CLIP_TOL:
-                    raise _DegenerateClip("edge parallel to clip plane")
-                t = dp / denom
-                r = p + t * (q - p)
+        out_ids, out_pts = [], []
+        for i in range(len(s)):
+            j = (i + 1) % len(s)
+            if s[i] <= 0:
+                out_ids.append(ids[i])
+                out_pts.append(poly[i])
+                if s[i] == 0:
+                    cap.setdefault(ids[i], poly[i])
+            if s[i] * s[j] < 0:
+                p, dp, dq = poly[i], dist[i], dist[j]
+                if min(abs(dp), abs(dq)) <= _CLIP_TOL:  # an on vertex took a side
+                    dp, dq = dist_of[ids[i]], dist_of[ids[j]]
+                r = p + dp / (dp - dq) * (poly[j] - p)
+                cut = frozenset((ids[i], ids[j]))
+                r0 = cap.setdefault(cut, r)
+                if r0 is not r and np.abs(r - r0).max() > _CLIP_TOL:
+                    r = r0
+                out_ids.append(cut)
                 out_pts.append(r)
-                cap_points.append(r)
-        if len(out_pts) >= 3:
-            kept.append(np.asarray(out_pts))
-    if any_outside and cap_points:
-        cap = _dedupe_points(np.asarray(cap_points))
-        if cap.shape[0] >= 3:
-            kept.append(_order_planar_cycle(cap, normal))
+        kept.append((out_ids, np.asarray(out_pts)))
+    if build_cap and len(cap) >= 3:
+        ids, points = list(cap), np.asarray(list(cap.values()))
+        order = _planar_cycle_order(points, normal)
+        kept.append(([ids[k] for k in order], points[order]))
     return kept
 
 
-def _dedupe_points(points: Array, tol: float = 1e-9) -> Array:
-    """Drop each point within tol of an earlier kept point."""
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    keep: list[int] = []
-    for i in range(len(points)):
-        if not (dist[i, keep] <= tol).any():
-            keep.append(i)
-    return points[keep]
-
-
-def _order_planar_cycle(points: Array, normal: Array) -> Array:
-    """Order coplanar points of a convex polygon into a cycle."""
+def _planar_cycle_order(points: Array, normal: Array) -> Array:
+    """The order that makes coplanar points of a convex polygon a cycle."""
     centroid = points.mean(axis=0)
     ref = np.eye(3)[np.argmin(np.abs(normal))]
     e1 = _cross(normal, ref)
@@ -235,7 +231,7 @@ def _order_planar_cycle(points: Array, normal: Array) -> Array:
     e2 = _cross(normal, e1)
     rel = points - centroid
     angles = np.arctan2(rel @ e2, rel @ e1)
-    return points[np.argsort(angles, kind="stable")]
+    return np.argsort(angles, kind="stable")
 
 
 def _polytope_volume(faces: list[Array]) -> float:
@@ -312,31 +308,22 @@ def intersection_volume(a: Box9DoF, b: Box9DoF) -> float:
     clipping a's faces against b's halfspaces."""
     if boxes_disjoint(a, b):
         return 0.0
-    faces = _face_polygons(a)
+    corners = box_corners(a)  # a face is its corner indices and their points
+    faces = [(list(face), corners[list(face)]) for face in _FACES]
     for normal, offset in _halfspaces(b):
         faces = _clip_faces(faces, normal, offset)
         if not faces:
             return 0.0
-    vol = _polytope_volume(faces)
+    vol = _polytope_volume([poly for _, poly in faces])
     if vol < -1e-9:
-        raise _DegenerateClip(f"negative intersection volume {vol}")
+        raise RuntimeError(f"clip of {a} by {b} gave negative volume {vol}")
     cap = min(a.volume, b.volume)
     return float(np.clip(vol, 0.0, cap))
 
 
 def box_iou_exact(a: Box9DoF, b: Box9DoF) -> float:
-    """Exact IoU of two oriented boxes, in [0, 1].
-
-    On numeric degeneracy this falls back to a seeded Monte-Carlo estimate
-    and warns with ``DegenerateClipWarning``.
-    """
-    try:
-        inter = intersection_volume(a, b)
-    except _DegenerateClip as exc:
-        warnings.warn(f"degenerate clip ({exc}); using Monte-Carlo fallback",
-                      DegenerateClipWarning)
-        inter_iou, _ = box_iou_mc(a, b, samples=2_000_000, seed=0)
-        return inter_iou
+    """Exact IoU of two oriented boxes, in [0, 1], by ``intersection_volume``."""
+    inter = intersection_volume(a, b)
     union = a.volume + b.volume - inter
     return float(np.clip(inter / union, 0.0, 1.0))
 

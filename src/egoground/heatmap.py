@@ -4,7 +4,8 @@ Scores in [0, 1] map linearly from gray (128,128,128) at 0 to red (255,0,0)
 at 1, with channels rounded half-up.  Every pixel takes the color of the
 nearest voxel projection in pixel space, so the image is fully covered and
 an all-equal score field produces one uniform color.  The CSV lists every
-voxel (x, y, z, score) regardless of visibility in the chosen view.
+voxel (x, y, z, score) regardless of visibility in the chosen view.  Both
+refuse a non-finite score with ``NonFiniteError`` naming its voxel.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .geometry import CameraIntrinsics, CameraPose, project_points
 
 Array = np.ndarray
@@ -42,15 +44,24 @@ def write_ppm(path: str | Path, pixels: Array) -> None:
         fh.write(pixels.tobytes())
 
 
+def _voxel_scores(scores: Array, n_voxels: int) -> Array:
+    """scores as float64, one finite score per voxel."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (n_voxels,):
+        raise ValueError("one score per voxel required")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NonFiniteError(f"voxel {bad[0]} has non-finite score {scores[bad[0]]}")
+    return scores
+
+
 def render_relevance_image(coords: Array, scores: Array, cam: CameraIntrinsics,
                            pose: CameraPose) -> Array:
     """(H, W, 3) uint8 heatmap via nearest projected voxel per pixel."""
     coords = np.asarray(coords, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] == 0:
         raise ValueError("coords must be (N, 3) with N >= 1")
-    if scores.shape != (coords.shape[0],):
-        raise ValueError("one score per voxel required")
+    scores = _voxel_scores(scores, coords.shape[0])
     uv, _, in_front = project_points(coords, cam, pose)
     if not in_front.any():
         raise ValueError("no voxel projects in front of the camera")
@@ -66,9 +77,7 @@ def render_relevance_image(coords: Array, scores: Array, cam: CameraIntrinsics,
 
 def write_scores_csv(path: str | Path, coords: Array, scores: Array) -> None:
     coords = np.asarray(coords, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (coords.shape[0],):
-        raise ValueError("one score per voxel required")
+    scores = _voxel_scores(scores, coords.shape[0])
     rows = np.column_stack([coords, scores]).tolist()
     with open(path, "w", newline="") as fh:
         fh.write("x,y,z,score\r\n"

@@ -1,13 +1,13 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 import egoground.boxes as boxes_mod
-from egoground.autodiff import make_rng
+from egoground.autodiff import NonFiniteError, make_rng
 from egoground.boxes import (
     Box9DoF,
-    DegenerateClipWarning,
     box_corners,
     box_iou_exact,
     box_iou_mc,
@@ -95,6 +95,10 @@ def test_box_validation():
         Box9DoF(0, 0, 0, 0.0, 1, 1)
     with pytest.raises(ValueError):
         Box9DoF(0, 0, 0, 1, 1, np.nan)
+    with pytest.raises(NonFiniteError, match="box parameters must be finite"):
+        Box9DoF(0, 0, 0, 1, 1, np.nan)
+    with pytest.raises(NonFiniteError, match="box parameters must be finite"):
+        Box9DoF(0, 0, 0, -1.0, 1, 1, gamma=np.inf)
     b = Box9DoF(0, 0, 0, 1, 1, 1, alpha=2 * np.pi)
     assert b.alpha == pytest.approx(0.0, abs=1e-12)
 
@@ -239,17 +243,126 @@ def test_mc_seed_determinism():
     assert r1 == r2
 
 
-def test_degenerate_clip_falls_back_to_mc(monkeypatch):
+def test_iou_bytes_golden_on_random_pairs():
+    # pinned before coincident faces were clipped exactly: where no vertex
+    # lies within 1e-12 of a clip plane, the clip must keep every byte
+    rng = make_rng(647)
+    ious = [box_iou_exact(random_box(rng), random_box(rng, center_scale=0.6))
+            for _ in range(2_000)]
+    assert sum(iou > 0.0 for iou in ious) == 1179
+    digest = hashlib.sha256("\n".join(float.hex(iou) for iou in ious).encode()).hexdigest()
+    assert digest == "f8030b96e98a18e3187b80e04a80d6eb227592187ae11565f1fddc48122a89c4"
+
+
+def test_negative_clip_volume_raises_naming_both_boxes(monkeypatch):
+    a, b = unit_cube(), unit_cube(x=0.5, w=2.0)
+    monkeypatch.setattr(boxes_mod, "_polytope_volume", lambda faces: -1e-6)
+    with pytest.raises(RuntimeError, match="negative volume") as err:
+        box_iou_exact(a, b)
+    assert repr(a) in str(err.value) and repr(b) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# coincident faces
+# ---------------------------------------------------------------------------
+
+
+def _quantised_pair(rng, kind):
+    """A box against the unit cube: centre on a 0.25 grid, extents on a 0.5 grid.
+
+    Its rotation is zero, quarter turns, or a yaw of 1e-14 to 1e-6.  Returns
+    (centre, extents, angles, IoU of the axis-aligned overlap); the overlap
+    is exact for quarter turns and within about 1e-7 for the tiny yaws.
+    """
+    centre = rng.integers(-6, 7, size=3) * 0.25
+    ext = rng.integers(1, 5, size=3) * 0.5
+    if kind == "zero":
+        angles = np.zeros(3)
+    elif kind == "quarter":
+        angles = rng.integers(-1, 3, size=3) * (np.pi / 2.0)
+    else:
+        angles = np.array([rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -6.0), 0.0, 0.0])
+    aligned = np.round(np.abs(rotation_matrix(*angles))) @ ext
+    lo = np.maximum(-0.5, centre - aligned / 2.0)
+    hi = np.minimum(0.5, centre + aligned / 2.0)
+    inter = float(np.prod(np.clip(hi - lo, 0.0, None)))
+    return centre, ext, angles, inter / (1.0 + float(np.prod(ext)) - inter)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("kind,tol", [("zero", 1e-9), ("quarter", 1e-9), ("tiny", 1e-6)])
+def test_coincident_faces_match_the_analytic_overlap(monkeypatch, kind, tol, moved):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("exact IoU called the Monte-Carlo oracle")
+
+    monkeypatch.setattr(boxes_mod, "box_iou_mc", no_estimate)
+    rng = make_rng({"zero": 701, "quarter": 709, "tiny": 719}[kind] + moved)
+    touching = 0
+    for i in range(1_000):
+        centre, ext, angles, want = _quantised_pair(rng, kind)
+        yaw, shift = 0.0, np.zeros(3)
+        if moved:  # one rigid motion for both boxes: a yaw adds to alpha
+            yaw, shift = rng.uniform(-np.pi, np.pi), rng.uniform(-2.0, 2.0, size=3)
+        r = rotation_matrix(yaw, 0.0, 0.0)
+        a = Box9DoF(*shift, 1.0, 1.0, 1.0, yaw, 0.0, 0.0)
+        b = Box9DoF(*(r @ centre + shift), *ext, angles[0] + yaw, angles[1], angles[2])
+        got = box_iou_exact(a, b)
+        assert abs(got - want) <= tol, (i, centre, ext, angles, got, want)
+        if want == 0.0 and kind != "tiny":
+            assert got == 0.0, (i, centre, ext, angles, got)
+            touching += not boxes_disjoint(a, b)
+    if kind != "tiny":
+        assert touching >= 50
+
+
+def test_near_coincident_faces_give_iou_near_one():
+    # a box against itself with a few parameters nudged: faces that nearly
+    # coincide and cross each other, some within the clip tolerance
+    rng = make_rng(727)
+    for i in range(1_200):
+        p = np.concatenate([rng.uniform(-3.0, 3.0, 3), rng.uniform(0.3, 1.5, 3),
+                            rng.uniform(-np.pi, np.pi, 3) * (i % 2)])
+        lo, hi = (-12.5, -11.0) if i % 4 < 2 else (-15.0, -8.0)
+        nudge = rng.choice([-1.0, 1.0], 9) * 10.0 ** rng.uniform(lo, hi, 9)
+        q = p + nudge * (rng.random(9) < 0.5)
+        assert box_iou_exact(Box9DoF(*p), Box9DoF(*q)) > 1.0 - 1e-6, (i, p.tolist(), q.tolist())
+
+
+def test_clip_cut_divides_by_one_distance_per_vertex():
+    # v and u are on the plane z = 0 and take sides in the crossing face
+    # (a, v, b, u); the first face's copies of them disagree and sit at the
+    # same distance, 0.0, so its cut of v-u must use one copy per vertex
+    first = (["v", "u", "c"], np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]))
+    crossing = (["a", "v", "b", "u"], np.array([[0.0, -1.0, -1.0], [0.0, 0.0, -2e-13],
+                                                [1.0, -1.0, 1.0], [1.0, 0.0, 3e-13]]))
+    faces = boxes_mod._clip_faces([first, crossing], np.array([0.0, 0.0, 1.0]), 0.0)
+    ids, points = faces[0]
+    assert ids[:2] == ["v", frozenset({"v", "u"})]
+    np.testing.assert_allclose(points[1], [0.4, 0.0, 0.0], atol=1e-15)
+    assert all(np.isfinite(pts).all() for _, pts in faces)
+
+
+def test_face_on_a_plane_it_does_not_cross_gets_no_second_facet():
+    # b's top plane is tilted by 1.8e-12 so that three corners of a's top
+    # face are within the clip tolerance of it and the fourth is inside:
+    # a's face stays, and no cap is laid over it
     a = unit_cube()
-    b = unit_cube(x=0.5)
+    b = Box9DoF(1.25, 0.0, -0.25 - 1.35e-12, 3.0, 3.0, 1.5, 0.0, 1.8e-12, -1.8e-12)
+    normal, offset = boxes_mod._halfspaces(b)[4]
+    dist = box_corners(a)[[1, 3, 7, 5]] @ normal - offset
+    assert sorted(np.abs(dist) <= 1e-12) == [False, True, True, True] and dist.min() < -1e-12
+    assert abs(box_iou_exact(a, b) - 0.75 / 13.75) < 1e-12
 
-    def boom(x, y):
-        raise boxes_mod._DegenerateClip("forced")
 
-    monkeypatch.setattr(boxes_mod, "intersection_volume", boom)
-    with pytest.warns(DegenerateClipWarning):
-        iou = boxes_mod.box_iou_exact(a, b)
-    assert abs(iou - 1.0 / 3.0) < 5e-3
+def test_touching_and_tiny_yaw_examples():
+    a = unit_cube()
+    assert box_iou_exact(a, unit_cube(x=1.0)) == 0.0
+    assert box_iou_exact(a, unit_cube(x=1.0, y=0.25, z=-0.5, l=1.0, w=2.0)) == 0.0
+    assert intersection_volume(a, unit_cube(x=1.0)) == 0.0
+    b = Box9DoF(0.25, 0.75, 0.5, 1.5, 1.5, 1.5, 1e-12, 0.0, 0.0)
+    assert abs(box_iou_exact(a, b) - 0.09375) < 1e-9
+    # two faces on one plane: the same unit cube and a half-height box on its floor
+    assert abs(box_iou_exact(a, unit_cube(z=-0.25, h=0.5)) - 0.5) < 1e-15
 
 
 # ---------------------------------------------------------------------------

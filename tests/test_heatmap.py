@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from egoground.autodiff import NonFiniteError
 from egoground.geometry import CameraIntrinsics, CameraPose
 from egoground.heatmap import (
     export_heatmap,
@@ -84,6 +85,21 @@ def test_render_validation():
         render_relevance_image(np.zeros((0, 3)), np.zeros(0), cam, pose)
     with pytest.raises(ValueError):
         render_relevance_image(np.zeros((2, 3)), np.zeros(3), cam, pose)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_names_first_voxel(tmp_path, bad):
+    cam, pose = identity_camera()
+    coords = np.array([[0.0, 0.0, 2.0], [0.5, 0.2, 3.0], [-0.4, 0.1, 2.5], [0.1, 0.1, 4.0]])
+    scores = np.array([0.5, 0.2, bad, np.nan])
+    path = tmp_path / "scores.csv"
+    for call in (lambda: render_relevance_image(coords, scores, cam, pose),
+                 lambda: write_scores_csv(path, coords, scores),
+                 lambda: export_heatmap(coords, scores, cam, pose, tmp_path / "h")):
+        with pytest.raises(NonFiniteError, match=r"voxel 2 has non-finite score"):
+            call()
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_round_trip(tmp_path):
