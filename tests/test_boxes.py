@@ -480,6 +480,29 @@ def test_boxes_disjoint_agrees_with_exact_iou_on_scene_boxes(monkeypatch):
     assert 200 <= disjoint.count(False) < near < 1_800
 
 
+def _predicted_near(rng, gt):
+    """A prediction box near ``gt``: shifted, rescaled and turned a little."""
+    centre = gt.center + rng.uniform(-0.4, 0.4, size=3)
+    ext = gt.extents * rng.uniform(0.5, 1.5, size=3)
+    alpha = gt.alpha + rng.uniform(-0.6, 0.6)
+    beta, gamma = rng.uniform(-0.2, 0.2, size=2)
+    return Box9DoF(*centre, *ext, alpha, beta, gamma)
+
+
+def test_iou_bytes_golden_on_eval_shaped_pairs():
+    # pinned before the clip's bookkeeping was rewritten: overlapping
+    # prediction / ground-truth pairs as the eval reports score them, where
+    # the clip decides nearly every byte
+    rng = make_rng(653)
+    ious = []
+    for _ in range(2_400):
+        gt = _grown_scene_box(rng)
+        ious.append(box_iou_exact(_predicted_near(rng, gt), gt))
+    assert sum(iou > 0.0 for iou in ious) == 2393
+    digest = hashlib.sha256("\n".join(float.hex(iou) for iou in ious).encode()).hexdigest()
+    assert digest == "57cbe31a4350aea08e7a8d1adcc701d8fc2b626e099f3b838407e94a3c6b8b6e"
+
+
 def test_boxes_disjoint_pairs_have_no_monte_carlo_joint_hit():
     rng = make_rng(617)
     checked = 0
