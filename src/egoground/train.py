@@ -275,8 +275,8 @@ def train(batches: list[SceneBatch], store: ParamStore, cfg: ModelConfig,
 
 def _scored_boxes(boxes: Array, logits: Array) -> list[ScoredBox]:
     """Each (K, 9) box row scored by the sigmoid of its max logit (a (K, 1) max is the logit)."""
-    return [ScoredBox(Box9DoF(*box), float(s))
-            for box, s in zip(boxes, _sigmoid(logits.max(axis=1)))]
+    return [ScoredBox(Box9DoF(*box), s)
+            for box, s in zip(boxes.tolist(), _sigmoid(logits.max(axis=1)).tolist())]
 
 
 def grounding_predictions(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,

@@ -101,6 +101,36 @@ def test_box_validation():
         Box9DoF(0, 0, 0, -1.0, 1, 1, gamma=np.inf)
     b = Box9DoF(0, 0, 0, 1, 1, 1, alpha=2 * np.pi)
     assert b.alpha == pytest.approx(0.0, abs=1e-12)
+    # every field, as a float and as a numpy scalar
+    good = [0.1, -0.2, 0.3, 1.0, 0.5, 2.0, 0.4, -0.5, 0.6]
+    for k in range(9):
+        for bad in (np.nan, np.inf, -np.inf):
+            for value in (bad, np.float64(bad)):
+                params = list(good)
+                params[k] = value
+                with pytest.raises(NonFiniteError, match="box parameters must be finite"):
+                    Box9DoF(*params)
+    for k in (3, 4, 5):
+        for bad in (0.0, -0.0, -1.0, np.float64(-1e-300), 0):
+            params = list(good)
+            params[k] = bad
+            with pytest.raises(ValueError, match="box extents must be positive"):
+                Box9DoF(*params)
+
+
+def test_box_angles_are_wrap_angle_bytes_for_floats_and_numpy_scalars():
+    near = [np.nextafter(edge, toward) for edge in (np.pi, -np.pi) for toward in (0.0, 4.0 * edge)]
+    angles = np.array([-0.0, 0.0, np.pi, -np.pi, 7.0, -7.0, 2.0 * np.pi, 1e-300, -1e-300,
+                       *near, *make_rng(659).uniform(-10.0, 10.0, 30)])
+    want = np.repeat(wrap_angle(angles)[:, None], 3, axis=1)
+    for cast in (float, np.float64):
+        got = np.array([Box9DoF(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, *[cast(a)] * 3).as_params()[6:]
+                        for a in angles])
+        assert got.tobytes() == want.tobytes(), cast
+    rows = np.column_stack([np.zeros((len(angles), 3)), np.ones((len(angles), 3)),
+                            angles, angles[::-1], -angles])
+    for row in rows:  # a model's row builds the same box from numpy scalars or its tolist()
+        assert Box9DoF(*row.tolist()).as_params().tobytes() == Box9DoF(*row).as_params().tobytes()
 
 
 def test_box_rotation_is_built_once_and_read_only():
@@ -326,6 +356,33 @@ def test_near_coincident_faces_give_iou_near_one():
         nudge = rng.choice([-1.0, 1.0], 9) * 10.0 ** rng.uniform(lo, hi, 9)
         q = p + nudge * (rng.random(9) < 0.5)
         assert box_iou_exact(Box9DoF(*p), Box9DoF(*q)) > 1.0 - 1e-6, (i, p.tolist(), q.tolist())
+
+
+def test_clip_returns_faces_untouched_when_every_vertex_is_strictly_inside():
+    corners = box_corners(unit_cube())
+    faces = [(list(face), corners[list(face)]) for face in boxes_mod._FACES]
+    for normal, offset in boxes_mod._halfspaces(unit_cube(l=1.5, w=1.5, h=1.5)):
+        out = boxes_mod._clip_faces(faces, normal, offset)
+        assert out is faces
+        assert all(ids is ids0 and pts is pts0 for (ids, pts), (ids0, pts0) in zip(out, faces))
+    # one vertex within the tolerance of the plane is not strictly inside
+    out = boxes_mod._clip_faces(faces, np.array([1.0, 0.0, 0.0]), 0.5 + 1e-13)
+    assert out is not faces
+
+
+def test_cached_plane_basis_equals_the_inline_basis_bytes():
+    rng = make_rng(661)
+    for box in [unit_cube(), unit_cube(alpha=np.pi / 2)] + [random_box(rng) for _ in range(50)]:
+        planes = box._planes
+        assert planes is box._planes
+        for (normal, offset, (e1, e2)), (n, off) in zip(planes, boxes_mod._halfspaces(box)):
+            assert normal.tobytes() == n.tobytes() and offset == off
+            ref = np.eye(3)[np.argmin(np.abs(n))]
+            f1 = np.cross(n, ref)
+            f1 /= np.linalg.norm(f1)
+            assert e1.tobytes() == f1.tobytes()
+            assert e2.tobytes() == np.cross(n, f1).tobytes()
+            assert [e.tobytes() for e in boxes_mod._plane_basis(n)] == [e1.tobytes(), e2.tobytes()]
 
 
 def test_clip_cut_divides_by_one_distance_per_vertex():
