@@ -24,6 +24,7 @@ from egoground.scenes import (
     choose_target,
     generate_scene,
     make_instruction,
+    render_depth_and_classes,
 )
 from egoground.train import (
     SceneBatch,
@@ -233,6 +234,37 @@ def test_training_bytes_golden():
     ]
     assert hashlib.sha256(store.data.tobytes()).hexdigest() == \
         "e9680228f855aa70294b08d116a38d892dbaefeea38cd911053ec501a79b764b"
+
+
+def test_prepared_scene_bytes_golden():
+    # pinned before the slab test, voxel grouping and camera poses were
+    # rewritten for speed: every rendered view, voxel, label and pose byte
+    digest = hashlib.sha256()
+    stub = StubEmbeddings()
+    for force in (False, True):
+        cfg = SceneConfig(force_distractors=force)
+        for s in (1, 2):
+            for i in range(32):
+                words = (s, 2, i, 0)
+                try:
+                    scene = generate_scene(cfg, words)
+                    target = choose_target(scene, make_rng(*words, 1))
+                    ins = make_instruction(scene, target, (*words, 2))
+                except RuntimeError:
+                    continue
+                for v, (_, pose) in enumerate(scene.cameras):
+                    depth, classes = render_depth_and_classes(scene, v)
+                    for part in (depth.values, depth.valid, classes,
+                                 pose.rotation, pose.translation):
+                        digest.update(part.tobytes())
+                batch = prepare_scene(scene, [ins], stub, voxel_size=0.25,
+                                      num_classes=NUM_CLASSES)
+                for part in (batch.voxels.coords, batch.voxels.features.data,
+                             batch.image_features, batch.class_onehot,
+                             batch.grd_targets[0].relevance_labels):
+                    digest.update(part.tobytes())
+    assert digest.hexdigest() == \
+        "fb53fd059ee72645db35e33974f5fb122b159fa4f959361c4c20b1c7af30c045"
 
 
 def test_training_losses_breakdown_sums():
