@@ -27,9 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import NonFiniteError, Tensor
 
 Array = np.ndarray
+
+_EYE3 = np.eye(3)
+_ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE3
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,11 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class CameraPose:
-    """Camera-to-world rotation (columns are the camera axes) and center."""
+    """Camera-to-world rotation (columns are the camera axes) and center.
+
+    The rotation must satisfy |R R^T - I| <= 1e-9 + 1e-5 I elementwise:
+    np.allclose's bound at atol=1e-9 with its default rtol written out.
+    """
 
     rotation: Array
     translation: Array
@@ -62,7 +69,7 @@ class CameraPose:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector translation")
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
+        if not (abs(r @ r.T - _EYE3) <= _ORTHONORMAL_TOL).all():
             raise ValueError("rotation is not orthonormal")
         if np.linalg.det(r) < 0.0:
             raise ValueError("rotation must be proper (det +1)")
@@ -139,22 +146,40 @@ def backproject_depth(depth: DepthMap, cam: CameraIntrinsics, pose: CameraPose) 
 def voxelize(points: Array, point_features: Array, voxel_size: float) -> VoxelFeatureSet:
     """Pool points into voxels: the mean feature row of each voxel's points.
 
-    Voxels come out in lexicographic index order, which makes the result
-    independent of the input point order.
+    Voxels come out in np.unique(axis=0)'s lexicographic index order, by a
+    lexsort of the int64 index columns, whatever the input point order.  A
+    non-finite point or feature row is a ``NonFiniteError`` and a point whose
+    voxel index leaves int64 a ``ValueError``, each naming the first one.
     """
     points = np.asarray(points, dtype=np.float64)
+    point_features = np.asarray(point_features, dtype=np.float64)
     if voxel_size <= 0.0:
         raise ValueError("voxel size must be positive")
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
         raise ValueError("points must be (M, 3) with M >= 1")
-    idx = np.floor(points / voxel_size).astype(np.int64)
-    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    if point_features.ndim != 2 or point_features.shape[0] != points.shape[0]:
+        raise ValueError("one feature row per point required")
+    for what, rows in (("point", points), ("feature row", point_features)):
+        if not np.isfinite(rows).all():
+            i = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+            raise NonFiniteError(f"{what} {i} is not finite: {rows[i]}")
+    with np.errstate(over="ignore"):
+        q = np.floor(points / voxel_size)
+    fits = (q >= -2.0 ** 63) & (q < 2.0 ** 63)
+    if not fits.all():
+        i = np.flatnonzero(~fits.all(axis=1))[0]
+        raise ValueError(f"point {i} at {points[i]} has a voxel index outside int64")
+    idx = q.astype(np.int64)
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    ordered = idx[order]
+    first = np.ones(len(ordered), dtype=bool)  # row opens a new voxel
+    first[1:] = ((ordered[1:, 0] != ordered[:-1, 0]) | (ordered[1:, 1] != ordered[:-1, 1])
+                 | (ordered[1:, 2] != ordered[:-1, 2]))
+    uniq = ordered[first]
+    inverse = np.empty(len(ordered), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
     n = uniq.shape[0]
     counts = np.bincount(inverse, minlength=n).astype(np.float64)
-    point_features = np.asarray(point_features, dtype=np.float64)
-    if point_features.shape[0] != points.shape[0]:
-        raise ValueError("one feature row per point required")
     sums = np.zeros((n, point_features.shape[1]))
     np.add.at(sums, inverse, point_features)
     feats = sums / counts[:, None]

@@ -3,7 +3,9 @@
 Scores in [0, 1] map linearly from gray (128,128,128) at 0 to red (255,0,0)
 at 1, with channels rounded half-up.  Every pixel takes the color of the
 nearest voxel projection in pixel space, so the image is fully covered and
-an all-equal score field produces one uniform color.  The CSV lists every
+an all-equal score field produces one uniform color; ties go to the first
+voxel.  Squared distances add a (W, N) column and an (H, N) row term by
+broadcasting.  The CSV lists every
 voxel (x, y, z, score) regardless of visibility in the chosen view.  Both
 refuse a non-finite score with ``NonFiniteError`` naming its voxel.
 """
@@ -67,10 +69,10 @@ def render_relevance_image(coords: Array, scores: Array, cam: CameraIntrinsics,
         raise ValueError("no voxel projects in front of the camera")
     uv = uv[in_front]
     vis_scores = scores[in_front]
-    vs, us = np.mgrid[0:cam.height, 0:cam.width].astype(np.float64)
-    d2 = ((us.reshape(-1, 1) - uv[:, 0]) ** 2
-          + (vs.reshape(-1, 1) - uv[:, 1]) ** 2)
-    nearest = d2.argmin(axis=1)
+    du2 = (np.arange(cam.width, dtype=np.float64)[:, None] - uv[:, 0]) ** 2
+    dv2 = (np.arange(cam.height, dtype=np.float64)[:, None] - uv[:, 1]) ** 2
+    d2 = du2[None, :, :] + dv2[:, None, :]
+    nearest = d2.reshape(cam.height * cam.width, -1).argmin(axis=1)
     palette = _colors(vis_scores).astype(np.uint8)
     return palette[nearest].reshape(cam.height, cam.width, 3)
 

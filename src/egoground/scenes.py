@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import _is_int, make_rng
-from .boxes import Box9DoF, box_corners, boxes_disjoint
+from .boxes import Box9DoF, _cross, box_corners, boxes_disjoint
 from .boxes import box_iou_exact  # noqa: F401  benchmark/spans.py traces it at this name
 from .geometry import CameraIntrinsics, CameraPose, DepthMap, ViewFeatureMap
 
@@ -47,6 +47,7 @@ SCENE_FORMAT = "egoground-scene-v1"
 
 _RELATION_MARGIN = 0.05
 _HIT_EPS = 1e-9
+_UP = np.array([0.0, 0.0, 1.0])
 
 
 class SceneFormatError(ValueError):
@@ -122,18 +123,17 @@ class Instruction:
 def look_at(eye: Array, target: Array) -> CameraPose:
     """Pose for a camera at ``eye`` looking toward ``target`` (x right, y down, z forward)."""
     forward = np.asarray(target, dtype=np.float64) - eye
-    norm = np.linalg.norm(forward)
+    norm = math.sqrt(forward.dot(forward))  # np.linalg.norm's own arithmetic
     if norm < 1e-9:
         raise ValueError("camera eye and target coincide")
     forward = forward / norm
-    up = np.array([0.0, 0.0, 1.0])
-    right = np.cross(forward, up)
-    rnorm = np.linalg.norm(right)
+    right = _cross(forward, _UP)
+    rnorm = math.sqrt(right.dot(right))
     if rnorm < 1e-9:
         raise ValueError("camera looking straight along the up axis")
     right = right / rnorm
-    down = np.cross(forward, right)
-    rotation = np.stack([right, down, forward], axis=1)
+    down = _cross(forward, right)
+    rotation = np.array([right, down, forward]).T.copy()
     return CameraPose(rotation=rotation, translation=np.asarray(eye, dtype=np.float64))
 
 
@@ -202,7 +202,10 @@ def render_depth_and_classes(scene: Scene, view_idx: int) -> tuple[DepthMap, Arr
     """Analytic depth and per-pixel class id (-1 where no box is hit).
 
     Depth is the camera-frame z of the nearest slab-test hit; rays through
-    integer pixel coordinates.
+    integer pixel coordinates.  The three slabs are rows of a (3, rays)
+    array, reduced across so that numpy's inner loop runs along the rays.
+    A later object takes a pixel only when strictly nearer: ties go to the
+    first object.
     """
     if not 0 <= view_idx < len(scene.cameras):
         raise IndexError(f"view {view_idx} out of range (scene has {len(scene.cameras)})")
@@ -216,14 +219,14 @@ def render_depth_and_classes(scene: Scene, view_idx: int) -> tuple[DepthMap, Arr
     best_cls = np.full(dirs_world.shape[0], -1, dtype=np.int64)
     for obj in scene.objects:
         r = obj.box.rotation()
-        o_local = (origin - obj.box.center) @ r
-        d_local = dirs_world @ r
-        half_ext = obj.box.extents / 2.0
+        o_local = ((origin - obj.box.center) @ r)[:, None]
+        d_local = np.ascontiguousarray((dirs_world @ r).T)
+        half_ext = (obj.box.extents / 2.0)[:, None]
         d_safe = np.where(np.abs(d_local) < 1e-300, 1e-300, d_local)
         t1 = (-half_ext - o_local) / d_safe
         t2 = (half_ext - o_local) / d_safe
-        t_near = np.minimum(t1, t2).max(axis=1)
-        t_far = np.maximum(t1, t2).min(axis=1)
+        t_near = np.minimum(t1, t2).max(axis=0)
+        t_far = np.maximum(t1, t2).min(axis=0)
         hit = (t_near <= t_far) & (t_near > _HIT_EPS)
         closer = hit & (t_near < best_t)
         best_t[closer] = t_near[closer]

@@ -14,6 +14,7 @@ import pytest
 
 from egoground import autodiff as A
 from egoground import network as N
+from egoground import scenes as S
 from egoground import train as T
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmark"
@@ -116,3 +117,27 @@ def test_workloads_run_one_scene_each_without_errors(workloads, tmp_path, monkey
     finally:
         for tracer in tracers:
             tracer.uninstall()
+
+
+def test_scene_prep_spans_fire_per_view_and_per_scene(workloads, tmp_path):
+    # the per-layer figures of scene_prep read these spans; an inlined or
+    # renamed function would zero them without failing anything else
+    spans = importlib.import_module("spans")
+    ctx = workloads.Context(seed=0, work=tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        views = 0
+        for i in range(2):
+            scene, instructions = workloads.make_scene(ctx, 0, workloads.STREAM_PREP, i)
+            path = tmp_path / f"prep_{i}.json"
+            S.save_scene(scene, instructions, path)
+            loaded, loaded_ins = S.load_scene(path)
+            workloads.prepare(ctx, loaded, loaded_ins)
+            views += len(loaded.cameras)
+    finally:
+        tracer.uninstall()
+    calls = {name: entry["calls"] for name, entry in tracer.summary().items() if name != "_top_ns"}
+    assert views >= 2
+    assert calls["scenes.render"] == views
+    assert calls["geometry.voxelize"] == calls["train.prepare_scene"] == 2

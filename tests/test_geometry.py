@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from egoground.autodiff import Tensor, make_rng
+from egoground.autodiff import NonFiniteError, Tensor, make_rng
 from egoground.geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -39,6 +39,39 @@ def test_pose_validation():
     flipped = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         CameraPose(rotation=flipped, translation=np.zeros(3))
+
+
+def _pose_accepted(r):
+    try:
+        CameraPose(rotation=r, translation=np.zeros(3))
+    except ValueError as exc:
+        assert str(exc) == "rotation is not orthonormal"
+        return False
+    return True
+
+
+def test_pose_orthonormality_bound_is_allclose():
+    # r @ r.T = I + E for a symmetric perturbation E, stepped across the bound
+    # of 1e-9 off the diagonal and 1e-9 + 1e-5 on it
+    cases = []
+    for bound, spot in ((1e-9, (0, 1)), (1e-9 + 1e-5, (0, 0)), (1e-9 + 1e-5, (2, 2))):
+        for scale in (0.5, 0.999, 0.9999999, 1.0, 1.0000001, 1.001, 2.0):
+            gram = np.eye(3)
+            gram[spot] += bound * scale
+            gram[spot[::-1]] = gram[spot]
+            cases.append(np.linalg.cholesky(gram))
+    for bad in (np.nan, np.inf, -np.inf):
+        for spot in ((0, 0), (1, 2)):
+            r = np.eye(3)
+            r[spot] = bad
+            cases.append(r)
+    decisions = []
+    for r in cases:
+        with np.errstate(invalid="ignore"):  # inf * 0 in r @ r.T
+            want = np.allclose(r @ r.T, np.eye(3), atol=1e-9)
+            assert _pose_accepted(r) == want
+        decisions.append(want)
+    assert 0 < sum(decisions) < len(decisions)
 
 
 def test_depth_map_validation():
@@ -146,6 +179,58 @@ def test_voxelize_input_validation():
         voxelize(np.zeros((2, 3)), np.ones((2, 1)), 0.0)
     with pytest.raises(ValueError, match="one feature row per point"):
         voxelize(np.zeros((2, 3)), np.ones((3, 1)), 1.0)
+
+
+def _voxelize_unique(points, feats, voxel_size):
+    """Reference voxel pooling: groups from np.unique over the index rows."""
+    idx = np.floor(points / voxel_size).astype(np.int64)
+    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+    sums = np.zeros((len(uniq), feats.shape[1]))
+    np.add.at(sums, inverse, feats)
+    return (uniq + 0.5) * voxel_size, sums / counts[:, None]
+
+
+@pytest.mark.parametrize("case", ["negative", "duplicates", "one", "faces", "lines", "huge",
+                                  "shuffled"])
+def test_voxelize_matches_unique_grouping(case):
+    rng = make_rng(109)
+    size = 0.25
+    pts = rng.uniform(-2.0, 2.0, size=(300, 3))
+    if case == "negative":
+        pts = -np.abs(pts) - 0.01
+    elif case == "duplicates":
+        pts = np.repeat(pts[:40], 5, axis=0)
+    elif case == "one":
+        pts = pts[:1]
+    elif case == "faces":
+        pts = rng.integers(-8, 8, size=(300, 3)) * size
+    elif case == "lines":
+        # voxels next to each other along one axis differ in one index only
+        steps = np.repeat(np.arange(-6, 6) * size + 0.1, 2)
+        pts = np.vstack([np.insert(np.full((24, 2), 0.1), axis, steps, axis=1)
+                         for axis in range(3)])
+    elif case == "huge":
+        pts = rng.choice([-1e12, 1e12], size=(300, 3)) + rng.uniform(-1.0, 1.0, size=(300, 3))
+    elif case == "shuffled":
+        pts = np.repeat(pts[:60], 4, axis=0)[rng.permutation(240)]
+    feats = rng.normal(size=(len(pts), 5))
+    vox = voxelize(pts, feats, size)
+    coords, means = _voxelize_unique(pts, feats, size)
+    assert vox.coords.tobytes() == coords.tobytes()
+    assert vox.features.data.tobytes() == means.tobytes()
+
+
+@pytest.mark.parametrize("points, features, error, message", [
+    ([[0.1, 0.2, np.nan], [0.3, 0.3, 0.3]], [[1.0], [2.0]], NonFiniteError, "point 0 "),
+    ([[0.1, 0.2, 0.3], [0.3, 0.3, 0.3]], [[1.0], [np.inf]], NonFiniteError, "feature row 1 "),
+    ([[0.1, 0.2, 0.3], [0.3, 1e19, 0.3]], [[1.0], [2.0]], ValueError, "point 1 .* outside int64"),
+    ([[1e308, 0.2, 0.3], [0.3, 0.3, 0.3]], [[1.0], [2.0]], ValueError, "point 0 .* outside int64"),
+])
+def test_voxelize_names_the_first_bad_point(points, features, error, message):
+    with pytest.raises(error, match=message):
+        voxelize(np.array(points), np.array(features), 0.25)
 
 
 def test_bilinear_exact_at_grid_points_and_midpoint():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from egoground.autodiff import NonFiniteError
-from egoground.geometry import CameraIntrinsics, CameraPose
+from egoground.geometry import CameraIntrinsics, CameraPose, project_points
 from egoground.heatmap import (
     export_heatmap,
     render_relevance_image,
@@ -77,6 +77,35 @@ def test_behind_camera_voxels_are_ignored():
     assert (img == np.array([128, 128, 128], dtype=np.uint8)).all()
     with pytest.raises(ValueError):
         render_relevance_image(np.array([[0.0, 0.0, -2.0]]), np.array([1.0]), cam, pose)
+
+
+def _nearest_brute_force(coords, scores, cam, pose):
+    """Reference nearest fill: the full (H*W, N) squared-distance matrix."""
+    uv, _, in_front = project_points(coords, cam, pose)
+    uv = uv[in_front]
+    vs, us = np.mgrid[0:cam.height, 0:cam.width].astype(np.float64)
+    d2 = ((us.reshape(-1, 1) - uv[:, 0]) ** 2
+          + (vs.reshape(-1, 1) - uv[:, 1]) ** 2)
+    colors = np.array([score_color(s) for s in scores[in_front]], dtype=np.uint8)
+    return colors[d2.argmin(axis=1)].reshape(cam.height, cam.width, 3)
+
+
+def test_nearest_fill_matches_brute_force():
+    cam = CameraIntrinsics(fx=10.0, fy=10.0, cx=6.0, cy=4.0, width=13, height=9)
+    pose = CameraPose(rotation=np.eye(3), translation=np.zeros(3))
+    rng = np.random.default_rng(127)
+    # pairs of voxels mirrored about pixel columns and rows: every pixel on
+    # the mirror line is equidistant from both and keeps the first one
+    mirrored = np.array([[-0.2, 0.0, 1.0], [0.2, 0.0, 1.0], [0.0, -0.2, 1.0], [0.0, 0.2, 1.0],
+                         [-0.5, -0.3, 2.0], [0.5, -0.3, 2.0]])
+    cases = [(mirrored, np.linspace(0.0, 1.0, 6)), (mirrored, np.full(6, 0.25))]
+    for n in (1, 7, 40):
+        coords = np.column_stack([rng.uniform(-1.0, 1.0, size=(n, 2)), rng.uniform(-1.0, 3.0, n)])
+        coords[0, 2] = 1.5  # at least one voxel in front
+        cases.append((coords, rng.uniform(0.0, 1.0, n)))
+    for coords, scores in cases:
+        img = render_relevance_image(coords, scores, cam, pose)
+        assert img.tobytes() == _nearest_brute_force(coords, scores, cam, pose).tobytes()
 
 
 def test_render_validation():

@@ -176,6 +176,26 @@ def test_look_at_degenerate():
         look_at(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 5.0]))
 
 
+def _look_at_np_cross(eye, target):
+    """look_at's rotation as built with np.cross, np.linalg.norm and np.stack."""
+    forward = target - eye
+    forward = forward / np.linalg.norm(forward)
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    right = right / np.linalg.norm(right)
+    return np.stack([right, np.cross(forward, right), forward], axis=1)
+
+
+def test_look_at_matches_np_cross_construction():
+    rng = make_rng(113)
+    for _ in range(1000):
+        eye = rng.uniform(-4.0, 4.0, size=3)
+        target = rng.uniform(-4.0, 4.0, size=3)
+        pose = look_at(eye, target)
+        assert pose.rotation.flags.c_contiguous
+        assert pose.rotation.tobytes() == _look_at_np_cross(eye, target).tobytes()
+        assert pose.translation.tobytes() == eye.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # rendering vs ray-march oracle
 # ---------------------------------------------------------------------------
@@ -219,6 +239,80 @@ def test_render_depth_matches_ray_march():
                 assert t is None or t - step <= 0 or True
                 assert t is None
     assert checked_hits >= 5, "too few foreground pixels to trust the comparison"
+
+
+def _render_row_slabs(scene, view_idx):
+    """Reference renderer: the slab test on (P, 3) rows reduced by .max(axis=1) and .min(axis=1)."""
+    cam, pose = scene.cameras[view_idx]
+    vs, us = np.mgrid[0:cam.height, 0:cam.width].astype(np.float64)
+    dirs_cam = np.stack([(us - cam.cx) / cam.fx, (vs - cam.cy) / cam.fy, np.ones_like(us)], axis=-1)
+    dirs_world = dirs_cam.reshape(-1, 3) @ pose.rotation.T
+    best_t = np.full(dirs_world.shape[0], np.inf)
+    best_cls = np.full(dirs_world.shape[0], -1, dtype=np.int64)
+    for obj in scene.objects:
+        r = obj.box.rotation()
+        o_local = (pose.translation - obj.box.center) @ r
+        d_local = dirs_world @ r
+        half_ext = obj.box.extents / 2.0
+        d_safe = np.where(np.abs(d_local) < 1e-300, 1e-300, d_local)
+        t1 = (-half_ext - o_local) / d_safe
+        t2 = (half_ext - o_local) / d_safe
+        t_near = np.minimum(t1, t2).max(axis=1)
+        t_far = np.maximum(t1, t2).min(axis=1)
+        closer = (t_near <= t_far) & (t_near > 1e-9) & (t_near < best_t)
+        best_t[closer] = t_near[closer]
+        best_cls[closer] = obj.class_id
+    valid = np.isfinite(best_t)
+    return np.where(valid, best_t, 0.0), valid, best_cls
+
+
+def _assert_render_matches_row_slabs(scene):
+    for v in range(len(scene.cameras)):
+        depth, classes = render_depth_and_classes(scene, v)
+        values, valid, cls = _render_row_slabs(scene, v)
+        assert depth.values.tobytes() == values.tobytes()
+        assert depth.valid.tobytes() == valid.tobytes()
+        assert classes.tobytes() == cls.tobytes()
+
+
+def _axis_camera_scene(objects, eye):
+    # integer principal point and a camera looking along +y at axis-aligned
+    # boxes: the centre row and column of rays have components exactly 0
+    cam = CameraIntrinsics(fx=24.0, fy=24.0, cx=16.0, cy=12.0, width=32, height=24)
+    pose = look_at(np.array(eye), np.array([eye[0], eye[1] + 1.0, eye[2]]))
+    return Scene(objects=objects, cameras=[(cam, pose)], room_lo=np.array([-2.0, -2.0, 0.0]),
+                 room_hi=np.array([2.0, 2.0, 2.4]), seed_words=(0,))
+
+
+def test_render_slab_columns_match_row_reduction():
+    for s in range(6):
+        _assert_render_matches_row_slabs(generate_scene(SceneConfig(), (s, 4)))
+    # exactly-zero ray components take the 1e-300 path
+    zero = _axis_camera_scene([SceneObject(aa_box(0.0, 0.0, 0.5), 1),
+                               SceneObject(aa_box(0.8, 0.5, 0.5), 2)], [0.0, -2.6, 0.5])
+    assert (zero.cameras[0][1].rotation == 0.0).sum() == 6
+    _assert_render_matches_row_slabs(zero)
+    depth, _ = render_depth_and_classes(zero, 0)
+    assert depth.valid[12, 16]
+    # a camera inside a box does not see that box, only what lies beyond it
+    inside = _axis_camera_scene([SceneObject(aa_box(0.0, -2.6, 0.5), 3),
+                                 SceneObject(aa_box(0.0, 0.0, 0.5), 4)], [0.0, -2.6, 0.5])
+    _assert_render_matches_row_slabs(inside)
+    _, classes = render_depth_and_classes(inside, 0)
+    assert set(np.unique(classes)) == {-1, 4}
+
+
+def test_render_ties_keep_the_first_object():
+    # two overlapping boxes share their front face: equal depths, first object wins
+    tied = _axis_camera_scene([SceneObject(aa_box(0.0, 0.0, 0.5), 1),
+                               SceneObject(aa_box(0.3, 0.0, 0.5), 5)], [0.0, -2.6, 0.5])
+    _assert_render_matches_row_slabs(tied)
+    _, classes = render_depth_and_classes(tied, 0)
+    swapped = _axis_camera_scene(tied.objects[::-1], [0.0, -2.6, 0.5])
+    _, swapped_classes = render_depth_and_classes(swapped, 0)
+    both = (classes >= 0) & (swapped_classes >= 0) & (classes != swapped_classes)
+    assert both.any()
+    assert (classes[both] == 1).all() and (swapped_classes[both] == 5).all()
 
 
 def test_render_invalid_pixels_are_zero_depth():
