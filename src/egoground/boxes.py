@@ -23,12 +23,17 @@ This clip is the only path: it is exact on coincident faces, where a vertex
 within 1e-12 of a clip plane counts as on it and a face on the plane gives
 way to the one cap facet, so touching boxes clip to exactly 0.  A negative
 volume means the clip itself is broken and raises ``RuntimeError``.  A face
-is a list of vertex ids with its own (m, 3) array of points, and a plane
-with every point clearly inside returns the faces untouched.  The clip's
-bookkeeping and cut points are Python floats, IEEE-equal to numpy's
-expressions; two numpy expressions stay, since on some hosts their bytes
-depend on shape: a face's distances are one ``poly @ normal - offset`` on
-the same rows in the same order, and a fan term is one ``np.dot``.
+is a list of vertex ids with its own list of ``[x, y, z]`` points, and a
+plane with every point clearly inside returns the faces untouched.
+
+The clip runs on Python floats from the box's corners to the volume: its
+planes, distances, cut points, cap order and volume terms are plain
+arithmetic, and no numpy expression decides its bytes, so they do not
+depend on which BLAS kernel the host picks.  Sums are written out with
+``+`` and added strictly left to right; builtin ``sum`` is avoided, since
+Python 3.12 made its float sums compensated.  The one dependence left is
+``rotation_matrix`` and ``box_corners``: their 3x3 products go through
+numpy's matmul, whose last bits differ between FMA and non-FMA kernels.
 
 ``box_iou_mc`` is the independent oracle: rejection sampling in the joint
 axis-aligned bounding volume.  Its standard error uses the adjusted
@@ -129,8 +134,27 @@ class Box9DoF:
 
     @cached_property
     def _planes(self) -> tuple:
-        """Each ``_halfspaces`` pair with the basis its cap is ordered in."""
-        return tuple((n, offset, _plane_basis(n)) for n, offset in _halfspaces(self))
+        """Six (normal, offset, (e1, e2)) clip planes in Python floats.
+
+        A point x is inside iff normal . x <= offset; the normals are each
+        column of the rotation, then its negation.  The unit e1 and e2 span the
+        plane, and its cap is ordered by angle in them: e1 = normal x u / |.|
+        for the unit axis u of normal's smallest entry, e2 = normal x e1.
+        """
+        rows = self._rotation.tolist()
+        x, y, z, l, w, h = map(float, (self.x, self.y, self.z, self.l, self.w, self.h))
+        planes = []
+        for axis, half in enumerate((l / 2.0, w / 2.0, h / 2.0)):
+            n0, n1, n2 = rows[0][axis], rows[1][axis], rows[2][axis]
+            dist = n0 * x + n1 * y + n2 * z
+            for normal, offset in (((n0, n1, n2), dist + half), ((-n0, -n1, -n2), half - dist)):
+                unit = [0.0, 0.0, 0.0]
+                unit[min(range(3), key=lambda k: abs(normal[k]))] = 1.0
+                e = _plain_cross(normal, unit)
+                norm = math.sqrt(e[0] * e[0] + e[1] * e[1] + e[2] * e[2])
+                e1 = (e[0] / norm, e[1] / norm, e[2] / norm)
+                planes.append((normal, offset, (e1, _plain_cross(normal, e1))))
+        return tuple(planes)
 
     def as_params(self) -> Array:
         return np.array([self.x, self.y, self.z, self.l, self.w, self.h,
@@ -153,56 +177,50 @@ def contains_points(box: Box9DoF, points: Array) -> Array:
     return (local[:, 0] <= half[0]) & (local[:, 1] <= half[1]) & (local[:, 2] <= half[2])
 
 
-def _halfspaces(box: Box9DoF):
-    """Six (normal, offset) pairs; x is inside iff normal . x <= offset."""
-    r = box.rotation()
-    c = box.center
-    half = box.extents / 2.0
-    planes = []
-    for axis in range(3):
-        n = r[:, axis]
-        planes.append((n, float(n @ c + half[axis])))
-        planes.append((-n, float(-n @ c + half[axis])))
-    return planes
+def _plain_cross(u, v) -> tuple:
+    """u x v of two 3-vectors, as np.cross's products and differences."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _cross(u: Array, v: Array) -> Array:
-    """np.cross of two 3-vectors, the same products and differences at a tenth of its cost."""
-    out = np.empty(3)
-    out[0] = u[1] * v[2] - u[2] * v[1]
-    out[1] = u[2] * v[0] - u[0] * v[2]
-    out[2] = u[0] * v[1] - u[1] * v[0]
-    return out
+    """np.cross of two 3-vectors, the same arithmetic at a fraction of its cost."""
+    return np.array(_plain_cross(u, v))
 
 
-def _plane_basis(normal: Array) -> tuple[Array, Array]:
-    """Unit e1 and e2 spanning the plane with this normal, in which a cap is ordered."""
-    e1 = _cross(normal, np.eye(3)[np.argmin(np.abs(normal))])
-    e1 /= math.sqrt(e1.dot(e1))
-    return e1, _cross(normal, e1)
+def _centroid(points: list) -> tuple[float, float, float]:
+    """Mean of [x, y, z] points, each coordinate summed left to right."""
+    sx = sy = sz = 0.0
+    for x, y, z in points:
+        sx = sx + x
+        sy = sy + y
+        sz = sz + z
+    m = len(points)
+    return sx / m, sy / m, sz / m
 
 
-def _clip_faces(faces: list[tuple[list, Array]], normal: Array, offset: float,
-                basis: tuple[Array, Array] | None = None) -> list[tuple[list, Array]]:
+def _clip_faces(faces: list[tuple[list, list]], normal: tuple, offset: float,
+                basis: tuple) -> list[tuple[list, list]]:
     """Sutherland-Hodgman clip of a convex polytope's faces by one halfspace.
 
-    A face is its vertex ids and its own (m, 3) copy of their points; when
-    every copy lies over _CLIP_TOL inside, the faces come back untouched.
-    Otherwise each vertex is classed once, from one copy's distance: inside,
-    on (within _CLIP_TOL of the plane) or outside.  An on vertex of a face
-    with vertices strictly on both sides takes the side of its distance's
-    sign, so a face nearly parallel to the plane is cut where it crosses.
+    A face is its vertex ids and its own list of their [x, y, z] points;
+    when every point lies over _CLIP_TOL inside, the faces come back
+    untouched.  Otherwise each vertex is classed once, from one copy's
+    distance: inside, on (within _CLIP_TOL of the plane) or outside.  An on
+    vertex of a face with vertices strictly on both sides takes the side of
+    its distance's sign, so a face nearly parallel to the plane is cut where
+    it crosses.
 
-    An edge is cut only from inside to outside, per coordinate in Python
-    floats.  The cut point's id is the edge's; where a face's copy of it lies
-    over _CLIP_TOL from the first face's (an edge nearly parallel to the
-    plane), it takes the first's, so the surface stays closed.  A face with
-    no vertex inside is dropped.  The cap, the one facet on the plane, joins
-    the on vertices and cut points when some vertex lies outside or some face
-    lies on the plane; it is ordered by angle in ``basis`` (by default the
-    plane's ``_plane_basis``).  The distances stay one matmul per face.
+    An edge is cut only from inside to outside, per coordinate.  The cut
+    point's id is the edge's; where a face's copy of it lies over _CLIP_TOL
+    from the first face's (an edge nearly parallel to the plane), it takes
+    the first's, so the surface stays closed.  A face with no vertex inside
+    is dropped.  The cap, the one facet on the plane, joins the on vertices
+    and cut points when some vertex lies outside or some face lies on the
+    plane; it is ordered by angle about its centroid in ``basis`` (e1, e2),
+    stably on ties.
     """
-    dists = [(poly @ normal - offset).tolist() for _, poly in faces]
+    n0, n1, n2 = normal
+    dists = [[x * n0 + y * n1 + z * n2 - offset for x, y, z in pts] for _, pts in faces]
     if max(map(max, dists)) < -_CLIP_TOL:
         return faces
     dist_of = {v: d for (ids, _), dist in zip(faces, dists) for v, d in zip(ids, dist)}
@@ -211,18 +229,17 @@ def _clip_faces(faces: list[tuple[list, Array]], normal: Array, offset: float,
                                          if {side[u] for u in ids} == {-1, 0, 1}
                                          for v in ids if side[v] == 0]):
         side.update((v, 1 if dist_of[v] > 0.0 else -1) for v in on)
-    kept: list[tuple[list, Array]] = []
+    kept: list[tuple[list, list]] = []
     cap: dict = {}  # vertex id -> its first copy, in order of first appearance
     build_cap = 1 in side.values()
-    for (ids, poly), dist in zip(faces, dists):
+    for (ids, pts), dist in zip(faces, dists):
         s = [side[v] for v in ids]
         if max(s) < 0:
-            kept.append((ids, poly))
+            kept.append((ids, pts))
             continue
         if min(s) >= 0:
             build_cap = True
             continue
-        pts = poly.tolist()
         out_ids, out_pts = [], []
         for i, j in zip(range(len(s)), [*range(1, len(s)), 0]):
             if s[i] <= 0:
@@ -241,42 +258,50 @@ def _clip_faces(faces: list[tuple[list, Array]], normal: Array, offset: float,
                     r = r0
                 out_ids.append(cut)
                 out_pts.append(r)
-        kept.append((out_ids, np.array(out_pts)))
+        kept.append((out_ids, out_pts))
     if build_cap and len(cap) >= 3:
-        ids, points = list(cap), np.array(list(cap.values()))
-        e1, e2 = basis or _plane_basis(normal)  # the cycle: by angle about the centroid
-        rel = points - np.add.reduce(points, 0) / len(points)
-        order = np.argsort(np.arctan2(rel @ e2, rel @ e1), kind="stable").tolist()
-        kept.append(([ids[k] for k in order], points[order]))
+        ids, points = list(cap), list(cap.values())
+        cx, cy, cz = _centroid(points)
+        (a0, a1, a2), (b0, b1, b2) = basis
+        angles = [math.atan2((x - cx) * b0 + (y - cy) * b1 + (z - cz) * b2,
+                             (x - cx) * a0 + (y - cy) * a1 + (z - cz) * a2)
+                  for x, y, z in points]
+        order = sorted(range(len(points)), key=angles.__getitem__)
+        kept.append(([ids[k] for k in order], [points[k] for k in order]))
     return kept
 
 
-def _polytope_volume(faces: list[Array]) -> float:
+def _polytope_volume(faces: list[list]) -> float:
     """Volume of a convex polytope given its (unordered-orientation) faces."""
     if len(faces) < 4:
         return 0.0
-    points = np.concatenate(faces)
-    centroid = np.add.reduce(points, 0) / len(points)
+    cx, cy, cz = _centroid([p for pts in faces for p in pts])
     volume = 0.0
-    for poly in faces:
-        if len(poly) < 3:
+    for pts in faces:
+        if len(pts) < 3:
             continue
-        # edge[k] = poly[k] x poly[k + 1], the products and differences of
-        # np.cross: summed, the Newell normal; its middle rows, the fan from poly[0]
-        pts = poly.tolist()
-        edge = np.array([[y * c - z * b, z * a - x * c, x * b - y * a]
-                         for (x, y, z), (a, b, c) in zip(pts, pts[1:] + pts[:1])])
-        normal = np.add.reduce(edge, 0)
-        if math.sqrt(normal.dot(normal)) < _CLIP_TOL:
+        # edge[k] = pts[k] x pts[k + 1]: summed, the Newell normal; its
+        # middle rows, the fan from pts[0]
+        edge = [(y * c - z * b, z * a - x * c, x * b - y * a)
+                for (x, y, z), (a, b, c) in zip(pts, pts[1:] + pts[:1])]
+        nx = ny = nz = 0.0
+        for ex, ey, ez in edge:
+            nx = nx + ex
+            ny = ny + ey
+            nz = nz + ez
+        if math.sqrt(nx * nx + ny * ny + nz * nz) < _CLIP_TOL:
             continue
-        if normal @ (np.add.reduce(poly, 0) / len(poly) - centroid) < 0.0:
-            # the reversed cycle's fan from poly[-1]: the same crosses negated,
+        fx, fy, fz = _centroid(pts)
+        if nx * (fx - cx) + ny * (fy - cy) + nz * (fz - cz) < 0.0:
+            # the reversed cycle's fan from pts[-1]: the same crosses negated,
             # in reverse order (negation is exact)
-            for fan in edge[-3::-1]:
-                volume -= np.dot(poly[-1], fan)
+            x, y, z = pts[-1]
+            for ex, ey, ez in edge[-3::-1]:
+                volume -= x * ex + y * ey + z * ez
         else:
-            for fan in edge[1:-1]:
-                volume += np.dot(poly[0], fan)
+            x, y, z = pts[0]
+            for ex, ey, ez in edge[1:-1]:
+                volume += x * ex + y * ey + z * ez
     return volume / 6.0
 
 
@@ -327,13 +352,13 @@ def intersection_volume(a: Box9DoF, b: Box9DoF) -> float:
     clipping a's faces against b's halfspaces."""
     if boxes_disjoint(a, b):
         return 0.0
-    corners = box_corners(a)  # a face is its corner indices and their points
-    faces = [(list(face), corners[list(face)]) for face in _FACES]
+    corners = box_corners(a).tolist()  # a face is its corner indices and their points
+    faces = [(list(face), [corners[k] for k in face]) for face in _FACES]
     for normal, offset, basis in b._planes:
         faces = _clip_faces(faces, normal, offset, basis)
         if not faces:
             return 0.0
-    vol = _polytope_volume([poly for _, poly in faces])
+    vol = _polytope_volume([pts for _, pts in faces])
     if vol < -1e-9:
         raise RuntimeError(f"clip of {a} by {b} gave negative volume {vol}")
     return float(min(max(vol, 0.0), min(a.volume, b.volume)))  # np.clip's bytes

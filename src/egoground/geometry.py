@@ -57,8 +57,10 @@ class CameraIntrinsics:
 class CameraPose:
     """Camera-to-world rotation (columns are the camera axes) and center.
 
-    The rotation must satisfy |R R^T - I| <= 1e-9 + 1e-5 I elementwise:
-    np.allclose's bound at atol=1e-9 with its default rtol written out.
+    Both must be finite; a NaN or infinite entry is a ``NonFiniteError``
+    that names the first one.  The rotation must then satisfy
+    |R R^T - I| <= 1e-9 + 1e-5 I elementwise: np.allclose's bound at
+    atol=1e-9 with its default rtol written out.
     """
 
     rotation: Array
@@ -69,6 +71,10 @@ class CameraPose:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector translation")
+        for what, a in (("rotation", r), ("translation", t)):
+            if not np.isfinite(a).all():
+                idx = np.unravel_index(np.flatnonzero(~np.isfinite(a))[0], a.shape)
+                raise NonFiniteError(f"pose {what} entry {tuple(map(int, idx))} is not finite: {a[idx]}")
         if not (abs(r @ r.T - _EYE3) <= _ORTHONORMAL_TOL).all():
             raise ValueError("rotation is not orthonormal")
         if np.linalg.det(r) < 0.0:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from egoground import autodiff as A
+from egoground import evaluate as E
 from egoground import network as N
 from egoground import scenes as S
 from egoground import train as T
@@ -141,3 +142,28 @@ def test_scene_prep_spans_fire_per_view_and_per_scene(workloads, tmp_path):
     assert views >= 2
     assert calls["scenes.render"] == views
     assert calls["geometry.voxelize"] == calls["train.prepare_scene"] == 2
+
+
+def test_eval_report_iou_spans_fire_once_per_scored_pair(workloads, tmp_path):
+    # the per-layer IoU figures of eval_heldout read this span; an IoU
+    # inlined into evaluate would zero them without failing anything else
+    spans = importlib.import_module("spans")
+    ctx = workloads.Context(seed=0, work=tmp_path)
+    heldout = workloads.scene_set(ctx, 0, workloads.STREAM_HELDOUT, 2)
+    store = N.init_model_params(workloads.MODEL, 0)
+    detection = [T.detection_predictions(b, store, workloads.MODEL) for b in heldout]
+    grounding = [T.grounding_predictions(b, store, workloads.MODEL, 0) for b in heldout]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for thresh in (0.25, 0.50):
+            E.bucket_report(grounding, thresh)
+            E.evaluate_detection(detection, thresh, num_classes=workloads.NUM_CLASSES)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["boxes.box_iou_exact"]["calls"]
+    predictions = sum(len(g.predictions) for g in grounding)
+    same_class = sum(pc == gc for d in detection
+                     for pc in d.pred_classes for gc in d.gt_classes)
+    assert predictions > 0 and same_class > 0
+    assert calls == predictions + same_class

@@ -1,5 +1,11 @@
 import dataclasses
 import hashlib
+import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,15 +279,28 @@ def test_mc_seed_determinism():
     assert r1 == r2
 
 
-def test_iou_bytes_golden_on_random_pairs():
-    # pinned before coincident faces were clipped exactly: where no vertex
-    # lies within 1e-12 of a clip plane, the clip must keep every byte
+# The clip runs on Python floats, so both IoU goldens hold under every FMA
+# kernel of OpenBLAS (test_iou_goldens_agree_across_fma_kernels).
+RANDOM_PAIRS_DIGEST = "26d3ada47d0e6bcc3fc39270ebb0fa96650508185b89f1878ebef01aabde8d5c"
+EVAL_PAIRS_DIGEST = "c0df57ee48d888850a8d6da3be9012376164df9a92c745679262cc9eeae92196"
+
+
+def _digest(ious) -> str:
+    return hashlib.sha256("\n".join(float.hex(iou) for iou in ious).encode()).hexdigest()
+
+
+def _random_pair_ious() -> list[float]:
     rng = make_rng(647)
-    ious = [box_iou_exact(random_box(rng), random_box(rng, center_scale=0.6))
+    return [box_iou_exact(random_box(rng), random_box(rng, center_scale=0.6))
             for _ in range(2_000)]
+
+
+def test_iou_bytes_golden_on_random_pairs():
+    # where no vertex lies within 1e-12 of a clip plane, the clip's bytes
+    # are those of its arithmetic alone
+    ious = _random_pair_ious()
     assert sum(iou > 0.0 for iou in ious) == 1179
-    digest = hashlib.sha256("\n".join(float.hex(iou) for iou in ious).encode()).hexdigest()
-    assert digest == "f8030b96e98a18e3187b80e04a80d6eb227592187ae11565f1fddc48122a89c4"
+    assert _digest(ious) == RANDOM_PAIRS_DIGEST
 
 
 def test_negative_clip_volume_raises_naming_both_boxes(monkeypatch):
@@ -359,15 +378,41 @@ def test_near_coincident_faces_give_iou_near_one():
 
 
 def test_clip_returns_faces_untouched_when_every_vertex_is_strictly_inside():
-    corners = box_corners(unit_cube())
-    faces = [(list(face), corners[list(face)]) for face in boxes_mod._FACES]
-    for normal, offset in boxes_mod._halfspaces(unit_cube(l=1.5, w=1.5, h=1.5)):
-        out = boxes_mod._clip_faces(faces, normal, offset)
+    corners = box_corners(unit_cube()).tolist()
+    faces = [(list(face), [corners[k] for k in face]) for face in boxes_mod._FACES]
+    for normal, offset, basis in unit_cube(l=1.5, w=1.5, h=1.5)._planes:
+        out = boxes_mod._clip_faces(faces, normal, offset, basis)
         assert out is faces
         assert all(ids is ids0 and pts is pts0 for (ids, pts), (ids0, pts0) in zip(out, faces))
     # one vertex within the tolerance of the plane is not strictly inside
-    out = boxes_mod._clip_faces(faces, np.array([1.0, 0.0, 0.0]), 0.5 + 1e-13)
+    normal, _, basis = unit_cube()._planes[0]
+    assert normal == (1.0, 0.0, 0.0)
+    out = boxes_mod._clip_faces(faces, normal, 0.5 + 1e-13, basis)
     assert out is not faces
+
+
+def _inline_planes(box):
+    """The clip planes built inline, in Python floats, in ``_planes``' order."""
+    r = box.rotation().tolist()
+    planes = []
+    for axis, half in enumerate((box.l / 2.0, box.w / 2.0, box.h / 2.0)):
+        n = (r[0][axis], r[1][axis], r[2][axis])
+        d = n[0] * box.x + n[1] * box.y + n[2] * box.z
+        for normal, offset in ((n, d + half), ((-n[0], -n[1], -n[2]), -d + half)):
+            k = min(range(3), key=lambda i: abs(normal[i]))
+            u = [float(i == k) for i in range(3)]
+            f1 = [normal[1] * u[2] - normal[2] * u[1], normal[2] * u[0] - normal[0] * u[2],
+                  normal[0] * u[1] - normal[1] * u[0]]
+            norm = math.sqrt(f1[0] * f1[0] + f1[1] * f1[1] + f1[2] * f1[2])
+            f1 = [v / norm for v in f1]
+            f2 = [normal[1] * f1[2] - normal[2] * f1[1], normal[2] * f1[0] - normal[0] * f1[2],
+                  normal[0] * f1[1] - normal[1] * f1[0]]
+            planes.append((normal, offset, f1, f2))
+    return planes
+
+
+def _bits_of(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
 
 
 def test_cached_plane_basis_equals_the_inline_basis_bytes():
@@ -375,24 +420,29 @@ def test_cached_plane_basis_equals_the_inline_basis_bytes():
     for box in [unit_cube(), unit_cube(alpha=np.pi / 2)] + [random_box(rng) for _ in range(50)]:
         planes = box._planes
         assert planes is box._planes
-        for (normal, offset, (e1, e2)), (n, off) in zip(planes, boxes_mod._halfspaces(box)):
-            assert normal.tobytes() == n.tobytes() and offset == off
+        for (normal, offset, (e1, e2)), (n, off, f1, f2) in zip(planes, _inline_planes(box)):
+            assert all(type(v) is float for v in (*normal, offset, *e1, *e2))
+            assert _bits_of(normal) == _bits_of(n) and _bits_of([offset]) == _bits_of([off])
+            assert _bits_of(e1) == _bits_of(f1) and _bits_of(e2) == _bits_of(f2)
+            # and within rounding of the np.cross construction
             ref = np.eye(3)[np.argmin(np.abs(n))]
-            f1 = np.cross(n, ref)
-            f1 /= np.linalg.norm(f1)
-            assert e1.tobytes() == f1.tobytes()
-            assert e2.tobytes() == np.cross(n, f1).tobytes()
-            assert [e.tobytes() for e in boxes_mod._plane_basis(n)] == [e1.tobytes(), e2.tobytes()]
+            g1 = np.cross(n, ref)
+            g1 /= np.linalg.norm(g1)
+            np.testing.assert_allclose(e1, g1, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(e2, np.cross(n, g1), rtol=0.0, atol=1e-15)
+        assert len(planes) == 6
 
 
 def test_clip_cut_divides_by_one_distance_per_vertex():
     # v and u are on the plane z = 0 and take sides in the crossing face
     # (a, v, b, u); the first face's copies of them disagree and sit at the
     # same distance, 0.0, so its cut of v-u must use one copy per vertex
-    first = (["v", "u", "c"], np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]))
-    crossing = (["a", "v", "b", "u"], np.array([[0.0, -1.0, -1.0], [0.0, 0.0, -2e-13],
-                                                [1.0, -1.0, 1.0], [1.0, 0.0, 3e-13]]))
-    faces = boxes_mod._clip_faces([first, crossing], np.array([0.0, 0.0, 1.0]), 0.0)
+    first = (["v", "u", "c"], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+    crossing = (["a", "v", "b", "u"], [[0.0, -1.0, -1.0], [0.0, 0.0, -2e-13],
+                                       [1.0, -1.0, 1.0], [1.0, 0.0, 3e-13]])
+    normal, _, basis = unit_cube()._planes[4]
+    assert normal == (0.0, 0.0, 1.0)
+    faces = boxes_mod._clip_faces([first, crossing], normal, 0.0, basis)
     ids, points = faces[0]
     assert ids[:2] == ["v", frozenset({"v", "u"})]
     np.testing.assert_allclose(points[1], [0.4, 0.0, 0.0], atol=1e-15)
@@ -405,8 +455,8 @@ def test_face_on_a_plane_it_does_not_cross_gets_no_second_facet():
     # a's face stays, and no cap is laid over it
     a = unit_cube()
     b = Box9DoF(1.25, 0.0, -0.25 - 1.35e-12, 3.0, 3.0, 1.5, 0.0, 1.8e-12, -1.8e-12)
-    normal, offset = boxes_mod._halfspaces(b)[4]
-    dist = box_corners(a)[[1, 3, 7, 5]] @ normal - offset
+    normal, offset, _ = b._planes[4]
+    dist = box_corners(a)[[1, 3, 7, 5]] @ np.array(normal) - offset
     assert sorted(np.abs(dist) <= 1e-12) == [False, True, True, True] and dist.min() < -1e-12
     assert abs(box_iou_exact(a, b) - 0.75 / 13.75) < 1e-12
 
@@ -546,18 +596,70 @@ def _predicted_near(rng, gt):
     return Box9DoF(*centre, *ext, alpha, beta, gamma)
 
 
-def test_iou_bytes_golden_on_eval_shaped_pairs():
-    # pinned before the clip's bookkeeping was rewritten: overlapping
-    # prediction / ground-truth pairs as the eval reports score them, where
-    # the clip decides nearly every byte
+def _eval_shaped_ious() -> list[float]:
     rng = make_rng(653)
     ious = []
     for _ in range(2_400):
         gt = _grown_scene_box(rng)
         ious.append(box_iou_exact(_predicted_near(rng, gt), gt))
+    return ious
+
+
+def test_iou_bytes_golden_on_eval_shaped_pairs():
+    # overlapping prediction / ground-truth pairs as the eval reports score
+    # them, where the clip decides nearly every byte
+    ious = _eval_shaped_ious()
     assert sum(iou > 0.0 for iou in ious) == 2393
-    digest = hashlib.sha256("\n".join(float.hex(iou) for iou in ious).encode()).hexdigest()
-    assert digest == "57cbe31a4350aea08e7a8d1adcc701d8fc2b626e099f3b838407e94a3c6b8b6e"
+    assert _digest(ious) == EVAL_PAIRS_DIGEST
+
+
+def _fma_kernels() -> list[str]:
+    """The OpenBLAS FMA kernels this host's CPU can run, by numpy's CPU features."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:
+        return []
+    kernels = []
+    if cpu.get("AVX2") and cpu.get("FMA3"):
+        kernels.append("Haswell")
+    if cpu.get("AVX512F"):
+        kernels.append("SkylakeX")
+    return kernels
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS kernel names are x86-64's")
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not linked to OpenBLAS")
+def test_iou_goldens_agree_across_fma_kernels():
+    # one process per kernel, each forcing it with OPENBLAS_CORETYPE: the
+    # clip's bytes must not depend on which one the host picks
+    kernels = _fma_kernels()
+    if not kernels:
+        pytest.skip("this CPU runs no FMA kernel of OpenBLAS")
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    code = ("import test_boxes as t; "
+            "print(t._digest(t._random_pair_ious()), t._digest(t._eval_shaped_ious()))")
+    procs = {}
+    for kernel in kernels[:3]:
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": kernel}
+        procs[kernel] = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    digests = {}
+    for kernel, proc in procs.items():
+        out, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, (kernel, err)
+        digests[kernel] = out.split()
+    assert digests == {k: [RANDOM_PAIRS_DIGEST, EVAL_PAIRS_DIGEST] for k in procs}
 
 
 def test_boxes_disjoint_pairs_have_no_monte_carlo_joint_hit():
