@@ -56,8 +56,8 @@ Parameters live in one flat arena per ``ParamStore``: every parameter's
 ``data`` and ``grad`` are views into the store's ``data`` and ``grad``
 buffers, in creation order.  Nothing rebinds a parameter's ``data`` or
 ``grad``; optimizers, ``zero_grad`` and ``grad_check`` update them in place,
-so an optimizer step is a few whole-buffer operations and a checkpoint
-payload is the ``data`` buffer.
+so an optimizer step is a few whole-buffer operations, and
+``network.save_model`` writes the ``data`` buffer as a checkpoint's payload.
 
 Everything is double precision so analytic gradients can be compared against
 central finite differences at tight tolerances (``grad_check``).
@@ -69,8 +69,6 @@ Module layout:
   the fused ops for linear / MLP / layer-norm / attention parameter groups.
 * ``SGD`` / ``Adam``: in-place optimizers over a store's arena.
 * ``grad_check``: central finite-difference verification of the tape.
-* ``save_checkpoint`` / ``load_checkpoint``: structured-text manifest plus a
-  raw little-endian float64 sidecar.
 
 Randomness throughout the package comes from numpy's PCG64 generator seeded
 explicitly (``make_rng``); the same seed words give the same stream on every
@@ -79,11 +77,9 @@ platform.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -535,7 +531,7 @@ def init_linear(store: ParamStore, name: str, fan_in: int, fan_out: int,
                 bias: float | Array = 0.0) -> None:
     """``name.w`` (fan_in, fan_out) and ``name.b`` (fan_out,); with no ``rng`` the weight is zero."""
     if zero_weight or rng is None:
-        w = np.zeros((fan_in, fan_out))
+        w = np.broadcast_to(0.0, (fan_in, fan_out))  # no memory until create copies it
     else:
         w = xavier_uniform(rng, fan_in, fan_out)
     store.create(name + ".w", w)
@@ -813,8 +809,12 @@ def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
     Tensor.  For every parameter coordinate w the check perturbs w by +/-eps,
     evaluates the loss, and forms (f+ - f-) / (2 eps).  The relative error is
     |analytic - fd| / max(|analytic|, |fd|, 1e-3); the floor keeps
-    near-zero gradients from amplifying finite-difference roundoff.
+    near-zero gradients from amplifying finite-difference roundoff.  ``eps``
+    and ``tol`` must be finite and positive, or a ``ValueError`` names them.
     """
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"grad_check {name} must be finite and > 0, got {value}")
     store.zero_grad()
     loss = fn(store)
     if loss.data.size != 1:
@@ -844,125 +844,3 @@ def grad_check(fn: Callable[[ParamStore], Tensor], store: ParamStore,
             per_param[name] = worst
     store.zero_grad()
     return GradCheckReport(per_param, eps=eps, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_FORMAT = "egoground-checkpoint-v1"
-
-
-def save_checkpoint(store: ParamStore, path: str | Path, extra: dict | None = None) -> None:
-    """Write a JSON manifest at ``path`` and raw float64 payload beside it.
-
-    The manifest records name, shape, dtype and byte offset for every
-    parameter in creation order; the sidecar ``.bin`` is the store's arena,
-    little-endian float64, so each tensor sits at its offset.
-    """
-    path = Path(path)
-    payload_path = path.with_suffix(".bin")
-    entries = []
-    offset = 0
-    for name, p in store.items():
-        entries.append({
-            "name": name,
-            "shape": list(p.data.shape),
-            "dtype": "float64",
-            "offset": offset,
-        })
-        offset += 8 * p.data.size
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "byte_order": "little",
-        "payload": payload_path.name,
-        "extra": extra or {},
-        "params": entries,
-    }
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    payload_path.write_bytes(np.ascontiguousarray(store.data, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict]:
-    """Read a checkpoint written by ``save_checkpoint``.
-
-    The manifest must be a JSON object in this module's format with
-    little-endian float64 entries, each a distinct ``name``, a ``shape`` of
-    non-negative ints and an int ``offset``.  The entries must tile the
-    payload exactly, in order: each tensor starts where the previous one
-    ended and the last one ends at the end of the payload.  Anything else is
-    a ``ValueError`` naming the checkpoint and the field or tensor.
-    """
-    path = Path(path)
-
-    def bad(message: str) -> ValueError:
-        return ValueError(f"checkpoint {path}: {message}")
-
-    try:
-        manifest = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise bad(f"manifest is not JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise bad(f"manifest must be a JSON object, got {type(manifest).__name__}")
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise bad(f"unrecognized checkpoint format {manifest.get('format')!r}")
-    if manifest.get("byte_order") != "little":
-        raise bad(f"byte_order must be 'little', got {manifest.get('byte_order')!r}")
-    payload_name = manifest.get("payload")
-    if not isinstance(payload_name, str) or payload_name in ("", ".", "..") \
-            or Path(payload_name).name != payload_name:
-        raise bad(f"payload must be a file name beside the manifest, got {payload_name!r}")
-    extra = manifest.get("extra", {})
-    if not isinstance(extra, dict):
-        raise bad(f"extra must be an object, got {extra!r}")
-    entries = manifest.get("params")
-    if not isinstance(entries, list):
-        raise bad(f"params must be a list, got {entries!r}")
-    payload = (path.parent / payload_name).read_bytes()
-
-    layout: list[tuple[str, tuple[int, ...]]] = []
-    seen: set[str] = set()
-    end = 0
-    for i, entry in enumerate(entries):
-        field_ = f"params[{i}]"
-        if not isinstance(entry, dict):
-            raise bad(f"{field_} must be an object, got {entry!r}")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise bad(f"{field_}.name must be a string, got {name!r}")
-        if name in seen:
-            raise bad(f"{field_}.name: duplicate tensor {name!r}")
-        seen.add(name)
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
-            raise bad(f"tensor {name!r} has invalid shape {shape!r} ({field_}.shape)")
-        if entry.get("dtype") != "float64":
-            raise bad(f"tensor {name!r} has dtype {entry.get('dtype')!r}, "
-                      f"expected 'float64' ({field_}.dtype)")
-        start = entry.get("offset")
-        if not _is_int(start):
-            raise bad(f"tensor {name!r} has offset {start!r}, expected an int ({field_}.offset)")
-        if start != end:
-            raise bad(f"tensor {name!r} starts at byte {start}, expected {end} "
-                      f"({field_}.offset; entries must tile the payload)")
-        end = start + 8 * math.prod(shape)
-        if end > len(payload):
-            raise bad(f"tensor {name!r} needs bytes [{start}, {end}) "
-                      f"but the payload holds {len(payload)}")
-        layout.append((name, tuple(shape)))
-    if end != len(payload):
-        after = f" after tensor {layout[-1][0]!r}" if layout else ""
-        raise bad(f"{len(payload) - end} trailing payload bytes{after}")
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    finite = np.isfinite(data)
-    if not finite.all():
-        first = int(np.argmin(finite)) * 8
-        name = next(e["name"] for e in reversed(entries) if e["offset"] <= first)
-        raise NonFiniteError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
-    store = ParamStore()
-    offset = 0
-    for name, shape in layout:
-        size = math.prod(shape)
-        store.create(name, data[offset:offset + size].reshape(shape))
-        offset += size
-    return store, extra

@@ -21,7 +21,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .autodiff import GradCheckReport, _sigmoid, grad_check, make_optimizer, make_rng
+from .autodiff import GradCheckReport, ParamStore, _sigmoid, grad_check, make_optimizer, make_rng
 from .evaluate import bucket_report, evaluate_detection, format_report, save_report
 from .losses import LossWeights
 from .network import MODULES, ModelConfig, init_model_params, load_model, module_of, save_model
@@ -254,10 +254,16 @@ def _thresholds(extra: float | None) -> list[float]:
     return ts
 
 
+def _load_run(checkpoint) -> tuple[ParamStore, ModelConfig, RunConfig]:
+    """A checkpoint's store and model config, and the run config ``train`` stored in it."""
+    store, model_cfg, extra = load_model(checkpoint)
+    return store, model_cfg, RunConfig.from_dict(extra.get("run_config", {}))
+
+
 def cmd_eval(args) -> int:
-    store, model_cfg, extra = load_model(args.checkpoint)
-    run_cfg = RunConfig.from_dict(extra["run_config"]) if "run_config" in extra \
-        else RunConfig()
+    if args.iou is not None and not 0.0 < args.iou <= 1.0:  # NaN fails too
+        raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
+    store, model_cfg, run_cfg = _load_run(args.checkpoint)
     # the flags switch a module off on top of the checkpoint's own switches
     model_cfg = replace(model_cfg, disable_rag=model_cfg.disable_rag or args.disable_rag,
                         disable_qim=model_cfg.disable_qim or args.disable_qim)
@@ -336,9 +342,7 @@ def cmd_heatmap(args) -> int:
     from .heatmap import export_heatmap
     from .train import forward_grounding
 
-    store, model_cfg, extra = load_model(args.checkpoint)
-    run_cfg = RunConfig.from_dict(extra["run_config"]) if "run_config" in extra \
-        else RunConfig()
+    store, model_cfg, run_cfg = _load_run(args.checkpoint)
     if model_cfg.disable_rag:
         raise ValueError(f"{args.checkpoint} was trained with --disable-rag, "
                          "so it has no trained relevance head to draw")

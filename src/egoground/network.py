@@ -51,15 +51,22 @@ feed-forward block is twice the model width.  Its ``disable_rag`` and
 one seed gives the same parameters with a module on or off.  ``MODULES`` is
 the one map from parameter-name prefix to module (gradcheck groups its table
 by it), and every MLP's depth and widths are read from the store by
-``mlp_apply``, never restated at a call site.  ``load_model`` checks a
-checkpoint's names and shapes against ``model_shapes``, the same creation
-code run without a generator on a store that keeps only shapes, so it
-draws and stores nothing.
+``mlp_apply``, never restated at a call site.
+
+A checkpoint is a JSON manifest holding its format and an ``extra`` object
+with the ``model_config``, plus the arena as little-endian float64 in a
+``.bin`` beside it.  That config is the payload's only description: ``model_shapes``
+runs the creation code without a generator on a store that keeps only
+shapes, ``save_model`` refuses a store that differs from it and
+``load_model`` reads the payload in its order.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +84,9 @@ from .autodiff import (
     init_mlp,
     layer_norm,
     linear,
-    load_checkpoint,
     make_rng,
     mlp,
     mlp_apply,
-    save_checkpoint,
 )
 from .boxes import wrap_angle
 from .geometry import VoxelFeatureSet, positional_encoding
@@ -226,42 +231,75 @@ def _create_params(store: ParamStore, cfg: ModelConfig, rng: np.random.Generator
     init_mlp(store, "head_grd", _mlp_sizes(cfg, 1), rng)
 
 
+CHECKPOINT_FORMAT = "egoground-checkpoint-v2"
+
+
 def save_model(store: ParamStore, cfg: ModelConfig, path: str | Path,
                extra: dict | None = None) -> None:
-    payload = {"model_config": asdict(cfg)}
-    if extra:
-        payload.update(extra)
-    save_checkpoint(store, path, extra=payload)
+    """Write the manifest at ``path`` and the arena at ``path.with_suffix(".bin")``.
+
+    A store whose names, order or shapes are not ``model_shapes(cfg)`` is a
+    ``ValueError`` naming the first tensor that differs, and nothing is written.
+    """
+    path = Path(path)
+    layout = [(name, p.shape) for name, p in store.items()]
+    for i, (have, want) in enumerate(zip_longest(layout, model_shapes(cfg).items())):
+        if have != want:
+            raise ValueError(f"checkpoint {path}: tensor {i} is {have} in the store "
+                             f"but {want} in its model_config")
+    manifest = {"format": CHECKPOINT_FORMAT, "extra": {"model_config": asdict(cfg), **(extra or {})}}
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.with_suffix(".bin").write_bytes(np.ascontiguousarray(store.data, dtype="<f8").tobytes())
 
 
 def load_model(path: str | Path) -> tuple[ParamStore, ModelConfig, dict]:
-    store, extra = load_checkpoint(path)
-    if "model_config" not in extra:
-        raise ValueError(f"checkpoint {path} has no model_config entry")
-    raw = extra.pop("model_config")
+    """Read a ``save_model`` checkpoint: its store, its config and the rest of ``extra``.
+
+    A malformed manifest or ``model_config``, or a payload whose length is not
+    that of ``model_shapes``, is a ``ValueError`` naming the checkpoint and the
+    field; a non-finite value is a ``NonFiniteError`` naming its tensor.
+    """
+    path = Path(path)
+
+    def bad(message: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {message}")
+
+    try:
+        manifest = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise bad(f"manifest is not JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise bad(f"manifest must be a JSON object, got {type(manifest).__name__}")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise bad(f"unrecognized checkpoint format {manifest.get('format')!r}, "
+                  f"expected {CHECKPOINT_FORMAT!r}")
+    extra = manifest.get("extra")
+    if not isinstance(extra, dict):
+        raise bad(f"extra must be an object, got {extra!r}")
+    raw = extra.pop("model_config", None)
     if not isinstance(raw, dict):
-        raise ValueError(f"checkpoint {path}: model_config must be an object, got {raw!r}")
+        raise bad(f"extra.model_config must be an object, got {raw!r}")
     known = {f.name for f in fields(ModelConfig)}
     unknown, missing = set(raw) - known, known - set(raw)
     if unknown:
-        raise ValueError(f"checkpoint {path}: unknown model_config fields {sorted(unknown)}")
+        raise bad(f"unknown model_config fields {sorted(unknown)}")
     if missing:
-        raise ValueError(f"checkpoint {path}: missing model_config fields {sorted(missing)}")
+        raise bad(f"missing model_config fields {sorted(missing)}")
     try:
         cfg = ModelConfig(**raw)
     except ValueError as exc:
-        raise ValueError(f"checkpoint {path}: bad model_config: {exc}") from exc
-    expected = model_shapes(cfg)
-    for name, p in store.items():
-        if name not in expected:
-            raise ValueError(f"checkpoint {path}: unexpected tensor {name!r} for its model_config")
-        if p.shape != expected[name]:
-            raise ValueError(f"checkpoint {path}: tensor {name!r} has shape {p.shape}, "
-                             f"its model_config needs {expected[name]}")
-    missing = [name for name in expected if name not in store]
-    if missing:
-        raise ValueError(f"checkpoint {path}: tensor {missing[0]!r} is missing "
-                         f"({len(missing)} of {len(expected)} absent)")
+        raise bad(f"bad model_config: {exc}") from exc
+    payload = path.with_suffix(".bin").read_bytes()
+    size = 8 * sum(math.prod(shape) for shape in model_shapes(cfg).values())
+    if len(payload) != size:
+        raise bad(f"payload holds {len(payload)} bytes, its model_config needs {size}")
+    store = ParamStore()
+    _create_params(store, cfg, None)  # model_shapes' order, then every value overwritten
+    store.data[...] = np.frombuffer(payload, dtype="<f8")
+    finite = np.isfinite(store.data)
+    if not finite.all():
+        raise NonFiniteError(f"checkpoint {path}: tensor "
+                             f"{store.name_at(int(np.argmin(finite)))!r} holds non-finite values")
     return store, cfg, extra
 
 

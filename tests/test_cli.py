@@ -219,6 +219,15 @@ def test_gradcheck_tolerances_default_in_parser():
     assert (args.tol, args.eps) == (1e-4, 1e-5)
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"),
+                                         ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf")])
+def test_gradcheck_refuses_bad_eps_and_tol_by_name(flag, value, capsys):
+    assert main(["gradcheck", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: grad_check {flag[2:]} must be finite and > 0") and \
+        err.count("\n") == 1, err
+
+
 def test_run_config_round_trip(tmp_path):
     cfg = RunConfig(dim=16, steps=7, lambda_spatial=0.05,
                     scene={"n_objects_min": 2, "n_objects_max": 3})
@@ -298,7 +307,7 @@ def test_train_dumped_config_reproduces_run(workspace, tmp_path):
                  str(workspace["scenes"]), "--out", str(ckpt2)]) == 0
     a = json.loads(workspace["ckpt"].read_text())
     b = json.loads(ckpt2.read_text())
-    assert a["params"] == b["params"]
+    assert a["extra"]["model_config"] == b["extra"]["model_config"]
     bin_a = workspace["ckpt"].with_suffix(".bin").read_bytes()
     bin_b = ckpt2.with_suffix(".bin").read_bytes()
     assert bin_a == bin_b
@@ -390,6 +399,20 @@ def test_eval_deterministic_and_extra_iou(workspace, tmp_path):
     assert (out1 / "grounding_ap40.json").is_file()
     for p in sorted(out1.iterdir()):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["1.5", "0", "-0.25", "inf", "nan"])
+def test_eval_refuses_bad_iou_before_any_work(workspace, tmp_path, capsys, value):
+    out = tmp_path / "reports"
+    out.mkdir()
+    assert main(["eval", "--scenes", str(workspace["scenes"]), "--checkpoint",
+                 str(workspace["ckpt"]), "--out", str(out), f"--iou={value}"]) == 1
+    assert capsys.readouterr().err == f"error: --iou must be in (0, 1], got {float(value)}\n"
+    assert list(out.iterdir()) == []
+    # checked before the checkpoint and the scenes are read
+    assert main(["eval", "--scenes", str(tmp_path / "none"), "--checkpoint",
+                 str(tmp_path / "none.json"), "--out", str(out), f"--iou={value}"]) == 1
+    assert "--iou" in capsys.readouterr().err
 
 
 def _inprocess_grounding_reports(workspace, checkpoint, out, **switches):

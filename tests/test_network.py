@@ -7,13 +7,15 @@ a finite-difference gradient check on a tiny scene.
 
 import hashlib
 import json
-from dataclasses import replace
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from egoground import autodiff
 from egoground.autodiff import (
+    NonFiniteError,
     ParamStore,
     Tensor,
     _attention_core,
@@ -180,93 +182,255 @@ def test_module_grouping_covers_all_params():
         assert set(groups) == {module for module, _ in MODULES}
 
 
-def test_save_load_round_trip(tmp_path):
+# ---------------------------------------------------------------------------
+# checkpoints: the stored model_config is the payload's only description
+# ---------------------------------------------------------------------------
+
+
+def _saved(tmp_path, stem="ckpt", **extra):
     store = init_model_params(TINY, seed=1)
-    path = tmp_path / "model.json"
-    save_model(store, TINY, path, extra={"step": 12})
+    path = tmp_path / f"{stem}.json"
+    save_model(store, TINY, path, extra=extra)
+    return store, path
+
+
+def _load_error(path, error=ValueError):
+    with pytest.raises(error) as err:
+        load_model(path)
+    message = str(err.value)
+    assert message.startswith(f"checkpoint {path}: ") and "\n" not in message, message
+    return message
+
+
+def test_save_load_round_trip(tmp_path):
+    store, path = _saved(tmp_path, steps=3)
     loaded, cfg, extra = load_model(path)
-    assert cfg == TINY
-    assert extra["step"] == 12
+    assert cfg == TINY and extra == {"steps": 3}
+    assert loaded.names() == store.names() == list(model_shapes(TINY))
     for name in store.names():
-        assert np.array_equal(store[name].data, loaded[name].data)
+        assert loaded[name].data.tobytes() == store[name].data.tobytes()
+    # no tensor table: the manifest is the format and the extra object alone
+    assert json.loads(path.read_text()) == {
+        "format": "egoground-checkpoint-v2",
+        "extra": {"model_config": asdict(TINY), "steps": 3}}
+    assert path.with_suffix(".bin").read_bytes() == store.data.astype("<f8").tobytes()
+
+
+def test_save_then_save_identical_bytes(tmp_path):
+    _, a = _saved(tmp_path, "a")
+    _, b = _saved(tmp_path, "b")
+    assert a.read_bytes() == b.read_bytes()
+    assert a.with_suffix(".bin").read_bytes() == b.with_suffix(".bin").read_bytes()
+
+
+def test_checkpoint_loads_into_an_arena(tmp_path):
+    store, path = _saved(tmp_path)
+    loaded, _, _ = load_model(path)
+    assert loaded.data.tobytes() == store.data.tobytes()
+    for name, p in loaded.items():
+        assert p.shape == store[name].shape
+        assert np.shares_memory(p.data, loaded.data) and np.shares_memory(p.grad, loaded.grad)
+    assert not loaded.grad.any()
+    loaded.data[...] += 1.0  # writable, and the params see it
+    assert loaded["enc3d.w"].data.tobytes() == (store["enc3d.w"].data + 1.0).tobytes()
+
+
+def test_checkpoint_rejects_unknown_format(tmp_path):
+    store, path = _saved(tmp_path)
+    # a v1 manifest, with its per-tensor table, is refused by its format alone
+    entries, offset = [], 0
+    for name, p in store.items():
+        entries.append({"name": name, "shape": list(p.shape), "dtype": "float64",
+                        "offset": offset})
+        offset += 8 * p.data.size
+    v1 = {"format": "egoground-checkpoint-v1", "byte_order": "little", "payload": "ckpt.bin",
+          "extra": {"model_config": asdict(TINY)}, "params": entries}
+    path.write_text(json.dumps(v1))
+    assert _load_error(path) == (f"checkpoint {path}: unrecognized checkpoint format "
+                                 "'egoground-checkpoint-v1', expected 'egoground-checkpoint-v2'")
+    for fmt in ("something-else", None, 2):
+        path.write_text(json.dumps({"format": fmt, "extra": {"model_config": asdict(TINY)}}))
+        assert f"unrecognized checkpoint format {fmt!r}" in _load_error(path)
+
+
+def test_checkpoint_rejects_short_and_long_payload(tmp_path):
+    store, path = _saved(tmp_path)
+    payload = path.with_suffix(".bin")
+    good = payload.read_bytes()
+    need = 8 * sum(int(np.prod(shape)) for shape in model_shapes(TINY).values())
+    assert len(good) == need
+    for changed in (good[:-8], good[:-3], b"", good + bytes(8), good + bytes(1)):
+        payload.write_bytes(changed)
+        assert _load_error(path).endswith(
+            f"payload holds {len(changed)} bytes, its model_config needs {need}")
+
+
+def test_checkpoint_non_finite_payload_names_tensor(tmp_path):
+    store, path = _saved(tmp_path)
+    payload = path.with_suffix(".bin")
+    good = payload.read_bytes()
+    spans, end = [], 0
+    for name, p in store.items():
+        spans.append((name, end, end + p.data.size))
+        end += p.data.size
+    for name, lo, hi in spans[::7] + spans[-1:]:
+        for index, value in ((lo, np.nan), (hi - 1, np.inf), (hi - 1, -np.inf)):
+            raw = bytearray(good)
+            raw[8 * index:8 * index + 8] = np.array([value], dtype="<f8").tobytes()
+            payload.write_bytes(bytes(raw))
+            assert _load_error(path, NonFiniteError) == \
+                f"checkpoint {path}: tensor {name!r} holds non-finite values"
+
+
+def test_checkpoint_reported_manifests_raise_named_errors(tmp_path):
+    _, path = _saved(tmp_path)
+    good = json.loads(path.read_text())
+    cases = [
+        (lambda m: m.pop("format"), "unrecognized checkpoint format None"),
+        (lambda m: m.pop("extra"), "extra must be an object, got None"),
+        (lambda m: m.update(extra=[1]), r"extra must be an object, got \[1\]"),
+        (lambda m: m["extra"].update(model_config=3), "extra.model_config must be an object, got 3"),
+    ]
+    for mutate, pattern in cases:
+        manifest = json.loads(json.dumps(good))
+        mutate(manifest)
+        path.write_text(json.dumps(manifest))
+        assert re.search(pattern, _load_error(path)), pattern
+    path.write_text("{not json")
+    assert "not JSON" in _load_error(path)
+    path.write_bytes(b"\xff\xfe{}")
+    assert "not JSON" in _load_error(path)
+    path.write_text("[]")
+    assert "JSON object" in _load_error(path)
+
+
+_MISSING = object()
+_BAD_FIELDS = {  # malformed values for each manifest field
+    "format": [_MISSING, "x", 1.5, None, "egoground-checkpoint-v1"],
+    "extra": [_MISSING, [1], "x", 3, None],
+    "model_config": [_MISSING, [1], "x", 3, None],
+}
+
+
+def test_checkpoint_fuzzed_manifests_and_payloads_raise_named_errors(tmp_path):
+    rng = make_rng(211)
+    store, path = _saved(tmp_path, "fuzz", steps=3)
+    payload = path.with_suffix(".bin")
+    good_text, good_payload = path.read_text(), payload.read_bytes()
+    assert load_model(path)[0].data.tobytes() == store.data.tobytes()
+    for trial in range(300):
+        manifest = json.loads(good_text)
+        payload.write_bytes(good_payload)
+        kind = trial % 3
+        if kind == 0:  # the payload cut or grown by a few bytes
+            delta = int(rng.choice([-16, -8, -3, -1, 1, 5, 8, 24]))
+            payload.write_bytes(good_payload[:delta] if delta < 0 else good_payload + bytes(delta))
+            pattern = "payload holds"
+        elif kind == 1:  # a valid model_config of another layout
+            change = [("dim", 4), ("dim", 16), ("layers", 0), ("layers", 2)][int(rng.integers(4))]
+            manifest["extra"]["model_config"].update([change])
+            pattern = "payload holds"
+        else:  # a manifest field removed or given a wrong value
+            key = list(_BAD_FIELDS)[int(rng.integers(len(_BAD_FIELDS)))]
+            value = _BAD_FIELDS[key][int(rng.integers(len(_BAD_FIELDS[key])))]
+            owner = manifest["extra"] if key == "model_config" else manifest
+            if value is _MISSING:
+                del owner[key]
+            else:
+                owner[key] = value
+            pattern = key
+        path.write_text(json.dumps(manifest))
+        message = _load_error(path)
+        assert re.search(pattern, message), (trial, pattern, message)
 
 
 def test_load_model_rejects_shape_not_matching_config(tmp_path):
-    # a transposed shape keeps the byte count, so the payload still tiles
+    # a transposed tensor keeps the byte count, so save_model refuses it where
+    # it arises; a model_config edited to other shapes no longer fits the payload
     store = init_model_params(TINY, seed=1)
+    transposed = ParamStore()
+    for name, p in store.items():
+        transposed.create(name, p.data.T if name == "enc3d.w" else p.data)
     path = tmp_path / "model.json"
+    want = ("enc3d.w", model_shapes(TINY)["enc3d.w"])
+    have = ("enc3d.w", want[1][::-1])
+    with pytest.raises(ValueError, match=re.escape(f"model.json: tensor 0 is {have} in the store "
+                                                   f"but {want} in its model_config")):
+        save_model(transposed, TINY, path)
+    assert not path.exists() and not path.with_suffix(".bin").exists()
     save_model(store, TINY, path)
     manifest = json.loads(path.read_text())
-    entry = next(e for e in manifest["params"] if e["name"] == "enc3d.w")
-    entry["shape"] = entry["shape"][::-1]
+    manifest["extra"]["model_config"]["dim"] = 16
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"model\.json.*'enc3d\.w' has shape"):
-        load_model(path)
+    assert re.search(r"payload holds \d+ bytes, its model_config needs \d+$", _load_error(path))
 
 
 def test_load_model_rejects_unknown_and_missing_tensors(tmp_path):
     full = init_model_params(TINY, seed=1)
-    extra = ParamStore()
+    names = full.names()
+    stray, partial, swapped = ParamStore(), ParamStore(), ParamStore()
     for name, p in full.items():
-        extra.create(name, p.data)
-    extra.create("stray.w", np.zeros(2))
-    path = tmp_path / "extra.json"
-    save_model(extra, TINY, path)
-    with pytest.raises(ValueError, match=r"extra\.json.*unexpected tensor 'stray\.w'"):
-        load_model(path)
-    partial = ParamStore()
-    for name, p in list(full.items())[1:]:
-        partial.create(name, p.data)
-    path = tmp_path / "partial.json"
-    save_model(partial, TINY, path)
-    first = full.names()[0]
-    with pytest.raises(ValueError, match=rf"partial\.json.*'{first}' is missing"):
-        load_model(path)
+        stray.create(name, p.data)
+        if name != names[3]:
+            partial.create(name, p.data)
+    stray.create("stray.w", np.zeros(2))
+    for name in [names[1], names[0], *names[2:]]:
+        swapped.create(name, full[name].data)
+    entry = {name: (name, p.shape) for name, p in full.items()}
+    path = tmp_path / "model.json"
+    for store, i, have, want in ((stray, len(names), ("stray.w", (2,)), None),
+                                 (partial, 3, entry[names[4]], entry[names[3]]),
+                                 (swapped, 0, entry[names[1]], entry[names[0]])):
+        with pytest.raises(ValueError, match=re.escape(f"model.json: tensor {i} is {have} in the "
+                                                       f"store but {want} in its model_config")):
+            save_model(store, TINY, path)
+        assert not path.exists()
+    # a payload written around save_model is refused by its length
+    save_model(full, TINY, path)
+    for store in (stray, partial):
+        path.with_suffix(".bin").write_bytes(store.data.astype("<f8").tobytes())
+        assert f"payload holds {8 * store.total_parameters()} bytes" in _load_error(path)
 
 
 def test_load_model_checks_shapes_without_drawing(tmp_path, monkeypatch):
-    # the shape check walks the creation code with no generator: the names,
+    # save and load walk the creation code with no generator: the names,
     # order and shapes are those of a drawn store, and nothing is drawn
     for cfg in (TINY, ModelConfig()):
         drawn = init_model_params(cfg, 0)
-        assert model_shapes(cfg) == {name: p.shape for name, p in drawn.items()}
+        assert list(model_shapes(cfg).items()) == [(name, p.shape) for name, p in drawn.items()]
     store = init_model_params(TINY, seed=1)
-    good = tmp_path / "good.json"
-    save_model(store, TINY, good)
-    bad_shape = tmp_path / "shape.json"
-    manifest = json.loads(good.read_text())
-    entry = next(e for e in manifest["params"] if e["name"] == "fuse.w")
-    entry["shape"] = entry["shape"][::-1]
-    bad_shape.write_text(json.dumps(manifest))  # its payload is still good.bin
-    stray, partial = ParamStore(), ParamStore()
-    for i, (name, p) in enumerate(store.items()):
-        stray.create(name, p.data)
-        if i != 3:
-            partial.create(name, p.data)
-    stray.create("stray.b", np.zeros(3))
-    save_model(stray, TINY, tmp_path / "stray.json")
-    save_model(partial, TINY, tmp_path / "partial.json")
 
     def no_draws(*args, **kwargs):
-        raise AssertionError("load_model drew initial weights")
+        raise AssertionError("save_model or load_model drew initial weights")
 
     monkeypatch.setattr(autodiff, "xavier_uniform", no_draws)
+    good = tmp_path / "good.json"
+    save_model(store, TINY, good)
     loaded, cfg, _ = load_model(good)
     assert cfg == TINY and loaded.data.tobytes() == store.data.tobytes()
-    for path, match in (("shape.json", r"'fuse\.w' has shape"),
-                        ("stray.json", r"unexpected tensor 'stray\.b'"),
-                        ("partial.json", rf"'{store.names()[3]}' is missing")):
-        with pytest.raises(ValueError, match=match):
-            load_model(tmp_path / path)
+    manifest = json.loads(good.read_text())
+    manifest["extra"]["model_config"]["layers"] = 2
+    good.write_text(json.dumps(manifest))
+    assert "payload holds" in _load_error(good)
+
+
+def test_model_shapes_draws_no_memory(tmp_path):
+    # a config claiming a million-wide model lays out 7 TiB of weights per
+    # attention projection; it is refused by its payload length, not by numpy
+    assert model_shapes(replace(TINY, dim=1_000_000))["dec0.self.q.w"] == (1_000_000, 1_000_000)
+    _, path = _saved(tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["extra"]["model_config"]["dim"] = 1_000_000
+    path.write_text(json.dumps(manifest))
+    assert re.search(r"payload holds \d+ bytes, its model_config needs \d+$", _load_error(path))
 
 
 def test_load_requires_config(tmp_path):
-    from egoground.autodiff import save_checkpoint
-    store = init_model_params(TINY, seed=1)
-    path = tmp_path / "raw.json"
-    save_checkpoint(store, path, extra={})
-    with pytest.raises(ValueError, match="model_config"):
-        load_model(path)
+    _, path = _saved(tmp_path)
+    manifest = json.loads(path.read_text())
+    del manifest["extra"]["model_config"]
+    path.write_text(json.dumps(manifest))
+    assert "extra.model_config must be an object, got None" in _load_error(path)
 
 
 # ---------------------------------------------------------------------------
