@@ -216,6 +216,22 @@ def test_save_load_round_trip(tmp_path):
     assert path.with_suffix(".bin").read_bytes() == store.data.astype("<f8").tobytes()
 
 
+def test_checkpoint_round_trip_bit_identical(tmp_path):
+    # signed zeros, subnormals and the float64 extremes come back bit for bit
+    store = init_model_params(TINY, seed=1)
+    odd = np.array([-0.0, 0.0, 5e-324, -5e-324, np.finfo(np.float64).max,
+                    -np.finfo(np.float64).max, np.finfo(np.float64).tiny, 1.0 / 3.0])
+    store.data[:odd.size] = odd
+    store.data[-odd.size:] = odd[::-1]
+    path = tmp_path / "odd.json"
+    extra = {"steps": 7, "run": {"lr": 0.1, "tags": ["a", "b"]}}
+    save_model(store, TINY, path, extra=extra)
+    loaded, cfg, loaded_extra = load_model(path)
+    assert cfg == TINY and loaded_extra == extra
+    assert loaded.data.tobytes() == store.data.tobytes()
+    assert np.signbit(loaded.data[0]) and not np.signbit(loaded.data[1])
+
+
 def test_save_then_save_identical_bytes(tmp_path):
     _, a = _saved(tmp_path, "a")
     _, b = _saved(tmp_path, "b")
@@ -253,16 +269,25 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
         assert f"unrecognized checkpoint format {fmt!r}" in _load_error(path)
 
 
-def test_checkpoint_rejects_short_and_long_payload(tmp_path):
-    store, path = _saved(tmp_path)
+def _payload_length_errors(tmp_path, change):
+    _, path = _saved(tmp_path)
     payload = path.with_suffix(".bin")
     good = payload.read_bytes()
     need = 8 * sum(int(np.prod(shape)) for shape in model_shapes(TINY).values())
     assert len(good) == need
-    for changed in (good[:-8], good[:-3], b"", good + bytes(8), good + bytes(1)):
+    for changed in change(good):
         payload.write_bytes(changed)
         assert _load_error(path).endswith(
             f"payload holds {len(changed)} bytes, its model_config needs {need}")
+
+
+def test_checkpoint_rejects_truncated_payload(tmp_path):
+    _payload_length_errors(tmp_path, lambda good: (good[:-8], good[:-3], good[:1], b""))
+
+
+def test_checkpoint_rejects_trailing_payload_bytes(tmp_path):
+    # what the v1 tiling check caught as bytes past the last tensor
+    _payload_length_errors(tmp_path, lambda good: (good + bytes(8), good + bytes(1), good * 2))
 
 
 def test_checkpoint_non_finite_payload_names_tensor(tmp_path):
