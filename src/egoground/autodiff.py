@@ -7,8 +7,8 @@ and adds its contribution to each parent's ``grad``.  Calling
 ``node._backward(node.grad)`` for every node in reverse topological order.
 
 A closure never captures its own output tensor: it reads the output gradient
-from ``g`` and, where it needs the output value (``sigmoid``, ``sqrt``,
-``softmax``), captures that array.  Capturing ``out`` would make an
+from ``g`` and, where it needs the output value (the attention core's softmax
+weights), captures that array.  Capturing ``out`` would make an
 ``out -> closure -> out`` reference cycle per node, so a step's graph could
 only be freed by the cyclic garbage collector instead of by reference
 counting when the loss is dropped.
@@ -23,12 +23,16 @@ way too; only ``train.training_losses`` records.  A forward kept alive as a
 tape holds thousands of collector-tracked objects until it ends, enough to
 set off a full collection every few dozen forwards.
 
-A tape's cost is Python overhead per node, so the model's building blocks
-are each one node with a hand-written backward:
+``Tensor`` holds exactly the ops the model records (``tests/test_train.py``
+pins them): ``+``, ``*``, ``/``, ``**`` by a constant, ``sum``, ``mean``,
+``reshape`` and indexing; ``concat`` is a free function.  A tape's cost is
+Python overhead per node, so the model's building blocks are each one node
+with a hand-written backward:
 
 * ``linear``: ``x @ w + b`` over ``(x, w, b)``.
-* ``mlp``: linears with a ReLU between them over ``x`` and every layer's
-  ``(w, b)``; ``mlp_apply`` and the decoder's feed-forward block use it.
+* ``mlp``: the linears stored under a name prefix, with a ReLU between them,
+  over ``x`` and every layer's ``(w, b)``; every MLP of the model, the
+  decoder's feed-forward blocks included, is one ``mlp`` call.
 * ``layer_norm``: one node over ``(x, gamma, beta)`` whose backward is the
   closed form of Ba et al. (2016), not the chain through mean, variance,
   square root and division.
@@ -39,11 +43,13 @@ are each one node with a hand-written backward:
   ``spatial_relevance_loss`` are one node each over their input tensors.
 
 Their forward values are bit-identical to the elementwise compositions they
-replace (the tests keep those compositions as references).  The gradients
-of ``linear``, ``mlp`` and the loss tails are bit-identical too: their
-backwards apply the composition's terms in its tape order.  Those of
-``layer_norm`` and the attention core agree to rounding, since their closed
-forms sum in a different order.
+replace; the tests keep those compositions as references, built from the
+ops the model never records (negation, subtraction, matmul, transpose,
+softmax and the elementwise nonlinearities) in ``tests/tape_reference.py``.
+The gradients of ``linear``, ``mlp`` and the loss tails are bit-identical
+too: their backwards apply the composition's terms in its tape order.
+Those of ``layer_norm`` and the attention core agree to rounding, since
+their closed forms sum in a different order.
 
 Finiteness is checked where values enter and where they leave, not per
 node.  A ``Tensor`` built from data must be finite (``NonFiniteError``);
@@ -178,10 +184,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
@@ -199,24 +201,6 @@ class Tensor:
         def backward(g):
             self.grad += _unbroadcast(g, self.data.shape)
             other.grad += _unbroadcast(g, other.data.shape)
-
-        return out._taped(backward)
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, (self,))
-
-        def backward(g):
-            self.grad -= g
-
-        return out._taped(backward)
-
-    def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = Tensor(self.data - other.data, (self, other))
-
-        def backward(g):
-            self.grad += _unbroadcast(g, self.data.shape)
-            other.grad -= _unbroadcast(g, other.data.shape)
 
         return out._taped(backward)
 
@@ -252,62 +236,6 @@ class Tensor:
 
         return out._taped(backward)
 
-    def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ValueError(f"matmul expects 2-d operands, got {self.shape} @ {other.shape}")
-        out = Tensor(self.data @ other.data, (self, other))
-
-        def backward(g):
-            self.grad += g @ other.data.T
-            other.grad += self.data.T @ g
-
-        return out._taped(backward)
-
-    # ---- elementwise nonlinearities ----
-
-    def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
-
-        def backward(g):
-            self.grad += g * (self.data > 0.0)
-
-        return out._taped(backward)
-
-    def sigmoid(self) -> "Tensor":
-        y = _sigmoid(self.data)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            self.grad += g * y * (1.0 - y)
-
-        return out._taped(backward)
-
-    def softplus(self) -> "Tensor":
-        out = Tensor(_softplus(self.data), (self,))
-
-        def backward(g):
-            self.grad += g * _sigmoid(self.data)
-
-        return out._taped(backward)
-
-    def abs(self) -> "Tensor":
-        out = Tensor(np.abs(self.data), (self,))
-
-        def backward(g):
-            self.grad += g * np.sign(self.data)
-
-        return out._taped(backward)
-
-    def sqrt(self) -> "Tensor":
-        y = np.sqrt(self.data)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            self.grad += g * 0.5 / y
-
-        return out._taped(backward)
-
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -336,22 +264,6 @@ class Tensor:
 
         return out._taped(backward)
 
-    def transpose(self, axes=None) -> "Tensor":
-        out = Tensor(self.data.transpose(axes), (self,))
-
-        def backward(g):
-            if axes is None:
-                self.grad += g.transpose()
-            else:
-                inverse = np.argsort(axes)
-                self.grad += g.transpose(inverse)
-
-        return out._taped(backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __getitem__(self, key) -> "Tensor":
         out = Tensor(self.data[key], (self,))
         fancy = isinstance(key, np.ndarray) or (
@@ -363,20 +275,6 @@ class Tensor:
                 np.add.at(self.grad, key, g)
             else:
                 self.grad[key] += g
-
-        return out._taped(backward)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        if self.data.shape[axis] == 0:
-            raise ValueError("softmax over an empty axis")
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=axis, keepdims=True)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            self.grad += (g - inner) * y
 
         return out._taped(backward)
 
@@ -564,13 +462,21 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.rando
                     zero_weight=zero_last and last, bias=last_bias if last else 0.0)
 
 
-def mlp(x: Tensor, store: ParamStore, layers: Sequence[str]) -> Tensor:
-    """The linears ``layers`` in turn, ReLU between them and none after the last, as one node.
+def mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    """The MLP under ``prefix``, ReLU between its linears and none after the last, as one node.
 
-    Its value is that of the chain ``linear``, ``relu``, ``linear``, ...; its
-    backward runs the chain's closures in their tape order, last layer first,
-    so every gradient byte matches the chain's too.
+    The depth and the widths are read from the store: layers ``prefix.0``,
+    ``prefix.1``, ... run until ``prefix.{i}.w`` is absent, and each layer's
+    input width is checked.  Its value is that of the chain ``linear``,
+    ReLU, ``linear``, ...; its backward runs the chain's closures in their
+    tape order, last layer first, so every gradient byte matches the chain's
+    too.
     """
+    layers = []
+    while f"{prefix}.{len(layers)}.w" in store:
+        layers.append(f"{prefix}.{len(layers)}")
+    if not layers:
+        raise ValueError(f"mlp {prefix!r} has no layers in the store")
     params = [(store[name + ".w"], store[name + ".b"]) for name in layers]
     inputs = []  # each layer's input; past layer 0 a ReLU output, > 0 where the ReLU passes
     h = x.data
@@ -596,21 +502,6 @@ def mlp(x: Tensor, store: ParamStore, layers: Sequence[str]) -> Tensor:
                 g = gx * (inputs[i] > 0.0)
 
     return out._taped(backward)
-
-
-def mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    """Apply the MLP under ``prefix`` with ``mlp``.
-
-    The depth and the widths are read from the store: layers ``prefix.0``,
-    ``prefix.1``, ... run until ``prefix.{i}.w`` is absent, and each layer's
-    input width is checked.
-    """
-    if f"{prefix}.0.w" not in store:
-        raise ValueError(f"mlp {prefix!r} has no layers in the store")
-    layers = [f"{prefix}.0"]
-    while f"{prefix}.{len(layers)}.w" in store:
-        layers.append(f"{prefix}.{len(layers)}")
-    return mlp(x, store, layers)
 
 
 def init_layer_norm(store: ParamStore, name: str, dim: int) -> None:
@@ -683,25 +574,23 @@ def _attention_core(qp: Tensor, kp: Tensor, vp: Tensor, heads: int) -> tuple[Ten
     return out._taped(backward), w
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
-              heads: int = 1) -> Tensor:
+def attention(q: Tensor, kv: Tensor, store: ParamStore, prefix: str, heads: int = 1) -> Tensor:
     """Scaled dot-product attention with learned projections.
 
-    q is (N, C), k and v are (T, C).  Heads split the projected width; the
-    per-head outputs are concatenated and passed through the output
-    projection.  Scale is 1/sqrt(C/heads).  Five tape nodes for any head
-    count: the q, k, v and output linears and the head-batched core.
+    q is (N, C) and kv, the one input of both the key and the value
+    projection, is (T, C).  Heads split the projected width; the per-head
+    outputs are concatenated and passed through the output projection.
+    Scale is 1/sqrt(C/heads).  Five tape nodes for any head count: the q, k,
+    v and output linears and the head-batched core.
     """
-    if k.shape[0] == 0:
+    if kv.shape[0] == 0:
         raise ValueError("attention with an empty key set")
-    if k.shape != v.shape:
-        raise ValueError(f"key/value shape mismatch: {k.shape} vs {v.shape}")
     dim = q.shape[-1]
     if dim % heads != 0:
         raise ValueError(f"head count {heads} does not divide width {dim}")
     qp = linear(q, store, f"{prefix}.q")
-    kp = linear(k, store, f"{prefix}.k")
-    vp = linear(v, store, f"{prefix}.v")
+    kp = linear(kv, store, f"{prefix}.k")
+    vp = linear(kv, store, f"{prefix}.v")
     merged, _ = _attention_core(qp, kp, vp, heads)
     return linear(merged, store, f"{prefix}.o")
 

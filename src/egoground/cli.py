@@ -8,6 +8,9 @@ the checkpoint, where `train` stores its effective config (and dumps it next
 to the checkpoint) so a run can be reproduced from its artifacts alone.
 Every command is deterministic under a fixed seed, exits 0 on success and
 prints a single-line diagnostic to stderr with exit code 1 on failure.
+Before Python 3.13, argparse takes a value in exponent form that starts
+with ``-`` (``--eps -1e-5``) for an option and exits 2 with its usage;
+write it ``--eps=-1e-5``.  ``--iou -0.25`` and ``--tol -1`` reach the check.
 """
 
 from __future__ import annotations

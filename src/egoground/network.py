@@ -51,7 +51,7 @@ feed-forward block is twice the model width.  Its ``disable_rag`` and
 one seed gives the same parameters with a module on or off.  ``MODULES`` is
 the one map from parameter-name prefix to module (gradcheck groups its table
 by it), and every MLP's depth and widths are read from the store by
-``mlp_apply``, never restated at a call site.
+``mlp``, never restated at a call site.
 
 A checkpoint is a JSON manifest holding its format and an ``extra`` object
 with the ``model_config``, plus the arena as little-endian float64 in a
@@ -86,7 +86,6 @@ from .autodiff import (
     linear,
     make_rng,
     mlp,
-    mlp_apply,
 )
 from .boxes import wrap_angle
 from .geometry import VoxelFeatureSet, positional_encoding
@@ -223,8 +222,7 @@ def _create_params(store: ParamStore, cfg: ModelConfig, rng: np.random.Generator
         init_attention(store, f"dec{i}.self", cfg.dim, rng)
         init_attention(store, f"dec{i}.text", cfg.dim, rng)
         init_attention(store, f"dec{i}.vis", cfg.dim, rng)
-        init_linear(store, f"dec{i}.ffn1", cfg.dim, 2 * cfg.dim, rng)
-        init_linear(store, f"dec{i}.ffn2", 2 * cfg.dim, cfg.dim, rng)
+        init_mlp(store, f"dec{i}.ffn", [cfg.dim, 2 * cfg.dim, cfg.dim], rng)
 
     init_mlp(store, "head_box", _mlp_sizes(cfg, 12), rng)
     init_mlp(store, "head_det", _mlp_sizes(cfg, len(CLASS_NAMES)), rng)
@@ -359,7 +357,7 @@ def scoring_logits(features: Tensor, store: ParamStore, task: str) -> Tensor:
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     name = "score_det" if task == "detection" else "score_grd"
-    return mlp_apply(features, store, name)
+    return mlp(features, store, name)
 
 
 def select_queries(features: Tensor, coords: Array, inputs: Array, k: int,
@@ -390,17 +388,16 @@ def qim_modulate(queries: Tensor, sentence: Tensor, store: ParamStore) -> Tensor
     if queries.shape[-1] != sentence.shape[-1]:
         raise ValueError(f"query width {queries.shape[-1]} != sentence width "
                          f"{sentence.shape[-1]}")
-    beta = mlp_apply(sentence, store, "qim_beta")
-    gamma = mlp_apply(sentence, store, "qim_gamma")
+    beta = mlp(sentence, store, "qim_beta")
+    gamma = mlp(sentence, store, "qim_gamma")
     return beta * queries + gamma * sentence
 
 
 def rag_apply(features: Tensor, text: TextEmbedding, store: ParamStore,
               cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """Text-conditioned residual refinement plus (N,) per-voxel relevance logits."""
-    refined = features + attention(features, text.tokens, text.tokens, store, "rag_att",
-                                   heads=cfg.heads)
-    logits = mlp_apply(refined, store, "relevance")
+    refined = features + attention(features, text.tokens, store, "rag_att", heads=cfg.heads)
+    logits = mlp(refined, store, "relevance")
     return refined, logits.reshape((features.shape[0],))
 
 
@@ -449,19 +446,18 @@ def decoder_forward(features: Tensor, text: TextEmbedding | None,
     q = queries.embeddings
     for i in range(cfg.layers):
         h = layer_norm(q, store, f"dec{i}.ln1")
-        q = q + attention(h, h, h, store, f"dec{i}.self", heads=cfg.heads)
+        q = q + attention(h, h, store, f"dec{i}.self", heads=cfg.heads)
         if task == "grounding":
             h = layer_norm(q, store, f"dec{i}.ln2")
-            q = q + attention(h, text.tokens, text.tokens, store, f"dec{i}.text",
-                              heads=cfg.heads)
+            q = q + attention(h, text.tokens, store, f"dec{i}.text", heads=cfg.heads)
         h = layer_norm(q, store, f"dec{i}.ln3")
-        q = q + attention(h, features, features, store, f"dec{i}.vis", heads=cfg.heads)
+        q = q + attention(h, features, store, f"dec{i}.vis", heads=cfg.heads)
         h = layer_norm(q, store, f"dec{i}.ln4")
-        q = q + mlp(h, store, (f"dec{i}.ffn1", f"dec{i}.ffn2"))
+        q = q + mlp(h, store, f"dec{i}.ffn")
 
-    raw = mlp_apply(q, store, "head_box")
+    raw = mlp(q, store, "head_box")
     boxes, centers, log_extents, sin_n, cos_n = _decode_boxes(raw, queries.positions)
-    logits = mlp_apply(q, store, "head_det" if task == "detection" else "head_grd")
+    logits = mlp(q, store, "head_det" if task == "detection" else "head_grd")
     return DecoderOutput(boxes=boxes, logits=logits, relevance=None, centers=centers,
                          log_extents=log_extents, sin_angles=sin_n, cos_angles=cos_n)
 

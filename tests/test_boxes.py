@@ -472,6 +472,19 @@ def test_touching_and_tiny_yaw_examples():
     assert abs(box_iou_exact(a, unit_cube(z=-0.25, h=0.5)) - 0.5) < 1e-15
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="clipping the larger box first leaves a sliver 1.3e-8 thick with two "
+                          "facets on the smaller box's x = -0.5 plane: negative volume -3.2e-9")
+def test_touching_pair_with_yaws_1e8_apart_clips_in_both_orders():
+    a = Box9DoF(0.30620381421754894, 1.1263046927047617, -1.3505532679869598,
+                1.0, 1.0, 1.0, -0.4679271483459364)
+    b = Box9DoF(-0.5839089960653405, 2.136353792981722, -0.8505532679869598,
+                1.5, 1.0, 1.0, -0.46792715888322867)
+    assert intersection_volume(a, b) == 0.0
+    assert abs(intersection_volume(b, a)) <= 1e-9
+    assert abs(box_iou_exact(b, a) - box_iou_exact(a, b)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # separating-axis exit
 # ---------------------------------------------------------------------------

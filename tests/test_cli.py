@@ -219,12 +219,15 @@ def test_gradcheck_tolerances_default_in_parser():
     assert (args.tol, args.eps) == (1e-4, 1e-5)
 
 
-@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"),
-                                         ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf")])
-def test_gradcheck_refuses_bad_eps_and_tol_by_name(flag, value, capsys):
-    assert main(["gradcheck", f"{flag}={value}"]) == 1
+# a negative number may follow its flag after a space, as argparse reads it
+# as a value; only an exponent form such as "-1e-5" needs "=" (see cli)
+@pytest.mark.parametrize("argv", [["--eps=0"], ["--eps=-1e-5"], ["--eps=nan"], ["--tol=nan"],
+                                  ["--tol=0"], ["--tol=inf"], ["--tol", "-1"]],
+                         ids=lambda argv: "-".join(argv).replace("=", "-"))
+def test_gradcheck_refuses_bad_eps_and_tol_by_name(argv, capsys):
+    assert main(["gradcheck", *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: grad_check {flag[2:]} must be finite and > 0") and \
+    assert err.startswith(f"error: grad_check {argv[0][2:5]} must be finite and > 0") and \
         err.count("\n") == 1, err
 
 
@@ -401,17 +404,20 @@ def test_eval_deterministic_and_extra_iou(workspace, tmp_path):
         assert p.read_bytes() == (out2 / p.name).read_bytes()
 
 
-@pytest.mark.parametrize("value", ["1.5", "0", "-0.25", "inf", "nan"])
-def test_eval_refuses_bad_iou_before_any_work(workspace, tmp_path, capsys, value):
+@pytest.mark.parametrize("iou", [["--iou=1.5"], ["--iou=0"], ["--iou=-0.25"], ["--iou=inf"],
+                                 ["--iou=nan"], ["--iou", "-0.25"]],
+                         ids=lambda iou: iou[0][6:] if len(iou) == 1 else "-".join(iou))
+def test_eval_refuses_bad_iou_before_any_work(workspace, tmp_path, capsys, iou):
     out = tmp_path / "reports"
     out.mkdir()
     assert main(["eval", "--scenes", str(workspace["scenes"]), "--checkpoint",
-                 str(workspace["ckpt"]), "--out", str(out), f"--iou={value}"]) == 1
-    assert capsys.readouterr().err == f"error: --iou must be in (0, 1], got {float(value)}\n"
+                 str(workspace["ckpt"]), "--out", str(out), *iou]) == 1
+    value = float(iou[-1].split("=")[-1])
+    assert capsys.readouterr().err == f"error: --iou must be in (0, 1], got {value}\n"
     assert list(out.iterdir()) == []
     # checked before the checkpoint and the scenes are read
     assert main(["eval", "--scenes", str(tmp_path / "none"), "--checkpoint",
-                 str(tmp_path / "none.json"), "--out", str(out), f"--iou={value}"]) == 1
+                 str(tmp_path / "none.json"), "--out", str(out), *iou]) == 1
     assert "--iou" in capsys.readouterr().err
 
 

@@ -21,6 +21,7 @@ from egoground.losses import (
     spatial_relevance_loss,
     total_loss,
 )
+from tape_reference import abs_, neg, sigmoid, softplus, sub
 
 
 def box_loss(pred: Box9DoF, gt: Box9DoF) -> float:
@@ -342,11 +343,11 @@ def test_spatial_relevance_loss_values_and_gradcheck():
 
 
 def _focal_ref(logits, targets, normalizer):
-    p = logits.sigmoid()
-    one_minus_p = (-logits).sigmoid()
-    pos = (one_minus_p ** 2.0) * (-logits).softplus() * 0.25
-    neg = (p ** 2.0) * logits.softplus() * 0.75
-    per_entry = pos * targets + neg * (1.0 - targets)
+    p = sigmoid(logits)
+    one_minus_p = sigmoid(neg(logits))
+    pos = (one_minus_p ** 2.0) * softplus(neg(logits)) * 0.25
+    negative = (p ** 2.0) * softplus(logits) * 0.75
+    per_entry = pos * targets + negative * (1.0 - targets)
     return per_entry.sum() * (1.0 / normalizer)
 
 
@@ -354,16 +355,16 @@ def _box_ref(centers, log_extents, sin_t, cos_t, pred_rows, gt_boxes):
     if len(gt_boxes) == 0:
         return Tensor(0.0)
     rows = np.asarray(pred_rows, dtype=np.intp)
-    c_term = (centers[rows] - gt_boxes[:, :3]).abs().sum()
-    e_term = (log_extents[rows] - np.log(gt_boxes[:, 3:6])).abs().sum()
-    s_term = (sin_t[rows] - np.sin(gt_boxes[:, 6:])).abs().sum()
-    k_term = (cos_t[rows] - np.cos(gt_boxes[:, 6:])).abs().sum()
+    c_term = abs_(sub(centers[rows], gt_boxes[:, :3])).sum()
+    e_term = abs_(sub(log_extents[rows], np.log(gt_boxes[:, 3:6]))).sum()
+    s_term = abs_(sub(sin_t[rows], np.sin(gt_boxes[:, 6:]))).sum()
+    k_term = abs_(sub(cos_t[rows], np.cos(gt_boxes[:, 6:]))).sum()
     return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
 
 
 def _spatial_ref(logits, labels):
     flat = logits.reshape(-1)
-    return (flat.softplus() - flat * labels).mean()
+    return sub(softplus(flat), flat * labels).mean()
 
 
 def _bytes(fn, arrays, upstream):

@@ -23,7 +23,7 @@ from egoground.autodiff import (
     init_mlp,
     linear,
     make_rng,
-    mlp_apply,
+    mlp,
 )
 from egoground.geometry import VoxelFeatureSet, positional_encoding, voxelize
 from egoground.losses import LossWeights, SetTargets, total_loss
@@ -171,7 +171,7 @@ def test_init_golden_bytes():
         h.update(name.encode())
         h.update(repr(p.shape).encode())
         h.update(p.data.tobytes())
-    assert h.hexdigest() == "3d20a8984df3caf842fb8cc3271140ad4f76965931f2009e9674872c872905f2"
+    assert h.hexdigest() == "aecc6312774607c7a3cb8305bff9dff10ede16d8335f8b15702e7de1ff910ef5"
 
 
 def test_module_grouping_covers_all_params():
@@ -678,10 +678,10 @@ def test_zero_layers_feeds_heads_directly():
     fused = tiny_fused(cfg)
     qs = tiny_queries(fused, cfg)
     out = decoder_forward(fused, None, qs, store, cfg, "detection")
-    raw = mlp_apply(qs.embeddings, store, "head_box")
+    raw = mlp(qs.embeddings, store, "head_box")
     assert np.allclose(out.centers.data, qs.positions + raw.data[:, 0:3], atol=1e-15)
     assert np.allclose(out.log_extents.data, raw.data[:, 3:6], atol=1e-15)
-    logits = mlp_apply(qs.embeddings, store, "head_det")
+    logits = mlp(qs.embeddings, store, "head_det")
     assert np.allclose(out.logits.data, logits.data, atol=1e-15)
 
 

@@ -183,6 +183,37 @@ def test_training_losses_run_the_task_forwards():
                                             WEIGHTS.lambda_ground, WEIGHTS)[1].total
 
 
+def test_model_calls_every_tensor_op_and_no_other(monkeypatch):
+    # Tensor holds exactly the ops the model records: an op no run calls must
+    # not come back, and one the model stops calling must go
+    defined = {name for name, attr in vars(Tensor).items()
+               if (callable(attr) or isinstance(attr, property))
+               and (not name.startswith("_") or name.endswith("__"))} - {"__init__", "__repr__"}
+    called = set()
+
+    def spy(name, attr):
+        fn = attr.fget if isinstance(attr, property) else attr
+
+        def op(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return property(op) if isinstance(attr, property) else op
+
+    for name in defined:
+        monkeypatch.setattr(Tensor, name, spy(name, vars(Tensor)[name]))
+    cfg = ModelConfig(dim=8, layers=1, heads=2, k_det=4, k_grd=3)
+    store = init_model_params(cfg, seed=3)
+    loss, _ = training_losses(BATCH, store, cfg, WEIGHTS)
+    loss.backward()
+    Adam(lr=1e-3).step(store)
+    detection_predictions(BATCH, store, cfg)
+    grounding_predictions(BATCH, store, cfg)
+    forward_grounding(BATCH, store, cfg)
+    assert called == defined
+    assert {"__add__", "__mul__", "__truediv__", "__pow__", "sum", "reshape",
+            "__getitem__", "backward"} <= defined
+
+
 def _tape_nodes(loss):
     seen = {id(loss)}
     stack = [loss]
@@ -370,14 +401,14 @@ def test_non_finite_gradient_diverges_before_the_update(monkeypatch):
         backward(self)
         calls.append(1)
         if len(calls) == 2:
-            for name in ("head_grd.1.b", "dec0.ffn2.w"):
+            for name in ("head_grd.1.b", "dec0.ffn.1.w"):
                 store[name].grad.reshape(-1)[-1] = np.nan
 
     monkeypatch.setattr(Tensor, "backward", poisoned)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingDiverged, match=r"at step 1: non-finite gradient in "
-                                                   r"parameter 'dec0\.ffn2\.w'") as err:
+                                                   r"parameter 'dec0\.ffn\.1\.w'") as err:
             train([BATCH], store, CFG, WEIGHTS, Adam(lr=1e-3), steps=3)
     assert err.value.step == 1
     assert store.data.tobytes() == after_one.tobytes()
