@@ -24,10 +24,10 @@ tape holds thousands of collector-tracked objects until it ends, enough to
 set off a full collection every few dozen forwards.
 
 ``Tensor`` holds exactly the ops the model records (``tests/test_train.py``
-pins them): ``+``, ``*``, ``/``, ``**`` by a constant, ``sum``, ``mean``,
-``reshape`` and indexing; ``concat`` is a free function.  A tape's cost is
-Python overhead per node, so the model's building blocks are each one node
-with a hand-written backward:
+pins them): ``+``, ``*``, ``sum``, ``mean``, ``reshape`` and indexing, whose
+backward scatters with ``np.add.at`` so repeated indices add up; ``concat``
+is a free function.  A tape's cost is Python overhead per node, so the
+model's building blocks are each one node with a hand-written backward:
 
 * ``linear``: ``x @ w + b`` over ``(x, w, b)``.
 * ``mlp``: the linears stored under a name prefix, with a ReLU between them,
@@ -39,17 +39,20 @@ with a hand-written backward:
 * the attention core: ``softmax(q k^T / sqrt(d)) v`` for every head at once
   on (H, N, d) stacks (Vaswani et al., 2017), so ``attention`` is five
   nodes (four linears and the core) for any head count.
+* the box decode in ``network``: the shared box head's output to the
+  (K, 12) [centers | log extents | normalized sin | normalized cos] tensor.
 * the loss tails in ``losses``: ``focal_loss``, ``box_regression_loss`` and
   ``spatial_relevance_loss`` are one node each over their input tensors.
 
 Their forward values are bit-identical to the elementwise compositions they
 replace; the tests keep those compositions as references, built from the
-ops the model never records (negation, subtraction, matmul, transpose,
-softmax and the elementwise nonlinearities) in ``tests/tape_reference.py``.
-The gradients of ``linear``, ``mlp`` and the loss tails are bit-identical
-too: their backwards apply the composition's terms in its tape order.
-Those of ``layer_norm`` and the attention core agree to rounding, since
-their closed forms sum in a different order.
+ops the model never records (negation, subtraction, division, powers,
+matmul, transpose, softmax and the elementwise nonlinearities) in
+``tests/tape_reference.py``.  The gradients of ``linear``, ``mlp``, the box
+decode and the loss tails are bit-identical too: their backwards apply the
+composition's terms in its tape order.  Those of ``layer_norm`` and the
+attention core agree to rounding, since their closed forms sum in a
+different order.
 
 Finiteness is checked where values enter and where they leave, not per
 node.  A ``Tensor`` built from data must be finite (``NonFiniteError``);
@@ -217,25 +220,6 @@ class Tensor:
     def __rmul__(self, other) -> "Tensor":
         return as_tensor(other).__mul__(self)
 
-    def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
-
-        def backward(g):
-            self.grad += _unbroadcast(g / other.data, self.data.shape)
-            other.grad += _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
-
-        return out._taped(backward)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        p = float(exponent)
-        out = Tensor(self.data ** p, (self,))
-
-        def backward(g):
-            self.grad += g * p * self.data ** (p - 1.0)
-
-        return out._taped(backward)
-
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -266,15 +250,9 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         out = Tensor(self.data[key], (self,))
-        fancy = isinstance(key, np.ndarray) or (
-            isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key)
-        )
 
         def backward(g):
-            if fancy:
-                np.add.at(self.grad, key, g)
-            else:
-                self.grad[key] += g
+            np.add.at(self.grad, key, g)
 
         return out._taped(backward)
 

@@ -122,7 +122,7 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -23,8 +23,9 @@ The classification term is a sigmoid focal loss normalized by the number of
 matched predictions, with unmatched predictions supervised toward
 all-negative (background / not the target).  Box regression is L1 on
 centers, on log-extent ratios and on the (sin, cos) of each angle, which
-makes 0 and 2 pi identical.  ``total_loss`` adds, for grounding, a mean
-binary cross-entropy over per-voxel relevance logits against
+makes 0 and 2 pi identical; it reads the four 3-column blocks of the
+decoder's (K, 12) ``box_pred`` tensor.  ``total_loss`` adds, for grounding,
+a mean binary cross-entropy over per-voxel relevance logits against
 inside-the-target-box labels.
 
 The three loss tails (``focal_loss``, ``box_regression_loss`` and
@@ -171,30 +172,28 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
-def box_regression_loss(centers: Tensor, log_extents: Tensor, sin_t: Tensor, cos_t: Tensor,
-                        pred_rows, gt_boxes: Array) -> Tensor:
+def box_regression_loss(pred: Tensor, pred_rows, gt_boxes: Array) -> Tensor:
     """L1 on centers, log extents and each angle's (sin, cos), averaged over matched pairs.
 
-    ``pred_rows[i]`` is the prediction matched to the box in row i of the
-    (M, 9) ``gt_boxes``; sin_t and cos_t must already be normalized so they
-    are the sine/cosine of the predicted angles.  One tape node over the
-    four tensors; with no pairs it is a constant 0.
+    ``pred`` is the decoder's (K, 12) [centers | log extents | sin | cos]
+    tensor, sin and cos already normalized so they are the sine/cosine of
+    the predicted angles; ``pred_rows[i]`` is the prediction matched to the
+    box in row i of the (M, 9) ``gt_boxes``.  Each 3-column block is summed
+    on its own, then the four sums are added.  One tape node over ``pred``;
+    with no pairs it is a constant 0.
     """
     if len(gt_boxes) == 0:
         return Tensor(0.0)
     rows = np.asarray(pred_rows, dtype=np.intp)
-    preds = (centers, log_extents, sin_t, cos_t)
-    refs = (gt_boxes[:, :3], np.log(gt_boxes[:, 3:6]), np.sin(gt_boxes[:, 6:]),
-            np.cos(gt_boxes[:, 6:]))
-    diffs = [p.data[rows] - ref for p, ref in zip(preds, refs)]
-    c_term, e_term, s_term, k_term = (np.abs(d).sum() for d in diffs)
+    refs = np.hstack([gt_boxes[:, :3], np.log(gt_boxes[:, 3:6]), np.sin(gt_boxes[:, 6:]),
+                      np.cos(gt_boxes[:, 6:])])
+    d = pred.data[rows] - refs
+    c_term, e_term, s_term, k_term = (np.abs(d[:, i:i + 3]).sum() for i in (0, 3, 6, 9))
     inv_m = 1.0 / len(gt_boxes)
-    out = Tensor((c_term + e_term + s_term + k_term) * inv_m, preds)
+    out = Tensor((c_term + e_term + s_term + k_term) * inv_m, (pred,))
 
     def backward(g):
-        gm = g * inv_m
-        for p, d in zip(preds, diffs):
-            np.add.at(p.grad, rows, gm * np.sign(d))
+        np.add.at(pred.grad, rows, g * inv_m * np.sign(d))
 
     return out._taped(backward)
 
@@ -284,8 +283,7 @@ def total_loss(output, targets: SetTargets, cls_weight: float, weights: LossWeig
     onehot = np.zeros(output.logits.shape)
     onehot[rows, [targets.columns[j] for j in cols]] = 1.0
     cls_term = focal_loss(output.logits, onehot, normalizer=max(1, len(rows)))
-    box_term = box_regression_loss(output.centers, output.log_extents, output.sin_angles,
-                                   output.cos_angles, rows, targets.boxes[cols])
+    box_term = box_regression_loss(output.box_pred, rows, targets.boxes[cols])
     total = cls_weight * cls_term + weights.lambda_box * box_term
     spatial = 0.0
     if output.relevance is not None and targets.relevance_labels is not None:

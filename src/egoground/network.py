@@ -32,7 +32,10 @@ center, log extents, and sine/cosine pairs per angle; angles are recovered
 with atan2 and wrapped to (-pi, pi], extents with exp.  A decoded extent that
 underflows to zero or overflows to inf raises ``NonFiniteError``.  The
 decoded boxes are one (K, 9) array, a row per query; ``Box9DoF`` objects are
-built only where boxes leave the model (see train).  Query selection is not
+built only where boxes leave the model (see train).  What the box loss
+regresses is one (K, 12) tensor, [centers | log extents | sin / norm |
+cos / norm] with norm = sqrt(sin^2 + cos^2 + 1e-12), decoded from the box
+head in one tape node (``_decode_boxes``).  Query selection is not
 differentiated through; the scoring heads learn from an auxiliary objective
 instead (see train).
 
@@ -40,7 +43,8 @@ Every stage passes plain tensors: the fused trunk, the region-refined
 features and the relevance logits are (N, C) / (N,) ``Tensor`` rows in voxel
 order, and the voxel centers are passed alongside where a stage needs them
 (query selection).  Both tasks' decoder outputs carry one ``logits`` field,
-(K, num_classes) for detection and (K, 1) for grounding.
+(K, num_classes) for detection and (K, 1) for grounding, and one
+``box_pred`` field, the (K, 12) box tensor.
 
 The parameter store built by ``init_model_params`` is the one description of
 the model, and every learned layer is created, named and applied in this
@@ -141,10 +145,7 @@ class DecoderOutput:
     boxes: Array                # (K, 9) rows (x, y, z, l, w, h, alpha, beta, gamma)
     logits: Tensor              # (K, num_classes) for detection, (K, 1) for grounding
     relevance: Tensor | None    # (N,) spatial relevance logits, grounding only
-    centers: Tensor             # (K, 3)
-    log_extents: Tensor         # (K, 3)
-    sin_angles: Tensor          # (K, 3) normalized
-    cos_angles: Tensor          # (K, 3) normalized
+    box_pred: Tensor            # (K, 12) [centers | log extents | sin/norm | cos/norm]
 
 
 # ---------------------------------------------------------------------------
@@ -406,23 +407,36 @@ def rag_apply(features: Tensor, text: TextEmbedding, store: ParamStore,
 # ---------------------------------------------------------------------------
 
 
-def _decode_boxes(raw: Tensor, positions: Array):
-    log_extents = raw[:, 3:6]
+def _decode_boxes(raw: Tensor, positions: Array) -> tuple[Array, Tensor]:
+    """The (K, 9) boxes and the (K, 12) [centers | log extents | sin/norm | cos/norm] tensor.
+
+    One tape node over the ``head_box`` output ``raw``, with the value and
+    the gradient bytes of the composition it replaces: four column slices,
+    positions + offsets, norm = (s*s + c*c + 1e-12) ** 0.5 and the two
+    quotients.  The backward adds that tape's terms in its order: the sin
+    (cos) gradient takes g / norm, then the product's two equal terms.  A
+    tape slot starts from zero, which only settles the sign of a zero; the
+    one add into ``raw``'s zero slot does that here.
+    """
     with np.errstate(over="ignore"):
-        extents = np.exp(log_extents.data)
+        extents = np.exp(raw.data[:, 3:6])
     if not (np.isfinite(extents).all() and (extents > 0.0).all()):
         raise NonFiniteError(f"decoded box extents must be finite and positive, got "
                              f"{extents.min()} .. {extents.max()}")
-    offsets = raw[:, 0:3]
-    centers = Tensor(positions) + offsets
-    sin_raw = raw[:, 6:9]
-    cos_raw = raw[:, 9:12]
-    norm = (sin_raw * sin_raw + cos_raw * cos_raw + 1e-12) ** 0.5
-    sin_n = sin_raw / norm
-    cos_n = cos_raw / norm
-    angles = wrap_angle(np.arctan2(sin_raw.data, cos_raw.data))
-    boxes = np.hstack([centers.data, extents, angles])
-    return boxes, centers, log_extents, sin_n, cos_n
+    s, c = raw.data[:, 6:9], raw.data[:, 9:12]
+    centers = positions + raw.data[:, 0:3]
+    q = s * s + c * c + 1e-12
+    n = q ** 0.5
+    out = Tensor(np.hstack([centers, raw.data[:, 3:6], s / n, c / n]), (raw,))
+    boxes = np.hstack([centers, extents, wrap_angle(np.arctan2(s, c))])
+
+    def backward(g):
+        gs, gc = g[:, 6:9], g[:, 9:12]
+        gn = -gs * s / (n * n) + -gc * c / (n * n)  # the norm's two quotient terms
+        gq = gn * 0.5 * q ** -0.5
+        raw.grad += np.hstack([g[:, 0:6], gs / n + gq * s + gq * s, gc / n + gq * c + gq * c])
+
+    return boxes, out._taped(backward)
 
 
 def decoder_forward(features: Tensor, text: TextEmbedding | None,
@@ -456,8 +470,7 @@ def decoder_forward(features: Tensor, text: TextEmbedding | None,
         q = q + mlp(h, store, f"dec{i}.ffn")
 
     raw = mlp(q, store, "head_box")
-    boxes, centers, log_extents, sin_n, cos_n = _decode_boxes(raw, queries.positions)
+    boxes, box_pred = _decode_boxes(raw, queries.positions)
     logits = mlp(q, store, "head_det" if task == "detection" else "head_grd")
-    return DecoderOutput(boxes=boxes, logits=logits, relevance=None, centers=centers,
-                         log_extents=log_extents, sin_angles=sin_n, cos_angles=cos_n)
+    return DecoderOutput(boxes=boxes, logits=logits, relevance=None, box_pred=box_pred)
 

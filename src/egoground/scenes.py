@@ -487,8 +487,10 @@ def scene_from_dict(data: dict) -> tuple[Scene, list[Instruction]]:
 
 
 def load_scene(path: str | Path) -> tuple[Scene, list[Instruction]]:
+    """Read a ``save_scene`` file; a fault in it is a ``SceneFormatError`` naming ``path``."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"not valid JSON: {exc}") from exc
-    return scene_from_dict(data)
+        return scene_from_dict(json.loads(Path(path).read_text()))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SceneFormatError(f"scene {path} is not valid JSON: {exc}") from exc
+    except SceneFormatError as exc:
+        raise SceneFormatError(f"scene {path}: {exc}") from exc

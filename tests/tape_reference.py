@@ -1,9 +1,9 @@
 """Tape ops the model never records, kept as references for the fused ops.
 
 The tests compare each fused node (``mlp``, ``layer_norm``, the attention
-core, the loss tails) against the elementwise composition it replaces, by
-value bytes and by gradient.  These free functions are the ops those
-compositions need beyond ``Tensor``'s own: each builds its output with
+core, the box decode, the loss tails) against the elementwise composition it
+replaces, by value bytes and by gradient.  These free functions are the ops
+those compositions need beyond ``Tensor``'s own: each builds its output with
 ``Tensor(value, parents)._taped(backward)``, so it records on the tape and
 honours ``no_grad`` exactly as a ``Tensor`` method does.
 """
@@ -29,6 +29,28 @@ def sub(a: Tensor, b) -> Tensor:
     def backward(g):
         a.grad += _unbroadcast(g, a.data.shape)
         b.grad -= _unbroadcast(g, b.data.shape)
+
+    return out._taped(backward)
+
+
+def div(a: Tensor, b) -> Tensor:
+    b = as_tensor(b)
+    out = Tensor(a.data / b.data, (a, b))
+
+    def backward(g):
+        a.grad += _unbroadcast(g / b.data, a.data.shape)
+        b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+
+    return out._taped(backward)
+
+
+def pow_(t: Tensor, exponent: float) -> Tensor:
+    """``t ** exponent`` for a constant exponent."""
+    p = float(exponent)
+    out = Tensor(t.data ** p, (t,))
+
+    def backward(g):
+        t.grad += g * p * t.data ** (p - 1.0)
 
     return out._taped(backward)
 

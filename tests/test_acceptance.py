@@ -177,10 +177,7 @@ def test_criterion_4_init_identity():
                                                               disable_qim=True), 0)
     same = (np.array_equal(logits_on.data, logits_off.data)
             and np.array_equal(on.logits.data, off.logits.data)
-            and np.array_equal(on.centers.data, off.centers.data)
-            and np.array_equal(on.log_extents.data, off.log_extents.data)
-            and np.array_equal(on.sin_angles.data, off.sin_angles.data)
-            and np.array_equal(on.cos_angles.data, off.cos_angles.data)
+            and np.array_equal(on.box_pred.data, off.box_pred.data)
             and np.array_equal(on.boxes, off.boxes))
     has_relevance = on.relevance is not None and off.relevance is None \
         and rel_logits.data.shape == (len(batch.voxels),)

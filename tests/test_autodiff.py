@@ -22,7 +22,18 @@ from egoground.autodiff import (
     mlp,
     no_grad,
 )
-from tape_reference import matmul, relu, sigmoid, softmax, softplus, sqrt, sub, transpose
+from tape_reference import (
+    div,
+    matmul,
+    pow_,
+    relu,
+    sigmoid,
+    softmax,
+    softplus,
+    sqrt,
+    sub,
+    transpose,
+)
 
 
 def test_tensor_rejects_non_finite():
@@ -111,8 +122,8 @@ def test_core_op_gradients_against_fd():
 
     def fn(s):
         x = s["x"]
-        y = x / (x + 1.0) + 0.5 * x * x + (x ** -2.0) * x.sum(axis=0)
-        z = y ** 0.5 + x.mean(axis=1, keepdims=True) / x + x ** 1.5
+        y = div(x, x + 1.0) + 0.5 * x * x + pow_(x, -2.0) * x.sum(axis=0)
+        z = pow_(y, 0.5) + div(x.mean(axis=1, keepdims=True), x) + pow_(x, 1.5)
         return (z * z).mean()
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-6).passed
@@ -414,7 +425,7 @@ def _layer_norm_ref(x, store, name):
     mu = x.mean(axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    y = centered / sqrt(var + 1e-5)
+    y = div(centered, sqrt(var + 1e-5))
     return y * store[name + ".g"] + store[name + ".b"]
 
 

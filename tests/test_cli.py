@@ -374,6 +374,41 @@ def test_train_missing_scenes_dir(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_bad_scene_file_fails_naming_it(workspace, tmp_path, capsys):
+    good = sorted(workspace["scenes"].glob("*.json"))[0].read_text()
+    empty = {**json.loads(good), "objects": []}
+    for name, content in (("latin1.json", b"\xff{}"), ("broken.json", b"{"),
+                          ("noobjects.json", json.dumps(empty).encode())):
+        scenes = tmp_path / name.removesuffix(".json")
+        scenes.mkdir()
+        (scenes / "a.json").write_text(good)
+        (scenes / name).write_bytes(content)
+        bad = scenes / name
+        for argv in (["train", "--scenes", str(scenes), "--out", str(tmp_path / "c.json")],
+                     ["heatmap", "--scene", str(bad), "--checkpoint", str(workspace["ckpt"]),
+                      "--view", "0", "--out", str(tmp_path / "h")]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert str(bad) in captured.err
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "h").exists()
+
+
+def test_non_utf8_config_fails_naming_it(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.json"
+    cfg_path.write_bytes(b'{"seed": 1, "note": "\xff"}')
+    out = tmp_path / "out"
+    for argv in (["gen", "--out", str(out)],
+                 ["train", "--scenes", str(tmp_path), "--out", str(out / "c.json")]):
+        assert main(argv + ["--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(cfg_path) in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from egoground.losses import (
     spatial_relevance_loss,
     total_loss,
 )
-from tape_reference import abs_, neg, sigmoid, softplus, sub
+from tape_reference import abs_, neg, pow_, sigmoid, softplus, sub
 
 
 def box_loss(pred: Box9DoF, gt: Box9DoF) -> float:
@@ -313,7 +313,7 @@ def test_box_regression_loss_matches_float_version():
     gt = np.hstack([rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, size=(3, 3)),
                     rng.uniform(-3, 3, size=(3, 3))])
     rows = [4, 0, 2]
-    tape_val = box_regression_loss(Tensor(centers), Tensor(logext), Tensor(sin_n), Tensor(cos_n),
+    tape_val = box_regression_loss(Tensor(np.hstack([centers, logext, sin_n, cos_n])),
                                    rows, gt).item()
     ref = 0.0
     for r, g in zip(rows, gt):
@@ -345,20 +345,20 @@ def test_spatial_relevance_loss_values_and_gradcheck():
 def _focal_ref(logits, targets, normalizer):
     p = sigmoid(logits)
     one_minus_p = sigmoid(neg(logits))
-    pos = (one_minus_p ** 2.0) * softplus(neg(logits)) * 0.25
-    negative = (p ** 2.0) * softplus(logits) * 0.75
+    pos = pow_(one_minus_p, 2.0) * softplus(neg(logits)) * 0.25
+    negative = pow_(p, 2.0) * softplus(logits) * 0.75
     per_entry = pos * targets + negative * (1.0 - targets)
     return per_entry.sum() * (1.0 / normalizer)
 
 
-def _box_ref(centers, log_extents, sin_t, cos_t, pred_rows, gt_boxes):
+def _box_ref(pred, pred_rows, gt_boxes):
     if len(gt_boxes) == 0:
         return Tensor(0.0)
-    rows = np.asarray(pred_rows, dtype=np.intp)
-    c_term = abs_(sub(centers[rows], gt_boxes[:, :3])).sum()
-    e_term = abs_(sub(log_extents[rows], np.log(gt_boxes[:, 3:6]))).sum()
-    s_term = abs_(sub(sin_t[rows], np.sin(gt_boxes[:, 6:]))).sum()
-    k_term = abs_(sub(cos_t[rows], np.cos(gt_boxes[:, 6:]))).sum()
+    picked = pred[np.asarray(pred_rows, dtype=np.intp)]
+    c_term = abs_(sub(picked[:, 0:3], gt_boxes[:, :3])).sum()
+    e_term = abs_(sub(picked[:, 3:6], np.log(gt_boxes[:, 3:6]))).sum()
+    s_term = abs_(sub(picked[:, 6:9], np.sin(gt_boxes[:, 6:]))).sum()
+    k_term = abs_(sub(picked[:, 9:12], np.cos(gt_boxes[:, 6:]))).sum()
     return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
 
 
@@ -407,16 +407,17 @@ def test_fused_box_regression_loss_matches_composition_bytes():
     rng = make_rng(409)
     k = 6
     for rows in ([4, 0, 2], [5], [1, 1, 3], []):
-        preds = [rng.normal(size=(k, 3)), rng.uniform(-0.5, 0.5, size=(k, 3)),
-                 np.sin(rng.uniform(-3, 3, size=(k, 3))), np.cos(rng.uniform(-3, 3, size=(k, 3)))]
+        pred = np.hstack([rng.normal(size=(k, 3)), rng.uniform(-0.5, 0.5, size=(k, 3)),
+                          np.sin(rng.uniform(-3, 3, size=(k, 3))),
+                          np.cos(rng.uniform(-3, 3, size=(k, 3)))])
         m = len(rows)
         gt = np.hstack([rng.normal(size=(m, 3)), rng.uniform(0.5, 2.0, size=(m, 3)),
                         rng.uniform(-3, 3, size=(m, 3))]).reshape(m, 9)
         if m:
-            gt[0, :3] = preds[0][rows[0]]  # a zero difference: sign 0 on both paths
-        _assert_same_bytes(lambda *p: box_regression_loss(*p, rows, gt),
-                           lambda *p: _box_ref(*p, rows, gt), preds, rng)
-    empty = box_regression_loss(*(Tensor(a) for a in preds), [], np.zeros((0, 9)))
+            gt[0, :3] = pred[rows[0], :3]  # a zero difference: sign 0 on both paths
+        _assert_same_bytes(lambda p: box_regression_loss(p, rows, gt),
+                           lambda p: _box_ref(p, rows, gt), [pred], rng)
+    empty = box_regression_loss(Tensor(pred), [], np.zeros((0, 9)))
     assert empty.item() == 0.0 and empty._parents == ()
 
 
@@ -438,10 +439,7 @@ def test_loss_weights_validation():
 class FakeOutput:
     boxes: np.ndarray
     logits: Tensor
-    centers: Tensor
-    log_extents: Tensor
-    sin_angles: Tensor
-    cos_angles: Tensor
+    box_pred: Tensor
     relevance: Tensor | None
 
 
@@ -459,10 +457,7 @@ def make_fake_output(rng, task="detection", k=4, num_classes=3, n_vox=6):
     return FakeOutput(
         boxes=boxes,
         logits=Tensor(det_logits if task == "detection" else grd_logits),
-        centers=Tensor(centers),
-        log_extents=Tensor(logext),
-        sin_angles=Tensor(sin_n),
-        cos_angles=Tensor(cos_n),
+        box_pred=Tensor(np.hstack([centers, logext, sin_n, cos_n])),
         relevance=Tensor(rng.normal(size=(n_vox,))),
     )
 

@@ -19,19 +19,22 @@ from egoground.autodiff import (
     ParamStore,
     Tensor,
     _attention_core,
+    concat,
     grad_check,
     init_mlp,
     linear,
     make_rng,
     mlp,
 )
+from egoground.boxes import wrap_angle
 from egoground.geometry import VoxelFeatureSet, positional_encoding, voxelize
-from egoground.losses import LossWeights, SetTargets, total_loss
+from egoground.losses import LossWeights, SetTargets, box_regression_loss, total_loss
 from egoground.network import (
     MODULES,
     ModelConfig,
     QuerySet,
     TextEmbedding,
+    _decode_boxes,
     decoder_forward,
     embed_text,
     encode_voxels,
@@ -49,6 +52,7 @@ from egoground.network import (
     sentence_embed,
 )
 from egoground.scenes import FEAT2D_DIM, TEXT_DIM
+from tape_reference import div, pow_
 
 TINY = ModelConfig(dim=8, layers=1, heads=2, k_det=4, k_grd=3)
 
@@ -679,8 +683,8 @@ def test_zero_layers_feeds_heads_directly():
     qs = tiny_queries(fused, cfg)
     out = decoder_forward(fused, None, qs, store, cfg, "detection")
     raw = mlp(qs.embeddings, store, "head_box")
-    assert np.allclose(out.centers.data, qs.positions + raw.data[:, 0:3], atol=1e-15)
-    assert np.allclose(out.log_extents.data, raw.data[:, 3:6], atol=1e-15)
+    assert np.allclose(out.box_pred.data[:, 0:3], qs.positions + raw.data[:, 0:3], atol=1e-15)
+    assert np.allclose(out.box_pred.data[:, 3:6], raw.data[:, 3:6], atol=1e-15)
     logits = mlp(qs.embeddings, store, "head_det")
     assert np.allclose(out.logits.data, logits.data, atol=1e-15)
 
@@ -695,12 +699,12 @@ def test_decoder_output_shapes_and_positive_extents():
     out = decoder_forward(fused, text, qs, store, TINY, "grounding")
     assert out.boxes.shape == (3, 9)
     assert out.logits.shape == (3, 1)
-    assert np.array_equal(out.boxes[:, :3], out.centers.data)
+    assert out.box_pred.shape == (3, 12)
+    assert np.array_equal(out.boxes[:, :3], out.box_pred.data[:, 0:3])
     assert (out.boxes[:, 3:6] > 0.0).all()
-    norm = out.sin_angles.data ** 2 + out.cos_angles.data ** 2
-    assert np.allclose(norm, 1.0, atol=1e-9)
-    assert np.allclose(out.boxes[:, 6:], np.arctan2(out.sin_angles.data, out.cos_angles.data),
-                       atol=1e-9)
+    sin_n, cos_n = out.box_pred.data[:, 6:9], out.box_pred.data[:, 9:12]
+    assert np.allclose(sin_n ** 2 + cos_n ** 2, 1.0, atol=1e-9)
+    assert np.allclose(out.boxes[:, 6:], np.arctan2(sin_n, cos_n), atol=1e-9)
     assert ((out.boxes[:, 6:] > -np.pi) & (out.boxes[:, 6:] <= np.pi)).all()
 
 
@@ -711,7 +715,7 @@ def test_detection_ignores_text_entirely():
     out_none = decoder_forward(fused, None, qs, store, TINY, "detection")
     out_text = decoder_forward(fused, tiny_text(), qs, store, TINY, "detection")
     assert np.array_equal(out_none.logits.data, out_text.logits.data)
-    assert np.array_equal(out_none.centers.data, out_text.centers.data)
+    assert np.array_equal(out_none.box_pred.data, out_text.box_pred.data)
     with pytest.raises(ValueError):
         decoder_forward(fused, None, qs, store, TINY, "grounding")
 
@@ -727,8 +731,52 @@ def test_decoder_set_equivariance():
     a = decoder_forward(fused, text, qs, store, TINY, "grounding")
     b = decoder_forward(fused, text, qs_p, store, TINY, "grounding")
     assert np.allclose(a.logits.data[perm], b.logits.data, atol=1e-12)
-    assert np.allclose(a.centers.data[perm], b.centers.data, atol=1e-12)
+    assert np.allclose(a.box_pred.data[perm], b.box_pred.data, atol=1e-12)
     assert np.allclose(a.boxes[perm], b.boxes, atol=1e-12)
+
+
+def _decode_ref(raw, positions):
+    """The tape composition ``_decode_boxes`` replaces, as one (K, 12) tensor."""
+    centers = Tensor(positions) + raw[:, 0:3]
+    sin_raw, cos_raw = raw[:, 6:9], raw[:, 9:12]
+    norm = pow_(sin_raw * sin_raw + cos_raw * cos_raw + 1e-12, 0.5)
+    return concat([centers, raw[:, 3:6], div(sin_raw, norm), div(cos_raw, norm)], axis=1)
+
+
+def test_fused_box_decode_matches_composition_bytes():
+    rng = make_rng(36)
+    raw = rng.normal(size=(6, 12))
+    raw[2, 6:] = 0.0  # sin = cos = 0, as a dead ReLU layer leaves the head: norm sqrt(1e-12)
+    positions = rng.normal(size=(6, 3))
+    rows = [4, 0, 2]  # rows 1, 3 and 5 are unmatched: a zero upstream gradient
+    gt = np.hstack([rng.normal(size=(3, 3)), rng.uniform(0.5, 2.0, size=(3, 3)),
+                    rng.uniform(-3, 3, size=(3, 3))])
+    weights = rng.normal(size=(6, 12))
+    weights[[1, 3, 5]] = 0.0
+    upstreams = (lambda pred: box_regression_loss(pred, rows, gt),
+                 lambda pred: (pred * Tensor(weights)).sum())
+
+    def run(decode, upstream):
+        leaf = Tensor(raw)
+        pred = decode(leaf)
+        upstream(pred).backward()
+        return pred.data.tobytes(), leaf.grad.tobytes()
+
+    leaf = Tensor(raw)
+    boxes, pred = _decode_boxes(leaf, positions)
+    assert pred._parents == (leaf,)
+    angles = wrap_angle(np.arctan2(raw[:, 6:9], raw[:, 9:12]))
+    centers = _decode_ref(leaf, positions).data[:, :3]
+    assert boxes.tobytes() == np.hstack([centers, np.exp(raw[:, 3:6]), angles]).tobytes()
+    for upstream in upstreams:
+        fused = run(lambda t: _decode_boxes(t, positions)[1], upstream)
+        assert fused == run(lambda t: _decode_ref(t, positions), upstream)
+        grad = np.frombuffer(fused[1]).reshape(raw.shape)
+        assert not grad[[1, 3, 5]].any() and grad[2, 6:].any()
+    big = raw.copy()
+    big[0, 3] = 800.0
+    with pytest.raises(NonFiniteError, match="extents"):
+        _decode_boxes(Tensor(big), positions)
 
 
 def test_decoder_shape_mismatch_errors():

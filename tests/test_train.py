@@ -12,6 +12,7 @@ import egoground.geometry
 import egoground.train
 from egoground.autodiff import Adam, NonFiniteError, Tensor, make_rng
 from egoground.boxes import Box9DoF, contains_points
+from egoground.cli import RunConfig
 from egoground.geometry import VoxelFeatureSet
 from egoground.losses import LossWeights, total_loss
 from egoground.network import ModelConfig, init_model_params
@@ -210,8 +211,7 @@ def test_model_calls_every_tensor_op_and_no_other(monkeypatch):
     grounding_predictions(BATCH, store, cfg)
     forward_grounding(BATCH, store, cfg)
     assert called == defined
-    assert {"__add__", "__mul__", "__truediv__", "__pow__", "sum", "reshape",
-            "__getitem__", "backward"} <= defined
+    assert {"__add__", "__mul__", "sum", "reshape", "__getitem__", "backward"} <= defined
 
 
 def _tape_nodes(loss):
@@ -244,7 +244,12 @@ def test_training_losses_golden():
         loss, parts = training_losses(BATCH, store, cfg, WEIGHTS)
         assert {k: v.hex() for k, v in parts.items()} == want[use_rag]
         if use_rag:
-            assert _tape_nodes(loss) == 209
+            assert _tape_nodes(loss) == 183
+    # a default run's step: one more decoder layer than CFG
+    run = RunConfig()
+    cfg = run.model_config()
+    loss, _ = training_losses(BATCH, init_model_params(cfg, seed=2), cfg, run.weights())
+    assert _tape_nodes(loss) == 260
 
 
 def test_training_bytes_golden():
@@ -506,7 +511,7 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
     fused = fuse_scene(BATCH, store, CFG)
     det_out, _ = _detection_body(fused, BATCH, store, CFG)
     grd_out, _ = _grounding_body(fused, BATCH, store, CFG, 0)
-    assert det_out.centers._parents and grd_out.centers._parents
+    assert det_out.box_pred._parents and grd_out.box_pred._parents
     seen = []
 
     def spy(forward):
@@ -522,7 +527,7 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
     g = grounding_predictions(BATCH, store, CFG)
     assert len(seen) == 2
     for out, logits in seen:
-        assert out.centers._parents == () and logits._parents == ()
+        assert out.box_pred._parents == () and logits._parents == ()
     for preds, out in ((d.pred_boxes, det_out), (g.predictions, grd_out)):
         assert [p.box.as_params().tobytes() for p in preds] == \
             [row.tobytes() for row in out.boxes]
