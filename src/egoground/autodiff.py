@@ -26,19 +26,31 @@ set off a full collection every few dozen forwards.
 ``Tensor`` holds exactly the ops the model records (``tests/test_train.py``
 pins them): ``+``, ``*``, ``sum``, ``mean``, ``reshape`` and indexing, whose
 backward scatters with ``np.add.at`` so repeated indices add up; ``concat``
-is a free function.  A tape's cost is Python overhead per node, so the
-model's building blocks are each one node with a hand-written backward:
+is a free function.  The tape records only what needs a gradient: an array
+or float operand of ``+``, ``*``, ``concat`` or ``linear`` (scene features,
+text vectors, positional encodings, loss weights) is a constant, not a
+leaf.  It gets no node and no gradient slot, and no gradient is formed for
+it, so a training tape's only leaves are parameters.  A tape's cost is
+Python overhead per node, so the model's building blocks are each one node
+with a hand-written backward:
 
-* ``linear``: ``x @ w + b`` over ``(x, w, b)``.
+* ``linear``: ``x @ w + b`` over ``(x, w, b)``, or ``(w, b)`` for a constant
+  ``x``.
 * ``mlp``: the linears stored under a name prefix, with a ReLU between them,
   over ``x`` and every layer's ``(w, b)``; every MLP of the model, the
   decoder's feed-forward blocks included, is one ``mlp`` call.
+* the pre-norm residual add (Xiong et al., 2020): ``linear`` and ``mlp``
+  take the residual stream as an operand, listed first among the node's
+  parents, and compute ``residual + (...)``; ``attention`` passes it to its
+  output linear.  A residual block is then the layer norm plus its
+  sublayer's nodes, with no node for the add.
 * ``layer_norm``: one node over ``(x, gamma, beta)`` whose backward is the
   closed form of Ba et al. (2016), not the chain through mean, variance,
   square root and division.
 * the attention core: ``softmax(q k^T / sqrt(d)) v`` for every head at once
   on (H, N, d) stacks (Vaswani et al., 2017), so ``attention`` is five
-  nodes (four linears and the core) for any head count.
+  nodes (four linears and the core) for any head count, its residual add
+  included.
 * the box decode in ``network``: the shared box head's output to the
   (K, 12) [centers | log extents | normalized sin | normalized cos] tensor.
 * the loss tails in ``losses``: ``focal_loss``, ``box_regression_loss`` and
@@ -50,16 +62,17 @@ ops the model never records (negation, subtraction, division, powers,
 matmul, transpose, softmax and the elementwise nonlinearities) in
 ``tests/tape_reference.py``.  The gradients of ``linear``, ``mlp``, the box
 decode and the loss tails are bit-identical too: their backwards apply the
-composition's terms in its tape order.  Those of ``layer_norm`` and the
-attention core agree to rounding, since their closed forms sum in a
-different order.
+composition's terms in its tape order.  A residual operand keeps this: the
+backward adds ``g`` into the residual first, where the add's own node ran,
+just before its sublayer's.  Those of ``layer_norm`` and the attention core
+agree to rounding, since their closed forms sum in a different order.
 
 Finiteness is checked where values enter and where they leave, not per
-node.  A ``Tensor`` built from data must be finite (``NonFiniteError``);
-an op's output is not checked, so a NaN or infinity travels on to the
-loss.  ``backward`` refuses a non-finite loss, ``train.train`` checks the
-whole gradient arena once per step and names the first bad parameter, and
-the inference forwards check their outputs once.
+node.  A ``Tensor`` built from data and a constant operand must be finite
+(``NonFiniteError``); an op's output is not checked, so a NaN or infinity
+travels on to the loss.  ``backward`` refuses a non-finite loss,
+``train.train`` checks the whole gradient arena once per step and names the
+first bad parameter, and the inference forwards check their outputs once.
 
 Parameters live in one flat arena per ``ParamStore``: every parameter's
 ``data`` and ``grad`` are views into the store's ``data`` and ``grad``
@@ -159,12 +172,10 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
+    __array_ufunc__ = None  # ``array * t`` reaches ``__rmul__``, not an object array of tensors
 
     def __init__(self, data, parents: tuple = (), backward: Callable[[Array], None] | None = None):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
-        if not parents and not np.isfinite(arr).all():
-            raise NonFiniteError("non-finite values in tensor")
-        self.data = arr
+        self.data = np.ascontiguousarray(data, dtype=np.float64) if parents else _constant(data)
         self.grad: Array | None = None
         self._parents = parents
         self._backward = backward
@@ -183,10 +194,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
@@ -198,27 +205,32 @@ class Tensor:
     # ---- arithmetic ----
 
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
+        tensor = isinstance(other, Tensor)
+        b = other.data if tensor else _constant(other)
+        out = Tensor(self.data + b, (self, other) if tensor else (self,))
 
         def backward(g):
             self.grad += _unbroadcast(g, self.data.shape)
-            other.grad += _unbroadcast(g, other.data.shape)
+            if tensor:
+                other.grad += _unbroadcast(g, other.data.shape)
 
         return out._taped(backward)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
+        tensor = isinstance(other, Tensor)
+        b = other.data if tensor else _constant(other)
+        out = Tensor(self.data * b, (self, other) if tensor else (self,))
 
         def backward(g):
-            self.grad += _unbroadcast(g * other.data, self.data.shape)
-            other.grad += _unbroadcast(g * self.data, other.data.shape)
+            self.grad += _unbroadcast(g * b, self.data.shape)
+            if tensor:
+                other.grad += _unbroadcast(g * self.data, other.data.shape)
 
         return out._taped(backward)
 
-    def __rmul__(self, other) -> "Tensor":
-        return as_tensor(other).__mul__(self)
+    # ``c * t`` for a constant ``c``: float multiplication commutes, so its
+    # value and gradient bytes are those of ``t * c``
+    __rmul__ = __mul__
 
     # ---- reductions ----
 
@@ -287,21 +299,29 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _constant(value) -> Array:
+    """A constant operand, held as a leaf holds its data: contiguous float64, checked finite.
+
+    A scalar becomes shape (1,), as ``np.ascontiguousarray`` makes it.
+    """
+    arr = np.ascontiguousarray(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("non-finite values in tensor")
+    return arr
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def concat(parts: Sequence, axis: int = 0) -> Tensor:
+    """Join ``parts`` along ``axis``; an array among them is a constant (``_constant``)."""
+    arrays = [t.data if isinstance(t, Tensor) else _constant(t) for t in parts]
+    out = Tensor(np.concatenate(arrays, axis=axis), tuple(t for t in parts if isinstance(t, Tensor)))
+    offsets = np.cumsum([0] + [a.shape[axis] for a in arrays])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            t.grad += g[tuple(index)]
+        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if isinstance(t, Tensor):
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(lo, hi)
+                t.grad += g[tuple(index)]
 
     return out._taped(backward)
 
@@ -414,17 +434,32 @@ def init_linear(store: ParamStore, name: str, fan_in: int, fan_out: int,
     store.create(name + ".b", np.broadcast_to(np.asarray(bias, dtype=np.float64), (fan_out,)).copy())
 
 
-def linear(x: Tensor, store: ParamStore, name: str) -> Tensor:
-    """``x @ w + b`` for a (N, fan_in) ``x``, as one tape node."""
+def linear(x, store: ParamStore, name: str, residual: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for a (N, fan_in) ``x``, as one tape node.
+
+    An array ``x`` is a constant (``_constant``).  With a ``residual``, the
+    node is the pre-norm residual add ``residual + (x @ w + b)``; its
+    backward adds ``g`` into the residual before its own terms, as the add's
+    node ran just before the linear's.
+    """
     w = store[name + ".w"]
     b = store[name + ".b"]
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"linear {name!r}: input shape {x.shape} does not fit weight fan-in {w.shape[0]}")
-    out = Tensor(x.data @ w.data + b.data, (x, w, b))
+    tensor = isinstance(x, Tensor)
+    xd = x.data if tensor else _constant(x)
+    if xd.ndim != 2 or xd.shape[1] != w.shape[0]:
+        raise ValueError(f"linear {name!r}: input shape {xd.shape} does not fit weight fan-in {w.shape[0]}")
+    y = xd @ w.data + b.data
+    parents = (x, w, b) if tensor else (w, b)
+    if residual is not None:
+        y, parents = residual.data + y, (residual, *parents)
+    out = Tensor(y, parents)
 
     def backward(g):
-        x.grad += g @ w.data.T
-        w.grad += x.data.T @ g
+        if residual is not None:
+            residual.grad += g
+        if tensor:
+            x.grad += g @ w.data.T
+        w.grad += xd.T @ g
         b.grad += g.sum(axis=0)
 
     return out._taped(backward)
@@ -440,7 +475,7 @@ def init_mlp(store: ParamStore, prefix: str, sizes: Sequence[int], rng: np.rando
                     zero_weight=zero_last and last, bias=last_bias if last else 0.0)
 
 
-def mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+def mlp(x: Tensor, store: ParamStore, prefix: str, residual: Tensor | None = None) -> Tensor:
     """The MLP under ``prefix``, ReLU between its linears and none after the last, as one node.
 
     The depth and the widths are read from the store: layers ``prefix.0``,
@@ -448,7 +483,7 @@ def mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     input width is checked.  Its value is that of the chain ``linear``,
     ReLU, ``linear``, ...; its backward runs the chain's closures in their
     tape order, last layer first, so every gradient byte matches the chain's
-    too.
+    too.  A ``residual`` joins the node as in ``linear``.
     """
     layers = []
     while f"{prefix}.{len(layers)}.w" in store:
@@ -466,9 +501,14 @@ def mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
                              f"fan-in {w.shape[0]}")
         inputs.append(h)
         h = h @ w.data + b.data
-    out = Tensor(h, (x, *(t for pair in params for t in pair)))
+    parents = (x, *(t for pair in params for t in pair))
+    if residual is not None:
+        h, parents = residual.data + h, (residual, *parents)
+    out = Tensor(h, parents)
 
     def backward(g):
+        if residual is not None:
+            residual.grad += g
         for i in range(len(params) - 1, -1, -1):
             w, b = params[i]
             gx = g @ w.data.T
@@ -552,14 +592,16 @@ def _attention_core(qp: Tensor, kp: Tensor, vp: Tensor, heads: int) -> tuple[Ten
     return out._taped(backward), w
 
 
-def attention(q: Tensor, kv: Tensor, store: ParamStore, prefix: str, heads: int = 1) -> Tensor:
+def attention(q: Tensor, kv: Tensor, store: ParamStore, prefix: str, heads: int = 1,
+              residual: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention with learned projections.
 
     q is (N, C) and kv, the one input of both the key and the value
     projection, is (T, C).  Heads split the projected width; the per-head
-    outputs are concatenated and passed through the output projection.
-    Scale is 1/sqrt(C/heads).  Five tape nodes for any head count: the q, k,
-    v and output linears and the head-batched core.
+    outputs are concatenated and passed through the output projection, which
+    adds a ``residual`` as ``linear`` does.  Scale is 1/sqrt(C/heads).  Five
+    tape nodes for any head count: the q, k, v and output linears and the
+    head-batched core.
     """
     if kv.shape[0] == 0:
         raise ValueError("attention with an empty key set")
@@ -570,7 +612,7 @@ def attention(q: Tensor, kv: Tensor, store: ParamStore, prefix: str, heads: int 
     kp = linear(kv, store, f"{prefix}.k")
     vp = linear(kv, store, f"{prefix}.v")
     merged, _ = _attention_core(qp, kp, vp, heads)
-    return linear(merged, store, f"{prefix}.o")
+    return linear(merged, store, f"{prefix}.o", residual)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ The language modules are built to be exact identities at initialization:
 
 The decoder is pre-norm: each layer applies query self-attention, cross
 attention to text (skipped entirely for detection), cross attention to the
-voxel features, then a feed-forward block, each behind its own layer norm
-with a residual add.  There is no final layer norm, so a zero-layer decoder
-feeds the initial queries straight to the heads.
+voxel features, then a feed-forward block.  Each sublayer reads its own
+layer norm of the queries and adds its output back to them; the add is the
+sublayer node's ``residual`` operand, not a node of its own.  There is no
+final layer norm, so a zero-layer decoder feeds the initial queries
+straight to the heads.
 
 Box regression predicts, per query, a center offset from the query's voxel
 center, log extents, and sine/cosine pairs per angle; angles are recovered
@@ -314,7 +316,7 @@ def encoder_input(voxels: VoxelFeatureSet, dim: int) -> Array:
 
 def encode_voxels(inputs: Array, store: ParamStore) -> Tensor:
     """Voxel encoder stub: the ``encoder_input`` rows -> (N, C)."""
-    return linear(Tensor(inputs), store, "enc3d")
+    return linear(inputs, store, "enc3d")
 
 
 def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
@@ -324,7 +326,7 @@ def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
     (N, C') ``geometry.sample_views`` output for the same voxels, a constant
     on the tape; gradients flow through the projection and the 3D branch.
     """
-    return linear(concat([encoded, Tensor(sampled)], axis=1), store, "fuse")
+    return linear(concat([encoded, sampled], axis=1), store, "fuse")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +346,7 @@ def embed_text(token_vectors: Array, store: ParamStore) -> TextEmbedding:
     raw = np.asarray(token_vectors, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] < 1:
         raise ValueError(f"token vectors must be (T, TEXT_DIM) with T >= 1, got {raw.shape}")
-    tokens = linear(Tensor(raw), store, "text_proj")
+    tokens = linear(raw, store, "text_proj")
     return TextEmbedding(tokens=tokens, sentence=sentence_embed(tokens))
 
 
@@ -375,7 +377,7 @@ def select_queries(features: Tensor, coords: Array, inputs: Array, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} voxels")
     order = np.argsort(-logits.data.max(axis=1), kind="stable")[:k]
-    embeddings = features[order] + Tensor(inputs[order, inputs.shape[1] - dim:])
+    embeddings = features[order] + inputs[order, inputs.shape[1] - dim:]
     return QuerySet(embeddings=embeddings, positions=coords[order])
 
 
@@ -397,7 +399,7 @@ def qim_modulate(queries: Tensor, sentence: Tensor, store: ParamStore) -> Tensor
 def rag_apply(features: Tensor, text: TextEmbedding, store: ParamStore,
               cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """Text-conditioned residual refinement plus (N,) per-voxel relevance logits."""
-    refined = features + attention(features, text.tokens, store, "rag_att", heads=cfg.heads)
+    refined = attention(features, text.tokens, store, "rag_att", heads=cfg.heads, residual=features)
     logits = mlp(refined, store, "relevance")
     return refined, logits.reshape((features.shape[0],))
 
@@ -460,14 +462,14 @@ def decoder_forward(features: Tensor, text: TextEmbedding | None,
     q = queries.embeddings
     for i in range(cfg.layers):
         h = layer_norm(q, store, f"dec{i}.ln1")
-        q = q + attention(h, h, store, f"dec{i}.self", heads=cfg.heads)
+        q = attention(h, h, store, f"dec{i}.self", heads=cfg.heads, residual=q)
         if task == "grounding":
             h = layer_norm(q, store, f"dec{i}.ln2")
-            q = q + attention(h, text.tokens, store, f"dec{i}.text", heads=cfg.heads)
+            q = attention(h, text.tokens, store, f"dec{i}.text", heads=cfg.heads, residual=q)
         h = layer_norm(q, store, f"dec{i}.ln3")
-        q = q + attention(h, features, store, f"dec{i}.vis", heads=cfg.heads)
+        q = attention(h, features, store, f"dec{i}.vis", heads=cfg.heads, residual=q)
         h = layer_norm(q, store, f"dec{i}.ln4")
-        q = q + mlp(h, store, f"dec{i}.ffn")
+        q = mlp(h, store, f"dec{i}.ffn", residual=q)
 
     raw = mlp(q, store, "head_box")
     boxes, box_pred = _decode_boxes(raw, queries.positions)

@@ -412,20 +412,23 @@ def _field(mapping: dict, key: str, where: str, kind: str):
     return _checked(mapping[key], f"{where}.{key}", kind)
 
 
-def _check_unknown(mapping: dict, known: set[str], where: str) -> None:
+def _check_unknown(mapping: dict, known: set[str], where: str, source: str) -> None:
     unknown = set(mapping) - known
     if unknown:
-        warnings.warn(f"ignoring unknown fields at {where}: {sorted(unknown)}")
+        warnings.warn(f"{source}: ignoring unknown fields at {where}: {sorted(unknown)}")
 
 
-def scene_from_dict(data: dict) -> tuple[Scene, list[Instruction]]:
-    """Build a scene from its file form; a malformed field is a ``SceneFormatError`` naming it."""
+def scene_from_dict(data: dict, source: str = "scene") -> tuple[Scene, list[Instruction]]:
+    """Build a scene from its file form; a malformed field is a ``SceneFormatError`` naming it.
+
+    An unknown field is ignored with a ``UserWarning`` that names it and ``source``.
+    """
     if not isinstance(data, dict):
         raise SceneFormatError(f"a scene file holds a JSON object, not {type(data).__name__}")
     if data.get("format") != SCENE_FORMAT:
         raise SceneFormatError(f"unrecognized scene format {data.get('format')!r}")
     _check_unknown(data, {"format", "seed_words", "room", "objects", "cameras", "instructions"},
-                   "scene")
+                   "scene", source)
     room = _field(data, "room", "scene", "an object")
     lo = np.array(_field(room, "lo", "scene.room", "3 finite numbers"), dtype=np.float64)
     hi = np.array(_field(room, "hi", "scene.room", "3 finite numbers"), dtype=np.float64)
@@ -433,7 +436,7 @@ def scene_from_dict(data: dict) -> tuple[Scene, list[Instruction]]:
     objects = []
     for i, entry in enumerate(_field(data, "objects", "scene", "a list of objects")):
         where = f"scene.objects[{i}]"
-        _check_unknown(entry, {"class", "center", "extents", "angles"}, where)
+        _check_unknown(entry, {"class", "center", "extents", "angles"}, where, source)
         class_id = _field(entry, "class", where, "an integer")
         if not 0 <= class_id < len(CLASS_NAMES):
             raise SceneFormatError(f"{where}.class out of range")
@@ -451,7 +454,7 @@ def scene_from_dict(data: dict) -> tuple[Scene, list[Instruction]]:
     for i, entry in enumerate(_field(data, "cameras", "scene", "a list of objects")):
         where = f"scene.cameras[{i}]"
         _check_unknown(entry, {"fx", "fy", "cx", "cy", "width", "height", "rotation", "translation"},
-                       where)
+                       where, source)
         intrinsics = {k: float(_field(entry, k, where, "a finite number"))
                       for k in ("fx", "fy", "cx", "cy")}
         intrinsics.update((k, _field(entry, k, where, "an integer")) for k in ("width", "height"))
@@ -468,7 +471,7 @@ def scene_from_dict(data: dict) -> tuple[Scene, list[Instruction]]:
     entries = _checked(data.get("instructions", []), "scene.instructions", "a list of objects")
     for i, entry in enumerate(entries):
         where = f"scene.instructions[{i}]"
-        _check_unknown(entry, {"tokens", "target", "difficulty", "view_dep"}, where)
+        _check_unknown(entry, {"tokens", "target", "difficulty", "view_dep"}, where, source)
         tokens = _field(entry, "tokens", where, "a list of integers")
         if any(not 0 <= t < len(VOCABULARY) for t in tokens):
             raise SceneFormatError(f"{where}.tokens out of vocabulary")
@@ -487,9 +490,12 @@ def scene_from_dict(data: dict) -> tuple[Scene, list[Instruction]]:
 
 
 def load_scene(path: str | Path) -> tuple[Scene, list[Instruction]]:
-    """Read a ``save_scene`` file; a fault in it is a ``SceneFormatError`` naming ``path``."""
+    """Read a ``save_scene`` file; a fault in it is a ``SceneFormatError`` naming ``path``.
+
+    An unknown field is ignored with a ``UserWarning`` that names ``path`` too.
+    """
     try:
-        return scene_from_dict(json.loads(Path(path).read_text()))
+        return scene_from_dict(json.loads(Path(path).read_text()), f"scene {path}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SceneFormatError(f"scene {path} is not valid JSON: {exc}") from exc
     except SceneFormatError as exc:

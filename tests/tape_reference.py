@@ -10,7 +10,12 @@ honours ``no_grad`` exactly as a ``Tensor`` method does.
 
 import numpy as np
 
-from egoground.autodiff import Tensor, _sigmoid, _softplus, _unbroadcast, as_tensor
+from egoground.autodiff import Tensor, _sigmoid, _softplus, _unbroadcast
+
+
+def as_tensor(value) -> Tensor:
+    """``value`` as a tape operand: a ``Tensor`` as it is, anything else as a new leaf."""
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def neg(t: Tensor) -> Tensor:
@@ -57,7 +62,7 @@ def pow_(t: Tensor, exponent: float) -> Tensor:
 
 def matmul(a: Tensor, b) -> Tensor:
     b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data, (a, b))
 

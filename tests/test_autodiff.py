@@ -526,6 +526,71 @@ def test_fused_mlp_matches_chain_bytes(sizes, zero_last, last_bias):
     assert _op_nodes(mlp(Tensor(x_data), store, "m")) == 1
 
 
+CONSTANT = make_rng(163).normal(size=(3, 4))
+CONSTANT_OPS = {
+    "add": (lambda x, k, s: x + k, CONSTANT),
+    "mul": (lambda x, k, s: x * k, CONSTANT),
+    "mul float": (lambda x, k, s: x * k, 2.5),
+    "rmul float": (lambda x, k, s: k * x, 2.5),
+    "rmul array": (lambda x, k, s: k * x, CONSTANT),
+    "concat": (lambda x, k, s: concat([x, k], axis=1), CONSTANT),
+    "linear": (lambda x, k, s: linear(k, s, "lin"), CONSTANT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_OPS))
+def test_constant_operands_record_no_node(name):
+    # an array or float operand is held and checked as a leaf holds its data,
+    # but records no node and gets no gradient; every other byte is a leaf's
+    op, k = CONSTANT_OPS[name]
+    rng = make_rng(165)
+    store = ParamStore()
+    store.create("x", rng.normal(size=(3, 4)))
+    init_linear(store, "lin", 4, 2, rng, bias=rng.normal(size=2))
+    got = []
+    for operand in (k, Tensor(k)):
+        out = op(store["x"], operand, store)
+        (out * Tensor(make_rng(166).normal(size=out.shape))).sum().backward()
+        got.append((out.data.tobytes(), store.grad.tobytes()))
+        store.zero_grad()
+    assert got[0] == got[1]
+    params = {id(p) for _, p in store.items()}
+    assert all(id(parent) in params for parent in op(store["x"], k, store)._parents)
+    with pytest.raises(NonFiniteError, match="^non-finite values in tensor$"):
+        op(store["x"], k * np.nan, store)
+
+
+SUBLAYERS = {
+    "attention": lambda h, s, residual=None: attention(h, h, s, "att", heads=2, residual=residual),
+    "mlp": lambda h, s, residual=None: mlp(h, s, "ffn", residual=residual),
+}
+
+
+@pytest.mark.parametrize("sublayer", sorted(SUBLAYERS))
+def test_residual_operand_matches_the_add_bytes(sublayer):
+    # the pre-norm residual joins its sublayer's node: value and every gradient
+    # byte are those of ``r + sublayer(h)``, where ``r`` is also read by h's norm
+    rng = make_rng(167)
+    store = ParamStore()
+    store.create("x", rng.normal(size=(6, 8)))
+    init_linear(store, "pre", 8, 8, rng, bias=rng.normal(size=8))
+    init_layer_norm(store, "ln", 8)
+    init_attention(store, "att", 8, rng)
+    init_mlp(store, "ffn", [8, 16, 8], rng)
+    upstream = Tensor(rng.normal(size=(6, 8)))
+    fn = SUBLAYERS[sublayer]
+    got = []
+    for fused in (True, False):
+        r = linear(store["x"], store, "pre")
+        h = layer_norm(r, store, "ln")
+        out = fn(h, store, residual=r) if fused else r + fn(h, store)
+        (out * upstream).sum().backward()
+        got.append((out.data.tobytes(), store.grad.tobytes(), _op_nodes(out)))
+        store.zero_grad()
+    assert got[0][:2] == got[1][:2]
+    assert got[0][2] == got[1][2] - 1
+
+
 def test_fused_linear_rejects_non_matrix_input():
     store = ParamStore()
     init_linear(store, "lin", 4, 3, make_rng(102))

@@ -581,6 +581,31 @@ def test_select_queries_k_out_of_range():
         scoring_logits(fused, store, "segmentation")
 
 
+def _nan_last_column(a):
+    a = np.array(a, dtype=np.float64)
+    a[:, -1] = np.nan
+    return a
+
+
+NAN_CONSTANTS = {
+    "encode_voxels": lambda store: encode_voxels(_nan_last_column(tiny_inputs()), store),
+    "fuse_features": lambda store: fuse_features(
+        encode_voxels(tiny_inputs(), store), _nan_last_column(np.ones((6, FEAT2D_DIM))), store),
+    "embed_text": lambda store: embed_text(_nan_last_column(np.ones((2, TEXT_DIM))), store),
+    # the last column is the selected queries' positional encoding
+    "select_queries": lambda store: select_queries(
+        tiny_fused(), tiny_coords(), _nan_last_column(tiny_inputs()), 6,
+        scoring_logits(tiny_fused(), store, "detection")),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(NAN_CONSTANTS))
+def test_nan_constant_inputs_raise_named_error(stage):
+    # scene and text arrays enter the tape as constants, checked as leaves are
+    with pytest.raises(NonFiniteError, match="^non-finite values in tensor$"):
+        NAN_CONSTANTS[stage](init_model_params(TINY, seed=2))
+
+
 # ---------------------------------------------------------------------------
 # QIM
 # ---------------------------------------------------------------------------

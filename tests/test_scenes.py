@@ -568,8 +568,10 @@ def test_load_unknown_field_warns(tmp_path):
     data["objects"][0]["color"] = "red"
     p = tmp_path / "extra.json"
     p.write_text(json.dumps(data))
-    with pytest.warns(UserWarning, match="color"):
+    with pytest.warns(UserWarning, match="color") as record:
         load_scene(p)
+    assert [str(w.message) for w in record] == [
+        f"scene {p}: ignoring unknown fields at scene.objects[0]: ['color']"]
 
 
 def test_load_validates_ranges(tmp_path):

@@ -214,15 +214,27 @@ def test_model_calls_every_tensor_op_and_no_other(monkeypatch):
     assert {"__add__", "__mul__", "sum", "reshape", "__getitem__", "backward"} <= defined
 
 
-def _tape_nodes(loss):
-    seen = {id(loss)}
+def _tape(loss):
+    """Every tensor reachable from ``loss`` through its parents, ``loss`` included."""
+    seen = {id(loss): loss}
     stack = [loss]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def test_training_tape_leaves_are_the_store_parameters():
+    # constants are operands, not nodes: a default step's leaves are exactly
+    # the parameters, and it reads every one of them
+    run = RunConfig()
+    cfg = run.model_config()
+    store = init_model_params(cfg, seed=2)
+    loss, _ = training_losses(BATCH, store, cfg, run.weights())
+    leaves = {id(node) for node in _tape(loss) if not node._parents}
+    assert leaves == {id(p) for _, p in store.items()}
 
 
 def test_training_losses_golden():
@@ -244,12 +256,12 @@ def test_training_losses_golden():
         loss, parts = training_losses(BATCH, store, cfg, WEIGHTS)
         assert {k: v.hex() for k, v in parts.items()} == want[use_rag]
         if use_rag:
-            assert _tape_nodes(loss) == 183
+            assert len(_tape(loss)) == 164
     # a default run's step: one more decoder layer than CFG
     run = RunConfig()
     cfg = run.model_config()
     loss, _ = training_losses(BATCH, init_model_params(cfg, seed=2), cfg, run.weights())
-    assert _tape_nodes(loss) == 260
+    assert len(_tape(loss)) == 234
 
 
 def test_training_bytes_golden():
