@@ -29,12 +29,24 @@ non-finite box extent or cost matrix in the forward, ends training with one
 ``TrainingDiverged`` line naming the step (for a gradient, also the first
 bad parameter).
 
-``training_losses`` is the one forward that records a tape.  The inference
-forwards (``forward_detection``, ``forward_grounding`` and the prediction
-wrappers built on them) run their body under ``no_grad`` themselves and
-check their outputs once, raising ``NonFiniteError`` naming the first
-non-finite one.  Boxes stay (K, 9) arrays up to the prediction wrappers,
-where ``_scored_boxes`` turns each row into a ``Box9DoF`` for evaluation.
+``training_losses`` is the one forward that records a tape.  Inference is
+one untaped pass per scene: ``predict_scene`` builds the trunk once, runs
+the detection body once and the grounding body once per instruction under
+``no_grad``, and checks every output (detection first), raising
+``NonFiniteError`` naming the first non-finite one.  ``forward_detection``,
+``forward_grounding`` and the prediction wrappers only read its
+``ScenePrediction``, so eval and the heatmap share one pass per scene.
+``predict_scene`` keeps a single memo entry: the last batch and store (by
+identity), a copy of the config and a bit copy of the parameter arena.  A
+call reuses it only when all four match, the arena bit for bit (so ``-0.0``
+against ``0.0`` or a changed NaN payload recomputes); any optimizer step or
+in-place edit of the parameters or the config therefore recomputes.  One
+entry is enough for a scene's several readers and costs one arena copy;
+an entry per scene would copy the arena once per held-out scene.  Prepared
+batches and memo outputs are read-only arrays, so an in-place write raises
+instead of leaving the memo stale.  Boxes stay (K, 9) arrays up to the
+prediction wrappers, where ``_scored_boxes`` turns each row into a
+``Box9DoF`` for evaluation.
 """
 
 from __future__ import annotations
@@ -94,13 +106,20 @@ class SceneBatch:
         """``network.encoder_input`` of these voxels for a width-``dim`` model, kept for that width."""
         cached = self._encoder_input
         if cached is None or cached.shape[1] != self.voxels.features.shape[1] + dim:
-            cached = self._encoder_input = encoder_input(self.voxels, dim)
+            cached = self._encoder_input = _read_only(encoder_input(self.voxels, dim))
         return cached
 
     @property
     def voxel_classes(self) -> Array:
         """(N,) class id of each voxel, -1 for background, read off ``class_onehot``."""
         return np.where(self.class_onehot.any(axis=1), self.class_onehot.argmax(axis=1), -1)
+
+
+def _read_only(*arrays: Array) -> Array:
+    """Mark each array read-only; returns the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
 
 
 def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbeddings,
@@ -143,6 +162,9 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
     for ins in instructions:
         inside = contains_points(scene.objects[ins.target].box, voxels.coords)
         grd_targets.append(SetTargets(boxes[[ins.target]], [0], inside.astype(np.float64)))
+    # the batch is keyed by identity (encoder-input cache, predict_scene's memo)
+    _read_only(voxels.coords, voxels.features.data, image_features, class_onehot, boxes,
+               *token_vectors, *(a for t in grd_targets for a in (t.boxes, t.relevance_labels)))
     return SceneBatch(scene=scene, voxels=voxels, image_features=image_features,
                       det_targets=det_targets, class_onehot=class_onehot,
                       foreground=len(fg), instructions=instructions, token_vectors=token_vectors,
@@ -163,11 +185,15 @@ def _detection_body(fused: Tensor, batch: SceneBatch, store: ParamStore, cfg: Mo
     return out, logits
 
 
-def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
-                    cfg: ModelConfig, instruction_idx: int):
+def _check_instruction(batch: SceneBatch, instruction_idx: int) -> None:
     if not 0 <= instruction_idx < len(batch.instructions):
         raise IndexError(f"instruction {instruction_idx} out of range "
                          f"({len(batch.instructions)} available)")
+
+
+def _grounding_body(fused: Tensor, batch: SceneBatch, store: ParamStore,
+                    cfg: ModelConfig, instruction_idx: int):
+    _check_instruction(batch, instruction_idx)
     text = embed_text(batch.token_vectors[instruction_idx], store)
     logits = scoring_logits(fused, store, "grounding")
     k = min(cfg.k_grd, len(batch.voxels))
@@ -190,19 +216,48 @@ def _checked(task: str, out, score_logits: Tensor):
     return out, score_logits
 
 
+@dataclass(frozen=True)
+class ScenePrediction:
+    """One untaped inference pass: (DecoderOutput, per-voxel scoring logits) per task."""
+    detection: tuple
+    grounding: tuple             # one (DecoderOutput, scoring logits) per instruction
+
+
+# predict_scene's one entry: (batch, store, cfg copy, arena bits, prediction)
+_memo: tuple | None = None
+
+
+def predict_scene(batch: SceneBatch, store: ParamStore, cfg: ModelConfig) -> ScenePrediction:
+    """Untaped detection and every instruction's grounding from one trunk; memoised (see module)."""
+    global _memo
+    memo, bits = _memo, store.data.view(np.uint64)
+    if (memo is not None and memo[0] is batch and memo[1] is store and memo[2] == cfg
+            and np.array_equal(memo[3], bits)):
+        return memo[4]
+    with no_grad(), np.errstate(all="ignore"):
+        fused = fuse_scene(batch, store, cfg)
+        detection = _detection_body(fused, batch, store, cfg)
+        grounding = [_grounding_body(fused, batch, store, cfg, i)
+                     for i in range(len(batch.instructions))]
+    prediction = ScenePrediction(_checked("detection", *detection),
+                                 tuple(_checked("grounding", *g) for g in grounding))
+    for out, score_logits in (prediction.detection, *prediction.grounding):
+        tensors = (out.logits, out.box_pred, score_logits, out.relevance)
+        _read_only(out.boxes, *(t.data for t in tensors if t is not None))
+    _memo = (batch, store, replace(cfg), bits.copy(), prediction)
+    return prediction
+
+
 def forward_detection(batch: SceneBatch, store: ParamStore, cfg: ModelConfig):
     """Untaped; returns (DecoderOutput, per-voxel scoring logits)."""
-    with no_grad(), np.errstate(all="ignore"):
-        out = _detection_body(fuse_scene(batch, store, cfg), batch, store, cfg)
-    return _checked("detection", *out)
+    return predict_scene(batch, store, cfg).detection
 
 
 def forward_grounding(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                       instruction_idx: int = 0):
     """Untaped; returns (DecoderOutput with relevance, per-voxel scoring logits)."""
-    with no_grad(), np.errstate(all="ignore"):
-        out = _grounding_body(fuse_scene(batch, store, cfg), batch, store, cfg, instruction_idx)
-    return _checked("grounding", *out)
+    _check_instruction(batch, instruction_idx)
+    return predict_scene(batch, store, cfg).grounding[instruction_idx]
 
 
 def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,

@@ -167,3 +167,28 @@ def test_eval_report_iou_spans_fire_once_per_scored_pair(workloads, tmp_path):
                      for pc in d.pred_classes for gc in d.gt_classes)
     assert predictions > 0 and same_class > 0
     assert calls == predictions + same_class
+
+
+def test_eval_operation_builds_one_trunk_under_the_tracer(workloads, tmp_path, monkeypatch):
+    # an eval_heldout operation runs detection, grounding and the heatmap's
+    # grounding forward; they share one trunk and one pass per task body
+    spans = importlib.import_module("spans")
+    monkeypatch.setattr(T, "_memo", None)
+    ctx = workloads.Context(seed=0, work=tmp_path)
+    (heldout,) = workloads.scene_set(ctx, 0, workloads.STREAM_HELDOUT, 1)
+    state = workloads.EvalState(store=N.init_model_params(workloads.MODEL, 0),
+                                heldout=[heldout], train_final_loss=0.0)
+    tracer = spans.Tracer()
+    run = workloads.Run(0.0, tracer)
+    try:
+        workloads.run_eval(ctx, state, run)
+    finally:
+        tracer.uninstall()
+    assert run.errors == []
+    ops = run.ids(traced=True, kinds=("op",))
+    assert len(ops) == 1 and len(heldout.instructions) == 1
+    calls = {name: entry["calls"] for name, entry in tracer.summary(ops).items()
+             if name != "_top_ns"}
+    assert calls["train.detection_predictions"] == calls["train.grounding_predictions"] == 1
+    assert calls["geometry.encode_voxels"] == calls["geometry.fuse_features"] == 1
+    assert calls["network.decoder_forward"] == 2

@@ -37,6 +37,7 @@ from egoground.train import (
     forward_grounding,
     fuse_scene,
     grounding_predictions,
+    predict_scene,
     prepare_scene,
     train,
     training_losses,
@@ -546,3 +547,164 @@ def test_prediction_wrappers_run_untaped_with_taped_values(monkeypatch):
     assert d.pred_classes == tuple(int(c) for c in det_out.logits.data.argmax(axis=1))
     assert [p.score for p in g.predictions] == \
         [float(s) for s in egoground.train._sigmoid(grd_out.logits.data[:, 0])]
+
+
+def two_instruction_batch():
+    scene = BATCH.scene
+    instructions = list(BATCH.instructions)
+    for target in range(len(scene.objects)):
+        if target == instructions[0].target:
+            continue
+        try:
+            instructions.append(make_instruction(scene, target, (21, target, 2)))
+        except Exception:
+            continue
+        return prepare_scene(scene, instructions, StubEmbeddings(), voxel_size=0.4,
+                             num_classes=NUM_CLASSES)
+    raise RuntimeError("no second instruction found")
+
+
+def _prediction_bytes(prediction):
+    parts = []
+    for out, score_logits in (prediction.detection, *prediction.grounding):
+        parts += [out.boxes, out.logits.data, out.box_pred.data, score_logits.data]
+        if out.relevance is not None:
+            parts.append(out.relevance.data)
+    return b"".join(a.tobytes() for a in parts)
+
+
+def _fresh_bytes(batch, store, cfg):
+    egoground.train._memo = None
+    return _prediction_bytes(predict_scene(batch, store, cfg))
+
+
+def test_prepared_batch_arrays_are_read_only():
+    # batches are keyed by identity, so an in-place write must fail loudly
+    batch = small_batch()
+    arrays = {
+        "coords": batch.voxels.coords,
+        "features": batch.voxels.features.data,
+        "image_features": batch.image_features,
+        "class_onehot": batch.class_onehot,
+        "det boxes": batch.det_targets.boxes,
+        "grd boxes": batch.grd_targets[0].boxes,
+        "relevance labels": batch.grd_targets[0].relevance_labels,
+        "token vectors": batch.token_vectors[0],
+        "encoder input": batch.encoder_input(CFG.dim),
+    }
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+        assert not array.flags.writeable, name
+
+
+def test_prediction_outputs_are_read_only(monkeypatch):
+    monkeypatch.setattr(egoground.train, "_memo", None)
+    store = init_model_params(CFG, seed=4)
+    det, det_scores = forward_detection(BATCH, store, CFG)
+    grd, grd_scores = forward_grounding(BATCH, store, CFG)
+    arrays = [det.boxes, det.logits.data, det.box_pred.data, det_scores.data,
+              grd.boxes, grd.logits.data, grd.box_pred.data, grd.relevance.data,
+              grd_scores.data]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+def test_one_inference_pass_per_scene(monkeypatch):
+    # an eval_heldout operation (both prediction wrappers and the heatmap's
+    # grounding forward) and every instruction's grounding share one trunk
+    batch = two_instruction_batch()
+    monkeypatch.setattr(egoground.train, "_memo", None)
+    store = init_model_params(CFG, seed=5)
+    calls = _count_calls(monkeypatch, egoground.train,
+                         ["encode_voxels", "fuse_features", "decoder_forward"])
+    detection_predictions(batch, store, CFG)
+    grounding_predictions(batch, store, CFG, 0)
+    forward_grounding(batch, store, CFG, 0)
+    grounding_predictions(batch, store, CFG, 1)
+    forward_detection(batch, store, CFG)
+    assert len(batch.instructions) == 2
+    assert calls == {"encode_voxels": 1, "fuse_features": 1,
+                     "decoder_forward": 1 + len(batch.instructions)}
+
+
+def test_scene_prediction_matches_the_task_bodies(monkeypatch):
+    # every instruction's outputs are those of its own taped forward, bit for bit
+    batch = two_instruction_batch()
+    monkeypatch.setattr(egoground.train, "_memo", None)
+    store = init_model_params(CFG, seed=5)
+    prediction = predict_scene(batch, store, CFG)
+    fused = fuse_scene(batch, store, CFG)
+    taped = [_detection_body(fused, batch, store, CFG)]
+    taped += [_grounding_body(fused, batch, store, CFG, i) for i in range(2)]
+    assert len(prediction.grounding) == 2
+    for (out, scores), (ref, ref_scores) in zip((prediction.detection, *prediction.grounding),
+                                                taped):
+        assert out.boxes.tobytes() == ref.boxes.tobytes()
+        assert out.logits.data.tobytes() == ref.logits.data.tobytes()
+        assert scores.data.tobytes() == ref_scores.data.tobytes()
+        assert (out.relevance is None) == (ref.relevance is None)
+        if ref.relevance is not None:
+            assert out.relevance.data.tobytes() == ref.relevance.data.tobytes()
+
+
+def test_scene_prediction_memo_recomputes_on_any_change(monkeypatch):
+    monkeypatch.setattr(egoground.train, "_memo", None)
+    calls = _count_calls(monkeypatch, egoground.train, ["fuse_features"])
+    cfg = replace(CFG)
+    store = init_model_params(cfg, seed=6)
+    first = predict_scene(BATCH, store, cfg)
+    assert predict_scene(BATCH, store, cfg) is first
+    assert calls["fuse_features"] == 1
+
+    def recomputed():
+        before = calls["fuse_features"]
+        prediction = predict_scene(BATCH, store, cfg)
+        assert calls["fuse_features"] == before + 1
+        assert predict_scene(BATCH, store, cfg) is prediction  # and kept
+        assert _prediction_bytes(prediction) == _fresh_bytes(BATCH, store, cfg)
+        return prediction
+
+    # one weight flips sign bit only: equal as floats, not as bits
+    zero = int(np.flatnonzero(store.data == 0.0)[0])
+    store.data[zero] = -0.0
+    assert _prediction_bytes(recomputed()) == _prediction_bytes(first)
+
+    loss, _ = training_losses(BATCH, store, cfg, WEIGHTS)
+    loss.backward()
+    Adam(lr=1e-2).step(store)
+    stepped = recomputed()
+    assert _prediction_bytes(stepped) != _prediction_bytes(first)
+
+    cfg.disable_rag = True  # in place, on the same config object
+    assert recomputed().grounding[0][0].relevance is None
+
+    other = small_batch(seed=22)
+    before = calls["fuse_features"]
+    prediction = predict_scene(other, store, cfg)
+    assert calls["fuse_features"] == before + 1
+    assert _prediction_bytes(prediction) == _fresh_bytes(other, store, cfg)
+
+
+def test_non_finite_prediction_is_not_kept(monkeypatch):
+    monkeypatch.setattr(egoground.train, "_memo", None)
+    store = init_model_params(CFG, seed=8)
+    store["relevance.1.b"].data[0] = np.nan
+    for _ in range(2):  # raised again, not read from the memo
+        with pytest.raises(NonFiniteError, match="grounding forward: non-finite relevance"):
+            forward_grounding(BATCH, store, CFG)
+    assert egoground.train._memo is None
+
+
+def test_bad_instruction_raises_before_any_work(monkeypatch):
+    monkeypatch.setattr(egoground.train, "_memo", None)
+    calls = _count_calls(monkeypatch, egoground.train, ["encode_voxels", "decoder_forward"])
+    store = init_model_params(CFG, seed=1)
+    for bad in (1, -1):
+        with pytest.raises(IndexError, match="out of range"):
+            forward_grounding(BATCH, store, CFG, bad)
+        with pytest.raises(IndexError, match="out of range"):
+            grounding_predictions(BATCH, store, CFG, bad)
+    assert calls == {"encode_voxels": 0, "decoder_forward": 0}
+    assert egoground.train._memo is None
