@@ -23,16 +23,13 @@ way too; only ``train.training_losses`` records.  A forward kept alive as a
 tape holds thousands of collector-tracked objects until it ends, enough to
 set off a full collection every few dozen forwards.
 
-``Tensor`` holds exactly the ops the model records (``tests/test_train.py``
-pins them): ``+``, ``*``, ``sum``, ``mean``, ``reshape`` and indexing, whose
-backward scatters with ``np.add.at`` so repeated indices add up; ``concat``
-is a free function.  The tape records only what needs a gradient: an array
-or float operand of ``+``, ``*``, ``concat`` or ``linear`` (scene features,
-text vectors, positional encodings, loss weights) is a constant, not a
-leaf.  It gets no node and no gradient slot, and no gradient is formed for
-it, so a training tape's only leaves are parameters.  A tape's cost is
-Python overhead per node, so the model's building blocks are each one node
-with a hand-written backward:
+``Tensor`` holds no arithmetic: its ops are ``reshape``, ``backward``,
+``item`` and ``shape`` (``tests/test_train.py`` pins them).  Every other
+node is one of the model's layers with a hand-written backward, since a
+tape's cost is Python overhead per node.  An array that enters a node
+(scene features, text vectors, positional encodings) and a loss weight are
+constants, not leaves: they get no node, no gradient slot and no gradient,
+so a training tape's only leaves are parameters.  The nodes:
 
 * ``linear``: ``x @ w + b`` over ``(x, w, b)``, or ``(w, b)`` for a constant
   ``x``.
@@ -51,21 +48,23 @@ with a hand-written backward:
   on (H, N, d) stacks (Vaswani et al., 2017), so ``attention`` is five
   nodes (four linears and the core) for any head count, its residual add
   included.
-* the box decode in ``network``: the shared box head's output to the
-  (K, 12) [centers | log extents | normalized sin | normalized cos] tensor.
-* the loss tails in ``losses``: ``focal_loss``, ``box_regression_loss`` and
-  ``spatial_relevance_loss`` are one node each over their input tensors.
+* in ``network``: ``fuse_features`` (concat and linear), ``sentence_embed``
+  (the mean), ``select_queries`` (gather and positional encoding),
+  ``qim_modulate`` (``beta * Q + gamma * s``) and the box decode.
+* in ``losses``: the three loss tails and ``weighted_sum``, an objective's
+  weighted total.
 
-Their forward values are bit-identical to the elementwise compositions they
-replace; the tests keep those compositions as references, built from the
-ops the model never records (negation, subtraction, division, powers,
-matmul, transpose, softmax and the elementwise nonlinearities) in
-``tests/tape_reference.py``.  The gradients of ``linear``, ``mlp``, the box
-decode and the loss tails are bit-identical too: their backwards apply the
-composition's terms in its tape order.  A residual operand keeps this: the
-backward adds ``g`` into the residual first, where the add's own node ran,
-just before its sublayer's.  Those of ``layer_norm`` and the attention core
-agree to rounding, since their closed forms sum in a different order.
+Their forward values are bit-identical to the compositions they replace;
+the tests keep those compositions as references, built from generic ops
+the model never records (addition, multiplication, sums, indexing,
+concatenation, subtraction, division, powers, matmul, transpose, softmax
+and the elementwise nonlinearities) in ``tests/tape_reference.py``.  The
+gradients of every node but ``layer_norm`` and the attention core are
+bit-identical too: their backwards apply the composition's terms in its
+tape order.  A residual operand keeps this: the backward adds ``g`` into
+the residual first, where the add's own node ran, just before its
+sublayer's.  Those of ``layer_norm`` and the attention core agree to
+rounding, since their closed forms sum in a different order.
 
 Finiteness is checked where values enter and where they leave, not per
 node.  A ``Tensor`` built from data and a constant operand must be finite
@@ -86,7 +85,7 @@ central finite differences at tight tolerances (``grad_check``).
 
 Module layout:
 
-* ``Tensor``, the free function ``concat`` and ``no_grad``: the op set.
+* ``Tensor`` and ``no_grad``: the tape.
 * ``ParamStore``: named leaf tensors on a flat arena, plus init helpers and
   the fused ops for linear / MLP / layer-norm / attention parameter groups.
 * ``SGD`` / ``Adam``: in-place optimizers over a store's arena.
@@ -134,19 +133,6 @@ def _softplus(x: Array) -> Array:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 _recording = True  # False inside no_grad()
 
 
@@ -172,13 +158,12 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
-    __array_ufunc__ = None  # ``array * t`` reaches ``__rmul__``, not an object array of tensors
 
-    def __init__(self, data, parents: tuple = (), backward: Callable[[Array], None] | None = None):
+    def __init__(self, data, parents: tuple = ()):
         self.data = np.ascontiguousarray(data, dtype=np.float64) if parents else _constant(data)
         self.grad: Array | None = None
         self._parents = parents
-        self._backward = backward
+        self._backward: Callable[[Array], None] | None = None
 
     def _taped(self, backward: Callable[[Array], None]) -> "Tensor":
         """Attach an op's backward closure, or drop its parents under no_grad()."""
@@ -202,69 +187,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 
-    # ---- arithmetic ----
-
-    def __add__(self, other) -> "Tensor":
-        tensor = isinstance(other, Tensor)
-        b = other.data if tensor else _constant(other)
-        out = Tensor(self.data + b, (self, other) if tensor else (self,))
-
-        def backward(g):
-            self.grad += _unbroadcast(g, self.data.shape)
-            if tensor:
-                other.grad += _unbroadcast(g, other.data.shape)
-
-        return out._taped(backward)
-
-    def __mul__(self, other) -> "Tensor":
-        tensor = isinstance(other, Tensor)
-        b = other.data if tensor else _constant(other)
-        out = Tensor(self.data * b, (self, other) if tensor else (self,))
-
-        def backward(g):
-            self.grad += _unbroadcast(g * b, self.data.shape)
-            if tensor:
-                other.grad += _unbroadcast(g * self.data, other.data.shape)
-
-        return out._taped(backward)
-
-    # ``c * t`` for a constant ``c``: float multiplication commutes, so its
-    # value and gradient bytes are those of ``t * c``
-    __rmul__ = __mul__
-
-    # ---- reductions ----
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.data.shape)
-
-        return out._taped(backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # ---- shape ops ----
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape) -> "Tensor":
         out = Tensor(self.data.reshape(shape), (self,))
 
         def backward(g):
             self.grad += g.reshape(self.data.shape)
-
-        return out._taped(backward)
-
-    def __getitem__(self, key) -> "Tensor":
-        out = Tensor(self.data[key], (self,))
-
-        def backward(g):
-            np.add.at(self.grad, key, g)
 
         return out._taped(backward)
 
@@ -308,22 +237,6 @@ def _constant(value) -> Array:
     if not np.isfinite(arr).all():
         raise NonFiniteError("non-finite values in tensor")
     return arr
-
-
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    """Join ``parts`` along ``axis``; an array among them is a constant (``_constant``)."""
-    arrays = [t.data if isinstance(t, Tensor) else _constant(t) for t in parts]
-    out = Tensor(np.concatenate(arrays, axis=axis), tuple(t for t in parts if isinstance(t, Tensor)))
-    offsets = np.cumsum([0] + [a.shape[axis] for a in arrays])
-
-    def backward(g):
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(t, Tensor):
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t.grad += g[tuple(index)]
-
-    return out._taped(backward)
 
 
 # ---------------------------------------------------------------------------

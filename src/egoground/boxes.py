@@ -371,15 +371,28 @@ def box_iou_exact(a: Box9DoF, b: Box9DoF) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def _mc_contains(box: Box9DoF, points: Array) -> Array:
+    """``contains_points`` with local coordinates ``dx * r[0, j] + dy * r[1, j] + dz * r[2, j]``.
+
+    A third cheaper than its matmul at a million points; the voxel labels keep the matmul.
+    """
+    c, r, half = box.center.tolist(), box.rotation().tolist(), (box.extents / 2.0).tolist()
+    dx, dy, dz = points[:, 0] - c[0], points[:, 1] - c[1], points[:, 2] - c[2]
+    inside = np.abs(dx * r[0][0] + dy * r[1][0] + dz * r[2][0]) <= half[0]
+    for j in (1, 2):
+        inside &= np.abs(dx * r[0][j] + dy * r[1][j] + dz * r[2][j]) <= half[j]
+    return inside
+
+
 def box_iou_mc(a: Box9DoF, b: Box9DoF, samples: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo IoU oracle: (estimate, standard error).
 
     Samples uniformly in the joint axis-aligned bounding volume; the IoU is
     the fraction of union hits that land in both boxes.  The points are drawn
-    and tested _MC_CHUNK rows at a time; ``Generator.random`` fills rows in
-    order, and ``lo + (hi - lo) * u`` is ``Generator.uniform``'s arithmetic at
-    two thirds of its cost, so the chunks are the rows of one ``(samples, 3)``
-    ``uniform`` draw.
+    and tested (``_mc_contains``) _MC_CHUNK rows at a time;
+    ``Generator.random`` fills rows in order, and ``lo + (hi - lo) * u`` is
+    ``Generator.uniform``'s arithmetic at two thirds of its cost, so the
+    chunks are the rows of one ``(samples, 3)`` ``uniform`` draw.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -390,8 +403,8 @@ def box_iou_mc(a: Box9DoF, b: Box9DoF, samples: int = 1_000_000, seed: int = 0) 
     n_union = n_both = 0
     for start in range(0, samples, _MC_CHUNK):
         pts = lo + (hi - lo) * rng.random((min(_MC_CHUNK, samples - start), 3))
-        in_a = contains_points(a, pts)
-        in_b = contains_points(b, pts)
+        in_a = _mc_contains(a, pts)
+        in_b = _mc_contains(b, pts)
         n_union += int(np.count_nonzero(in_a | in_b))
         n_both += int(np.count_nonzero(in_a & in_b))
     if n_union == 0:

@@ -7,10 +7,10 @@ flags it reads: ``--config`` goes to `gen` and `train`, ``--seed`` to `gen`,
 the checkpoint, where `train` stores its effective config (and dumps it next
 to the checkpoint) so a run can be reproduced from its artifacts alone.
 Every command is deterministic under a fixed seed, exits 0 on success and
-prints a single-line diagnostic to stderr with exit code 1 on failure.
-Before Python 3.13, argparse takes a value in exponent form that starts
-with ``-`` (``--eps -1e-5``) for an option and exits 2 with its usage;
-write it ``--eps=-1e-5``.  ``--iou -0.25`` and ``--tol -1`` reach the check.
+prints a single-line diagnostic to stderr with exit code 1 on failure.  A
+negative option value reaches that check in every form (``--iou -0.25``,
+``--eps -1e-5``): the parser reads a ``-`` followed by a digit as a value,
+as Python 3.13's argparse does, where older ones exit 2 on the exponent form.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 import typing
@@ -371,9 +372,16 @@ def cmd_heatmap(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that takes ``-1e-5`` for a value, not an option; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="egoground",
-                                     description="desk-scale multi-view grounding")
+    parser = _Parser(prog="egoground", description="desk-scale multi-view grounding")
     sub = parser.add_subparsers(dest="command", required=True)
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="JSON config file mirroring RunConfig")

@@ -29,17 +29,19 @@ a mean binary cross-entropy over per-voxel relevance logits against
 inside-the-target-box labels.
 
 The three loss tails (``focal_loss``, ``box_regression_loss`` and
-``spatial_relevance_loss``) are one tape node each.  Each forward evaluates
-the numpy expressions of the ``Tensor`` op composition it replaces, and
-each backward adds the composition's gradient terms in the order its tape
-would, so values and gradients are bit-identical to that composition (the
-tests keep it as the reference).
+``spatial_relevance_loss``) are one tape node each, and so is each
+objective's weighted total (``weighted_sum``).  Each forward evaluates the
+numpy expressions of the op composition it replaces, and each backward adds
+the composition's gradient terms in the order its tape would, so values and
+gradients are bit-identical to that composition (the tests keep it as the
+reference, in ``tests/tape_reference.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -57,8 +59,9 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) >= 0.0:
-                raise ValueError(f"{f.name} must be nonnegative, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
 
 
 @dataclass
@@ -270,6 +273,23 @@ def spatial_relevance_loss(logits: Tensor, labels: Array) -> Tensor:
     return out._taped(backward)
 
 
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``weights[0] * terms[0] + weights[1] * terms[1] + ...``, left to right, as one node.
+
+    A term's gradient is ``g * weight``; a weight of 1.0 keeps every byte of a plain add.
+    """
+    total = terms[0].data * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        total = total + t.data * w
+    out = Tensor(total, tuple(terms))
+
+    def backward(g):
+        for t, w in zip(terms, weights):
+            t.grad += g * w
+
+    return out._taped(backward)
+
+
 def total_loss(output, targets: SetTargets, cls_weight: float, weights: LossWeights):
     """The set loss of either task plus, for grounding, the relevance BCE.
 
@@ -284,11 +304,13 @@ def total_loss(output, targets: SetTargets, cls_weight: float, weights: LossWeig
     onehot[rows, [targets.columns[j] for j in cols]] = 1.0
     cls_term = focal_loss(output.logits, onehot, normalizer=max(1, len(rows)))
     box_term = box_regression_loss(output.box_pred, rows, targets.boxes[cols])
-    total = cls_weight * cls_term + weights.lambda_box * box_term
+    terms, term_weights = [cls_term, box_term], [cls_weight, weights.lambda_box]
     spatial = 0.0
     if output.relevance is not None and targets.relevance_labels is not None:
         spatial_term = spatial_relevance_loss(output.relevance, targets.relevance_labels)
-        total = total + weights.lambda_spatial * spatial_term
+        terms.append(spatial_term)
+        term_weights.append(weights.lambda_spatial)
         spatial = spatial_term.item()
+    total = weighted_sum(terms, term_weights)
     return total, LossBreakdown(cls=cls_term.item(), box=box_term.item(), spatial=spatial,
                                 total=total.item())

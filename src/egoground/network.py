@@ -37,9 +37,10 @@ decoded boxes are one (K, 9) array, a row per query; ``Box9DoF`` objects are
 built only where boxes leave the model (see train).  What the box loss
 regresses is one (K, 12) tensor, [centers | log extents | sin / norm |
 cos / norm] with norm = sqrt(sin^2 + cos^2 + 1e-12), decoded from the box
-head in one tape node (``_decode_boxes``).  Query selection is not
-differentiated through; the scoring heads learn from an auxiliary objective
-instead (see train).
+head in one tape node (``_decode_boxes``), as are ``fuse_features``,
+``sentence_embed``, ``select_queries`` and ``qim_modulate`` (see autodiff).
+Query selection is not differentiated through; the scoring heads learn
+from an auxiliary objective instead (see train).
 
 Every stage passes plain tensors: the fused trunk, the region-refined
 features and the relevance logits are (N, C) / (N,) ``Tensor`` rows in voxel
@@ -81,9 +82,9 @@ from .autodiff import (
     NonFiniteError,
     ParamStore,
     Tensor,
+    _constant,
     _is_int,
     attention,
-    concat,
     init_attention,
     init_layer_norm,
     init_linear,
@@ -320,13 +321,22 @@ def encode_voxels(inputs: Array, store: ParamStore) -> Tensor:
 
 
 def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
-    """Concatenate [encoded 3D | mean sampled 2D] and project to the model width.
+    """Concatenate [encoded 3D | mean sampled 2D] and project to the model width, as one node.
 
     ``encoded`` is the (N, C) ``encode_voxels`` output and ``sampled`` the
     (N, C') ``geometry.sample_views`` output for the same voxels, a constant
-    on the tape; gradients flow through the projection and the 3D branch.
+    on the tape; ``encoded`` takes its columns of the whole input's gradient.
     """
-    return linear(concat([encoded, sampled], axis=1), store, "fuse")
+    w, b = store["fuse.w"], store["fuse.b"]
+    x = np.concatenate([encoded.data, _constant(sampled)], axis=1)
+    out = Tensor(x @ w.data + b.data, (encoded, w, b))
+
+    def backward(g):
+        encoded.grad += (g @ w.data.T)[:, :encoded.shape[1]]
+        w.grad += x.T @ g
+        b.grad += g.sum(axis=0)
+
+    return out._taped(backward)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +345,16 @@ def fuse_features(encoded: Tensor, sampled: Array, store: ParamStore) -> Tensor:
 
 
 def sentence_embed(tokens: Tensor) -> Tensor:
-    """Mean over token rows; (T, C) -> (1, C)."""
+    """Mean over token rows, as one node; (T, C) -> (1, C)."""
     if tokens.shape[0] < 1:
         raise ValueError("sentence embedding needs at least one token")
-    return tokens.mean(axis=0, keepdims=True)
+    inv_t = 1.0 / tokens.shape[0]
+    out = Tensor(tokens.data.sum(axis=0, keepdims=True) * inv_t, (tokens,))
+
+    def backward(g):
+        tokens.grad += np.broadcast_to(g * inv_t, tokens.shape)
+
+    return out._taped(backward)
 
 
 def embed_text(token_vectors: Array, store: ParamStore) -> TextEmbedding:
@@ -377,8 +393,13 @@ def select_queries(features: Tensor, coords: Array, inputs: Array, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} voxels")
     order = np.argsort(-logits.data.max(axis=1), kind="stable")[:k]
-    embeddings = features[order] + inputs[order, inputs.shape[1] - dim:]
-    return QuerySet(embeddings=embeddings, positions=coords[order])
+    pos = _constant(inputs[order, inputs.shape[1] - dim:])
+    out = Tensor(features.data[order] + pos, (features,))
+
+    def backward(g):
+        np.add.at(features.grad, order, g)
+
+    return QuerySet(embeddings=out._taped(backward), positions=coords[order])
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +408,23 @@ def select_queries(features: Tensor, coords: Array, inputs: Array, k: int,
 
 
 def qim_modulate(queries: Tensor, sentence: Tensor, store: ParamStore) -> Tensor:
-    """Channel-wise affine on queries, parameters predicted from the sentence."""
+    """Channel-wise affine ``beta * Q + gamma * s``, beta and gamma predicted from the sentence."""
     if queries.shape[-1] != sentence.shape[-1]:
         raise ValueError(f"query width {queries.shape[-1]} != sentence width "
                          f"{sentence.shape[-1]}")
     beta = mlp(sentence, store, "qim_beta")
     gamma = mlp(sentence, store, "qim_gamma")
-    return beta * queries + gamma * sentence
+    q, s = queries.data, sentence.data
+    out = Tensor(beta.data * q + gamma.data * s, (beta, queries, gamma, sentence))
+
+    def backward(g):
+        beta.grad += (g * q).sum(axis=0, keepdims=True)
+        queries.grad += g * beta.data
+        g_s = g.sum(axis=0, keepdims=True)
+        gamma.grad += g_s * s
+        sentence.grad += g_s * gamma.data
+
+    return out._taped(backward)
 
 
 def rag_apply(features: Tensor, text: TextEmbedding, store: ParamStore,

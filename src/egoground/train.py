@@ -43,8 +43,9 @@ against ``0.0`` or a changed NaN payload recomputes); any optimizer step or
 in-place edit of the parameters or the config therefore recomputes.  One
 entry is enough for a scene's several readers and costs one arena copy;
 an entry per scene would copy the arena once per held-out scene.  Prepared
-batches and memo outputs are read-only arrays, so an in-place write raises
-instead of leaving the memo stale.  Boxes stay (K, 9) arrays up to the
+batches and memo outputs are read-only arrays, and a ``SceneBatch`` is
+frozen with tuple fields, so an in-place write or a replaced field or entry
+raises instead of leaving the memo stale.  Boxes stay (K, 9) arrays up to the
 prediction wrappers, where ``_scored_boxes`` turns each row into a
 ``Box9DoF`` for evaluation.
 """
@@ -65,6 +66,7 @@ from .losses import (
     focal_loss,
     spatial_relevance_loss,
     total_loss,
+    weighted_sum,
 )
 from .network import (
     ModelConfig,
@@ -89,24 +91,27 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SceneBatch:
+    """A prepared scene: frozen, equal and hashed by identity (see the module docstring)."""
+
     scene: Scene
     voxels: VoxelFeatureSet          # 2D features pooled over each voxel's pixels (constant)
     image_features: Array            # (N, C') view grids sampled at voxel centers (constant)
     det_targets: SetTargets          # every object box and its class (constant)
     class_onehot: Array              # (N, num_classes) one-hot voxel class; background rows zero
     foreground: int                  # voxels inside some object: rows of class_onehot with a 1
-    instructions: list[Instruction]
-    token_vectors: list[Array]       # raw stub vectors per instruction
-    grd_targets: list[SetTargets]    # per instruction: the target box, relevance labels
-    _encoder_input: Array | None = field(default=None, init=False, repr=False, compare=False)
+    instructions: tuple[Instruction, ...]
+    token_vectors: tuple[Array, ...]  # raw stub vectors per instruction
+    grd_targets: tuple[SetTargets, ...]  # per instruction: the target box, relevance labels
+    _encoder_input: Array | None = field(default=None, init=False, repr=False)
 
     def encoder_input(self, dim: int) -> Array:
         """``network.encoder_input`` of these voxels for a width-``dim`` model, kept for that width."""
         cached = self._encoder_input
         if cached is None or cached.shape[1] != self.voxels.features.shape[1] + dim:
-            cached = self._encoder_input = _read_only(encoder_input(self.voxels, dim))
+            cached = _read_only(encoder_input(self.voxels, dim))
+            object.__setattr__(self, "_encoder_input", cached)
         return cached
 
     @property
@@ -157,7 +162,7 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
     class_onehot[fg, voxel_classes[fg]] = 1.0
     boxes = np.array([o.box.as_params() for o in scene.objects]).reshape(-1, 9)
     det_targets = SetTargets(boxes, [o.class_id for o in scene.objects])
-    token_vectors = [stub.token_vectors(ins.tokens) for ins in instructions]
+    token_vectors = tuple(stub.token_vectors(ins.tokens) for ins in instructions)
     grd_targets = []
     for ins in instructions:
         inside = contains_points(scene.objects[ins.target].box, voxels.coords)
@@ -167,8 +172,8 @@ def prepare_scene(scene: Scene, instructions: list[Instruction], stub: StubEmbed
                *token_vectors, *(a for t in grd_targets for a in (t.boxes, t.relevance_labels)))
     return SceneBatch(scene=scene, voxels=voxels, image_features=image_features,
                       det_targets=det_targets, class_onehot=class_onehot,
-                      foreground=len(fg), instructions=instructions, token_vectors=token_vectors,
-                      grd_targets=grd_targets)
+                      foreground=len(fg), instructions=tuple(instructions),
+                      token_vectors=token_vectors, grd_targets=tuple(grd_targets))
 
 
 def fuse_scene(batch: SceneBatch, store: ParamStore, cfg: ModelConfig) -> Tensor:
@@ -274,7 +279,7 @@ def training_losses(batch: SceneBatch, store: ParamStore, cfg: ModelConfig,
                          normalizer=max(1, batch.foreground))
     aux_grd = spatial_relevance_loss(grd_score_logits, grd_targets.relevance_labels)
 
-    loss = det_total + grd_total + aux_det + aux_grd
+    loss = weighted_sum((det_total, grd_total, aux_det, aux_grd), (1.0, 1.0, 1.0, 1.0))
     parts = {
         "total": loss.item(),
         "det_total": det_parts.total,

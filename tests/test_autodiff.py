@@ -9,7 +9,6 @@ from egoground.autodiff import (
     Tensor,
     _attention_core,
     attention,
-    concat,
     grad_check,
     init_attention,
     init_layer_norm,
@@ -23,8 +22,13 @@ from egoground.autodiff import (
     no_grad,
 )
 from tape_reference import (
+    add,
+    concat,
     div,
+    getitem,
     matmul,
+    mean,
+    mul,
     pow_,
     relu,
     sigmoid,
@@ -32,6 +36,7 @@ from tape_reference import (
     softplus,
     sqrt,
     sub,
+    sum_,
     transpose,
 )
 
@@ -53,7 +58,7 @@ def test_op_outputs_are_unchecked_and_backward_refuses_a_non_finite_loss():
     # finiteness is checked where data enters and at the loss, not per op
     x = Tensor([1e308])
     with np.errstate(over="ignore"):
-        loss = x * 10.0
+        loss = mul(x, 10.0)
     assert loss.data[0] == np.inf
     with pytest.raises(NonFiniteError, match="non-finite loss inf"):
         loss.backward()
@@ -76,7 +81,7 @@ def test_square_gradient_matches_fd_tightly():
     # up to roundoff because the quadratic's odd terms cancel.
     store = ParamStore()
     store.create("w", 3.0)
-    report = grad_check(lambda s: s["w"] * s["w"], store, eps=1e-5)
+    report = grad_check(lambda s: mul(s["w"], s["w"]), store, eps=1e-5)
     assert report.max_rel_err < 1e-8
 
 
@@ -87,7 +92,7 @@ def test_broadcast_add_mul_gradients():
     store.create("b", rng.normal(size=(5,)))
 
     def fn(s):
-        return ((s["a"] + s["b"]) * s["a"]).sum()
+        return sum_(mul(add(s["a"], s["b"]), s["a"]))
 
     report = grad_check(fn, store, eps=1e-5, tol=1e-6)
     assert report.passed
@@ -97,7 +102,7 @@ def test_getitem_fancy_index_accumulates_repeats():
     store = ParamStore()
     store.create("m", np.arange(6.0).reshape(3, 2))
     idx = np.array([0, 0, 2], dtype=np.intp)
-    out = store["m"][idx].sum()
+    out = sum_(getitem(store["m"], idx))
     out.backward()
     np.testing.assert_allclose(store["m"].grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -110,7 +115,8 @@ def test_concat_and_slice_gradients():
 
     def fn(s):
         joined = concat([s["a"], s["b"]], axis=1)
-        return (joined[:, 1:4] * joined[:, 1:4]).sum()
+        middle = getitem(joined, (slice(None), slice(1, 4)))
+        return sum_(mul(middle, middle))
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-6).passed
 
@@ -122,9 +128,10 @@ def test_core_op_gradients_against_fd():
 
     def fn(s):
         x = s["x"]
-        y = div(x, x + 1.0) + 0.5 * x * x + pow_(x, -2.0) * x.sum(axis=0)
-        z = pow_(y, 0.5) + div(x.mean(axis=1, keepdims=True), x) + pow_(x, 1.5)
-        return (z * z).mean()
+        y = add(add(div(x, add(x, 1.0)), mul(mul(x, 0.5), x)),
+                mul(pow_(x, -2.0), sum_(x, axis=0)))
+        z = add(add(pow_(y, 0.5), div(mean(x, axis=1, keepdims=True), x)), pow_(x, 1.5))
+        return mean(mul(z, z))
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-6).passed
 
@@ -138,7 +145,7 @@ def test_linear_layer_squared_loss_gradcheck():
 
     def fn(s):
         err = sub(linear(x, s, "lin"), target)
-        return (err * err).sum()
+        return sum_(mul(err, err))
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-6).passed
 
@@ -159,7 +166,7 @@ def test_mlp_gradcheck_and_shape_error():
 
     def fn(s):
         out = mlp(x, s, "mlp")
-        return (out * out).sum()
+        return sum_(mul(out, out))
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
     with pytest.raises(ValueError, match="mlp"):
@@ -180,7 +187,7 @@ def test_mlp_applies_every_layer_the_store_holds():
 
     def fn(s):
         y = mlp(x, s, "deep")
-        return (y * y).sum()
+        return sum_(mul(y, y))
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
@@ -203,7 +210,7 @@ def test_layer_norm_normalizes_and_gradchecks():
 
     def fn(s):
         out = layer_norm(x, s, "ln")
-        return (out * sigmoid(out)).sum()
+        return sum_(mul(out, sigmoid(out)))
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
@@ -250,7 +257,7 @@ def test_attention_gradcheck_single_and_multi_head():
 
         def fn(s):
             out = attention(Tensor(q_data), Tensor(kv_data), s, "att", heads=heads)
-            return (out * out).sum()
+            return sum_(mul(out, out))
 
         assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
@@ -287,7 +294,7 @@ def test_grad_check_flags_broken_backward():
         out._backward = backward
         return out
 
-    report = grad_check(lambda s: bad_square(s["w"]).sum(), store, eps=1e-5, tol=1e-4)
+    report = grad_check(lambda s: sum_(bad_square(s["w"])), store, eps=1e-5, tol=1e-4)
     assert not report.passed
     assert report.max_rel_err > 0.1
 
@@ -378,7 +385,7 @@ def test_rng_is_deterministic_per_seed():
 
 def _attention_block(store, x):
     h = layer_norm(attention(x, x, store, "att", heads=2), store, "ln")
-    y = concat([softmax(h, axis=-1), softplus(sigmoid(h * 0.5))], axis=1)
+    y = concat([softmax(h, axis=-1), softplus(sigmoid(mul(h, 0.5)))], axis=1)
     return mlp(y, store, "mlp")
 
 
@@ -408,7 +415,7 @@ def test_no_grad_nests():
     with no_grad():
         with no_grad():
             pass
-        inner = x + x
+        inner = add(x, x)
     assert inner._parents == () and inner._backward is None
 
 
@@ -418,15 +425,15 @@ def test_no_grad_nests():
 
 
 def _linear_ref(x, store, name):
-    return matmul(x, store[name + ".w"]) + store[name + ".b"]
+    return add(matmul(x, store[name + ".w"]), store[name + ".b"])
 
 
 def _layer_norm_ref(x, store, name):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = mean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    y = div(centered, sqrt(var + 1e-5))
-    return y * store[name + ".g"] + store[name + ".b"]
+    var = mean(mul(centered, centered), axis=-1, keepdims=True)
+    y = div(centered, sqrt(add(var, 1e-5)))
+    return add(mul(y, store[name + ".g"]), store[name + ".b"])
 
 
 def _attention_ref(q, kv, store, prefix, heads):
@@ -436,9 +443,10 @@ def _attention_ref(q, kv, store, prefix, heads):
     d = q.shape[-1] // heads
     outs = []
     for h in range(heads):
-        cols = slice(h * d, (h + 1) * d)
-        w = softmax(matmul(qp[:, cols], transpose(kp[:, cols])) * (1.0 / np.sqrt(d)), axis=-1)
-        outs.append(matmul(w, vp[:, cols]))
+        cols = (slice(None), slice(h * d, (h + 1) * d))
+        logits = matmul(getitem(qp, cols), transpose(getitem(kp, cols)))
+        w = softmax(mul(logits, 1.0 / np.sqrt(d)), axis=-1)
+        outs.append(matmul(w, getitem(vp, cols)))
     merged = outs[0] if heads == 1 else concat(outs, axis=1)
     return _linear_ref(merged, store, f"{prefix}.o")
 
@@ -459,7 +467,7 @@ def _op_nodes(out):
 def _grads(fn, store, weights):
     store.zero_grad()
     out = fn(store)
-    (out * Tensor(weights)).sum().backward()
+    sum_(mul(out, Tensor(weights))).backward()
     grads = {name: p.grad.copy() for name, p in store.items()}
     store.zero_grad()
     return out, grads
@@ -477,7 +485,7 @@ def _assert_fused_matches(fused, reference, store, rng, fd=True):
 
     if fd:
         def loss(s):
-            return (fused(s) * Tensor(weights)).sum()
+            return sum_(mul(fused(s), Tensor(weights)))
 
         assert grad_check(loss, store, eps=1e-5, tol=1e-5).passed
 
@@ -519,7 +527,7 @@ def test_fused_mlp_matches_chain_bytes(sizes, zero_last, last_bias):
     for fn in (lambda x: mlp(x, store, "m"), lambda x: _mlp_ref(x, store, layers)):
         x = Tensor(x_data)
         out = fn(x)
-        (out * Tensor(upstream)).sum().backward()
+        sum_(mul(out, Tensor(upstream))).backward()
         got.append((out.data.tobytes(), x.grad.tobytes(), store.grad.tobytes()))
         store.zero_grad()
     assert got[0] == got[1]
@@ -528,11 +536,9 @@ def test_fused_mlp_matches_chain_bytes(sizes, zero_last, last_bias):
 
 CONSTANT = make_rng(163).normal(size=(3, 4))
 CONSTANT_OPS = {
-    "add": (lambda x, k, s: x + k, CONSTANT),
-    "mul": (lambda x, k, s: x * k, CONSTANT),
-    "mul float": (lambda x, k, s: x * k, 2.5),
-    "rmul float": (lambda x, k, s: k * x, 2.5),
-    "rmul array": (lambda x, k, s: k * x, CONSTANT),
+    "add": (lambda x, k, s: add(x, k), CONSTANT),
+    "mul": (lambda x, k, s: mul(x, k), CONSTANT),
+    "mul float": (lambda x, k, s: mul(x, k), 2.5),
     "concat": (lambda x, k, s: concat([x, k], axis=1), CONSTANT),
     "linear": (lambda x, k, s: linear(k, s, "lin"), CONSTANT),
 }
@@ -550,7 +556,7 @@ def test_constant_operands_record_no_node(name):
     got = []
     for operand in (k, Tensor(k)):
         out = op(store["x"], operand, store)
-        (out * Tensor(make_rng(166).normal(size=out.shape))).sum().backward()
+        sum_(mul(out, Tensor(make_rng(166).normal(size=out.shape)))).backward()
         got.append((out.data.tobytes(), store.grad.tobytes()))
         store.zero_grad()
     assert got[0] == got[1]
@@ -583,8 +589,8 @@ def test_residual_operand_matches_the_add_bytes(sublayer):
     for fused in (True, False):
         r = linear(store["x"], store, "pre")
         h = layer_norm(r, store, "ln")
-        out = fn(h, store, residual=r) if fused else r + fn(h, store)
-        (out * upstream).sum().backward()
+        out = fn(h, store, residual=r) if fused else add(r, fn(h, store))
+        sum_(mul(out, upstream)).backward()
         got.append((out.data.tobytes(), store.grad.tobytes(), _op_nodes(out)))
         store.zero_grad()
     assert got[0][:2] == got[1][:2]
@@ -651,8 +657,9 @@ def test_attention_weights_match_per_head_softmax():
     w = _attention_weights(q, kv, store, "att", heads=4)
     qp, kp = _linear_ref(q, store, "att.q"), _linear_ref(kv, store, "att.k")
     for h in range(4):
-        cols = slice(2 * h, 2 * h + 2)
-        ref = softmax(matmul(qp[:, cols], transpose(kp[:, cols])) * (1.0 / np.sqrt(2)), axis=-1)
+        cols = (slice(None), slice(2 * h, 2 * h + 2))
+        logits = matmul(getitem(qp, cols), transpose(getitem(kp, cols)))
+        ref = softmax(mul(logits, 1.0 / np.sqrt(2)), axis=-1)
         assert w[h].tobytes() == ref.data.tobytes()
 
 

@@ -219,8 +219,8 @@ def test_gradcheck_tolerances_default_in_parser():
     assert (args.tol, args.eps) == (1e-4, 1e-5)
 
 
-# a negative number may follow its flag after a space, as argparse reads it
-# as a value; only an exponent form such as "-1e-5" needs "=" (see cli)
+# a negative number may follow its flag after a space, as the parser reads it
+# as a value, exponent forms included (see cli)
 @pytest.mark.parametrize("argv", [["--eps=0"], ["--eps=-1e-5"], ["--eps=nan"], ["--tol=nan"],
                                   ["--tol=0"], ["--tol=inf"], ["--tol", "-1"]],
                          ids=lambda argv: "-".join(argv).replace("=", "-"))
@@ -229,6 +229,12 @@ def test_gradcheck_refuses_bad_eps_and_tol_by_name(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: grad_check {argv[0][2:5]} must be finite and > 0") and \
         err.count("\n") == 1, err
+
+
+def test_gradcheck_takes_a_spaced_exponent_form_as_its_value(capsys):
+    # argparse before Python 3.13 took "-1e-5" for an option and exited 2 with its usage
+    assert main(["gradcheck", "--eps", "-1e-5"]) == 1
+    assert capsys.readouterr().err == "error: grad_check eps must be finite and > 0, got -1e-05\n"
 
 
 def test_run_config_round_trip(tmp_path):
@@ -440,7 +446,7 @@ def test_eval_deterministic_and_extra_iou(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("iou", [["--iou=1.5"], ["--iou=0"], ["--iou=-0.25"], ["--iou=inf"],
-                                 ["--iou=nan"], ["--iou", "-0.25"]],
+                                 ["--iou=nan"], ["--iou", "-0.25"], ["--iou", "-2.5e-1"]],
                          ids=lambda iou: iou[0][6:] if len(iou) == 1 else "-".join(iou))
 def test_eval_refuses_bad_iou_before_any_work(workspace, tmp_path, capsys, iou):
     out = tmp_path / "reports"

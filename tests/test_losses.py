@@ -20,8 +20,9 @@ from egoground.losses import (
     matching_cost,
     spatial_relevance_loss,
     total_loss,
+    weighted_sum,
 )
-from tape_reference import abs_, neg, pow_, sigmoid, softplus, sub
+from tape_reference import abs_, add, getitem, mean, mul, neg, pow_, sigmoid, softplus, sub, sum_
 
 
 def box_loss(pred: Box9DoF, gt: Box9DoF) -> float:
@@ -345,33 +346,33 @@ def test_spatial_relevance_loss_values_and_gradcheck():
 def _focal_ref(logits, targets, normalizer):
     p = sigmoid(logits)
     one_minus_p = sigmoid(neg(logits))
-    pos = pow_(one_minus_p, 2.0) * softplus(neg(logits)) * 0.25
-    negative = pow_(p, 2.0) * softplus(logits) * 0.75
-    per_entry = pos * targets + negative * (1.0 - targets)
-    return per_entry.sum() * (1.0 / normalizer)
+    pos = mul(mul(pow_(one_minus_p, 2.0), softplus(neg(logits))), 0.25)
+    negative = mul(mul(pow_(p, 2.0), softplus(logits)), 0.75)
+    per_entry = add(mul(pos, targets), mul(negative, 1.0 - targets))
+    return mul(sum_(per_entry), 1.0 / normalizer)
 
 
 def _box_ref(pred, pred_rows, gt_boxes):
     if len(gt_boxes) == 0:
         return Tensor(0.0)
-    picked = pred[np.asarray(pred_rows, dtype=np.intp)]
-    c_term = abs_(sub(picked[:, 0:3], gt_boxes[:, :3])).sum()
-    e_term = abs_(sub(picked[:, 3:6], np.log(gt_boxes[:, 3:6]))).sum()
-    s_term = abs_(sub(picked[:, 6:9], np.sin(gt_boxes[:, 6:]))).sum()
-    k_term = abs_(sub(picked[:, 9:12], np.cos(gt_boxes[:, 6:]))).sum()
-    return (c_term + e_term + s_term + k_term) * (1.0 / len(gt_boxes))
+    picked = getitem(pred, np.asarray(pred_rows, dtype=np.intp))
+    c_term = sum_(abs_(sub(getitem(picked, np.s_[:, 0:3]), gt_boxes[:, :3])))
+    e_term = sum_(abs_(sub(getitem(picked, np.s_[:, 3:6]), np.log(gt_boxes[:, 3:6]))))
+    s_term = sum_(abs_(sub(getitem(picked, np.s_[:, 6:9]), np.sin(gt_boxes[:, 6:]))))
+    k_term = sum_(abs_(sub(getitem(picked, np.s_[:, 9:12]), np.cos(gt_boxes[:, 6:]))))
+    return mul(add(add(add(c_term, e_term), s_term), k_term), 1.0 / len(gt_boxes))
 
 
 def _spatial_ref(logits, labels):
     flat = logits.reshape(-1)
-    return sub(softplus(flat), flat * labels).mean()
+    return mean(sub(softplus(flat), mul(flat, labels)))
 
 
 def _bytes(fn, arrays, upstream):
     """Value and every input's gradient of ``fn`` on fresh leaves, as bytes (None: no gradient)."""
     leaves = [Tensor(a) for a in arrays]
     out = fn(*leaves)
-    (out * upstream).sum().backward()
+    sum_(mul(out, upstream)).backward()
     return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in leaves]
 
 
@@ -430,9 +431,32 @@ def test_fused_spatial_relevance_loss_matches_composition_bytes():
                            lambda x: _spatial_ref(x, labels), [logits], rng)
 
 
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0), (0.0, 2.5, 0.01)])
+def test_fused_weighted_sum_matches_products_and_adds(weights):
+    # unit weights are the training total's plain adds, the others total_loss's products
+    values = (-0.0, 0.1, 0.2, 0.3)[:len(weights)]
+
+    def reference(*terms):
+        if set(weights) != {1.0}:
+            terms = [mul(t, w) for t, w in zip(terms, weights)]
+        total = terms[0]
+        for t in terms[1:]:
+            total = add(total, t)
+        return total
+
+    terms = [Tensor([v]) for v in values]
+    assert weighted_sum(terms, weights)._parents == tuple(terms)
+    _assert_same_bytes(lambda *t: weighted_sum(t, weights), reference,
+                       [np.array([v]) for v in values], make_rng(421))
+
+
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         LossWeights(lambda_box=-0.1)
+    # a weight is a float in weighted_sum, so an infinite one is refused here, by name
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^lambda_spatial must be finite and nonnegative"):
+            LossWeights(lambda_spatial=value)
 
 
 @dataclass

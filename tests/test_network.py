@@ -19,7 +19,6 @@ from egoground.autodiff import (
     ParamStore,
     Tensor,
     _attention_core,
-    concat,
     grad_check,
     init_mlp,
     linear,
@@ -52,7 +51,7 @@ from egoground.network import (
     sentence_embed,
 )
 from egoground.scenes import FEAT2D_DIM, TEXT_DIM
-from tape_reference import div, pow_
+from tape_reference import add, concat, div, getitem, mean, mul, pow_, sum_
 
 TINY = ModelConfig(dim=8, layers=1, heads=2, k_det=4, k_grd=3)
 
@@ -499,7 +498,7 @@ def test_fusion_gradients_flow_to_both_linears():
 
     def fn(s):
         fused = fuse_features(encode_voxels(encoder_input(vox, cfg.dim), s), sampled, s)
-        return (fused * fused).mean()
+        return mean(mul(fused, fused))
 
     assert grad_check(fn, store, eps=1e-5, tol=1e-4).passed
 
@@ -655,7 +654,7 @@ def test_qim_gradcheck():
 
     def fn(store):
         out = qim_modulate(Tensor(q), Tensor(s), store)
-        return (out * out).mean()
+        return mean(mul(out, out))
 
     report = grad_check(fn, store)
     assert report.passed, report.worst
@@ -762,10 +761,11 @@ def test_decoder_set_equivariance():
 
 def _decode_ref(raw, positions):
     """The tape composition ``_decode_boxes`` replaces, as one (K, 12) tensor."""
-    centers = Tensor(positions) + raw[:, 0:3]
-    sin_raw, cos_raw = raw[:, 6:9], raw[:, 9:12]
-    norm = pow_(sin_raw * sin_raw + cos_raw * cos_raw + 1e-12, 0.5)
-    return concat([centers, raw[:, 3:6], div(sin_raw, norm), div(cos_raw, norm)], axis=1)
+    centers = add(Tensor(positions), getitem(raw, np.s_[:, 0:3]))
+    sin_raw, cos_raw = getitem(raw, np.s_[:, 6:9]), getitem(raw, np.s_[:, 9:12])
+    norm = pow_(add(add(mul(sin_raw, sin_raw), mul(cos_raw, cos_raw)), 1e-12), 0.5)
+    return concat([centers, getitem(raw, np.s_[:, 3:6]), div(sin_raw, norm), div(cos_raw, norm)],
+                  axis=1)
 
 
 def test_fused_box_decode_matches_composition_bytes():
@@ -779,7 +779,7 @@ def test_fused_box_decode_matches_composition_bytes():
     weights = rng.normal(size=(6, 12))
     weights[[1, 3, 5]] = 0.0
     upstreams = (lambda pred: box_regression_loss(pred, rows, gt),
-                 lambda pred: (pred * Tensor(weights)).sum())
+                 lambda pred: sum_(mul(pred, Tensor(weights))))
 
     def run(decode, upstream):
         leaf = Tensor(raw)
@@ -826,11 +826,11 @@ def test_box_head_shared_between_tasks():
     qs = tiny_queries(fused)
 
     out = decoder_forward(fused, None, qs, store, TINY, "detection")
-    out.logits.sum().backward()
+    sum_(out.logits).backward()
     det_touched = {n for n, p in store.items() if np.any(p.grad != 0.0)}
     store.zero_grad()
     out = decoder_forward(fused, text, qs, store, TINY, "grounding")
-    out.logits.sum().backward()
+    sum_(out.logits).backward()
     grd_touched = {n for n, p in store.items() if np.any(p.grad != 0.0)}
     store.zero_grad()
 
@@ -842,6 +842,84 @@ def test_box_head_shared_between_tasks():
     assert (shared - text_names) <= grd_touched
     assert "head_det.1.w" in det_touched and "head_det.1.w" not in grd_touched
     assert "head_grd.1.w" in grd_touched and "head_grd.1.w" not in det_touched
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the tape compositions they replace
+# ---------------------------------------------------------------------------
+
+
+def _signed_zeros(rng, shape):
+    """Normal draws whose first two entries are -0.0 and 0.0."""
+    a = rng.normal(size=shape)
+    a.reshape(-1)[:2] = (-0.0, 0.0)
+    return a
+
+
+def _node_bytes(build, arrays, store, upstream):
+    """Value, each input leaf's gradient and the store's gradient of ``build``, as bytes."""
+    store.zero_grad()
+    leaves = [Tensor(a) for a in arrays]
+    out = build(store, *leaves)
+    sum_(mul(out, Tensor(upstream))).backward()
+    return out.data.tobytes(), [t.grad.tobytes() for t in leaves], store.grad.tobytes()
+
+
+def _assert_node_matches(fused, reference, arrays, store, rng):
+    upstream = _signed_zeros(rng, fused(store, *(Tensor(a) for a in arrays)).shape)
+    assert _node_bytes(fused, arrays, store, upstream) == \
+        _node_bytes(reference, arrays, store, upstream)
+
+
+def test_fused_fuse_features_matches_concat_and_linear():
+    rng = make_rng(501)
+    cfg = ModelConfig(dim=6)
+    store = init_model_params(cfg, seed=501)
+    sampled = _signed_zeros(rng, (7, FEAT2D_DIM))
+    encoded = Tensor(_signed_zeros(rng, (7, cfg.dim)))
+    assert fuse_features(encoded, sampled, store)._parents == \
+        (encoded, store["fuse.w"], store["fuse.b"])
+    _assert_node_matches(lambda s, e: fuse_features(e, sampled, s),
+                         lambda s, e: linear(concat([e, sampled], axis=1), s, "fuse"),
+                         [_signed_zeros(rng, (7, cfg.dim))], store, rng)
+
+
+@pytest.mark.parametrize("t", [1, 3])
+def test_fused_sentence_embed_matches_the_mean(t):
+    rng = make_rng(503, t)
+    _assert_node_matches(lambda s, x: sentence_embed(x),
+                         lambda s, x: mean(x, axis=0, keepdims=True),
+                         [_signed_zeros(rng, (t, 5))], ParamStore(), rng)
+
+
+def test_fused_select_queries_matches_gather_plus_encoding():
+    rng = make_rng(505)
+    inputs = tiny_inputs()
+    logits = Tensor(rng.normal(size=(6, 3)))
+    order = np.argsort(-logits.data.max(axis=1), kind="stable")[:4]
+    encoding = inputs[order, inputs.shape[1] - TINY.dim:]
+    _assert_node_matches(
+        lambda s, f: select_queries(f, tiny_coords(), inputs, 4, logits).embeddings,
+        lambda s, f: add(getitem(f, order), encoding),
+        [_signed_zeros(rng, (6, TINY.dim))], ParamStore(), rng)
+
+
+@pytest.mark.parametrize("k, identity", [(4, True), (4, False), (1, True), (1, False)])
+def test_fused_qim_matches_the_affine_composition(k, identity):
+    # at init beta is exactly 1 and gamma exactly 0; K = 1 sums no rows
+    rng = make_rng(507, k)
+    store = ParamStore()
+    init_mlp(store, "qim_beta", [5, 5, 5], rng, zero_last=True, last_bias=1.0)
+    init_mlp(store, "qim_gamma", [5, 5, 5], rng, zero_last=True, last_bias=0.0)
+    if not identity:
+        store.data[:] += rng.normal(scale=0.3, size=store.data.shape)
+
+    def reference(s, q, sentence):
+        beta, gamma = mlp(sentence, s, "qim_beta"), mlp(sentence, s, "qim_gamma")
+        return add(mul(beta, q), mul(gamma, sentence))
+
+    _assert_node_matches(lambda s, q, sentence: qim_modulate(q, sentence, s), reference,
+                         [_signed_zeros(rng, (k, 5)), _signed_zeros(rng, (1, 5))], store, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +950,7 @@ def test_grounding_pipeline_gradcheck():
         out = decoder_forward(region, text, modded, store, cfg, "grounding")
         out.relevance = relevance
         loss, _ = total_loss(out, gt, 1.0, LossWeights())
-        return loss + (logits * logits).mean() * 0.1
+        return add(loss, mul(mean(mul(logits, logits)), 0.1))
 
     report = grad_check(fn, store)
     assert report.passed, f"worst: {report.worst} ({report.max_rel_err:.2e})"

@@ -3,7 +3,7 @@
 import gc
 import hashlib
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -212,7 +212,7 @@ def test_model_calls_every_tensor_op_and_no_other(monkeypatch):
     grounding_predictions(BATCH, store, cfg)
     forward_grounding(BATCH, store, cfg)
     assert called == defined
-    assert {"__add__", "__mul__", "sum", "reshape", "__getitem__", "backward"} <= defined
+    assert defined == {"shape", "item", "reshape", "backward"}
 
 
 def _tape(loss):
@@ -257,12 +257,12 @@ def test_training_losses_golden():
         loss, parts = training_losses(BATCH, store, cfg, WEIGHTS)
         assert {k: v.hex() for k, v in parts.items()} == want[use_rag]
         if use_rag:
-            assert len(_tape(loss)) == 164
+            assert len(_tape(loss)) == 150
     # a default run's step: one more decoder layer than CFG
     run = RunConfig()
     cfg = run.model_config()
     loss, _ = training_losses(BATCH, init_model_params(cfg, seed=2), cfg, run.weights())
-    assert len(_tape(loss)) == 234
+    assert len(_tape(loss)) == 220
 
 
 def test_training_bytes_golden():
@@ -596,6 +596,28 @@ def test_prepared_batch_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
         assert not array.flags.writeable, name
+
+
+def test_prepared_batch_fields_cannot_be_replaced(monkeypatch):
+    # a replaced field or list entry would leave predict_scene's identity-keyed memo stale
+    monkeypatch.setattr(egoground.train, "_memo", None)
+    batch = small_batch()
+    store = init_model_params(CFG, seed=4)
+    before = _prediction_bytes(predict_scene(batch, store, CFG))
+    for name in ("scene", "voxels", "image_features", "class_onehot", "instructions",
+                 "token_vectors", "grd_targets", "_encoder_input"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(batch, name, getattr(batch, name))
+    for name in ("instructions", "token_vectors", "grd_targets"):
+        entries = getattr(batch, name)
+        assert isinstance(entries, tuple)
+        with pytest.raises(TypeError):
+            entries[0] = entries[0]
+    assert _prediction_bytes(predict_scene(batch, store, CFG)) == before
+    # equality and hashing stay those of the object, so the memo can key on it
+    twin = small_batch()
+    assert batch == batch and batch != twin and hash(batch) == object.__hash__(batch)
+    assert {batch: 1, twin: 2}[batch] == 1
 
 
 def test_prediction_outputs_are_read_only(monkeypatch):
