@@ -22,9 +22,9 @@ intersection polytope with the divergence theorem over triangulated faces.
 This clip is the only path: it is exact on coincident faces, where a vertex
 within 1e-12 of a clip plane counts as on it and a face on the plane gives
 way to the one cap facet, so touching boxes clip to exactly 0.  A negative
-volume means the clip itself is broken and raises ``RuntimeError``.  A face
-is a list of vertex ids with its own list of ``[x, y, z]`` points, and a
-plane with every point clearly inside returns the faces untouched.
+volume means the clip itself is broken and raises ``RuntimeError``.  No face
+orientation is measured: ``_FACES`` records each side's winding, a clipped
+face keeps its cycle order and a cap winds about its plane's outward normal.
 
 The clip runs on Python floats from the box's corners to the volume: its
 planes, distances, cut points, cap order and volume terms are plain
@@ -58,15 +58,16 @@ _SAT_MARGIN = 1e-9
 _PARALLEL_TOL = 1e-6  # cross products shorter than this are parallel edges
 _MC_CHUNK = 32_768  # Monte-Carlo sample rows drawn and tested at a time
 
-# corner index = 4 * (sx > 0) + 2 * (sy > 0) + (sz > 0); each face is a
-# vertex cycle of one cube side in that numbering
+# corner index = 4 * (sx > 0) + 2 * (sy > 0) + (sz > 0); each face is a vertex
+# cycle of one cube side in that numbering and whether it winds outward
+# (counterclockwise seen from outside), which every proper rotation keeps
 _FACES = (
-    (0, 1, 3, 2),  # local x = -l/2
-    (4, 5, 7, 6),  # local x = +l/2
-    (0, 1, 5, 4),  # local y = -w/2
-    (2, 3, 7, 6),  # local y = +w/2
-    (0, 2, 6, 4),  # local z = -h/2
-    (1, 3, 7, 5),  # local z = +h/2
+    ((0, 1, 3, 2), True),   # local x = -l/2
+    ((4, 5, 7, 6), False),  # local x = +l/2
+    ((0, 1, 5, 4), False),  # local y = -w/2
+    ((2, 3, 7, 6), True),   # local y = +w/2
+    ((0, 2, 6, 4), True),   # local z = -h/2
+    ((1, 3, 7, 5), False),  # local z = +h/2
 )
 
 
@@ -198,17 +199,17 @@ def _centroid(points: list) -> tuple[float, float, float]:
     return sx / m, sy / m, sz / m
 
 
-def _clip_faces(faces: list[tuple[list, list]], normal: tuple, offset: float,
-                basis: tuple) -> list[tuple[list, list]]:
+def _clip_faces(faces: list[tuple[list, list, bool]], normal: tuple, offset: float,
+                basis: tuple) -> list[tuple[list, list, bool]]:
     """Sutherland-Hodgman clip of a convex polytope's faces by one halfspace.
 
-    A face is its vertex ids and its own list of their [x, y, z] points;
-    when every point lies over _CLIP_TOL inside, the faces come back
-    untouched.  Otherwise each vertex is classed once, from one copy's
-    distance: inside, on (within _CLIP_TOL of the plane) or outside.  An on
-    vertex of a face with vertices strictly on both sides takes the side of
-    its distance's sign, so a face nearly parallel to the plane is cut where
-    it crosses.
+    A face is its vertex ids, its own list of their [x, y, z] points and
+    whether it winds outward, which a clip keeps with the cycle order.  When
+    every point lies over _CLIP_TOL inside, the faces come back untouched.
+    Otherwise each vertex is classed once, from one copy's distance: inside,
+    on (within _CLIP_TOL of the plane) or outside.  An on vertex of a face
+    with vertices strictly on both sides takes the side of its distance's
+    sign, so a face nearly parallel to the plane is cut where it crosses.
 
     An edge is cut only from inside to outside, per coordinate.  The cut
     point's id is the edge's; where a face's copy of it lies over _CLIP_TOL
@@ -216,26 +217,26 @@ def _clip_faces(faces: list[tuple[list, list]], normal: tuple, offset: float,
     the first's, so the surface stays closed.  A face with no vertex inside
     is dropped.  The cap, the one facet on the plane, joins the on vertices
     and cut points when some vertex lies outside or some face lies on the
-    plane; it is ordered by angle about its centroid in ``basis`` (e1, e2),
-    stably on ties.
+    plane; it is ordered by angle about its centroid in ``basis`` (e1,
+    e2 = normal x e1), stably on ties, so it winds outward.
     """
     n0, n1, n2 = normal
-    dists = [[x * n0 + y * n1 + z * n2 - offset for x, y, z in pts] for _, pts in faces]
+    dists = [[x * n0 + y * n1 + z * n2 - offset for x, y, z in pts] for _, pts, _ in faces]
     if max(map(max, dists)) < -_CLIP_TOL:
         return faces
-    dist_of = {v: d for (ids, _), dist in zip(faces, dists) for v, d in zip(ids, dist)}
+    dist_of = {v: d for (ids, _, _), dist in zip(faces, dists) for v, d in zip(ids, dist)}
     side = {v: (d > _CLIP_TOL) - (d < -_CLIP_TOL) for v, d in dist_of.items()}
-    while 0 in side.values() and (on := [v for ids, _ in faces
+    while 0 in side.values() and (on := [v for ids, _, _ in faces
                                          if {side[u] for u in ids} == {-1, 0, 1}
                                          for v in ids if side[v] == 0]):
         side.update((v, 1 if dist_of[v] > 0.0 else -1) for v in on)
-    kept: list[tuple[list, list]] = []
+    kept: list[tuple[list, list, bool]] = []
     cap: dict = {}  # vertex id -> its first copy, in order of first appearance
     build_cap = 1 in side.values()
-    for (ids, pts), dist in zip(faces, dists):
+    for (ids, pts, outward), dist in zip(faces, dists):
         s = [side[v] for v in ids]
         if max(s) < 0:
-            kept.append((ids, pts))
+            kept.append((ids, pts, outward))
             continue
         if min(s) >= 0:
             build_cap = True
@@ -258,7 +259,7 @@ def _clip_faces(faces: list[tuple[list, list]], normal: tuple, offset: float,
                     r = r0
                 out_ids.append(cut)
                 out_pts.append(r)
-        kept.append((out_ids, out_pts))
+        kept.append((out_ids, out_pts, outward))
     if build_cap and len(cap) >= 3:
         ids, points = list(cap), list(cap.values())
         cx, cy, cz = _centroid(points)
@@ -267,17 +268,17 @@ def _clip_faces(faces: list[tuple[list, list]], normal: tuple, offset: float,
                              (x - cx) * a0 + (y - cy) * a1 + (z - cz) * a2)
                   for x, y, z in points]
         order = sorted(range(len(points)), key=angles.__getitem__)
-        kept.append(([ids[k] for k in order], [points[k] for k in order]))
+        kept.append(([ids[k] for k in order], [points[k] for k in order], True))
     return kept
 
 
-def _polytope_volume(faces: list[list]) -> float:
-    """Volume of a convex polytope given its (unordered-orientation) faces."""
+def _polytope_volume(faces: list[tuple[list, list, bool]]) -> float:
+    """Volume of a convex polytope from its faces: an outward face fans from
+    pts[0], an inward one as its reversed cycle from pts[-1]."""
     if len(faces) < 4:
         return 0.0
-    cx, cy, cz = _centroid([p for pts in faces for p in pts])
     volume = 0.0
-    for pts in faces:
+    for _, pts, outward in faces:
         if len(pts) < 3:
             continue
         # edge[k] = pts[k] x pts[k + 1]: summed, the Newell normal; its
@@ -291,17 +292,16 @@ def _polytope_volume(faces: list[list]) -> float:
             nz = nz + ez
         if math.sqrt(nx * nx + ny * ny + nz * nz) < _CLIP_TOL:
             continue
-        fx, fy, fz = _centroid(pts)
-        if nx * (fx - cx) + ny * (fy - cy) + nz * (fz - cz) < 0.0:
+        if outward:
+            x, y, z = pts[0]
+            for ex, ey, ez in edge[1:-1]:
+                volume += x * ex + y * ey + z * ez
+        else:
             # the reversed cycle's fan from pts[-1]: the same crosses negated,
             # in reverse order (negation is exact)
             x, y, z = pts[-1]
             for ex, ey, ez in edge[-3::-1]:
                 volume -= x * ex + y * ey + z * ez
-        else:
-            x, y, z = pts[0]
-            for ex, ey, ez in edge[1:-1]:
-                volume += x * ex + y * ey + z * ez
     return volume / 6.0
 
 
@@ -352,13 +352,13 @@ def intersection_volume(a: Box9DoF, b: Box9DoF) -> float:
     clipping a's faces against b's halfspaces."""
     if boxes_disjoint(a, b):
         return 0.0
-    corners = box_corners(a).tolist()  # a face is its corner indices and their points
-    faces = [(list(face), [corners[k] for k in face]) for face in _FACES]
+    corners = box_corners(a).tolist()  # a face: corner indices, their points, winding
+    faces = [(list(face), [corners[k] for k in face], outward) for face, outward in _FACES]
     for normal, offset, basis in b._planes:
         faces = _clip_faces(faces, normal, offset, basis)
         if not faces:
             return 0.0
-    vol = _polytope_volume([pts for _, pts in faces])
+    vol = _polytope_volume(faces)
     if vol < -1e-9:
         raise RuntimeError(f"clip of {a} by {b} gave negative volume {vol}")
     return float(min(max(vol, 0.0), min(a.volume, b.volume)))  # np.clip's bytes

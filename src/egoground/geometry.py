@@ -104,7 +104,7 @@ class DepthMap:
             raise ValueError("valid depths must be finite and positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VoxelFeatureSet:
     """Sparse voxels from ``voxelize``: centers (N, 3) and pooled features (N, C')."""
 
@@ -112,7 +112,7 @@ class VoxelFeatureSet:
     features: Tensor
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64)
+        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=np.float64))
         if self.coords.ndim != 2 or self.coords.shape[1] != 3 or self.coords.shape[0] < 1:
             raise ValueError("coords must be (N, 3) with N >= 1")
         if self.features.shape[0] != self.coords.shape[0]:

@@ -355,10 +355,11 @@ def test_coincident_faces_match_the_analytic_overlap(monkeypatch, kind, tol, mov
         r = rotation_matrix(yaw, 0.0, 0.0)
         a = Box9DoF(*shift, 1.0, 1.0, 1.0, yaw, 0.0, 0.0)
         b = Box9DoF(*(r @ centre + shift), *ext, angles[0] + yaw, angles[1], angles[2])
-        got = box_iou_exact(a, b)
+        got, back = box_iou_exact(a, b), box_iou_exact(b, a)
         assert abs(got - want) <= tol, (i, centre, ext, angles, got, want)
+        assert abs(back - want) <= tol, (i, centre, ext, angles, back, want)
         if want == 0.0 and kind != "tiny":
-            assert got == 0.0, (i, centre, ext, angles, got)
+            assert got == back == 0.0, (i, centre, ext, angles, got, back)
             touching += not boxes_disjoint(a, b)
     if kind != "tiny":
         assert touching >= 50
@@ -379,11 +380,12 @@ def test_near_coincident_faces_give_iou_near_one():
 
 def test_clip_returns_faces_untouched_when_every_vertex_is_strictly_inside():
     corners = box_corners(unit_cube()).tolist()
-    faces = [(list(face), [corners[k] for k in face]) for face in boxes_mod._FACES]
+    faces = [(list(face), [corners[k] for k in face], outward)
+             for face, outward in boxes_mod._FACES]
     for normal, offset, basis in unit_cube(l=1.5, w=1.5, h=1.5)._planes:
         out = boxes_mod._clip_faces(faces, normal, offset, basis)
         assert out is faces
-        assert all(ids is ids0 and pts is pts0 for (ids, pts), (ids0, pts0) in zip(out, faces))
+        assert all(f is f0 for f, f0 in zip(out, faces))
     # one vertex within the tolerance of the plane is not strictly inside
     normal, _, basis = unit_cube()._planes[0]
     assert normal == (1.0, 0.0, 0.0)
@@ -437,16 +439,17 @@ def test_clip_cut_divides_by_one_distance_per_vertex():
     # v and u are on the plane z = 0 and take sides in the crossing face
     # (a, v, b, u); the first face's copies of them disagree and sit at the
     # same distance, 0.0, so its cut of v-u must use one copy per vertex
-    first = (["v", "u", "c"], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+    first = (["v", "u", "c"], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0]], True)
     crossing = (["a", "v", "b", "u"], [[0.0, -1.0, -1.0], [0.0, 0.0, -2e-13],
-                                       [1.0, -1.0, 1.0], [1.0, 0.0, 3e-13]])
+                                       [1.0, -1.0, 1.0], [1.0, 0.0, 3e-13]], False)
     normal, _, basis = unit_cube()._planes[4]
     assert normal == (0.0, 0.0, 1.0)
     faces = boxes_mod._clip_faces([first, crossing], normal, 0.0, basis)
-    ids, points = faces[0]
+    ids, points, _ = faces[0]
     assert ids[:2] == ["v", frozenset({"v", "u"})]
     np.testing.assert_allclose(points[1], [0.4, 0.0, 0.0], atol=1e-15)
-    assert all(np.isfinite(pts).all() for _, pts in faces)
+    assert all(np.isfinite(pts).all() for _, pts, _ in faces)
+    assert [face[2] for face in faces] == [True, False, True]  # the cap winds outward
 
 
 def test_face_on_a_plane_it_does_not_cross_gets_no_second_facet():
@@ -472,10 +475,9 @@ def test_touching_and_tiny_yaw_examples():
     assert abs(box_iou_exact(a, unit_cube(z=-0.25, h=0.5)) - 0.5) < 1e-15
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="clipping the larger box first leaves a sliver 1.3e-8 thick with two "
-                          "facets on the smaller box's x = -0.5 plane: negative volume -3.2e-9")
 def test_touching_pair_with_yaws_1e8_apart_clips_in_both_orders():
+    # clipping the larger box first leaves a sliver 1.3e-8 thick with two
+    # facets on the smaller box's x = -0.5 plane
     a = Box9DoF(0.30620381421754894, 1.1263046927047617, -1.3505532679869598,
                 1.0, 1.0, 1.0, -0.4679271483459364)
     b = Box9DoF(-0.5839089960653405, 2.136353792981722, -0.8505532679869598,
@@ -483,6 +485,58 @@ def test_touching_pair_with_yaws_1e8_apart_clips_in_both_orders():
     assert intersection_volume(a, b) == 0.0
     assert abs(intersection_volume(b, a)) <= 1e-9
     assert abs(box_iou_exact(b, a) - box_iou_exact(a, b)) <= 1e-9
+
+
+@pytest.mark.parametrize("a,b", [
+    # touching pairs, yaws about 1e-8 apart, that clip to slivers: each fan
+    # must take its face's winding, or (b, a) sums to -3.0e-9, -3.5e-8, 5.6e-8
+    (Box9DoF(-0.6279017394412261, -1.438968471089583, 1.3859508688491884,
+             1, 1, 1, -1.6482826154247003),
+     Box9DoF(-0.0713454405327062, -0.7299232777871741, 0.8859508688491884,
+             0.5, 0.5, 1, -1.6482826229113177)),
+    (Box9DoF(-1.141679026295935, 0.7862563591606517, -0.9353067692175747,
+             1, 1, 1, -2.877735438768372),
+     Box9DoF(-0.0458847476538351, 0.564366974792585, -0.9353067692175747,
+             1, 1, 1.5, -2.877735438976766)),
+    (Box9DoF(-0.24229463625237058, -0.9131054174574977, 1.422515456448333,
+             1, 1, 1, -0.15641339063627058),
+     Box9DoF(-1.307975176286568, -1.2512251988847625, 1.422515456448333,
+             1, 0.5, 2, -0.15641338905645621)),
+])
+def test_sliver_clips_agree_in_both_orders(a, b):
+    forward, back = intersection_volume(a, b), intersection_volume(b, a)
+    assert abs(forward - back) <= 1e-9 and max(forward, back) <= 1e-9
+
+
+def _newell(points) -> np.ndarray:
+    pts = np.asarray(points)
+    return np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+
+
+def test_faces_are_wound_by_construction():
+    # the volume fans each face by its winding flag, so the flag must match
+    # the cycle's Newell normal for every proper rotation; a cap winds about
+    # the clip plane's normal, which points out of the clipped polytope
+    assert [outward for _, outward in boxes_mod._FACES] == [True, False, False, True, True, False]
+    rng = make_rng(733)
+    quarter = [unit_cube(alpha=i * np.pi / 2, beta=j * np.pi / 2, gamma=k * np.pi / 2)
+               for i in range(-1, 3) for j in range(-1, 3) for k in range(-1, 3)]
+    for box in quarter + [random_box(rng) for _ in range(200)]:
+        corners, r = box_corners(box), box.rotation()
+        for k, (face, outward) in enumerate(boxes_mod._FACES):
+            n = _newell(corners[list(face)])
+            out = r[:, k // 2] * (1.0 if k % 2 else -1.0)
+            np.testing.assert_allclose(n @ out, np.linalg.norm(n) * (1.0 if outward else -1.0),
+                                       rtol=1e-12)
+        other = random_box(rng)
+        faces = [(list(face), corners[list(face)].tolist(), outward)
+                 for face, outward in boxes_mod._FACES]
+        for normal, _, basis in other._planes:
+            offset = float(np.dot(normal, box.center)) + rng.uniform(-0.1, 0.1)
+            _, pts, outward = boxes_mod._clip_faces(faces, normal, offset, basis)[-1]
+            assert outward  # the cap is the last face
+            n = _newell(pts)
+            assert n @ np.array(normal) > (1.0 - 1e-12) * np.linalg.norm(n) > 0.0
 
 
 # ---------------------------------------------------------------------------

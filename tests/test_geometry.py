@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -313,3 +315,11 @@ def test_voxel_feature_set_validation():
         VoxelFeatureSet(coords=np.zeros((0, 3)), features=Tensor(np.zeros((0, 2))))
     with pytest.raises(ValueError):
         VoxelFeatureSet(coords=np.zeros((2, 3)), features=Tensor(np.zeros((3, 2))))
+
+
+def test_voxel_feature_set_fields_cannot_be_replaced():
+    voxels = VoxelFeatureSet(coords=[[0.0, 0.0, 0.0]], features=Tensor(np.ones((1, 2))))
+    assert voxels.coords.dtype == np.float64
+    for name, value in (("coords", np.zeros((1, 3))), ("features", Tensor(np.zeros((1, 2))))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(voxels, name, value)
