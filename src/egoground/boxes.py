@@ -2,9 +2,9 @@
 
 A box is (x, y, z, l, w, h, alpha, beta, gamma) with rotation
 R = Rz(alpha) @ Ry(beta) @ Rx(gamma) applied to the local axes; l, w, h are
-full extents along local x, y, z.  Angles are stored wrapped to (-pi, pi].
-Boxes are frozen, so each builds its rotation matrix, and its six clip
-planes with the in-plane basis each cap is ordered in, once and shares them.
+full extents along local x, y, z.  Angles are stored wrapped to (-pi, pi],
+and every field is a Python float.  Boxes are frozen, so each builds its
+rotation matrix once and shares it.
 
 ``boxes_disjoint`` is the overlap predicate: a bounding-sphere test, then
 the 15 separating axes of two oriented boxes (Gottschalk et al., 1996,
@@ -16,24 +16,30 @@ the clip tolerance, so the exact IoU is exactly 0.  False means the boxes
 overlap or are within that margin of touching.  Exact IoU uses it as its
 early exit; touching and near-touching pairs still clip.
 
-Otherwise IoU clips one box's face polygons against the other box's six
-halfspaces (Sutherland-Hodgman in 3D) and integrates the volume of the
-intersection polytope with the divergence theorem over triangulated faces.
-This clip is the only path: it is exact on coincident faces, where a vertex
-within 1e-12 of a clip plane counts as on it and a face on the plane gives
-way to the one cap facet, so touching boxes clip to exactly 0.  A negative
-volume means the clip itself is broken and raises ``RuntimeError``.  No face
-orientation is measured: ``_FACES`` records each side's winding, a clipped
-face keeps its cycle order and a cap winds about its plane's outward normal.
+Otherwise IoU clips a's faces against b's six halfspaces (Sutherland-Hodgman
+in 3D) and integrates the volume of the intersection polytope with the
+divergence theorem over triangulated faces.  The clip works in b's own
+frame, where b is the six axis slabs -h_k <= x_k <= h_k: a's eight corners
+are carried there once, a plane's distance is one subtraction, and a cap is
+ordered by angle in its plane's other two axes.  The polytope is one vertex
+table and faces that are cycles of ids into it, so each plane measures each
+live vertex once and cuts each crossed edge once, onto the plane; both faces
+of the edge share the cut.  This clip is the only path: it is exact on
+coincident faces, where a vertex within 1e-12 of a clip plane counts as on
+it and a face on the plane gives way to the one cap facet, so touching boxes
+clip to exactly 0.  A negative volume means the clip itself is broken and
+raises ``RuntimeError``.  No face orientation is measured: ``_FACES``
+records each side's winding, a clipped face keeps its cycle order and a cap
+winds about its plane's outward normal.
 
-The clip runs on Python floats from the box's corners to the volume: its
-planes, distances, cut points, cap order and volume terms are plain
-arithmetic, and no numpy expression decides its bytes, so they do not
-depend on which BLAS kernel the host picks.  Sums are written out with
-``+`` and added strictly left to right; builtin ``sum`` is avoided, since
-Python 3.12 made its float sums compensated.  The one dependence left is
-``rotation_matrix`` and ``box_corners``: their 3x3 products go through
-numpy's matmul, whose last bits differ between FMA and non-FMA kernels.
+The clip runs on Python floats from the rotations' ``tolist()`` to the
+volume: its corners, distances, cut points, cap order and volume terms are
+plain arithmetic, and it calls no numpy, so its bytes do not depend on which
+BLAS kernel the host picks.  Sums are written out with ``+`` and added
+strictly left to right; builtin ``sum`` is avoided, since Python 3.12 made
+its float sums compensated.  The one dependence left is ``rotation_matrix``:
+its 3x3 products go through numpy's matmul, whose last bits differ between
+FMA and non-FMA kernels.
 
 ``box_iou_mc`` is the independent oracle: rejection sampling in the joint
 axis-aligned bounding volume.  Its standard error uses the adjusted
@@ -90,7 +96,8 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> Array:
 
 @dataclass(frozen=True)
 class Box9DoF:
-    """An immutable box; its rotation matrix is built once, on first use."""
+    """An immutable box of Python floats; its rotation matrix is built once, on
+    first use.  It caches no clip planes: the clip works in the box's own frame."""
     x: float
     y: float
     z: float
@@ -102,14 +109,17 @@ class Box9DoF:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x, self.y, self.z, self.l, self.w, self.h,
-                                       self.alpha, self.beta, self.gamma))):
+        params = (self.x, self.y, self.z, self.l, self.w, self.h, self.alpha, self.beta, self.gamma)
+        if not all(map(math.isfinite, params)):
             raise NonFiniteError("box parameters must be finite")
         if not (self.l > 0.0 and self.w > 0.0 and self.h > 0.0):
             raise ValueError("box extents must be positive")
-        for name in ("alpha", "beta", "gamma"):
-            a = getattr(self, name)  # in range, wrap_angle(a) is a + 0.0, byte for byte
-            object.__setattr__(self, name, a + 0.0 if -math.pi < a <= math.pi else wrap_angle(a))
+        values = list(map(float, params))
+        for k in (6, 7, 8):  # in range, wrap_angle(a) is a + 0.0, byte for byte
+            a = values[k]
+            values[k] = a + 0.0 if -math.pi < a <= math.pi else float(wrap_angle(a))
+        # frozen: the fields are written where object.__setattr__ would put them
+        self.__dict__.update(zip(("x", "y", "z", "l", "w", "h", "alpha", "beta", "gamma"), values))
 
     @property
     def center(self) -> Array:
@@ -133,30 +143,6 @@ class Box9DoF:
         r.flags.writeable = False
         return r
 
-    @cached_property
-    def _planes(self) -> tuple:
-        """Six (normal, offset, (e1, e2)) clip planes in Python floats.
-
-        A point x is inside iff normal . x <= offset; the normals are each
-        column of the rotation, then its negation.  The unit e1 and e2 span the
-        plane, and its cap is ordered by angle in them: e1 = normal x u / |.|
-        for the unit axis u of normal's smallest entry, e2 = normal x e1.
-        """
-        rows = self._rotation.tolist()
-        x, y, z, l, w, h = map(float, (self.x, self.y, self.z, self.l, self.w, self.h))
-        planes = []
-        for axis, half in enumerate((l / 2.0, w / 2.0, h / 2.0)):
-            n0, n1, n2 = rows[0][axis], rows[1][axis], rows[2][axis]
-            dist = n0 * x + n1 * y + n2 * z
-            for normal, offset in (((n0, n1, n2), dist + half), ((-n0, -n1, -n2), half - dist)):
-                unit = [0.0, 0.0, 0.0]
-                unit[min(range(3), key=lambda k: abs(normal[k]))] = 1.0
-                e = _plain_cross(normal, unit)
-                norm = math.sqrt(e[0] * e[0] + e[1] * e[1] + e[2] * e[2])
-                e1 = (e[0] / norm, e[1] / norm, e[2] / norm)
-                planes.append((normal, offset, (e1, _plain_cross(normal, e1))))
-        return tuple(planes)
-
     def as_params(self) -> Array:
         return np.array([self.x, self.y, self.z, self.l, self.w, self.h,
                          self.alpha, self.beta, self.gamma])
@@ -178,109 +164,110 @@ def contains_points(box: Box9DoF, points: Array) -> Array:
     return (local[:, 0] <= half[0]) & (local[:, 1] <= half[1]) & (local[:, 2] <= half[2])
 
 
-def _plain_cross(u, v) -> tuple:
-    """u x v of two 3-vectors, as np.cross's products and differences."""
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 def _cross(u: Array, v: Array) -> Array:
     """np.cross of two 3-vectors, the same arithmetic at a fraction of its cost."""
-    return np.array(_plain_cross(u, v))
+    return np.array((u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]))
 
 
-def _centroid(points: list) -> tuple[float, float, float]:
-    """Mean of [x, y, z] points, each coordinate summed left to right."""
-    sx = sy = sz = 0.0
-    for x, y, z in points:
-        sx = sx + x
-        sy = sy + y
-        sz = sz + z
-    m = len(points)
-    return sx / m, sy / m, sz / m
+def _corners_in_frame(a: Box9DoF, b: Box9DoF) -> list[list[float]]:
+    """a's eight corners in b's frame, R_b^T (c_a - c_b) +- R_b^T R_a h_a, in
+    ``box_corners``' order, as [x, y, z] lists of Python floats."""
+    ra, rb = a.rotation().tolist(), b.rotation().tolist()
+    d = (a.x - b.x, a.y - b.y, a.z - b.z)
+    t = [rb[0][j] * d[0] + rb[1][j] * d[1] + rb[2][j] * d[2] for j in range(3)]
+    # e[i]: a's local axis i in b's frame, scaled by a's half extent along it
+    e = [[(rb[0][j] * ra[0][i] + rb[1][j] * ra[1][i] + rb[2][j] * ra[2][i]) * half
+          for j in range(3)] for i, half in enumerate((a.l / 2.0, a.w / 2.0, a.h / 2.0))]
+    return [[sx * e[0][j] + sy * e[1][j] + sz * e[2][j] + t[j] for j in range(3)]
+            for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
 
 
-def _clip_faces(faces: list[tuple[list, list, bool]], normal: tuple, offset: float,
-                basis: tuple) -> list[tuple[list, list, bool]]:
-    """Sutherland-Hodgman clip of a convex polytope's faces by one halfspace.
+def _clip_faces(verts: list, faces: list[tuple[list, bool]], axis: int, sign: float,
+                half: float) -> list[tuple[list, bool]]:
+    """Sutherland-Hodgman clip of a convex polytope's faces by the halfspace
+    sign * x[axis] <= half.
 
-    A face is its vertex ids, its own list of their [x, y, z] points and
-    whether it winds outward, which a clip keeps with the cycle order.  When
-    every point lies over _CLIP_TOL inside, the faces come back untouched.
-    Otherwise each vertex is classed once, from one copy's distance: inside,
-    on (within _CLIP_TOL of the plane) or outside.  An on vertex of a face
-    with vertices strictly on both sides takes the side of its distance's
-    sign, so a face nearly parallel to the plane is cut where it crosses.
+    ``verts`` is the vertex table, a list of [x, y, z]; a face is its cycle of
+    vertex ids and whether it winds outward, which a clip keeps with the
+    cycle order.  Each live vertex has one distance, sign * x[axis] - half.
+    When every one lies over _CLIP_TOL inside, the faces come back untouched.
+    Otherwise each is classed inside, on (within _CLIP_TOL of the plane) or
+    outside.  An on vertex of a face with vertices strictly on both sides
+    takes the side of its distance's sign, so a face nearly parallel to the
+    plane is cut where it crosses.
 
-    An edge is cut only from inside to outside, per coordinate.  The cut
-    point's id is the edge's; where a face's copy of it lies over _CLIP_TOL
-    from the first face's (an edge nearly parallel to the plane), it takes
-    the first's, so the surface stays closed.  A face with no vertex inside
-    is dropped.  The cap, the one facet on the plane, joins the on vertices
-    and cut points when some vertex lies outside or some face lies on the
-    plane; it is ordered by angle about its centroid in ``basis`` (e1,
-    e2 = normal x e1), stably on ties, so it winds outward.
+    Each crossed edge is cut once, from its inside vertex toward its outside
+    one, onto the plane exactly; the cut is appended to ``verts``, and both
+    faces of the edge take its id.  A face with no vertex inside is dropped.
+    The cap, the one facet on the plane, joins the on vertices and cuts when
+    some vertex lies outside or some face lies on the plane; it is ordered by
+    angle about its centroid in the plane's other two axes, (axis + 1,
+    axis + 2) for sign +1 and the reverse for -1, stably on ties, so it winds
+    outward.
     """
-    n0, n1, n2 = normal
-    dists = [[x * n0 + y * n1 + z * n2 - offset for x, y, z in pts] for _, pts, _ in faces]
-    if max(map(max, dists)) < -_CLIP_TOL:
+    live = {v for ids, _ in faces for v in ids}
+    dist = {v: sign * verts[v][axis] - half for v in live}
+    if max(dist.values()) < -_CLIP_TOL:
         return faces
-    dist_of = {v: d for (ids, _, _), dist in zip(faces, dists) for v, d in zip(ids, dist)}
-    side = {v: (d > _CLIP_TOL) - (d < -_CLIP_TOL) for v, d in dist_of.items()}
-    while 0 in side.values() and (on := [v for ids, _, _ in faces
+    side = {v: (d > _CLIP_TOL) - (d < -_CLIP_TOL) for v, d in dist.items()}
+    while 0 in side.values() and (on := [v for ids, _ in faces
                                          if {side[u] for u in ids} == {-1, 0, 1}
                                          for v in ids if side[v] == 0]):
-        side.update((v, 1 if dist_of[v] > 0.0 else -1) for v in on)
-    kept: list[tuple[list, list, bool]] = []
-    cap: dict = {}  # vertex id -> its first copy, in order of first appearance
+        side.update((v, 1 if dist[v] > 0.0 else -1) for v in on)
+    kept: list[tuple[list, bool]] = []
+    cap: dict = {}  # on vertices and cuts, in order of first appearance
+    cuts: dict = {}  # (inside id, outside id) -> the cut's id
     build_cap = 1 in side.values()
-    for (ids, pts, outward), dist in zip(faces, dists):
+    for ids, outward in faces:
         s = [side[v] for v in ids]
         if max(s) < 0:
-            kept.append((ids, pts, outward))
+            kept.append((ids, outward))
             continue
         if min(s) >= 0:
             build_cap = True
             continue
-        out_ids, out_pts = [], []
-        for i, j in zip(range(len(s)), [*range(1, len(s)), 0]):
-            if s[i] <= 0:
-                out_ids.append(ids[i])
-                out_pts.append(pts[i])
-                if s[i] == 0:
-                    cap.setdefault(ids[i], pts[i])
-            if s[i] * s[j] < 0:
-                dp, dq = dist[i], dist[j]
-                if min(abs(dp), abs(dq)) <= _CLIP_TOL:  # an on vertex took a side
-                    dp, dq = dist_of[ids[i]], dist_of[ids[j]]
-                r = [p + dp / (dp - dq) * (q - p) for p, q in zip(pts[i], pts[j])]
-                cut = frozenset((ids[i], ids[j]))
-                r0 = cap.setdefault(cut, r)
-                if r0 is not r and max(abs(u - v) for u, v in zip(r, r0)) > _CLIP_TOL:
-                    r = r0
-                out_ids.append(cut)
-                out_pts.append(r)
-        kept.append((out_ids, out_pts, outward))
+        out = []
+        for p, q, sp, sq in zip(ids, ids[1:] + ids[:1], s, s[1:] + s[:1]):
+            if sp <= 0:
+                out.append(p)
+                if sp == 0:
+                    cap[p] = None
+            if sp * sq < 0:
+                edge = (p, q) if sp < 0 else (q, p)
+                if edge not in cuts:
+                    i, o = edge
+                    r = dist[i] / (dist[i] - dist[o])
+                    cut = [x + r * (y - x) for x, y in zip(verts[i], verts[o])]
+                    cut[axis] = sign * half
+                    cuts[edge] = len(verts)
+                    cap[len(verts)] = None
+                    verts.append(cut)
+                out.append(cuts[edge])
+        kept.append((out, outward))
     if build_cap and len(cap) >= 3:
-        ids, points = list(cap), list(cap.values())
-        cx, cy, cz = _centroid(points)
-        (a0, a1, a2), (b0, b1, b2) = basis
-        angles = [math.atan2((x - cx) * b0 + (y - cy) * b1 + (z - cz) * b2,
-                             (x - cx) * a0 + (y - cy) * a1 + (z - cz) * a2)
-                  for x, y, z in points]
-        order = sorted(range(len(points)), key=angles.__getitem__)
-        kept.append(([ids[k] for k in order], [points[k] for k in order], True))
+        u, w = ((axis + 1) % 3, (axis + 2) % 3) if sign > 0 else ((axis + 2) % 3, (axis + 1) % 3)
+        cu = cw = 0.0
+        for v in cap:
+            cu += verts[v][u]
+            cw += verts[v][w]
+        cu, cw = cu / len(cap), cw / len(cap)
+        angle = {v: math.atan2(verts[v][w] - cw, verts[v][u] - cu) for v in cap}
+        kept.append((sorted(cap, key=angle.__getitem__), True))
     return kept
 
 
-def _polytope_volume(faces: list[tuple[list, list, bool]]) -> float:
-    """Volume of a convex polytope from its faces: an outward face fans from
-    pts[0], an inward one as its reversed cycle from pts[-1]."""
+def _polytope_volume(verts: list, faces: list[tuple[list, bool]]) -> float:
+    """Volume of a convex polytope from its vertex table and faces: an
+    outward face fans from pts[0], an inward one as its reversed cycle from
+    pts[-1]."""
     if len(faces) < 4:
         return 0.0
     volume = 0.0
-    for _, pts, outward in faces:
-        if len(pts) < 3:
+    for ids, outward in faces:
+        if len(ids) < 3:
             continue
+        pts = [verts[v] for v in ids]
         # edge[k] = pts[k] x pts[k + 1]: summed, the Newell normal; its
         # middle rows, the fan from pts[0]
         edge = [(y * c - z * b, z * a - x * c, x * b - y * a)
@@ -349,19 +336,20 @@ def boxes_disjoint(a: Box9DoF, b: Box9DoF) -> bool:
 
 def intersection_volume(a: Box9DoF, b: Box9DoF) -> float:
     """Exact intersection volume: 0.0 for a clearly separated pair, else by
-    clipping a's faces against b's halfspaces."""
+    clipping a's faces against b's six slabs in b's frame."""
     if boxes_disjoint(a, b):
         return 0.0
-    corners = box_corners(a).tolist()  # a face: corner indices, their points, winding
-    faces = [(list(face), [corners[k] for k in face], outward) for face, outward in _FACES]
-    for normal, offset, basis in b._planes:
-        faces = _clip_faces(faces, normal, offset, basis)
-        if not faces:
-            return 0.0
-    vol = _polytope_volume(faces)
+    verts = _corners_in_frame(a, b)
+    faces = [(list(face), outward) for face, outward in _FACES]
+    for axis, half in enumerate((b.l / 2.0, b.w / 2.0, b.h / 2.0)):
+        for sign in (1.0, -1.0):
+            faces = _clip_faces(verts, faces, axis, sign, half)
+            if not faces:
+                return 0.0
+    vol = _polytope_volume(verts, faces)
     if vol < -1e-9:
         raise RuntimeError(f"clip of {a} by {b} gave negative volume {vol}")
-    return float(min(max(vol, 0.0), min(a.volume, b.volume)))  # np.clip's bytes
+    return min(max(vol, 0.0), min(a.volume, b.volume))  # np.clip's bytes
 
 
 def box_iou_exact(a: Box9DoF, b: Box9DoF) -> float:

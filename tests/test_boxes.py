@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import math
 import os
 import platform
 import subprocess
@@ -137,6 +136,8 @@ def test_box_angles_are_wrap_angle_bytes_for_floats_and_numpy_scalars():
                             angles, angles[::-1], -angles])
     for row in rows:  # a model's row builds the same box from numpy scalars or its tolist()
         assert Box9DoF(*row.tolist()).as_params().tobytes() == Box9DoF(*row).as_params().tobytes()
+        box = Box9DoF(*row)
+        assert all(type(v) is float for v in dataclasses.astuple(box)), box
 
 
 def test_box_rotation_is_built_once_and_read_only():
@@ -281,8 +282,8 @@ def test_mc_seed_determinism():
 
 # The clip runs on Python floats, so both IoU goldens hold under every FMA
 # kernel of OpenBLAS (test_iou_goldens_agree_across_fma_kernels).
-RANDOM_PAIRS_DIGEST = "26d3ada47d0e6bcc3fc39270ebb0fa96650508185b89f1878ebef01aabde8d5c"
-EVAL_PAIRS_DIGEST = "c0df57ee48d888850a8d6da3be9012376164df9a92c745679262cc9eeae92196"
+RANDOM_PAIRS_DIGEST = "40cc850ec96965c6b366e4300be18fb77a765e8f1bd72468e2773c2ff492842c"
+EVAL_PAIRS_DIGEST = "340152097b274166d902376bd5a0fee37a050f8e451c05b9c86cd9eb1cafb521"
 
 
 def _digest(ious) -> str:
@@ -305,7 +306,7 @@ def test_iou_bytes_golden_on_random_pairs():
 
 def test_negative_clip_volume_raises_naming_both_boxes(monkeypatch):
     a, b = unit_cube(), unit_cube(x=0.5, w=2.0)
-    monkeypatch.setattr(boxes_mod, "_polytope_volume", lambda faces: -1e-6)
+    monkeypatch.setattr(boxes_mod, "_polytope_volume", lambda verts, faces: -1e-6)
     with pytest.raises(RuntimeError, match="negative volume") as err:
         box_iou_exact(a, b)
     assert repr(a) in str(err.value) and repr(b) in str(err.value)
@@ -378,78 +379,39 @@ def test_near_coincident_faces_give_iou_near_one():
         assert box_iou_exact(Box9DoF(*p), Box9DoF(*q)) > 1.0 - 1e-6, (i, p.tolist(), q.tolist())
 
 
+def _faces():
+    """A box's faces as the clip takes them: corner id cycles and windings."""
+    return [(list(face), outward) for face, outward in boxes_mod._FACES]
+
+
 def test_clip_returns_faces_untouched_when_every_vertex_is_strictly_inside():
-    corners = box_corners(unit_cube()).tolist()
-    faces = [(list(face), [corners[k] for k in face], outward)
-             for face, outward in boxes_mod._FACES]
-    for normal, offset, basis in unit_cube(l=1.5, w=1.5, h=1.5)._planes:
-        out = boxes_mod._clip_faces(faces, normal, offset, basis)
-        assert out is faces
-        assert all(f is f0 for f, f0 in zip(out, faces))
+    verts, faces = box_corners(unit_cube()).tolist(), _faces()
+    verts.append([5.0, 5.0, 5.0])  # no face holds it, so no plane measures it
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            out = boxes_mod._clip_faces(verts, faces, axis, sign, 0.75)
+            assert out is faces
+            assert all(f is f0 for f, f0 in zip(out, faces))
+    assert len(verts) == 9
     # one vertex within the tolerance of the plane is not strictly inside
-    normal, _, basis = unit_cube()._planes[0]
-    assert normal == (1.0, 0.0, 0.0)
-    out = boxes_mod._clip_faces(faces, normal, 0.5 + 1e-13, basis)
+    out = boxes_mod._clip_faces(verts, faces, 0, 1.0, 0.5 + 1e-13)
     assert out is not faces
 
 
-def _inline_planes(box):
-    """The clip planes built inline, in Python floats, in ``_planes``' order."""
-    r = box.rotation().tolist()
-    planes = []
-    for axis, half in enumerate((box.l / 2.0, box.w / 2.0, box.h / 2.0)):
-        n = (r[0][axis], r[1][axis], r[2][axis])
-        d = n[0] * box.x + n[1] * box.y + n[2] * box.z
-        for normal, offset in ((n, d + half), ((-n[0], -n[1], -n[2]), -d + half)):
-            k = min(range(3), key=lambda i: abs(normal[i]))
-            u = [float(i == k) for i in range(3)]
-            f1 = [normal[1] * u[2] - normal[2] * u[1], normal[2] * u[0] - normal[0] * u[2],
-                  normal[0] * u[1] - normal[1] * u[0]]
-            norm = math.sqrt(f1[0] * f1[0] + f1[1] * f1[1] + f1[2] * f1[2])
-            f1 = [v / norm for v in f1]
-            f2 = [normal[1] * f1[2] - normal[2] * f1[1], normal[2] * f1[0] - normal[0] * f1[2],
-                  normal[0] * f1[1] - normal[1] * f1[0]]
-            planes.append((normal, offset, f1, f2))
-    return planes
-
-
-def _bits_of(values) -> bytes:
-    return np.array(values, dtype=np.float64).tobytes()
-
-
-def test_cached_plane_basis_equals_the_inline_basis_bytes():
-    rng = make_rng(661)
-    for box in [unit_cube(), unit_cube(alpha=np.pi / 2)] + [random_box(rng) for _ in range(50)]:
-        planes = box._planes
-        assert planes is box._planes
-        for (normal, offset, (e1, e2)), (n, off, f1, f2) in zip(planes, _inline_planes(box)):
-            assert all(type(v) is float for v in (*normal, offset, *e1, *e2))
-            assert _bits_of(normal) == _bits_of(n) and _bits_of([offset]) == _bits_of([off])
-            assert _bits_of(e1) == _bits_of(f1) and _bits_of(e2) == _bits_of(f2)
-            # and within rounding of the np.cross construction
-            ref = np.eye(3)[np.argmin(np.abs(n))]
-            g1 = np.cross(n, ref)
-            g1 /= np.linalg.norm(g1)
-            np.testing.assert_allclose(e1, g1, rtol=0.0, atol=1e-15)
-            np.testing.assert_allclose(e2, np.cross(n, g1), rtol=0.0, atol=1e-15)
-        assert len(planes) == 6
-
-
 def test_clip_cut_divides_by_one_distance_per_vertex():
-    # v and u are on the plane z = 0 and take sides in the crossing face
-    # (a, v, b, u); the first face's copies of them disagree and sit at the
-    # same distance, 0.0, so its cut of v-u must use one copy per vertex
-    first = (["v", "u", "c"], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, -1.0]], True)
-    crossing = (["a", "v", "b", "u"], [[0.0, -1.0, -1.0], [0.0, 0.0, -2e-13],
-                                       [1.0, -1.0, 1.0], [1.0, 0.0, 3e-13]], False)
-    normal, _, basis = unit_cube()._planes[4]
-    assert normal == (0.0, 0.0, 1.0)
-    faces = boxes_mod._clip_faces([first, crossing], normal, 0.0, basis)
-    ids, points, _ = faces[0]
-    assert ids[:2] == ["v", frozenset({"v", "u"})]
-    np.testing.assert_allclose(points[1], [0.4, 0.0, 0.0], atol=1e-15)
-    assert all(np.isfinite(pts).all() for _, pts, _ in faces)
-    assert [face[2] for face in faces] == [True, False, True]  # the cap winds outward
+    # v = 0 and u = 1 are on the plane z = 0 and take sides in the crossing
+    # face (a, v, b, u); the cut of v-u divides by their own distances,
+    # -2e-13 and 3e-13, and lands on the plane exactly
+    verts = [[0.0, 0.0, -2e-13], [1.0, 0.0, 3e-13], [0.0, 1.0, -1.0],
+             [0.0, -1.0, -1.0], [1.0, -1.0, 1.0]]
+    first, crossing = ([0, 1, 2], True), ([3, 0, 4, 1], False)
+    faces = boxes_mod._clip_faces(verts, [first, crossing], 2, 1.0, 0.0)
+    ids, _ = faces[0]
+    assert ids[:2] == [0, 5]
+    np.testing.assert_allclose(verts[5], [0.4, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    assert verts[5][2] == 0.0
+    assert all(np.isfinite(v).all() for v in verts)
+    assert [face[1] for face in faces] == [True, False, True]  # the cap winds outward
 
 
 def test_face_on_a_plane_it_does_not_cross_gets_no_second_facet():
@@ -458,8 +420,7 @@ def test_face_on_a_plane_it_does_not_cross_gets_no_second_facet():
     # a's face stays, and no cap is laid over it
     a = unit_cube()
     b = Box9DoF(1.25, 0.0, -0.25 - 1.35e-12, 3.0, 3.0, 1.5, 0.0, 1.8e-12, -1.8e-12)
-    normal, offset, _ = b._planes[4]
-    dist = box_corners(a)[[1, 3, 7, 5]] @ np.array(normal) - offset
+    dist = np.array(boxes_mod._corners_in_frame(a, b))[[1, 3, 7, 5], 2] - b.h / 2.0
     assert sorted(np.abs(dist) <= 1e-12) == [False, True, True, True] and dist.min() < -1e-12
     assert abs(box_iou_exact(a, b) - 0.75 / 13.75) < 1e-12
 
@@ -529,14 +490,46 @@ def test_faces_are_wound_by_construction():
             np.testing.assert_allclose(n @ out, np.linalg.norm(n) * (1.0 if outward else -1.0),
                                        rtol=1e-12)
         other = random_box(rng)
-        faces = [(list(face), corners[list(face)].tolist(), outward)
-                 for face, outward in boxes_mod._FACES]
-        for normal, _, basis in other._planes:
-            offset = float(np.dot(normal, box.center)) + rng.uniform(-0.1, 0.1)
-            _, pts, outward = boxes_mod._clip_faces(faces, normal, offset, basis)[-1]
-            assert outward  # the cap is the last face
-            n = _newell(pts)
-            assert n @ np.array(normal) > (1.0 - 1e-12) * np.linalg.norm(n) > 0.0
+        verts = boxes_mod._corners_in_frame(box, other)
+        centre = np.mean(verts, axis=0)
+        faces = _faces()
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                half = float(sign * centre[axis] + rng.uniform(-0.1, 0.1))
+                table = list(verts)
+                ids, outward = boxes_mod._clip_faces(table, faces, axis, sign, half)[-1]
+                assert outward  # the cap is the last face
+                n = _newell([table[v] for v in ids])
+                assert sign * n[axis] > (1.0 - 1e-12) * np.linalg.norm(n) > 0.0
+
+
+def test_a_crossed_edge_is_cut_once_onto_its_plane():
+    # both faces of a crossed edge take the one cut, which lies on the plane
+    # exactly, so every clip leaves a closed surface: with each face turned
+    # to wind outward, every directed edge is met once and its reverse once
+    rng = make_rng(743)
+    cuts = 0
+    for _ in range(200):
+        a, b = random_box(rng), random_box(rng, center_scale=0.6)
+        verts = boxes_mod._corners_in_frame(a, b)
+        faces = _faces()
+        planes = [(axis, sign, half) for axis, half in enumerate((b.l / 2.0, b.w / 2.0, b.h / 2.0))
+                  for sign in (1.0, -1.0)]
+        for axis, sign, half in planes:
+            if not faces:
+                break
+            before = len(verts)
+            faces = boxes_mod._clip_faces(verts, faces, axis, sign, half)
+            for v in range(before, len(verts)):
+                assert verts[v][axis] == sign * half
+                assert sum(v in ids for ids, _ in faces) == 3  # two sides and the cap
+            cuts += len(verts) - before
+            edges = [(p, q) for ids, outward in faces
+                     for cycle in [ids if outward else ids[::-1]]
+                     for p, q in zip(cycle, cycle[1:] + cycle[:1])]
+            assert len(set(edges)) == len(edges)
+            assert set(edges) == {(q, p) for p, q in edges}
+    assert cuts > 1_000
 
 
 # ---------------------------------------------------------------------------
